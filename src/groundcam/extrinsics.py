@@ -27,7 +27,13 @@ from .geometry import (
     rotation_from_axis_angle,
     undistort,
 )
-from .intrinsics import DegenerateConfiguration, homography_from_points
+from .intrinsics import (
+    DegenerateConfiguration,
+    extrinsics_from_homography,
+    homography_from_points,
+    intrinsic_vector,
+    project_views,
+)
 from .optim import LeastSquaresProblem, LmOptions, levenberg_marquardt
 
 COPLANAR_Z_TOL_MM = 1e-9
@@ -158,24 +164,6 @@ def field_landmarks(geometry: FieldGeometry) -> dict[str, FieldLandmark]:
     return catalog
 
 
-def _pose_from_planar(
-    world_xy: np.ndarray, pixels: np.ndarray, k: CameraIntrinsics, plane_z: float
-) -> CameraPose:
-    h = homography_from_points(world_xy, pixels)
-    kinv = np.linalg.inv(k.matrix)
-    a1 = kinv @ h[:, 0]
-    a2 = kinv @ h[:, 1]
-    a3 = kinv @ h[:, 2]
-    scale = 1.0 / np.linalg.norm(a1)
-    r1, r2, t = scale * a1, scale * a2, scale * a3
-    if t[2] < 0:
-        r1, r2, t = -r1, -r2, -t
-    r = nearest_rotation(np.column_stack([r1, r2, np.cross(r1, r2)]))
-    # The homography absorbs the plane offset: H ~ K [r1 r2 (t + z0 r3)].
-    t = t - plane_z * r[:, 2]
-    return CameraPose(r, t)
-
-
 def _pose_from_dlt(
     world: np.ndarray, pixels: np.ndarray, k: CameraIntrinsics
 ) -> CameraPose:
@@ -202,16 +190,42 @@ def _pose_from_dlt(
     return CameraPose(r, m[:, 3])
 
 
+def pose_problem(
+    world: np.ndarray, pixels: np.ndarray, k: CameraIntrinsics
+) -> LeastSquaresProblem:
+    """Reprojection error of world points (n, 3) against pixels (n, 2) over
+    x = (axis-angle rotation, translation), intrinsics held fixed, with the
+    closed-form Jacobian of project_views."""
+    n = world.shape[0]
+    intrinsics = intrinsic_vector(k)
+    stacked = world[None]
+
+    def residual(x: np.ndarray) -> np.ndarray:
+        projected, _, _ = project_views(intrinsics, x[None, :3], x[None, 3:], stacked)
+        return (projected[0] - pixels).ravel()
+
+    def jacobian(x: np.ndarray) -> np.ndarray:
+        _, _, d_pose = project_views(
+            intrinsics, x[None, :3], x[None, 3:], stacked, with_jacobian=True
+        )
+        return d_pose[0].reshape(2 * n, 6)
+
+    return LeastSquaresProblem(
+        residual=residual, n_params=6, n_residuals=2 * n, jacobian=jacobian
+    )
+
+
 def solve_pnp(
     correspondences: list[PnpCorrespondence], k: CameraIntrinsics
 ) -> tuple[CameraPose, float]:
     """Camera pose from marked landmarks; returns (pose, reprojection RMSE px).
 
-    Pixels are undistorted before solving. Raises InsufficientPoints below
-    four correspondences, DegenerateConfiguration for collinear world points,
-    and NoInitialization when the layout fits neither the planar nor the
-    general-position initializer. There is no outlier rejection; suspect
-    marks are surfaced by reprojection_report instead.
+    Pixels are undistorted before solving, and the initial pose is refined
+    over pose_problem. Raises InsufficientPoints below four correspondences,
+    DegenerateConfiguration for collinear world points, and NoInitialization
+    when the layout fits neither the planar nor the general-position
+    initializer. There is no outlier rejection; suspect marks are surfaced by
+    reprojection_report instead.
     """
     n = len(correspondences)
     if n < 4:
@@ -228,7 +242,8 @@ def solve_pnp(
 
     z_values = world[:, 2]
     if np.max(np.abs(z_values - z_values[0])) <= COPLANAR_Z_TOL_MM:
-        pose0 = _pose_from_planar(world[:, :2], ideal, k_ideal, float(z_values[0]))
+        h = homography_from_points(world[:, :2], ideal)
+        pose0 = extrinsics_from_homography(k_ideal, h, plane_z=float(z_values[0]))
     elif n >= 6 and spread[2] > 1e-10 * spread[0]:
         pose0 = _pose_from_dlt(world, ideal, k_ideal)
     else:
@@ -240,15 +255,7 @@ def solve_pnp(
     x0 = np.concatenate(
         [axis_angle_from_rotation(pose0.rotation), pose0.translation]
     )
-
-    def residual(x: np.ndarray) -> np.ndarray:
-        pose = CameraPose(rotation_from_axis_angle(x[:3]), x[3:])
-        predicted = project_points(world, k_ideal, pose, clamp_depth=True)
-        return (predicted - ideal).ravel()
-
-    problem = LeastSquaresProblem(
-        residual=residual, n_params=6, n_residuals=2 * n
-    )
+    problem = pose_problem(world, ideal, k_ideal)
     result = levenberg_marquardt(problem, x0, LmOptions())
     pose = CameraPose(rotation_from_axis_angle(result.x[:3]), result.x[3:])
     report = reprojection_report(pose, k, correspondences)

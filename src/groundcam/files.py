@@ -252,18 +252,34 @@ def save_samples(path: Path, samples: list[RegressionSample]) -> None:
 
 
 def load_samples(path: Path) -> list[RegressionSample]:
+    """Read one sample per JSONL line; blank lines are skipped.
+
+    A malformed line raises ValueError naming the file and the line number.
+    """
     samples = []
-    for line in Path(path).read_text().splitlines():
+    for number, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if not line.strip():
             continue
-        obj = json.loads(line)
-        samples.append(
-            RegressionSample(
-                label=str(obj["class"]),
-                bbox=BoundingBox(*(float(v) for v in obj["bbox"])),
-                ground_pixel=PixelPoint(*(float(v) for v in obj["ground_pixel"])),
+        try:
+            obj = json.loads(line)
+            bbox = [float(v) for v in obj["bbox"]]
+            ground = [float(v) for v in obj["ground_pixel"]]
+            if len(bbox) != 4 or len(ground) != 2:
+                raise ValueError(
+                    f"bbox needs 4 numbers and ground_pixel 2, "
+                    f"got {len(bbox)} and {len(ground)}"
+                )
+            samples.append(
+                RegressionSample(
+                    label=str(obj["class"]),
+                    bbox=BoundingBox(*bbox),
+                    ground_pixel=PixelPoint(*ground),
+                )
             )
-        )
+        except KeyError as exc:
+            raise ValueError(f"{path} line {number}: missing key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path} line {number}: {exc}") from None
     return samples
 
 

@@ -3,7 +3,8 @@
 Pipeline: normalized DLT homographies per view, closed-form recovery of the
 calibration matrix from absolute-conic constraints, per-view extrinsics from
 each homography, then a joint Levenberg-Marquardt refinement of intrinsics,
-lens coefficients, and all view poses against total reprojection error.
+lens coefficients, and all view poses against total reprojection error, with
+every view projected at once and a closed-form Jacobian.
 """
 
 from __future__ import annotations
@@ -14,10 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
+    MIN_PROJECTION_DEPTH_MM,
     CameraIntrinsics,
     CameraPose,
     Distortion,
     axis_angle_from_rotation,
+    distort_normalized,
     nearest_rotation,
     project_points,
     rotation_from_axis_angle,
@@ -27,6 +30,11 @@ from .optim import (
     LmOptions,
     levenberg_marquardt,
 )
+
+
+# Rotation angle (radians) below which the pose Jacobian takes its
+# small-angle limit.
+SMALL_ANGLE_RAD = 1e-8
 
 
 class CalibrationError(ValueError):
@@ -208,11 +216,15 @@ def zhang_closed_form(
 
 
 def extrinsics_from_homography(
-    k: CameraIntrinsics, h: np.ndarray
+    k: CameraIntrinsics, h: np.ndarray, plane_z: float = 0.0
 ) -> CameraPose:
-    """Target-plane pose from one homography: r1, r2 from scaled Kinv columns,
-    r3 = r1 x r2, projected to the nearest rotation; sign chosen so the target
-    sits in front of the camera."""
+    """Pose of the plane z = plane_z from its homography.
+
+    r1, r2 come from the scaled Kinv columns, r3 = r1 x r2, projected to the
+    nearest rotation; the sign is chosen so the plane sits in front of the
+    camera. The homography absorbs the plane offset, H ~ K [r1 r2 (t + z0 r3)],
+    so the translation is corrected by -plane_z * r3.
+    """
     h = np.asarray(h, dtype=float)
     kinv = np.linalg.inv(k.matrix)
     a1 = kinv @ h[:, 0]
@@ -223,69 +235,143 @@ def extrinsics_from_homography(
     if t[2] < 0:
         r1, r2, t = -r1, -r2, -t
     r = nearest_rotation(np.column_stack([r1, r2, np.cross(r1, r2)]))
-    return CameraPose(r, t)
+    return CameraPose(r, t - plane_z * r[:, 2])
 
 
-def _pack(
-    k: CameraIntrinsics,
-    poses: list[CameraPose],
-    fix_skew: bool,
-    fix_k3: bool,
-) -> np.ndarray:
+def intrinsic_vector(k: CameraIntrinsics) -> np.ndarray:
+    """(alpha_x, alpha_y, gamma, u0, v0, k1, k2, k3, p1, p2), the order
+    project_views takes and its intrinsic Jacobian columns follow."""
     d = k.distortion
-    head = [k.alpha_x, k.alpha_y]
-    if not fix_skew:
-        head.append(k.gamma)
-    head += [k.u0, k.v0, d.k1, d.k2]
-    if not fix_k3:
-        head.append(d.k3)
-    head += [d.p1, d.p2]
-    parts = [np.array(head)]
-    for pose in poses:
-        parts.append(axis_angle_from_rotation(pose.rotation))
-        parts.append(pose.translation)
-    return np.concatenate(parts)
-
-
-def _shared_count(fix_skew: bool, fix_k3: bool) -> int:
-    return 10 - int(fix_skew) - int(fix_k3)
-
-
-def _unpack_intrinsics(x: np.ndarray, fix_skew: bool, fix_k3: bool) -> CameraIntrinsics:
-    i = 0
-
-    def take() -> float:
-        nonlocal i
-        i += 1
-        return float(x[i - 1])
-
-    alpha_x = take()
-    alpha_y = take()
-    gamma = 0.0 if fix_skew else take()
-    u0 = take()
-    v0 = take()
-    k1 = take()
-    k2 = take()
-    k3 = 0.0 if fix_k3 else take()
-    p1 = take()
-    p2 = take()
-    return CameraIntrinsics(
-        alpha_x, alpha_y, u0, v0, gamma, Distortion(k1, k2, k3, p1, p2)
+    return np.array(
+        [k.alpha_x, k.alpha_y, k.gamma, k.u0, k.v0, d.k1, d.k2, d.k3, d.p1, d.p2]
     )
 
 
-def _unpack_pose(x: np.ndarray, n_shared: int, view_index: int) -> CameraPose:
-    i = n_shared + 6 * view_index
-    return CameraPose(rotation_from_axis_angle(x[i : i + 3]), x[i + 3 : i + 6])
+def _right_jacobian(rvec: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """(r r^T + (R^T - I)[r]x) / |r|^2, so that d(R P)/d rvec = -R [P]x times it.
+
+    Gallego & Yezzi (2015). Below SMALL_ANGLE_RAD the rounding error of
+    R^T - I, divided by |r|, would exceed the O(|r|) error of the bracket's
+    limit, the identity, so the limit is used instead.
+    """
+    angle2 = float(rvec @ rvec)
+    if angle2 < SMALL_ANGLE_RAD**2:
+        return np.eye(3)
+    skew = np.array(
+        [
+            [0.0, -rvec[2], rvec[1]],
+            [rvec[2], 0.0, -rvec[0]],
+            [-rvec[1], rvec[0], 0.0],
+        ]
+    )
+    return (np.outer(rvec, rvec) + (r.T - np.eye(3)) @ skew) / angle2
 
 
-def _unpack(
-    x: np.ndarray, n_views: int, fix_skew: bool, fix_k3: bool
-) -> tuple[CameraIntrinsics, list[CameraPose]]:
-    k = _unpack_intrinsics(x, fix_skew, fix_k3)
-    n_shared = _shared_count(fix_skew, fix_k3)
-    poses = [_unpack_pose(x, n_shared, v) for v in range(n_views)]
-    return k, poses
+def project_views(
+    intrinsics: np.ndarray,
+    rvecs: np.ndarray,
+    tvecs: np.ndarray,
+    world: np.ndarray,
+    with_jacobian: bool = False,
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """Project world points (n_views, n_pts, 3) through one pose per view.
+
+    intrinsics is the 10-vector of intrinsic_vector; rvecs and tvecs are
+    (n_views, 3) axis-angle rotations and translations. Depth is clamped as
+    project_points(clamp_depth=True) clamps it, and the Jacobian is that of
+    the clamped map. Returns the pixels (n_views, n_pts, 2) and, with
+    with_jacobian, their derivatives with respect to the intrinsics
+    (n_views, n_pts, 2, 10) and to each view's (rvec, t) (n_views, n_pts, 2, 6);
+    otherwise both are None.
+    """
+    ax, ay, g, u0, v0, k1, k2, k3, p1, p2 = intrinsics
+    rotations = np.array([rotation_from_axis_angle(r) for r in rvecs])
+    pc = world @ rotations.transpose(0, 2, 1) + tvecs[:, None, :]
+    z = pc[..., 2]
+    clamped = np.abs(z) < MIN_PROJECTION_DEPTH_MM
+    z = np.where(clamped, np.where(z < 0, -1.0, 1.0) * MIN_PROJECTION_DEPTH_MM, z)
+    x = pc[..., 0] / z
+    y = pc[..., 1] / z
+    xd, yd = distort_normalized(x, y, Distortion(k1, k2, k3, p1, p2))
+    pixels = np.stack([ax * xd + g * yd + u0, ay * yd + v0], axis=-1)
+    if not with_jacobian:
+        return pixels, None, None
+
+    # Intrinsics: u = ax xd + g yd + u0, v = ay yd + v0, with xd, yd linear
+    # in the lens coefficients (k1, k2, k3, p1, p2).
+    r2 = x * x + y * y
+    r4 = r2 * r2
+    xy2 = 2.0 * x * y
+    lens_x = np.stack([x * r2, x * r4, x * r4 * r2, xy2, r2 + 2.0 * x * x], axis=-1)
+    lens_y = np.stack([y * r2, y * r4, y * r4 * r2, r2 + 2.0 * y * y, xy2], axis=-1)
+    d_intrinsics = np.zeros(x.shape + (2, 10))
+    d_intrinsics[..., 0, 0] = xd
+    d_intrinsics[..., 0, 2] = yd
+    d_intrinsics[..., 0, 3] = 1.0
+    d_intrinsics[..., 0, 5:] = ax * lens_x + g * lens_y
+    d_intrinsics[..., 1, 1] = yd
+    d_intrinsics[..., 1, 4] = 1.0
+    d_intrinsics[..., 1, 5:] = ay * lens_y
+
+    # Pose: chain rule through the normalized coordinates (x, y) = (X, Y) / Z.
+    radial = 1.0 + r2 * (k1 + r2 * (k2 + r2 * k3))
+    d_radial = k1 + r2 * (2.0 * k2 + 3.0 * k3 * r2)
+    dxd_dx = radial + 2.0 * x * x * d_radial + 2.0 * p1 * y + 6.0 * p2 * x
+    dxd_dy = xy2 * d_radial + 2.0 * p1 * x + 2.0 * p2 * y  # equals dyd/dx
+    dyd_dy = radial + 2.0 * y * y * d_radial + 6.0 * p1 * y + 2.0 * p2 * x
+    d_pixel_dxy = np.empty(x.shape + (2, 2))
+    d_pixel_dxy[..., 0, 0] = ax * dxd_dx + g * dxd_dy
+    d_pixel_dxy[..., 0, 1] = ax * dxd_dy + g * dyd_dy
+    d_pixel_dxy[..., 1, 0] = ay * dxd_dy
+    d_pixel_dxy[..., 1, 1] = ay * dyd_dy
+    inv_z = 1.0 / z
+    # A clamped depth is constant, so Z drops out of the chain there.
+    depth_scale = np.where(clamped, 0.0, -inv_z)
+    d_pc = np.empty(x.shape + (2, 3))
+    d_pc[..., :2] = d_pixel_dxy * inv_z[..., None, None]
+    d_pc[..., 2] = (
+        d_pixel_dxy[..., 0] * x[..., None] + d_pixel_dxy[..., 1] * y[..., None]
+    ) * depth_scale[..., None]
+    # A row a times d(R P)/d rvec = -R [P]x J is (P x (a R)) J.
+    right = np.array([_right_jacobian(rv, r) for rv, r in zip(rvecs, rotations)])
+    a_r = d_pc @ rotations[:, None]
+    d_pose = np.empty(x.shape + (2, 6))
+    d_pose[..., :3] = np.cross(world[:, :, None, :], a_r) @ right[:, None]
+    d_pose[..., 3:] = d_pc
+    return pixels, d_intrinsics, d_pose
+
+
+def _layout(
+    k: CameraIntrinsics, fix_skew: bool, fix_k3: bool
+) -> tuple[np.ndarray, list[int]]:
+    """k's intrinsic vector with the pinned entries zeroed, and the indices of
+    the entries the refinement adjusts, in parameter order."""
+    base = intrinsic_vector(k)
+    pinned = ([2] if fix_skew else []) + ([7] if fix_k3 else [])
+    base[pinned] = 0.0
+    return base, [i for i in range(10) if i not in pinned]
+
+
+def _split(
+    x: np.ndarray, base: np.ndarray, free: list[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Parameter vector to (intrinsic vector, rvecs, tvecs)."""
+    full = base.copy()
+    full[free] = x[: len(free)]
+    poses = x[len(free) :].reshape(-1, 6)
+    return full, poses[:, :3], poses[:, 3:]
+
+
+def _stack_views(views: list[PlanarView]) -> tuple[np.ndarray, np.ndarray]:
+    """Pattern points as (n_views, n_max, 3) at z = 0, zero-padded, and the
+    (n_views, n_max) mask of real entries."""
+    n_max = max(len(v) for v in views)
+    world = np.zeros((len(views), n_max, 3))
+    valid = np.zeros((len(views), n_max), dtype=bool)
+    for i, view in enumerate(views):
+        world[i, : len(view), :2] = view.pattern
+        valid[i, : len(view)] = True
+    return world, valid
 
 
 def reprojection_rmse(
@@ -306,6 +392,62 @@ def reprojection_rmse(
     return math.sqrt(total / count)
 
 
+def calibration_problem(
+    views: list[PlanarView],
+    init: CalibrationSolution,
+    fix_skew: bool = True,
+    fix_k3: bool = True,
+) -> tuple[LeastSquaresProblem, np.ndarray]:
+    """The joint refinement as a least-squares problem, and its start vector.
+
+    Parameter order: alpha_x, alpha_y, (gamma), u0, v0, k1, k2, (k3), p1, p2,
+    then per view an axis-angle rotation and translation. Every view is
+    projected in one stacked evaluation, and the Jacobian is the closed form
+    of project_views.
+    """
+    if len(views) != len(init.poses):
+        raise ValueError("one initial pose per view is required")
+    world, valid = _stack_views(views)
+    observed = np.vstack([v.pixels for v in views])
+    n_points = observed.shape[0]
+    counts = [len(v) for v in views]
+    base, free = _layout(init.intrinsics, fix_skew, fix_k3)
+    n_shared = len(free)
+    x0 = np.concatenate(
+        [base[free]]
+        + [
+            np.concatenate([axis_angle_from_rotation(p.rotation), p.translation])
+            for p in init.poses
+        ]
+    )
+    n_params = x0.shape[0]
+
+    def residual(x: np.ndarray) -> np.ndarray:
+        pixels, _, _ = project_views(*_split(x, base, free), world)
+        return (pixels[valid] - observed).ravel()
+
+    def jacobian(x: np.ndarray) -> np.ndarray:
+        _, d_intrinsics, d_pose = project_views(
+            *_split(x, base, free), world, with_jacobian=True
+        )
+        jac = np.zeros((n_points, 2, n_params))
+        jac[:, :, :n_shared] = d_intrinsics[valid][:, :, free]
+        row = 0
+        for v, n in enumerate(counts):
+            col = n_shared + 6 * v
+            jac[row : row + n, :, col : col + 6] = d_pose[v, :n]
+            row += n
+        return jac.reshape(2 * n_points, n_params)
+
+    problem = LeastSquaresProblem(
+        residual=residual,
+        n_params=n_params,
+        n_residuals=2 * n_points,
+        jacobian=jacobian,
+    )
+    return problem, x0
+
+
 def refine_calibration(
     views: list[PlanarView],
     init: CalibrationSolution,
@@ -315,83 +457,25 @@ def refine_calibration(
 ) -> CalibrationSolution:
     """Jointly refine intrinsics, lens model, and all view poses.
 
-    Parameter order: alpha_x, alpha_y, (gamma), u0, v0, k1, k2, (k3), p1, p2,
-    then per view an axis-angle rotation and translation. The returned RMSE
-    never exceeds the initialization's because only cost-decreasing steps are
+    Solves calibration_problem by Levenberg-Marquardt. The returned RMSE never
+    exceeds the initialization's because only cost-decreasing steps are
     accepted. With fix_skew the output gamma is exactly 0, with fix_k3 the
     output k3 is exactly 0.
     """
-    if len(views) != len(init.poses):
-        raise ValueError("one initial pose per view is required")
-    worlds = [np.column_stack([v.pattern, np.zeros(len(v))]) for v in views]
-    observed = np.vstack([v.pixels for v in views])
-    n_points = observed.shape[0]
-    n_views = len(views)
-
-    start_k = init.intrinsics
-    if fix_skew and start_k.gamma != 0.0:
-        start_k = CameraIntrinsics(
-            start_k.alpha_x, start_k.alpha_y, start_k.u0, start_k.v0,
-            0.0, start_k.distortion,
-        )
-    if fix_k3 and start_k.distortion.k3 != 0.0:
-        d = start_k.distortion
-        start_k = start_k.with_distortion(Distortion(d.k1, d.k2, 0.0, d.p1, d.p2))
-    x0 = _pack(start_k, list(init.poses), fix_skew, fix_k3)
-
-    def residual(x: np.ndarray) -> np.ndarray:
-        k, poses = _unpack(x, n_views, fix_skew, fix_k3)
-        rows = [
-            project_points(world, k, pose, clamp_depth=True)
-            for world, pose in zip(worlds, poses)
-        ]
-        return (np.vstack(rows) - observed).ravel()
-
-    n_params = x0.shape[0]
-    n_shared = _shared_count(fix_skew, fix_k3)
-    starts = np.cumsum([0] + [len(v) for v in views])
-
-    def jacobian(x: np.ndarray, base_step: float = 1e-6) -> np.ndarray:
-        # Central differences exploiting the problem's block structure: a
-        # shared intrinsic column touches every row but leaves the poses
-        # untouched, and a view's six pose columns touch only that view's
-        # rows and leave the intrinsics untouched.
-        k0, poses0 = _unpack(x, n_views, fix_skew, fix_k3)
-        jac = np.zeros((2 * n_points, n_params))
-        for i in range(n_params):
-            h = max(base_step, base_step * abs(x[i]))
-            forward = x.copy()
-            forward[i] += h
-            backward = x.copy()
-            backward[i] -= h
-            if i < n_shared:
-                kf = _unpack_intrinsics(forward, fix_skew, fix_k3)
-                kb = _unpack_intrinsics(backward, fix_skew, fix_k3)
-                for v, (world, pose) in enumerate(zip(worlds, poses0)):
-                    rows = slice(2 * starts[v], 2 * starts[v + 1])
-                    diff = project_points(world, kf, pose, clamp_depth=True) \
-                        - project_points(world, kb, pose, clamp_depth=True)
-                    jac[rows, i] = diff.ravel() / (2.0 * h)
-            else:
-                v = (i - n_shared) // 6
-                rows = slice(2 * starts[v], 2 * starts[v + 1])
-                pf = _unpack_pose(forward, n_shared, v)
-                pb = _unpack_pose(backward, n_shared, v)
-                diff = project_points(worlds[v], k0, pf, clamp_depth=True) \
-                    - project_points(worlds[v], k0, pb, clamp_depth=True)
-                jac[rows, i] = diff.ravel() / (2.0 * h)
-        return jac
-
-    problem = LeastSquaresProblem(
-        residual=residual,
-        n_params=n_params,
-        n_residuals=2 * n_points,
-        jacobian=jacobian,
-    )
+    problem, x0 = calibration_problem(views, init, fix_skew, fix_k3)
     result = levenberg_marquardt(problem, x0, options)
-    k, poses = _unpack(result.x, n_views, fix_skew, fix_k3)
-    rmse = math.sqrt(result.cost / n_points)
-    return CalibrationSolution(intrinsics=k, poses=tuple(poses), rmse_px=rmse)
+    base, free = _layout(init.intrinsics, fix_skew, fix_k3)
+    full, rvecs, tvecs = _split(result.x, base, free)
+    k = CameraIntrinsics(
+        full[0], full[1], full[3], full[4], full[2], Distortion(*full[5:])
+    )
+    poses = tuple(
+        CameraPose(rotation_from_axis_angle(r), t) for r, t in zip(rvecs, tvecs)
+    )
+    n_points = sum(len(v) for v in views)
+    return CalibrationSolution(
+        intrinsics=k, poses=poses, rmse_px=math.sqrt(result.cost / n_points)
+    )
 
 
 def calibrate_intrinsics(

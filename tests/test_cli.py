@@ -186,6 +186,32 @@ class TestFitRegressor:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("bbox", None),
+            ("bbox", [0.0, 0.0, 10.0]),
+            ("ground_pixel", None),
+        ],
+    )
+    def test_malformed_sample_line_names_file_and_line(
+        self, capsys, tmp_path, field, value
+    ):
+        good = {
+            "class": "ball",
+            "bbox": [0.0, 0.0, 10.0, 10.0],
+            "ground_pixel": [5.0, 10.0],
+        }
+        path = tmp_path / "samples.jsonl"
+        path.write_text(
+            "\n".join(json.dumps(s) for s in (good, good, {**good, field: value}))
+            + "\n"
+        )
+        code, _, err = _run(capsys, "fit-regressor", path)
+        assert code == 2
+        assert "Traceback" not in err
+        assert f"{path} line 3" in err
+
 
 # ---------------------------------------------------------------------------
 # localize

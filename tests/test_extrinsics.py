@@ -19,6 +19,7 @@ from groundcam.extrinsics import (
     PnpCorrespondence,
     correspondences_from_landmarks,
     field_landmarks,
+    pose_problem,
     reprojection_report,
     solve_pnp,
 )
@@ -31,8 +32,10 @@ from groundcam.geometry import (
     camera_center,
     euler_from_pose,
     project,
+    project_points,
 )
 from groundcam.intrinsics import DegenerateConfiguration
+from groundcam.optim import numeric_jacobian
 from groundcam.reference import (
     REFERENCE_CAMERA_CENTER_MM,
     REFERENCE_EULER_DEG,
@@ -195,6 +198,25 @@ class TestSolvePnp:
     def test_five_points_off_plane_have_no_initializer(self, ref_k, ref_pose):
         with pytest.raises(NoInitialization):
             solve_pnp(_render(RAISED_POINTS[:5], ref_k, ref_pose), ref_k)
+
+
+class TestPoseProblem:
+    def test_jacobian_matches_central_differences_off_plane(
+        self, ref_k, ref_pose, rng
+    ):
+        k = ref_k.with_distortion(Distortion(k1=-0.1, k2=0.02, p1=1e-4, p2=-5e-5))
+        world = np.array(RAISED_POINTS)
+        noise = rng.normal(0.0, 0.5, (len(world), 2))
+        pixels = project_points(world, k, ref_pose) + noise
+        problem = pose_problem(world, pixels, k)
+        x = np.concatenate(
+            [axis_angle_from_rotation(ref_pose.rotation), ref_pose.translation]
+        )
+        x = x + rng.normal(0.0, 1e-3, 6) * np.maximum(np.abs(x), 1.0)
+        analytic = problem.jacobian(x)
+        numeric = numeric_jacobian(problem, x)
+        scale = np.abs(numeric).max(axis=0)
+        assert np.max(np.abs(analytic - numeric).max(axis=0) / scale) < 1e-6
 
 
 # ---------------------------------------------------------------------------

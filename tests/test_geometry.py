@@ -9,11 +9,13 @@ hand, then by randomized round trips.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from groundcam.geometry import (
+    UNDISTORT_MAX_ITERATIONS,
     CameraIntrinsics,
     CameraPose,
     Distortion,
@@ -43,6 +45,8 @@ from groundcam.reference import (
     REFERENCE_CAMERA_CENTER_MM,
     REFERENCE_EULER_DEG,
 )
+
+from conftest import REPO_ROOT
 
 # ---------------------------------------------------------------------------
 # Helpers
@@ -286,6 +290,12 @@ class TestDistortion:
         k = CameraIntrinsics(1.0, 1.0, 0.0, 0.0, distortion=Distortion(k1=10.0))
         with pytest.raises(NonConvergence):
             undistort(PixelPoint(1.0, 0.0), k)
+
+    def test_readme_states_the_iteration_cap(self):
+        readme = (REPO_ROOT / "README.md").read_text()
+        match = re.search(r"raises after\s+(\d+)\s+steps", readme)
+        assert match is not None
+        assert int(match.group(1)) == UNDISTORT_MAX_ITERATIONS
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ machine precision; noisy data must settle at the injected noise level.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -27,6 +28,7 @@ from groundcam.intrinsics import (
     NonPositiveDefinite,
     PlanarView,
     calibrate_intrinsics,
+    calibration_problem,
     estimate_homography,
     extrinsics_from_homography,
     homography_from_points,
@@ -34,6 +36,7 @@ from groundcam.intrinsics import (
     refine_calibration,
     zhang_closed_form,
 )
+from groundcam.optim import levenberg_marquardt, numeric_jacobian
 
 # ---------------------------------------------------------------------------
 # Synthetic target builders
@@ -224,6 +227,19 @@ class TestExtrinsicsFromHomography:
         assert np.allclose(a.rotation, b.rotation, atol=1e-12)
         assert np.allclose(a.translation, b.translation, atol=1e-12)
 
+    def test_plane_offset_moves_the_translation(self, rng):
+        # A pattern lying on z = z0 has the homography of the z = 0 pattern
+        # seen from t + z0 r3; the offset must be taken back out.
+        z0 = 155.0
+        pattern = _pattern()
+        world = np.column_stack([pattern, np.full(len(pattern), z0)])
+        truth = _random_target_pose(rng)
+        pixels = project_points(world, TRUE_K, truth)
+        h = homography_from_points(pattern, pixels)
+        est = extrinsics_from_homography(TRUE_K, h, plane_z=z0)
+        assert _rotation_gap_rad(est, truth) < 1e-8
+        assert np.max(np.abs(est.translation - truth.translation)) < 1e-6
+
 
 # ---------------------------------------------------------------------------
 # Joint refinement and the full pipeline
@@ -301,6 +317,75 @@ class TestCalibratePipeline:
         )
         with pytest.raises(ValueError):
             refine_calibration(views, init)
+
+
+# ---------------------------------------------------------------------------
+# Closed-form Jacobian of the refinement
+# ---------------------------------------------------------------------------
+
+LENS_K = CameraIntrinsics(
+    642.41,
+    642.54,
+    322.80,
+    239.76,
+    gamma=1.5,
+    distortion=Distortion(k1=-0.12, k2=0.03, k3=-0.004, p1=2e-4, p2=-1e-4),
+)
+
+
+def _column_errors(analytic: np.ndarray, numeric: np.ndarray) -> np.ndarray:
+    """Per-column max |difference| relative to the column's largest entry."""
+    scale = np.maximum(np.abs(numeric).max(axis=0), 1e-12)
+    return np.abs(analytic - numeric).max(axis=0) / scale
+
+
+def _unit(v) -> np.ndarray:
+    v = np.asarray(v, dtype=float)
+    return v / np.linalg.norm(v)
+
+
+class TestCalibrationJacobian:
+    @pytest.mark.parametrize("fix_skew", [True, False])
+    @pytest.mark.parametrize("fix_k3", [True, False])
+    def test_matches_central_differences(self, rng, fix_skew, fix_k3):
+        views, poses = _synthetic_views(LENS_K, 5, rng)
+        init = CalibrationSolution(intrinsics=LENS_K, poses=tuple(poses), rmse_px=0.0)
+        problem, x0 = calibration_problem(views, init, fix_skew, fix_k3)
+        n_shared = 10 - int(fix_skew) - int(fix_k3)
+        assert problem.n_params == n_shared + 6 * len(views)
+        x = x0 + rng.normal(0.0, 1e-3, x0.shape) * np.maximum(np.abs(x0), 1e-2)
+        # One view on the small-angle limit, one just above it, one near pi.
+        x[n_shared : n_shared + 3] = 1e-9 * _unit([1.0, -2.0, 0.5])
+        x[n_shared + 6 : n_shared + 9] = 1e-5 * _unit([0.3, 1.0, -0.2])
+        x[n_shared + 12 : n_shared + 15] = (math.pi - 1e-4) * _unit([1.0, 0.1, 0.05])
+        errors = _column_errors(problem.jacobian(x), numeric_jacobian(problem, x))
+        assert errors.max() < 1e-6
+
+    def test_unequal_point_counts(self, rng):
+        views, poses = _synthetic_views(LENS_K, 3, rng)
+        views[1] = PlanarView("short", views[1].pixels[:20], views[1].pattern[:20])
+        init = CalibrationSolution(intrinsics=LENS_K, poses=tuple(poses), rmse_px=0.0)
+        problem, x0 = calibration_problem(views, init, fix_skew=False, fix_k3=False)
+        assert problem.n_residuals == 2 * (54 + 20 + 54)
+        assert np.max(np.abs(problem.residual(x0))) < 1e-9
+        errors = _column_errors(problem.jacobian(x0), numeric_jacobian(problem, x0))
+        assert errors.max() < 1e-6
+
+    def test_solver_matches_numeric_jacobian_solve(self, rng):
+        views, _ = _synthetic_views(LENS_K, 6, rng, noise_px=0.5)
+        hs = [estimate_homography(v) for v in views]
+        k0 = zhang_closed_form(hs, assume_zero_skew=True)
+        poses = tuple(extrinsics_from_homography(k0, h) for h in hs)
+        init = CalibrationSolution(intrinsics=k0, poses=poses, rmse_px=0.0)
+        problem, x0 = calibration_problem(views, init)
+        analytic = levenberg_marquardt(problem, x0)
+        numeric = levenberg_marquardt(dataclasses.replace(problem, jacobian=None), x0)
+        assert analytic.cost == pytest.approx(numeric.cost, rel=1e-9)
+        # alpha_x, alpha_y, u0, v0. The lens coefficients that follow lie
+        # along a flat valley of the cost, where the finite-difference solve
+        # stops on its step tolerance about 1e-5 short of the minimum.
+        assert analytic.x[:4] == pytest.approx(numeric.x[:4], rel=1e-6)
+        assert analytic.x[4:8] == pytest.approx(numeric.x[4:8], rel=1e-4)
 
 
 class TestReprojectionRmse:
