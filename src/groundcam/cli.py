@@ -17,7 +17,7 @@ from . import files
 from .evaluation import EvalPair, build_report, compare_sources, report_to_dict
 from .extrinsics import correspondences_from_landmarks, reprojection_report, solve_pnp
 from .intrinsics import calibrate_intrinsics
-from .pipeline import FrameConvention, ingest_detections, localize_batch
+from .pipeline import FrameConvention, LocalizedObject, ingest_detections, localize_batch
 from .regression import fit
 from .scene import SceneConfig, config_from_dict, generate_scene
 
@@ -78,16 +78,7 @@ def _cmd_fit_regressor(args: argparse.Namespace) -> int:
     regressor = fit(samples)
     for label in regressor.covered():
         _note(f"  {label}: rmse {regressor.classes[label].rmse_px:.6f} px")
-    payload = {
-        "classes": {
-            label: {
-                "weights": [[float(v) for v in row] for row in model.weights],
-                "rmse_px": model.rmse_px,
-            }
-            for label, model in regressor.classes.items()
-        }
-    }
-    _emit(json.dumps(payload, indent=2, sort_keys=True))
+    _emit(json.dumps(files.model_to_dict(regressor), indent=2, sort_keys=True))
     if args.out:
         files.save_model(Path(args.out), regressor)
         _note(f"wrote {args.out}")
@@ -113,7 +104,7 @@ def _cmd_localize(args: argparse.Namespace) -> int:
     if args.out:
         Path(args.out).write_text("".join(line + "\n" for line in lines))
         _note(f"wrote {args.out}")
-    ok = sum(1 for line in lines if '"status": "ok"' in line)
+    ok = sum(1 for r in results if isinstance(r, LocalizedObject))
     _note(f"localized {ok} of {len(lines)} detections")
     return 0
 

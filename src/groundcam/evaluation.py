@@ -197,29 +197,26 @@ def compare_sources(
             )
 
     def summary(pairs: list[EvalPair]) -> dict:
-        stats = error_stats(pairs)
-        return {
-            "rmse_mm": rmse(pairs),
-            "count": len(pairs),
-            "x_mm": {"mean": stats.x.mean, "std": stats.x.std},
-            "y_mm": {"mean": stats.y.mean, "std": stats.y.std},
-            "theta_deg": {"mean": stats.theta.mean, "std": stats.theta.std},
-        }
+        return _summary_to_dict(rmse(pairs), len(pairs), error_stats(pairs))
 
     return {"ours": summary(ours), "reference": summary(reference)}
+
+
+def _summary_to_dict(rmse_mm: float, count: int, stats: ErrorStats) -> dict:
+    """The headline block shared by a report and each compared source."""
+    return {
+        "rmse_mm": rmse_mm,
+        "count": count,
+        "x_mm": {"mean": stats.x.mean, "std": stats.x.std},
+        "y_mm": {"mean": stats.y.mean, "std": stats.y.std},
+        "theta_deg": {"mean": stats.theta.mean, "std": stats.theta.std},
+    }
 
 
 def report_to_dict(report: EvalReport) -> dict:
     """JSON-shaped view of a report."""
     return {
-        "rmse_mm": report.rmse_mm,
-        "count": report.count,
-        "x_mm": {"mean": report.stats.x.mean, "std": report.stats.x.std},
-        "y_mm": {"mean": report.stats.y.mean, "std": report.stats.y.std},
-        "theta_deg": {
-            "mean": report.stats.theta.mean,
-            "std": report.stats.theta.std,
-        },
+        **_summary_to_dict(report.rmse_mm, report.count, report.stats),
         "bucket_boundaries_mm": list(report.boundaries_mm),
         "buckets": [
             {

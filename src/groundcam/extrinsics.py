@@ -12,18 +12,21 @@ position, then refined over the six pose parameters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .geometry import (
     CameraIntrinsics,
     CameraPose,
+    Distortion,
     PixelPoint,
     WorldPoint,
     axis_angle_from_rotation,
+    intrinsic_vector,
     nearest_rotation,
     project_points,
+    project_views,
     rotation_from_axis_angle,
     undistort,
 )
@@ -31,8 +34,6 @@ from .intrinsics import (
     DegenerateConfiguration,
     extrinsics_from_homography,
     homography_from_points,
-    intrinsic_vector,
-    project_views,
 )
 from .optim import LeastSquaresProblem, LmOptions, levenberg_marquardt
 
@@ -65,18 +66,10 @@ class FieldGeometry:
     penalty_width: float
 
     def __post_init__(self) -> None:
-        for name in (
-            "field_length",
-            "field_width",
-            "goal_width",
-            "goal_depth",
-            "goal_height",
-            "penalty_depth",
-            "penalty_width",
-        ):
-            value = getattr(self, name)
+        for f in fields(self):
+            value = getattr(self, f.name)
             if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive, got {value}")
+                raise ValueError(f"{f.name} must be positive, got {value}")
         if self.goal_width > self.field_width:
             raise ValueError("goal wider than the field")
         if self.penalty_width > self.field_width:
@@ -233,7 +226,7 @@ def solve_pnp(
     world = np.array([[c.world.x, c.world.y, c.world.z] for c in correspondences])
     undistorted = [undistort(c.pixel, k) for c in correspondences]
     ideal = np.array([[p.u, p.v] for p in undistorted])
-    k_ideal = CameraIntrinsics(k.alpha_x, k.alpha_y, k.u0, k.v0, k.gamma)
+    k_ideal = k.with_distortion(Distortion())
 
     centered = world - world.mean(axis=0)
     spread = np.linalg.svd(centered, compute_uv=False)

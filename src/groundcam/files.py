@@ -12,6 +12,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+from contextlib import contextmanager
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +40,25 @@ from .regression import (
 
 def _dump_json(obj: dict, path: Path) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+@contextmanager
+def _malformed(where: str):
+    """Re-raise any parse failure inside the block as ValueError naming where."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValueError(f"{where}: missing key {exc}") from None
+    except (AttributeError, IndexError, TypeError, ValueError) as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
+def _load_json(path: Path, parse):
+    """parse applied to the JSON document at path; a document of the wrong
+    shape raises ValueError naming the file."""
+    text = Path(path).read_text()
+    with _malformed(str(path)):
+        return parse(json.loads(text))
 
 
 def intrinsics_to_dict(k: CameraIntrinsics) -> dict:
@@ -96,16 +117,19 @@ def save_calibration(
     _dump_json(calibration_to_dict(k, pose, rmse_px), Path(path))
 
 
+def calibration_from_dict(obj: dict) -> tuple[CameraIntrinsics, CameraPose | None]:
+    """Inverse of calibration_to_dict; the pose is None when obj has none."""
+    k = intrinsics_from_dict(obj["intrinsics"])
+    if "pose" not in obj:
+        return k, None
+    rotation = np.array(obj["pose"]["rotation"], dtype=float).reshape(3, 3)
+    translation = np.array(obj["pose"]["translation"], dtype=float)
+    return k, CameraPose(rotation, translation)
+
+
 def load_calibration(path: Path) -> tuple[CameraIntrinsics, CameraPose | None]:
     """Read a calibration document; the pose is None for intrinsics-only files."""
-    obj = json.loads(Path(path).read_text())
-    k = intrinsics_from_dict(obj["intrinsics"])
-    pose = None
-    if "pose" in obj:
-        rotation = np.array(obj["pose"]["rotation"], dtype=float).reshape(3, 3)
-        translation = np.array(obj["pose"]["translation"], dtype=float)
-        pose = CameraPose(rotation, translation)
-    return k, pose
+    return _load_json(path, calibration_from_dict)
 
 
 def save_planar_views(
@@ -131,41 +155,30 @@ def save_planar_views(
 
 
 def load_planar_views(path: Path) -> tuple[list[PlanarView], float]:
-    obj = json.loads(Path(path).read_text())
-    views = []
-    for entry in obj["views"]:
-        points = entry["points"]
-        views.append(
-            PlanarView(
-                view_id=str(entry["id"]),
-                pixels=np.array([p["pixel"] for p in points], dtype=float),
-                pattern=np.array([p["pattern"] for p in points], dtype=float),
+    def parse(obj: dict) -> tuple[list[PlanarView], float]:
+        views = []
+        for entry in obj["views"]:
+            points = entry["points"]
+            views.append(
+                PlanarView(
+                    view_id=str(entry["id"]),
+                    pixels=np.array([p["pixel"] for p in points], dtype=float),
+                    pattern=np.array([p["pattern"] for p in points], dtype=float),
+                )
             )
-        )
-    return views, float(obj.get("square_size_mm", 0.0))
+        return views, float(obj.get("square_size_mm", 0.0))
+
+    return _load_json(path, parse)
 
 
 def field_geometry_to_dict(g: FieldGeometry) -> dict:
-    return {
-        "field_length_mm": g.field_length,
-        "field_width_mm": g.field_width,
-        "goal_width_mm": g.goal_width,
-        "goal_depth_mm": g.goal_depth,
-        "goal_height_mm": g.goal_height,
-        "penalty_depth_mm": g.penalty_depth,
-        "penalty_width_mm": g.penalty_width,
-    }
+    """Every FieldGeometry field under its name plus an _mm suffix."""
+    return {f"{f.name}_mm": getattr(g, f.name) for f in fields(g)}
 
 
 def field_geometry_from_dict(obj: dict) -> FieldGeometry:
     return FieldGeometry(
-        field_length=float(obj["field_length_mm"]),
-        field_width=float(obj["field_width_mm"]),
-        goal_width=float(obj["goal_width_mm"]),
-        goal_depth=float(obj["goal_depth_mm"]),
-        goal_height=float(obj["goal_height_mm"]),
-        penalty_depth=float(obj["penalty_depth_mm"]),
-        penalty_width=float(obj["penalty_width_mm"]),
+        **{f.name: float(obj[f"{f.name}_mm"]) for f in fields(FieldGeometry)}
     )
 
 
@@ -194,24 +207,25 @@ def save_landmarks(
 def load_landmarks(
     path: Path,
 ) -> tuple[FieldGeometry, dict[str, PixelPoint], list[PnpCorrespondence]]:
-    obj = json.loads(Path(path).read_text())
-    geometry = field_geometry_from_dict(obj["field_geometry"])
-    named = {
-        str(p["name"]): PixelPoint(float(p["pixel"][0]), float(p["pixel"][1]))
-        for p in obj.get("points", [])
-    }
-    extra = [
-        PnpCorrespondence(
-            pixel=PixelPoint(float(e["pixel"][0]), float(e["pixel"][1])),
-            world=WorldPoint(*(float(v) for v in e["world"])),
-        )
-        for e in obj.get("extra", [])
-    ]
-    return geometry, named, extra
+    def parse(obj: dict):
+        named = {
+            str(p["name"]): PixelPoint(float(p["pixel"][0]), float(p["pixel"][1]))
+            for p in obj.get("points", [])
+        }
+        extra = [
+            PnpCorrespondence(
+                pixel=PixelPoint(float(e["pixel"][0]), float(e["pixel"][1])),
+                world=WorldPoint(*(float(v) for v in e["world"])),
+            )
+            for e in obj.get("extra", [])
+        ]
+        return field_geometry_from_dict(obj["field_geometry"]), named, extra
+
+    return _load_json(path, parse)
 
 
-def save_model(path: Path, regressor: GroundRegressor) -> None:
-    obj = {
+def model_to_dict(regressor: GroundRegressor) -> dict:
+    return {
         "classes": {
             label: {
                 "weights": [[float(v) for v in row] for row in model.weights],
@@ -220,11 +234,13 @@ def save_model(path: Path, regressor: GroundRegressor) -> None:
             for label, model in regressor.classes.items()
         }
     }
-    _dump_json(obj, Path(path))
 
 
-def load_model(path: Path) -> GroundRegressor:
-    obj = json.loads(Path(path).read_text())
+def save_model(path: Path, regressor: GroundRegressor) -> None:
+    _dump_json(model_to_dict(regressor), Path(path))
+
+
+def model_from_dict(obj: dict) -> GroundRegressor:
     classes = {
         label: ClassModel(
             weights=np.array(entry["weights"], dtype=float),
@@ -233,6 +249,10 @@ def load_model(path: Path) -> GroundRegressor:
         for label, entry in obj["classes"].items()
     }
     return GroundRegressor(classes=classes)
+
+
+def load_model(path: Path) -> GroundRegressor:
+    return _load_json(path, model_from_dict)
 
 
 def save_samples(path: Path, samples: list[RegressionSample]) -> None:
@@ -260,7 +280,7 @@ def load_samples(path: Path) -> list[RegressionSample]:
     for number, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if not line.strip():
             continue
-        try:
+        with _malformed(f"{path} line {number}"):
             obj = json.loads(line)
             bbox = [float(v) for v in obj["bbox"]]
             ground = [float(v) for v in obj["ground_pixel"]]
@@ -276,10 +296,6 @@ def load_samples(path: Path) -> list[RegressionSample]:
                     ground_pixel=PixelPoint(*ground),
                 )
             )
-        except KeyError as exc:
-            raise ValueError(f"{path} line {number}: missing key {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{path} line {number}: {exc}") from None
     return samples
 
 

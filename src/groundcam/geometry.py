@@ -28,6 +28,9 @@ Mat = np.ndarray
 MIN_PROJECTION_DEPTH_MM = 1e-9
 RAY_NORMAL_EPS = 1e-12
 ROTATION_TOL = 1e-9
+# Rotation angle (radians) below which the pose Jacobian takes its
+# small-angle limit.
+SMALL_ANGLE_RAD = 1e-8
 UNDISTORT_MAX_ITERATIONS = 20
 UNDISTORT_STEP_TOL = 1e-12
 UNDISTORT_RESIDUAL_TOL = 1e-8
@@ -285,20 +288,43 @@ def distort_normalized(x: float, y: float, d: Distortion) -> tuple[float, float]
     return xd, yd
 
 
+def camera_to_pixels(
+    pc: np.ndarray, intrinsics: np.ndarray
+) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The camera model: camera-frame points (..., 3) to pixels (..., 2).
+
+    intrinsics is the 10-vector of intrinsic_vector. The depth magnitude is
+    floored at 1e-9 mm, sign preserved, then the normalized coordinates go
+    through distort_normalized and K. Returns the pixels and, for the
+    Jacobian of project_views, (x, y, xd, yd, z, clamped): the normalized
+    and distorted coordinates, the floored depth and where it was floored.
+    """
+    ax, ay, g, u0, v0 = intrinsics[:5]
+    z = pc[..., 2]
+    clamped = np.abs(z) < MIN_PROJECTION_DEPTH_MM
+    z = np.where(clamped, np.where(z < 0, -1.0, 1.0) * MIN_PROJECTION_DEPTH_MM, z)
+    x = pc[..., 0] / z
+    y = pc[..., 1] / z
+    xd, yd = distort_normalized(x, y, Distortion(*intrinsics[5:]))
+    pixels = np.stack([ax * xd + g * yd + u0, ay * yd + v0], axis=-1)
+    return pixels, (x, y, xd, yd, z, clamped)
+
+
+def intrinsic_vector(k: CameraIntrinsics) -> np.ndarray:
+    """(alpha_x, alpha_y, gamma, u0, v0, k1, k2, k3, p1, p2), the order
+    camera_to_pixels takes and the intrinsic Jacobian columns follow."""
+    d = k.distortion
+    return np.array(
+        [k.alpha_x, k.alpha_y, k.gamma, k.u0, k.v0, d.k1, d.k2, d.k3, d.p1, d.p2]
+    )
+
+
 def project(p: WorldPoint, k: CameraIntrinsics, pose: CameraPose) -> PixelPoint:
     """Project a world point to a pixel, applying the lens model.
 
     Raises PointBehindCamera when the camera-frame depth is <= 1e-9 mm.
     """
-    pc = pose.rotation @ p.array + pose.translation
-    if pc[2] <= MIN_PROJECTION_DEPTH_MM:
-        raise PointBehindCamera(
-            f"point ({p.x}, {p.y}, {p.z}) has camera depth {pc[2]:.6g} mm"
-        )
-    x = pc[0] / pc[2]
-    y = pc[1] / pc[2]
-    xd, yd = distort_normalized(x, y, k.distortion)
-    return PixelPoint(*k.pixel_from_normalized(xd, yd))
+    return PixelPoint(*project_points(p.array[None], k, pose)[0])
 
 
 def project_points(
@@ -315,26 +341,99 @@ def project_points(
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     pc = pts @ pose.rotation.T + pose.translation
-    z = pc[:, 2]
-    if clamp_depth:
-        small = np.abs(z) < MIN_PROJECTION_DEPTH_MM
-        z = np.where(small, np.where(z < 0, -1.0, 1.0) * MIN_PROJECTION_DEPTH_MM, z)
-    elif np.any(z <= MIN_PROJECTION_DEPTH_MM):
-        bad = np.nonzero(z <= MIN_PROJECTION_DEPTH_MM)[0]
-        raise PointBehindCamera(f"points at indices {bad.tolist()} are behind the camera")
-    x = pc[:, 0] / z
-    y = pc[:, 1] / z
-    d = k.distortion
-    if d.is_zero:
-        xd, yd = x, y
-    else:
-        r2 = x * x + y * y
-        radial = 1.0 + r2 * (d.k1 + r2 * (d.k2 + r2 * d.k3))
-        xd = x * radial + 2.0 * d.p1 * x * y + d.p2 * (r2 + 2.0 * x * x)
-        yd = y * radial + d.p1 * (r2 + 2.0 * y * y) + 2.0 * d.p2 * x * y
-    u = k.alpha_x * xd + k.gamma * yd + k.u0
-    v = k.alpha_y * yd + k.v0
-    return np.column_stack([u, v])
+    if not clamp_depth:
+        bad = np.nonzero(pc[:, 2] <= MIN_PROJECTION_DEPTH_MM)[0]
+        if bad.size:
+            raise PointBehindCamera(f"points at indices {bad.tolist()} are behind the camera")
+    return camera_to_pixels(pc, intrinsic_vector(k))[0]
+
+
+def _right_jacobian(rvec: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """(r r^T + (R^T - I)[r]x) / |r|^2, so that d(R P)/d rvec = -R [P]x times it.
+
+    Gallego & Yezzi (2015). Below SMALL_ANGLE_RAD the rounding error of
+    R^T - I, divided by |r|, would exceed the O(|r|) error of the bracket's
+    limit, the identity, so the limit is used instead.
+    """
+    angle2 = float(rvec @ rvec)
+    if angle2 < SMALL_ANGLE_RAD**2:
+        return np.eye(3)
+    skew = np.array(
+        [
+            [0.0, -rvec[2], rvec[1]],
+            [rvec[2], 0.0, -rvec[0]],
+            [-rvec[1], rvec[0], 0.0],
+        ]
+    )
+    return (np.outer(rvec, rvec) + (r.T - np.eye(3)) @ skew) / angle2
+
+
+def project_views(
+    intrinsics: np.ndarray,
+    rvecs: np.ndarray,
+    tvecs: np.ndarray,
+    world: np.ndarray,
+    with_jacobian: bool = False,
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """Project world points (n_views, n_pts, 3) through one pose per view.
+
+    intrinsics is the 10-vector of intrinsic_vector; rvecs and tvecs are
+    (n_views, 3) axis-angle rotations and translations. Depth is clamped as
+    project_points(clamp_depth=True) clamps it, and the Jacobian is that of
+    the clamped map. Returns the pixels (n_views, n_pts, 2) and, with
+    with_jacobian, their derivatives with respect to the intrinsics
+    (n_views, n_pts, 2, 10) and to each view's (rvec, t) (n_views, n_pts, 2, 6);
+    otherwise both are None.
+    """
+    rotations = np.array([rotation_from_axis_angle(r) for r in rvecs])
+    pc = world @ rotations.transpose(0, 2, 1) + tvecs[:, None, :]
+    pixels, (x, y, xd, yd, z, clamped) = camera_to_pixels(pc, intrinsics)
+    if not with_jacobian:
+        return pixels, None, None
+    ax, ay, g, _, _, k1, k2, k3, p1, p2 = intrinsics
+
+    # Intrinsics: u = ax xd + g yd + u0, v = ay yd + v0, with xd, yd linear
+    # in the lens coefficients (k1, k2, k3, p1, p2).
+    r2 = x * x + y * y
+    r4 = r2 * r2
+    xy2 = 2.0 * x * y
+    lens_x = np.stack([x * r2, x * r4, x * r4 * r2, xy2, r2 + 2.0 * x * x], axis=-1)
+    lens_y = np.stack([y * r2, y * r4, y * r4 * r2, r2 + 2.0 * y * y, xy2], axis=-1)
+    d_intrinsics = np.zeros(x.shape + (2, 10))
+    d_intrinsics[..., 0, 0] = xd
+    d_intrinsics[..., 0, 2] = yd
+    d_intrinsics[..., 0, 3] = 1.0
+    d_intrinsics[..., 0, 5:] = ax * lens_x + g * lens_y
+    d_intrinsics[..., 1, 1] = yd
+    d_intrinsics[..., 1, 4] = 1.0
+    d_intrinsics[..., 1, 5:] = ay * lens_y
+
+    # Pose: chain rule through the normalized coordinates (x, y) = (X, Y) / Z.
+    radial = 1.0 + r2 * (k1 + r2 * (k2 + r2 * k3))
+    d_radial = k1 + r2 * (2.0 * k2 + 3.0 * k3 * r2)
+    dxd_dx = radial + 2.0 * x * x * d_radial + 2.0 * p1 * y + 6.0 * p2 * x
+    dxd_dy = xy2 * d_radial + 2.0 * p1 * x + 2.0 * p2 * y  # equals dyd/dx
+    dyd_dy = radial + 2.0 * y * y * d_radial + 6.0 * p1 * y + 2.0 * p2 * x
+    d_pixel_dxy = np.empty(x.shape + (2, 2))
+    d_pixel_dxy[..., 0, 0] = ax * dxd_dx + g * dxd_dy
+    d_pixel_dxy[..., 0, 1] = ax * dxd_dy + g * dyd_dy
+    d_pixel_dxy[..., 1, 0] = ay * dxd_dy
+    d_pixel_dxy[..., 1, 1] = ay * dyd_dy
+    inv_z = 1.0 / z
+    # A clamped depth is constant, so Z drops out of the chain there.
+    depth_scale = np.where(clamped, 0.0, -inv_z)
+    d_pc = np.empty(x.shape + (2, 3))
+    d_pc[..., :2] = d_pixel_dxy * inv_z[..., None, None]
+    d_pc[..., 2] = (
+        d_pixel_dxy[..., 0] * x[..., None] + d_pixel_dxy[..., 1] * y[..., None]
+    ) * depth_scale[..., None]
+    # A row a times d(R P)/d rvec = -R [P]x J is (P x (a R)) J.
+    right = np.array([_right_jacobian(rv, r) for rv, r in zip(rvecs, rotations)])
+    a_r = d_pc @ rotations[:, None]
+    d_pose = np.empty(x.shape + (2, 6))
+    d_pose[..., :3] = np.cross(world[:, :, None, :], a_r) @ right[:, None]
+    d_pose[..., 3:] = d_pc
+    return pixels, d_intrinsics, d_pose
 
 
 def distort(px: PixelPoint, k: CameraIntrinsics) -> PixelPoint:
@@ -357,6 +456,9 @@ def undistort(px: PixelPoint, k: CameraIntrinsics) -> PixelPoint:
         return px
     xd, yd = k.normalized_from_pixel(px.u, px.v)
     x, y = xd, yd
+    # The step inverts distort_normalized's formula, split into its radial
+    # and tangential parts; distort_normalized keeps its own form, because
+    # writing it as x * radial + tx instead changes results in the last bit.
     for _ in range(UNDISTORT_MAX_ITERATIONS):
         r2 = x * x + y * y
         radial = 1.0 + r2 * (d.k1 + r2 * (d.k2 + r2 * d.k3))

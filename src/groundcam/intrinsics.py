@@ -15,14 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
-    MIN_PROJECTION_DEPTH_MM,
     CameraIntrinsics,
     CameraPose,
     Distortion,
     axis_angle_from_rotation,
-    distort_normalized,
+    intrinsic_vector,
     nearest_rotation,
     project_points,
+    project_views,
     rotation_from_axis_angle,
 )
 from .optim import (
@@ -30,11 +30,6 @@ from .optim import (
     LmOptions,
     levenberg_marquardt,
 )
-
-
-# Rotation angle (radians) below which the pose Jacobian takes its
-# small-angle limit.
-SMALL_ANGLE_RAD = 1e-8
 
 
 class CalibrationError(ValueError):
@@ -238,109 +233,6 @@ def extrinsics_from_homography(
     return CameraPose(r, t - plane_z * r[:, 2])
 
 
-def intrinsic_vector(k: CameraIntrinsics) -> np.ndarray:
-    """(alpha_x, alpha_y, gamma, u0, v0, k1, k2, k3, p1, p2), the order
-    project_views takes and its intrinsic Jacobian columns follow."""
-    d = k.distortion
-    return np.array(
-        [k.alpha_x, k.alpha_y, k.gamma, k.u0, k.v0, d.k1, d.k2, d.k3, d.p1, d.p2]
-    )
-
-
-def _right_jacobian(rvec: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """(r r^T + (R^T - I)[r]x) / |r|^2, so that d(R P)/d rvec = -R [P]x times it.
-
-    Gallego & Yezzi (2015). Below SMALL_ANGLE_RAD the rounding error of
-    R^T - I, divided by |r|, would exceed the O(|r|) error of the bracket's
-    limit, the identity, so the limit is used instead.
-    """
-    angle2 = float(rvec @ rvec)
-    if angle2 < SMALL_ANGLE_RAD**2:
-        return np.eye(3)
-    skew = np.array(
-        [
-            [0.0, -rvec[2], rvec[1]],
-            [rvec[2], 0.0, -rvec[0]],
-            [-rvec[1], rvec[0], 0.0],
-        ]
-    )
-    return (np.outer(rvec, rvec) + (r.T - np.eye(3)) @ skew) / angle2
-
-
-def project_views(
-    intrinsics: np.ndarray,
-    rvecs: np.ndarray,
-    tvecs: np.ndarray,
-    world: np.ndarray,
-    with_jacobian: bool = False,
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """Project world points (n_views, n_pts, 3) through one pose per view.
-
-    intrinsics is the 10-vector of intrinsic_vector; rvecs and tvecs are
-    (n_views, 3) axis-angle rotations and translations. Depth is clamped as
-    project_points(clamp_depth=True) clamps it, and the Jacobian is that of
-    the clamped map. Returns the pixels (n_views, n_pts, 2) and, with
-    with_jacobian, their derivatives with respect to the intrinsics
-    (n_views, n_pts, 2, 10) and to each view's (rvec, t) (n_views, n_pts, 2, 6);
-    otherwise both are None.
-    """
-    ax, ay, g, u0, v0, k1, k2, k3, p1, p2 = intrinsics
-    rotations = np.array([rotation_from_axis_angle(r) for r in rvecs])
-    pc = world @ rotations.transpose(0, 2, 1) + tvecs[:, None, :]
-    z = pc[..., 2]
-    clamped = np.abs(z) < MIN_PROJECTION_DEPTH_MM
-    z = np.where(clamped, np.where(z < 0, -1.0, 1.0) * MIN_PROJECTION_DEPTH_MM, z)
-    x = pc[..., 0] / z
-    y = pc[..., 1] / z
-    xd, yd = distort_normalized(x, y, Distortion(k1, k2, k3, p1, p2))
-    pixels = np.stack([ax * xd + g * yd + u0, ay * yd + v0], axis=-1)
-    if not with_jacobian:
-        return pixels, None, None
-
-    # Intrinsics: u = ax xd + g yd + u0, v = ay yd + v0, with xd, yd linear
-    # in the lens coefficients (k1, k2, k3, p1, p2).
-    r2 = x * x + y * y
-    r4 = r2 * r2
-    xy2 = 2.0 * x * y
-    lens_x = np.stack([x * r2, x * r4, x * r4 * r2, xy2, r2 + 2.0 * x * x], axis=-1)
-    lens_y = np.stack([y * r2, y * r4, y * r4 * r2, r2 + 2.0 * y * y, xy2], axis=-1)
-    d_intrinsics = np.zeros(x.shape + (2, 10))
-    d_intrinsics[..., 0, 0] = xd
-    d_intrinsics[..., 0, 2] = yd
-    d_intrinsics[..., 0, 3] = 1.0
-    d_intrinsics[..., 0, 5:] = ax * lens_x + g * lens_y
-    d_intrinsics[..., 1, 1] = yd
-    d_intrinsics[..., 1, 4] = 1.0
-    d_intrinsics[..., 1, 5:] = ay * lens_y
-
-    # Pose: chain rule through the normalized coordinates (x, y) = (X, Y) / Z.
-    radial = 1.0 + r2 * (k1 + r2 * (k2 + r2 * k3))
-    d_radial = k1 + r2 * (2.0 * k2 + 3.0 * k3 * r2)
-    dxd_dx = radial + 2.0 * x * x * d_radial + 2.0 * p1 * y + 6.0 * p2 * x
-    dxd_dy = xy2 * d_radial + 2.0 * p1 * x + 2.0 * p2 * y  # equals dyd/dx
-    dyd_dy = radial + 2.0 * y * y * d_radial + 6.0 * p1 * y + 2.0 * p2 * x
-    d_pixel_dxy = np.empty(x.shape + (2, 2))
-    d_pixel_dxy[..., 0, 0] = ax * dxd_dx + g * dxd_dy
-    d_pixel_dxy[..., 0, 1] = ax * dxd_dy + g * dyd_dy
-    d_pixel_dxy[..., 1, 0] = ay * dxd_dy
-    d_pixel_dxy[..., 1, 1] = ay * dyd_dy
-    inv_z = 1.0 / z
-    # A clamped depth is constant, so Z drops out of the chain there.
-    depth_scale = np.where(clamped, 0.0, -inv_z)
-    d_pc = np.empty(x.shape + (2, 3))
-    d_pc[..., :2] = d_pixel_dxy * inv_z[..., None, None]
-    d_pc[..., 2] = (
-        d_pixel_dxy[..., 0] * x[..., None] + d_pixel_dxy[..., 1] * y[..., None]
-    ) * depth_scale[..., None]
-    # A row a times d(R P)/d rvec = -R [P]x J is (P x (a R)) J.
-    right = np.array([_right_jacobian(rv, r) for rv, r in zip(rvecs, rotations)])
-    a_r = d_pc @ rotations[:, None]
-    d_pose = np.empty(x.shape + (2, 6))
-    d_pose[..., :3] = np.cross(world[:, :, None, :], a_r) @ right[:, None]
-    d_pose[..., 3:] = d_pc
-    return pixels, d_intrinsics, d_pose
-
-
 def _layout(
     k: CameraIntrinsics, fix_skew: bool, fix_k3: bool
 ) -> tuple[np.ndarray, list[int]]:
@@ -453,7 +345,6 @@ def refine_calibration(
     init: CalibrationSolution,
     fix_skew: bool = True,
     fix_k3: bool = True,
-    options: LmOptions = LmOptions(),
 ) -> CalibrationSolution:
     """Jointly refine intrinsics, lens model, and all view poses.
 
@@ -463,7 +354,7 @@ def refine_calibration(
     output k3 is exactly 0.
     """
     problem, x0 = calibration_problem(views, init, fix_skew, fix_k3)
-    result = levenberg_marquardt(problem, x0, options)
+    result = levenberg_marquardt(problem, x0, LmOptions())
     base, free = _layout(init.intrinsics, fix_skew, fix_k3)
     full, rvecs, tvecs = _split(result.x, base, free)
     k = CameraIntrinsics(
@@ -482,7 +373,6 @@ def calibrate_intrinsics(
     views: list[PlanarView],
     fix_skew: bool = True,
     fix_k3: bool = True,
-    options: LmOptions = LmOptions(),
 ) -> CalibrationSolution:
     """Full pipeline: homographies, closed form, per-view extrinsics, refinement."""
     needed = 2 if fix_skew else 3
@@ -496,4 +386,4 @@ def calibrate_intrinsics(
         poses=tuple(poses),
         rmse_px=reprojection_rmse(views, k0, poses),
     )
-    return refine_calibration(views, init, fix_skew=fix_skew, fix_k3=fix_k3, options=options)
+    return refine_calibration(views, init, fix_skew=fix_skew, fix_k3=fix_k3)

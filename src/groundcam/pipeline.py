@@ -26,7 +26,7 @@ from .geometry import (
     camera_center,
     undistort,
 )
-from .regression import BoundingBox, GroundRegressor, UnknownClass, predict
+from .regression import KNOWN_CLASSES, BoundingBox, GroundRegressor, UnknownClass, predict
 
 
 class PipelineError(ValueError):
@@ -207,7 +207,7 @@ def ingest_detections(
         except (KeyError, TypeError, ValueError) as exc:
             diagnostics.append(f"line {number}: {exc}")
             continue
-        if detection.label not in ("ball", "robot", "goal"):
+        if detection.label not in KNOWN_CLASSES:
             diagnostics.append(
                 f"line {number}: unknown class {detection.label!r}"
             )

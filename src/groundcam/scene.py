@@ -38,6 +38,7 @@ from .geometry import (
 from .intrinsics import PlanarView
 from .pipeline import Detection, FrameConvention, bearing, frame_convert
 from .regression import (
+    KNOWN_CLASSES,
     BoundingBox,
     GroundRegressor,
     RegressionSample,
@@ -109,7 +110,7 @@ class SceneConfig:
             raise ConfigInvalid("grid must have at least one column and row")
         if self.grid_spacing_mm <= 0:
             raise ConfigInvalid("grid spacing must be positive")
-        if self.object_label not in ("ball", "robot", "goal"):
+        if self.object_label not in KNOWN_CLASSES:
             raise ConfigInvalid(f"unsupported object class {self.object_label!r}")
         if self.object_radius_mm <= 0 or self.object_height_mm <= 0:
             raise ConfigInvalid("object dimensions must be positive")
@@ -137,6 +138,48 @@ class SceneConfig:
         return points
 
 
+def _pair(value) -> tuple[float, float]:
+    x, y = value
+    return float(x), float(y)
+
+
+# The configuration document: (section, key, SceneConfig field, converter
+# from JSON). Section None is the top level. The calibration, which fills
+# two fields, and the ignored seed are handled apart.
+_SCHEMA = (
+    (None, "image_width_px", "image_width_px", int),
+    (None, "image_height_px", "image_height_px", int),
+    (None, "noise_px", "noise_px", float),
+    ("grid", "columns", "grid_columns", int),
+    ("grid", "rows", "grid_rows", int),
+    ("grid", "spacing_mm", "grid_spacing_mm", float),
+    ("grid", "origin_mm", "grid_origin_mm", _pair),
+    ("object", "class", "object_label", str),
+    ("object", "radius_mm", "object_radius_mm", float),
+    ("object", "height_mm", "object_height_mm", float),
+    ("pattern", "views", "num_views", int),
+    ("pattern", "cols", "pattern_cols", int),
+    ("pattern", "rows", "pattern_rows", int),
+    ("pattern", "square_size_mm", "square_size_mm", float),
+    (None, "field_geometry", "geometry", files.field_geometry_from_dict),
+    (None, "landmarks", "landmark_names", lambda names: tuple(map(str, names))),
+    (None, "frame", "frame", FrameConvention),
+)
+_SECTIONS = {
+    section: {key for s, key, _, _ in _SCHEMA if s == section}
+    for section, _, _, _ in _SCHEMA
+    if section is not None
+}
+
+
+def _to_json(value):
+    if isinstance(value, FieldGeometry):
+        return files.field_geometry_to_dict(value)
+    if isinstance(value, FrameConvention):
+        return value.value
+    return list(value) if isinstance(value, tuple) else value
+
+
 def config_from_dict(obj: dict) -> SceneConfig:
     """Build a configuration from a JSON document, strictly validated.
 
@@ -145,111 +188,44 @@ def config_from_dict(obj: dict) -> SceneConfig:
     """
     if not isinstance(obj, dict):
         raise ConfigInvalid("configuration must be a JSON object")
-    known = {
-        "seed",
-        "calibration",
-        "image_width_px",
-        "image_height_px",
-        "noise_px",
-        "grid",
-        "object",
-        "pattern",
-        "field_geometry",
-        "landmarks",
-        "frame",
-    }
+    known = {"seed", "calibration", *_SECTIONS}
+    known.update(key for section, key, _, _ in _SCHEMA if section is None)
     unknown = set(obj) - known
     if unknown:
         raise ConfigInvalid(f"unknown configuration keys: {sorted(unknown)}")
+    for section, keys in _SECTIONS.items():
+        doc = obj.get(section, {})
+        if not isinstance(doc, dict):
+            raise ConfigInvalid(f"{section} must be a JSON object")
+        if set(doc) - keys:
+            raise ConfigInvalid(f"unknown {section} keys: {sorted(set(doc) - keys)}")
     kwargs: dict = {}
     try:
         if "calibration" in obj:
-            cal = obj["calibration"]
-            kwargs["intrinsics"] = files.intrinsics_from_dict(cal["intrinsics"])
-            rotation = np.array(cal["pose"]["rotation"], dtype=float).reshape(3, 3)
-            translation = np.array(cal["pose"]["translation"], dtype=float)
-            kwargs["pose"] = CameraPose(rotation, translation)
-        for key in ("image_width_px", "image_height_px"):
-            if key in obj:
-                kwargs[key] = int(obj[key])
-        if "noise_px" in obj:
-            kwargs["noise_px"] = float(obj["noise_px"])
-        if "grid" in obj:
-            grid = dict(obj["grid"])
-            if "columns" in grid:
-                kwargs["grid_columns"] = int(grid.pop("columns"))
-            if "rows" in grid:
-                kwargs["grid_rows"] = int(grid.pop("rows"))
-            if "spacing_mm" in grid:
-                kwargs["grid_spacing_mm"] = float(grid.pop("spacing_mm"))
-            if "origin_mm" in grid:
-                x, y = grid.pop("origin_mm")
-                kwargs["grid_origin_mm"] = (float(x), float(y))
-            if grid:
-                raise ConfigInvalid(f"unknown grid keys: {sorted(grid)}")
-        if "object" in obj:
-            member = dict(obj["object"])
-            if "class" in member:
-                kwargs["object_label"] = str(member.pop("class"))
-            if "radius_mm" in member:
-                kwargs["object_radius_mm"] = float(member.pop("radius_mm"))
-            if "height_mm" in member:
-                kwargs["object_height_mm"] = float(member.pop("height_mm"))
-            if member:
-                raise ConfigInvalid(f"unknown object keys: {sorted(member)}")
-        if "pattern" in obj:
-            pattern = dict(obj["pattern"])
-            if "views" in pattern:
-                kwargs["num_views"] = int(pattern.pop("views"))
-            if "cols" in pattern:
-                kwargs["pattern_cols"] = int(pattern.pop("cols"))
-            if "rows" in pattern:
-                kwargs["pattern_rows"] = int(pattern.pop("rows"))
-            if "square_size_mm" in pattern:
-                kwargs["square_size_mm"] = float(pattern.pop("square_size_mm"))
-            if pattern:
-                raise ConfigInvalid(f"unknown pattern keys: {sorted(pattern)}")
-        if "field_geometry" in obj:
-            kwargs["geometry"] = files.field_geometry_from_dict(obj["field_geometry"])
-        if "landmarks" in obj:
-            kwargs["landmark_names"] = tuple(str(n) for n in obj["landmarks"])
-        if "frame" in obj:
-            kwargs["frame"] = FrameConvention(str(obj["frame"]))
+            k, pose = files.calibration_from_dict(obj["calibration"])
+            if pose is None:
+                raise ConfigInvalid("calibration has no pose")
+            kwargs.update(intrinsics=k, pose=pose)
+        for section, key, name, convert in _SCHEMA:
+            doc = obj if section is None else obj.get(section, {})
+            if key in doc:
+                kwargs[name] = convert(doc[key])
     except ConfigInvalid:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
         raise ConfigInvalid(f"bad configuration value: {exc}") from exc
     return SceneConfig(**kwargs)
 
 
 def config_to_dict(config: SceneConfig, seed: int) -> dict:
-    return {
+    doc = {
         "seed": seed,
         "calibration": files.calibration_to_dict(config.intrinsics, config.pose),
-        "image_width_px": config.image_width_px,
-        "image_height_px": config.image_height_px,
-        "noise_px": config.noise_px,
-        "grid": {
-            "columns": config.grid_columns,
-            "rows": config.grid_rows,
-            "spacing_mm": config.grid_spacing_mm,
-            "origin_mm": list(config.grid_origin_mm),
-        },
-        "object": {
-            "class": config.object_label,
-            "radius_mm": config.object_radius_mm,
-            "height_mm": config.object_height_mm,
-        },
-        "pattern": {
-            "views": config.num_views,
-            "cols": config.pattern_cols,
-            "rows": config.pattern_rows,
-            "square_size_mm": config.square_size_mm,
-        },
-        "field_geometry": files.field_geometry_to_dict(config.geometry),
-        "landmarks": list(config.landmark_names),
-        "frame": config.frame.value,
     }
+    for section, key, name, _ in _SCHEMA:
+        target = doc if section is None else doc.setdefault(section, {})
+        target[key] = _to_json(getattr(config, name))
+    return doc
 
 
 @dataclass(frozen=True)

@@ -453,6 +453,50 @@ class TestSynth:
 
 
 # ---------------------------------------------------------------------------
+# Malformed JSON documents
+# ---------------------------------------------------------------------------
+
+_INPUTS = {
+    "calibrate-intrinsics": ("views",),
+    "calibrate-extrinsics": ("landmarks", "calibration"),
+    "localize": ("detections", "calibration", "model"),
+}
+
+
+@pytest.mark.parametrize(
+    "command, document, keys, value",
+    [
+        ("calibrate-intrinsics", "views", ("views", 0, "points"), None),
+        ("calibrate-extrinsics", "landmarks", ("points", 0, "pixel"), None),
+        ("calibrate-extrinsics", "calibration", ("intrinsics", "distortion"), None),
+        ("localize", "calibration", (), ["intrinsics"]),
+        ("localize", "model", ("classes",), None),
+    ],
+    ids=["views-points-null", "landmarks-pixel-null", "distortion-null",
+         "calibration-list", "model-classes-null"],
+)
+def test_malformed_json_document_exits_2_naming_the_file(
+    capsys, cli_scene, tmp_path, command, document, keys, value
+):
+    doc = json.loads(cli_scene.paths[document].read_text())
+    if keys:
+        target = doc
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+    else:
+        doc = value
+    bad = tmp_path / f"{document}.json"
+    bad.write_text(json.dumps(doc))
+    argv = [bad if name == document else cli_scene.paths[name] for name in _INPUTS[command]]
+    code, out, err = _run(capsys, command, *argv)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert f"error: {bad}" in err
+
+
+# ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
 

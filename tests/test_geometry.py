@@ -33,11 +33,13 @@ from groundcam.geometry import (
     distort,
     distort_normalized,
     euler_from_pose,
+    intrinsic_vector,
     nearest_rotation,
     pixel_ray,
     pose_from_euler,
     project,
     project_points,
+    project_views,
     rotation_from_axis_angle,
     undistort,
 )
@@ -145,6 +147,24 @@ class TestProjectPoints:
             single = project(WorldPoint(*row), k, ref_pose)
             assert abs(single.u - u) < 1e-12
             assert abs(single.v - v) < 1e-12
+
+    def test_scalar_row_and_view_paths_agree_bit_for_bit(self, rng, ref_k):
+        # All three share one camera kernel, so with a lens model a point
+        # lands on the same float pixel whichever entry point projects it.
+        k = ref_k.with_distortion(Distortion(k1=-0.12, k2=0.05, p1=0.001, p2=-0.0008))
+        rvec = np.array([1.9, -0.3, 0.2])
+        t = np.array([40.0, -250.0, 1800.0])
+        pose = CameraPose(rotation_from_axis_angle(rvec), t)
+        pts = np.column_stack(
+            [rng.uniform(-900, 900, 300), rng.uniform(-900, 900, 300), np.zeros(300)]
+        )
+        for row in pts:
+            single = project(WorldPoint(*row), k, pose)
+            one_row = project_points(row[None], k, pose, clamp_depth=True)[0]
+            one_view, _, _ = project_views(
+                intrinsic_vector(k), rvec[None], t[None], row[None, None]
+            )
+            assert (single.u, single.v) == tuple(one_row) == tuple(one_view[0, 0])
 
     def test_clamp_keeps_behind_camera_points_finite(self):
         pose = CameraPose(np.eye(3), np.zeros(3))

@@ -13,10 +13,11 @@ import math
 import numpy as np
 import pytest
 
-from groundcam.geometry import PixelPoint, WorldPoint, project
+from groundcam.geometry import Distortion, PixelPoint, WorldPoint, project
 from groundcam.extrinsics import FieldGeometry, field_landmarks
 from groundcam.pipeline import FrameConvention, bearing, frame_convert, localize_batch
 from groundcam.scene import (
+    _SCHEMA,
     DEFAULT_LANDMARKS,
     ConfigInvalid,
     SceneConfig,
@@ -186,16 +187,37 @@ class TestVariants:
 
 
 class TestConfigDict:
-    def test_round_trip_preserves_every_field(self):
+    def test_round_trip_preserves_every_field(self, ref_k):
         config = _small_config(
+            intrinsics=ref_k.with_distortion(Distortion(k1=-0.12, p2=-0.0008)),
+            image_width_px=800,
+            image_height_px=600,
             noise_px=0.75,
+            grid_spacing_mm=300.0,
             grid_origin_mm=(50.0, 400.0),
             object_label="robot",
+            object_radius_mm=90.0,
+            object_height_mm=150.0,
+            square_size_mm=30.0,
+            geometry=FieldGeometry.division_b(),
+            landmark_names=("goal_bottom_center", "far_goal_bottom_center"),
             frame=FrameConvention.FIELD,
         )
+        defaults = SceneConfig()
+        for _, key, name, _ in _SCHEMA:
+            assert getattr(config, name) != getattr(defaults, name), key
         doc = config_to_dict(config, seed=42)
         assert doc["seed"] == 42
         back = config_from_dict(json.loads(json.dumps(doc)))
+        for _, key, name, _ in _SCHEMA:
+            assert getattr(back, name) == getattr(config, name), key
+        assert back.image_width_px == 800 and back.image_height_px == 600
+        assert back.grid_rows == config.grid_rows
+        assert back.grid_spacing_mm == 300.0
+        assert back.object_radius_mm == 90.0
+        assert back.object_height_mm == 150.0
+        assert back.pattern_rows == config.pattern_rows
+        assert back.intrinsics == config.intrinsics
         assert back.noise_px == config.noise_px
         assert back.grid_columns == config.grid_columns
         assert back.grid_origin_mm == config.grid_origin_mm
@@ -230,6 +252,16 @@ class TestConfigDict:
     def test_non_object_rejected(self):
         with pytest.raises(ConfigInvalid):
             config_from_dict(["not", "a", "mapping"])
+
+    @pytest.mark.parametrize("spoil", ["no-pose", "distortion-null"])
+    def test_malformed_calibration_rejected(self, spoil):
+        doc = config_to_dict(_small_config(), seed=0)
+        if spoil == "no-pose":
+            del doc["calibration"]["pose"]
+        else:
+            doc["calibration"]["intrinsics"]["distortion"] = None
+        with pytest.raises(ConfigInvalid):
+            config_from_dict(doc)
 
 
 # ---------------------------------------------------------------------------
