@@ -98,14 +98,13 @@ def _cmd_localize(args: argparse.Namespace) -> int:
         _note(f"{args.detections}: {diagnostic}")
     convention = FrameConvention(args.frame)
     results = localize_batch(list(ingest.detections), regressor, k, pose, convention)
-    lines = [files.localization_line(r) for r in results]
-    for line in lines:
-        _emit(line)
+    text = "".join([files.localization_line(r) + "\n" for r in results])
+    sys.stdout.write(text)
     if args.out:
-        Path(args.out).write_text("".join(line + "\n" for line in lines))
+        Path(args.out).write_text(text)
         _note(f"wrote {args.out}")
-    ok = sum(1 for r in results if isinstance(r, LocalizedObject))
-    _note(f"localized {ok} of {len(lines)} detections")
+    ok = sum(isinstance(r, LocalizedObject) for r in results)
+    _note(f"localized {ok} of {len(results)} detections")
     return 0
 
 

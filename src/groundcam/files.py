@@ -311,32 +311,30 @@ def detection_line(frame_id: str, label: str, score: float, bbox: BoundingBox) -
     )
 
 
+_json_str = json.encoder.encode_basestring_ascii
+_json_float = float.__repr__
+
+
 def localization_line(result: LocalizedObject | UnlocalizableDetection) -> str:
+    """One localizations.jsonl row, byte for byte json.dumps(row, sort_keys=True).
+
+    The row is filled into a template: strings are escaped as json.dumps
+    escapes them and floats, which are finite here, are written with repr.
+    """
+    head = f'{{"class": {_json_str(result.label)}, "frame": {_json_str(result.frame_id)}, '
+    px = result.ground_pixel
+    pixel = "null" if px is None else f"[{_json_float(px.u)}, {_json_float(px.v)}]"
     if isinstance(result, LocalizedObject):
-        obj = {
-            "frame": result.frame_id,
-            "class": result.label,
-            "x_mm": result.x_mm,
-            "y_mm": result.y_mm,
-            "theta_deg": result.theta_deg,
-            "ground_pixel": [result.ground_pixel.u, result.ground_pixel.v],
-            "status": "ok",
-        }
-    else:
-        obj = {
-            "frame": result.frame_id,
-            "class": result.label,
-            "x_mm": None,
-            "y_mm": None,
-            "theta_deg": None,
-            "ground_pixel": (
-                [result.ground_pixel.u, result.ground_pixel.v]
-                if result.ground_pixel is not None
-                else None
-            ),
-            "status": f"unlocalizable:{result.reason}",
-        }
-    return json.dumps(obj, sort_keys=True)
+        return (
+            f'{head}"ground_pixel": {pixel}, "status": "ok", '
+            f'"theta_deg": {_json_float(result.theta_deg)}, '
+            f'"x_mm": {_json_float(result.x_mm)}, "y_mm": {_json_float(result.y_mm)}}}'
+        )
+    status = _json_str(f"unlocalizable:{result.reason}")
+    return (
+        f'{head}"ground_pixel": {pixel}, "status": {status}, '
+        f'"theta_deg": null, "x_mm": null, "y_mm": null}}'
+    )
 
 
 def load_localizations(path: Path) -> list[dict]:
@@ -360,27 +358,43 @@ def save_pairs_csv(path: Path, pairs: list[EvalPair]) -> None:
             )
 
 
-def load_pairs_csv(path: Path) -> list[EvalPair]:
+def _csv_rows(path: Path, header: list[str]):
+    """Yield (line number, row dict) for each data row of a CSV file whose
+    first line is header; any missing field or header mismatch raises
+    ValueError naming the file and the line."""
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
-        if reader.fieldnames is None or [
-            name.strip() for name in reader.fieldnames
-        ] != PAIRS_HEADER:
+        names = reader.fieldnames
+        if names is None or [name.strip() for name in names] != header:
             raise ValueError(
-                f"expected header {','.join(PAIRS_HEADER)}, got {reader.fieldnames}"
+                f"{path} line 1: expected header {','.join(header)}, got {names}"
             )
-        return [
-            EvalPair(
-                gt_x=float(row["gt_x"]),
-                gt_y=float(row["gt_y"]),
-                gt_theta=float(row["gt_theta"]),
-                est_x=float(row["est_x"]),
-                est_y=float(row["est_y"]),
-                est_theta=float(row["est_theta"]),
-                source=row["source"].strip(),
+        for row in reader:
+            if None in row.values():
+                raise ValueError(
+                    f"{path} line {reader.line_num}: expected {len(header)} fields"
+                )
+            yield reader.line_num, row
+
+
+def load_pairs_csv(path: Path) -> list[EvalPair]:
+    """Read the pairs table; a malformed row raises ValueError naming the
+    file and the line."""
+    pairs = []
+    for number, row in _csv_rows(path, PAIRS_HEADER):
+        with _malformed(f"{path} line {number}"):
+            pairs.append(
+                EvalPair(
+                    gt_x=float(row["gt_x"]),
+                    gt_y=float(row["gt_y"]),
+                    gt_theta=float(row["gt_theta"]),
+                    est_x=float(row["est_x"]),
+                    est_y=float(row["est_y"]),
+                    est_theta=float(row["est_theta"]),
+                    source=row["source"].strip(),
+                )
             )
-            for row in reader
-        ]
+    return pairs
 
 
 TRUTH_HEADER = ["frame", "gt_x", "gt_y", "gt_theta"]
@@ -395,16 +409,17 @@ def save_truth_csv(path: Path, rows: list[tuple[str, float, float, float]]) -> N
 
 
 def load_truth_csv(path: Path) -> dict[str, tuple[float, float, float]]:
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        return {
-            row["frame"]: (
+    """Read the truth table by frame; a malformed row raises ValueError
+    naming the file and the line."""
+    truth = {}
+    for number, row in _csv_rows(path, TRUTH_HEADER):
+        with _malformed(f"{path} line {number}"):
+            truth[row["frame"]] = (
                 float(row["gt_x"]),
                 float(row["gt_y"]),
                 float(row["gt_theta"]),
             )
-            for row in reader
-        }
+    return truth
 
 
 def save_report(report: EvalReport, json_path: Path, csv_path: Path | None = None) -> None:

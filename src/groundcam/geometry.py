@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -443,44 +444,158 @@ def distort(px: PixelPoint, k: CameraIntrinsics) -> PixelPoint:
     return PixelPoint(*k.pixel_from_normalized(xd, yd))
 
 
-def undistort(px: PixelPoint, k: CameraIntrinsics) -> PixelPoint:
-    """Invert the lens model by fixed-point iteration on normalized coordinates.
+def undistort_normalized(
+    xd: float, yd: float, d: Distortion, pixel: tuple[float, float] | None = None
+) -> tuple[float, float]:
+    """Invert distort_normalized by fixed-point iteration.
 
     Runs at most 20 iterations, stopping early when the step drops below
-    1e-12. With an all-zero lens model the input is returned unchanged.
-    Raises NonConvergence when the forward-distorted result still misses the
-    observed coordinate by more than 1e-8.
+    1e-12. With an all-zero lens model (xd, yd) is returned unchanged.
+    Raises NonConvergence when the radial factor collapses or when the
+    forward-distorted result still misses (xd, yd) by more than 1e-8; the
+    message names pixel, the observed (u, v), when one is given.
     """
-    d = k.distortion
     if d.is_zero:
-        return px
-    xd, yd = k.normalized_from_pixel(px.u, px.v)
+        return xd, yd
+    k1, k2, k3, p1, p2 = d.k1, d.k2, d.k3, d.p1, d.p2
+    two_p1, two_p2 = 2.0 * p1, 2.0 * p2
+    tol = UNDISTORT_STEP_TOL
     x, y = xd, yd
     # The step inverts distort_normalized's formula, split into its radial
     # and tangential parts; distort_normalized keeps its own form, because
     # writing it as x * radial + tx instead changes results in the last bit.
     for _ in range(UNDISTORT_MAX_ITERATIONS):
         r2 = x * x + y * y
-        radial = 1.0 + r2 * (d.k1 + r2 * (d.k2 + r2 * d.k3))
+        radial = 1.0 + r2 * (k1 + r2 * (k2 + r2 * k3))
         if radial <= 1e-8:
             raise NonConvergence(
                 f"radial factor collapsed at r2={r2:.6g} while undistorting"
             )
-        tx = 2.0 * d.p1 * x * y + d.p2 * (r2 + 2.0 * x * x)
-        ty = d.p1 * (r2 + 2.0 * y * y) + 2.0 * d.p2 * x * y
+        tx = two_p1 * x * y + p2 * (r2 + 2.0 * x * x)
+        ty = p1 * (r2 + 2.0 * y * y) + two_p2 * x * y
         x_next = (xd - tx) / radial
         y_next = (yd - ty) / radial
-        step = max(abs(x_next - x), abs(y_next - y))
+        step_x, step_y = x_next - x, y_next - y
         x, y = x_next, y_next
-        if step < UNDISTORT_STEP_TOL:
+        if -tol < step_x < tol and -tol < step_y < tol:
             break
     fx, fy = distort_normalized(x, y, d)
     if max(abs(fx - xd), abs(fy - yd)) > UNDISTORT_RESIDUAL_TOL:
+        u, v = (xd, yd) if pixel is None else pixel
         raise NonConvergence(
-            f"undistortion of ({px.u:.3f}, {px.v:.3f}) did not reach 1e-8 "
+            f"undistortion of ({u:.3f}, {v:.3f}) did not reach 1e-8 "
             f"in {UNDISTORT_MAX_ITERATIONS} iterations"
         )
+    return x, y
+
+
+def undistort(px: PixelPoint, k: CameraIntrinsics) -> PixelPoint:
+    """Invert the lens model for one observed pixel (undistort_normalized).
+
+    With an all-zero lens model the input is returned unchanged.
+    """
+    if k.distortion.is_zero:
+        return px
+    x, y = k.normalized_from_pixel(px.u, px.v)
+    x, y = undistort_normalized(x, y, k.distortion, (px.u, px.v))
     return PixelPoint(*k.pixel_from_normalized(x, y))
+
+
+class GroundMap(NamedTuple):
+    """One camera pose's pixel-to-ground map, held as plain floats.
+
+    ground_map builds it once per pose; locate then takes each pixel through
+    K^-1, undistort_normalized and the plane hit without a numpy call, so a
+    batch of any size costs the same per pixel.
+    """
+
+    k: CameraIntrinsics
+    rt: tuple[float, ...]  # R^T row-major: the world ray of (x, y) is R^T (x, y, 1)
+    center: tuple[float, float, float]  # -R^T t
+    cos_yaw: float
+    sin_yaw: float
+    plane_z: float
+
+    def locate(self, u: float, v: float) -> tuple[float, float]:
+        """Ground point (x, y) on z = plane_z seen at the observed pixel (u, v).
+
+        Raises NonConvergence when the lens model cannot be inverted there,
+        otherwise whatever hit raises.
+        """
+        x, y = self.k.normalized_from_pixel(u, v)
+        return self.hit(*undistort_normalized(x, y, self.k.distortion, (u, v)))
+
+    def ray(self, x: float, y: float) -> tuple[float, float, float]:
+        """Unnormalized world direction of the ray through ideal normalized (x, y)."""
+        r00, r01, r02, r10, r11, r12, r20, r21, r22 = self.rt
+        return (
+            r00 * x + r01 * y + r02,
+            r10 * x + r11 * y + r12,
+            r20 * x + r21 * y + r22,
+        )
+
+    def hit(self, x: float, y: float) -> tuple[float, float]:
+        """Where the ray through ideal normalized (x, y) meets z = plane_z.
+
+        Raises RayParallelToPlane when the ray's vertical component vanishes,
+        PointNotOnGround when the intersection lies at or behind the camera
+        (on or above the horizon), and ValueError, as WorldPoint does, when
+        the intersection is not finite.
+        """
+        dx, dy, dz = self.ray(x, y)
+        if abs(dz) < RAY_NORMAL_EPS:
+            raise RayParallelToPlane(
+                f"normalized ({x:.6g}, {y:.6g}) views along the plane z={self.plane_z}"
+            )
+        cx, cy, cz = self.center
+        s = (self.plane_z - cz) / dz
+        if s <= 0.0:
+            raise PointNotOnGround(
+                f"normalized ({x:.6g}, {y:.6g}) meets plane z={self.plane_z} at "
+                f"non-positive ray parameter {s:.6g}"
+            )
+        gx = cx + s * dx
+        gy = cy + s * dy
+        if not (math.isfinite(gx) and math.isfinite(gy)):
+            raise ValueError("world coordinates must be finite")
+        return gx, gy
+
+    def camera_frame(self, x: float, y: float) -> tuple[float, float]:
+        """Field ground point (x, y) relative to the camera.
+
+        Translates by the camera center's ground projection and rotates by
+        the camera's yaw, so +y points along the camera's forward ground
+        direction and +x to its right.
+        """
+        dx = x - self.center[0]
+        dy = y - self.center[1]
+        c, s = self.cos_yaw, self.sin_yaw
+        return dx * c - dy * s, dx * s + dy * c
+
+
+# K = I and no lens: a ground map over ideal normalized coordinates.
+_NORMALIZED_CAMERA = CameraIntrinsics(1.0, 1.0, 0.0, 0.0)
+
+
+def ground_map(
+    k: CameraIntrinsics | None, pose: CameraPose, plane_z: float = 0.0
+) -> GroundMap:
+    """The ground map of camera k at pose onto the plane z = plane_z.
+
+    With k None the map takes ideal normalized coordinates, for callers that
+    need only the pose terms. The camera center is -R.T @ t and the yaw is
+    atan2(R[2, 0], R[2, 1]), the heading of the optical axis on the ground.
+    """
+    r = pose.rotation
+    yaw = math.atan2(r[2, 0], r[2, 1])
+    return GroundMap(
+        _NORMALIZED_CAMERA if k is None else k,
+        tuple(r.T.ravel().tolist()),
+        tuple((-r.T @ pose.translation).tolist()),
+        math.cos(yaw),
+        math.sin(yaw),
+        float(plane_z),
+    )
 
 
 def pixel_ray(
@@ -491,10 +606,8 @@ def pixel_ray(
     Returns (origin, direction): the camera center and the unnormalized
     direction R.T @ Kinv @ (u, v, 1).
     """
-    x, y = k.normalized_from_pixel(px.u, px.v)
-    direction = pose.rotation.T @ np.array([x, y, 1.0])
-    origin = -pose.rotation.T @ pose.translation
-    return origin, direction
+    m = ground_map(k, pose)
+    return np.array(m.center), np.array(m.ray(*k.normalized_from_pixel(px.u, px.v)))
 
 
 def back_project_to_plane(
@@ -506,23 +619,10 @@ def back_project_to_plane(
     """Intersect the pixel's viewing ray with the horizontal plane z = plane_z.
 
     The pixel must already be undistorted. The returned point carries
-    z = plane_z exactly. Raises RayParallelToPlane when the ray's vertical
-    component vanishes and PointNotOnGround when the intersection lies at or
-    behind the camera (pixel on or above the horizon).
+    z = plane_z exactly. Raises what GroundMap.hit raises.
     """
-    origin, direction = pixel_ray(px, k, pose)
-    if abs(direction[2]) < RAY_NORMAL_EPS:
-        raise RayParallelToPlane(
-            f"pixel ({px.u:.3f}, {px.v:.3f}) views along the plane z={plane_z}"
-        )
-    s = (plane_z - origin[2]) / direction[2]
-    if s <= 0.0:
-        raise PointNotOnGround(
-            f"pixel ({px.u:.3f}, {px.v:.3f}) meets plane z={plane_z} at "
-            f"non-positive ray parameter {s:.6g}"
-        )
-    hit = origin + s * direction
-    return WorldPoint(hit[0], hit[1], plane_z)
+    x, y = k.normalized_from_pixel(px.u, px.v)
+    return WorldPoint(*ground_map(k, pose, plane_z).hit(x, y), plane_z)
 
 
 def pose_from_euler(e: EulerAngles, center: WorldPoint) -> CameraPose:
@@ -564,5 +664,4 @@ def euler_from_pose(pose: CameraPose) -> tuple[EulerAngles, WorldPoint]:
 
 def camera_center(pose: CameraPose) -> WorldPoint:
     """Camera center in world coordinates, -R.T @ t."""
-    c = -pose.rotation.T @ pose.translation
-    return WorldPoint(c[0], c[1], c[2])
+    return WorldPoint(*ground_map(None, pose).center)

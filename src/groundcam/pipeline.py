@@ -22,11 +22,9 @@ from .geometry import (
     PointNotOnGround,
     RayParallelToPlane,
     WorldPoint,
-    back_project_to_plane,
-    camera_center,
-    undistort,
+    ground_map,
 )
-from .regression import KNOWN_CLASSES, BoundingBox, GroundRegressor, UnknownClass, predict
+from .regression import KNOWN_CLASSES, BoundingBox, GroundRegressor
 
 
 class PipelineError(ValueError):
@@ -105,22 +103,14 @@ def frame_convert(p: WorldPoint, pose: CameraPose) -> tuple[float, float]:
     """Field-frame point to camera-relative ground coordinates.
 
     Translates by the camera center's ground projection and rotates by the
-    camera's yaw, so +y points along the camera's forward ground direction
-    and +x to its right. The z coordinate is discarded.
+    camera's yaw (GroundMap.camera_frame), so +y points along the camera's
+    forward ground direction and +x to its right. The z coordinate is
+    discarded.
     """
-    center = camera_center(pose)
-    forward = pose.rotation[2, :]
-    yaw = math.atan2(forward[0], forward[1])
-    dx = p.x - center.x
-    dy = p.y - center.y
-    cos_yaw, sin_yaw = math.cos(yaw), math.sin(yaw)
-    x_rel = dx * cos_yaw - dy * sin_yaw
-    y_rel = dx * sin_yaw + dy * cos_yaw
-    return x_rel, y_rel
+    return ground_map(None, pose).camera_frame(p.x, p.y)
 
 
 _REASON_SLUGS = {
-    UnknownClass: "unknown-class",
     NonConvergence: "undistort-nonconvergence",
     RayParallelToPlane: "ray-parallel-to-plane",
     PointNotOnGround: "point-not-on-ground",
@@ -135,38 +125,8 @@ def localize(
     pose: CameraPose,
     convention: FrameConvention = FrameConvention.FIELD,
 ) -> LocalizedObject | UnlocalizableDetection:
-    """Place one detection on the carpet, or explain why it cannot be placed.
-
-    Never raises for the expected failure modes (unknown class, horizon or
-    above-horizon pixels, undistortion failure, origin bearing); those come
-    back as UnlocalizableDetection with a reason slug.
-    """
-    ground_pixel: PixelPoint | None = None
-    try:
-        ground_pixel = predict(regressor, detection.label, detection.bbox)
-        ideal = undistort(ground_pixel, k)
-        spot = back_project_to_plane(ideal, k, pose, plane_z=0.0)
-        if convention is FrameConvention.CAMERA:
-            x, y = frame_convert(spot, pose)
-        else:
-            x, y = spot.x, spot.y
-        theta = bearing(x, y)
-    except tuple(_REASON_SLUGS) as exc:
-        slug = next(s for cls, s in _REASON_SLUGS.items() if isinstance(exc, cls))
-        return UnlocalizableDetection(
-            frame_id=detection.frame_id,
-            label=detection.label,
-            reason=slug,
-            ground_pixel=ground_pixel,
-        )
-    return LocalizedObject(
-        frame_id=detection.frame_id,
-        label=detection.label,
-        x_mm=x,
-        y_mm=y,
-        theta_deg=theta,
-        ground_pixel=ground_pixel,
-    )
+    """Place one detection on the carpet: a one-row localize_batch."""
+    return localize_batch([detection], regressor, k, pose, convention)[0]
 
 
 def localize_batch(
@@ -176,8 +136,40 @@ def localize_batch(
     pose: CameraPose,
     convention: FrameConvention = FrameConvention.FIELD,
 ) -> list[LocalizedObject | UnlocalizableDetection]:
-    """Localize a batch, preserving input order."""
-    return [localize(d, regressor, k, pose, convention) for d in detections]
+    """Place each detection on the carpet, or explain why it cannot be placed.
+
+    The pose's ground map is built once; each detection then goes through
+    its class's regressor and GroundMap.locate on plain floats, so a result
+    does not depend on the batch it came in. Input order is preserved.
+    Never raises for the expected failure modes (unknown class, horizon or
+    above-horizon pixels, undistortion failure, origin bearing); those come
+    back as UnlocalizableDetection with a reason slug.
+    """
+    ground = ground_map(k, pose)
+    to_camera = convention is FrameConvention.CAMERA
+    models = regressor.classes
+    results: list[LocalizedObject | UnlocalizableDetection] = []
+    for d in detections:
+        model = models.get(d.label)
+        if model is None:
+            results.append(UnlocalizableDetection(d.frame_id, d.label, "unknown-class"))
+            continue
+        ground_pixel = PixelPoint(*model.ground_pixel(d.bbox))
+        try:
+            x, y = ground.locate(ground_pixel.u, ground_pixel.v)
+            if to_camera:
+                x, y = ground.camera_frame(x, y)
+            theta = bearing(x, y)
+        except tuple(_REASON_SLUGS) as exc:
+            slug = next(s for cls, s in _REASON_SLUGS.items() if isinstance(exc, cls))
+            results.append(
+                UnlocalizableDetection(d.frame_id, d.label, slug, ground_pixel)
+            )
+            continue
+        results.append(
+            LocalizedObject(d.frame_id, d.label, x, y, theta, ground_pixel)
+        )
+    return results
 
 
 def ingest_detections(

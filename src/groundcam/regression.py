@@ -9,7 +9,7 @@ squares; there is no regularization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -85,10 +85,15 @@ class RegressionSample:
 
 @dataclass(frozen=True, eq=False)
 class ClassModel:
-    """Weights of one class plus the training RMS over stacked u, v residuals."""
+    """Weights of one class plus the training RMS over stacked u, v residuals.
+
+    rows holds the same weights as two tuples of plain floats, the u row and
+    the v row, for ground_pixel.
+    """
 
     weights: np.ndarray
     rmse_px: float
+    rows: tuple[tuple[float, ...], tuple[float, ...]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         w = np.array(self.weights, dtype=float)
@@ -98,6 +103,17 @@ class ClassModel:
             raise ValueError("weights must be finite")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "rows", tuple(map(tuple, w.tolist())))
+
+    def ground_pixel(self, bbox: BoundingBox) -> tuple[float, float]:
+        """(u, v) for one box: each weight row's sum over the features
+        (xmin, ymin, xmax, ymax, 1), added in that order."""
+        (a0, a1, a2, a3, a4), (b0, b1, b2, b3, b4) = self.rows
+        x0, y0, x1, y1 = bbox.xmin, bbox.ymin, bbox.xmax, bbox.ymax
+        return (
+            a0 * x0 + a1 * y0 + a2 * x1 + a3 * y1 + a4,
+            b0 * x0 + b1 * y0 + b2 * x1 + b3 * y1 + b4,
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,8 +143,7 @@ def predict(regressor: GroundRegressor, label: str, bbox: BoundingBox) -> PixelP
         raise UnknownClass(
             f"no model for class {label!r}; covered: {sorted(regressor.classes)}"
         )
-    u, v = model.weights @ bbox.features
-    return PixelPoint(float(u), float(v))
+    return PixelPoint(*model.ground_pixel(bbox))
 
 
 def fit(samples: list[RegressionSample]) -> GroundRegressor:

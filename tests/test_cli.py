@@ -378,6 +378,18 @@ class TestEvaluate:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "row", ["0,500,0", "0,500,0,x,508.86,0,ours"], ids=["short", "non-numeric"]
+    )
+    def test_malformed_row_names_file_and_line(self, capsys, tmp_path, row):
+        path = tmp_path / "pairs.csv"
+        path.write_text(",".join(files.PAIRS_HEADER) + "\n" + row + "\n")
+        code, out, err = _run(capsys, "evaluate", path)
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert f"{path} line 2" in err
+
     def test_empty_table_rejected(self, capsys, tmp_path):
         path = tmp_path / "pairs.csv"
         path.write_text(",".join(files.PAIRS_HEADER) + "\n")

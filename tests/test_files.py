@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -206,6 +207,55 @@ class TestLineFormats:
         assert obj["theta_deg"] is None
         assert obj["ground_pixel"] is None
 
+    @pytest.mark.parametrize(
+        "frame_id",
+        [
+            "p000",
+            'say "hi"',
+            "back\\slash",
+            "caf\u00e9 \u2192 \U0001f600",
+            "tab\tnl\ncr\r\x00\x1f\x7f",
+        ],
+    )
+    def test_localization_line_is_sorted_key_json(self, frame_id):
+        pixel = PixelPoint(120.5, 1.0 / 3.0)
+        results = [
+            LocalizedObject(frame_id, "robot", -250.1, 1e-17, -179.99999999999997, pixel),
+            UnlocalizableDetection(frame_id, "ball", "point-not-on-ground", pixel),
+            UnlocalizableDetection(frame_id, "goal", "unknown-class"),
+        ]
+        expected = [
+            {
+                "frame": frame_id,
+                "class": "robot",
+                "x_mm": -250.1,
+                "y_mm": 1e-17,
+                "theta_deg": -179.99999999999997,
+                "ground_pixel": [120.5, 1.0 / 3.0],
+                "status": "ok",
+            },
+            {
+                "frame": frame_id,
+                "class": "ball",
+                "x_mm": None,
+                "y_mm": None,
+                "theta_deg": None,
+                "ground_pixel": [120.5, 1.0 / 3.0],
+                "status": "unlocalizable:point-not-on-ground",
+            },
+            {
+                "frame": frame_id,
+                "class": "goal",
+                "x_mm": None,
+                "y_mm": None,
+                "theta_deg": None,
+                "ground_pixel": None,
+                "status": "unlocalizable:unknown-class",
+            },
+        ]
+        for result, obj in zip(results, expected):
+            assert files.localization_line(result) == json.dumps(obj, sort_keys=True)
+
     def test_load_localizations_round_trip(self, tmp_path):
         lines = [
             files.localization_line(
@@ -252,6 +302,16 @@ class TestPairsCsv:
             files.load_pairs_csv(path)
 
 
+    @pytest.mark.parametrize(
+        "row", ["1,2,3", "0,500,0,x,508.86,0,ours"], ids=["short", "non-numeric"]
+    )
+    def test_malformed_row_names_file_and_line(self, tmp_path, row):
+        path = tmp_path / "pairs.csv"
+        path.write_text(",".join(files.PAIRS_HEADER) + "\n0,500,0,1,2,3,ours\n" + row + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path} line 3")):
+            files.load_pairs_csv(path)
+
+
 class TestTruthCsv:
     def test_round_trip(self, tmp_path):
         rows = [("p000", -250.0, 750.0, -18.43), ("p001", 0.0, 500.0, 0.0)]
@@ -264,6 +324,13 @@ class TestTruthCsv:
         }
         header = path.read_text().splitlines()[0]
         assert header.split(",") == files.TRUTH_HEADER
+
+    @pytest.mark.parametrize("row", ["p002,1,2", "p002,1,x,3"], ids=["short", "non-numeric"])
+    def test_malformed_row_names_file_and_line(self, tmp_path, row):
+        path = tmp_path / "truth.csv"
+        path.write_text(",".join(files.TRUTH_HEADER) + "\np000,1,2,3\n" + row + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path} line 3")):
+            files.load_truth_csv(path)
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,13 @@ pixel, and requiring the pipeline to hand back the original point.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from groundcam import files
 from groundcam.geometry import (
     CameraIntrinsics,
     Distortion,
@@ -35,7 +37,9 @@ from groundcam.pipeline import (
     localize,
     localize_batch,
 )
+from groundcam.reference import reference_intrinsics
 from groundcam.regression import BoundingBox, bottom_center_regressor
+from groundcam.scene import SceneConfig, generate_scene
 
 # ---------------------------------------------------------------------------
 # Helpers
@@ -337,3 +341,107 @@ def test_localized_object_theta_range_enforced():
 def test_frame_convention_values():
     assert FrameConvention.FIELD.value == "field"
     assert FrameConvention.CAMERA.value == "camera"
+
+
+# ---------------------------------------------------------------------------
+# Batch-size independence and an independent numpy oracle
+# ---------------------------------------------------------------------------
+
+BENCH_LENS = Distortion(k1=-0.12, k2=0.05, p1=0.001, p2=-0.0008)
+
+
+@pytest.fixture(scope="module")
+def lens_scene(tmp_path_factory):
+    """Detections of a noisy lens-model scene, interleaved with rows that
+    cannot be placed: above the horizon, a class the regressor lacks, and a
+    ground pixel the lens model cannot invert."""
+    config = SceneConfig(
+        intrinsics=reference_intrinsics().with_distortion(BENCH_LENS),
+        noise_px=0.5,
+        grid_columns=5,
+        grid_rows=12,
+        grid_spacing_mm=200.0,
+        num_views=0,
+    )
+    scene = generate_scene(config, seed=3, out_dir=tmp_path_factory.mktemp("lens"))
+    odd = [
+        _detection_at_pixel(PixelPoint(320.0, 20.0), label="ball", frame="sky"),
+        _detection_at_pixel(PixelPoint(320.0, 300.0), label="robot", frame="uncovered"),
+        _detection_at_pixel(PixelPoint(1500.0, 1500.0), label="ball", frame="far"),
+    ]
+    detections = list(scene.detections)
+    for i, d in enumerate(odd * 3):
+        detections.insert(7 * i + 2, d)
+    return detections, scene.regressor, config.intrinsics, config.pose
+
+
+@pytest.mark.parametrize("convention", list(FrameConvention))
+def test_output_does_not_depend_on_batch_size(lens_scene, convention):
+    detections, regressor, k, pose = lens_scene
+
+    def lines(size):
+        out = []
+        for i in range(0, len(detections), size):
+            chunk = localize_batch(detections[i : i + size], regressor, k, pose, convention)
+            out += [files.localization_line(r) for r in chunk]
+        return out
+
+    whole = lines(len(detections))
+    assert lines(1) == whole
+    assert lines(4) == whole
+    singles = [localize(d, regressor, k, pose, convention) for d in detections]
+    assert singles == localize_batch(detections, regressor, k, pose, convention)
+    assert {json.loads(line)["status"] for line in whole} == {
+        "ok",
+        "unlocalizable:point-not-on-ground",
+        "unlocalizable:unknown-class",
+        "unlocalizable:undistort-nonconvergence",
+    }
+
+
+def _oracle_positions(detections, regressor, k, pose, convention):
+    """Ground positions from numpy alone: regress, undistort by 40
+    fixed-point steps, intersect z = 0, and for the camera frame translate by
+    the camera center and rotate by the yaw. Rows above the horizon are NaN."""
+    weights = np.stack([regressor.classes[d.label].weights for d in detections])
+    boxes = np.array([d.bbox.features for d in detections])
+    pixels = np.einsum("nij,nj->ni", weights, boxes)
+    homogeneous = np.column_stack([pixels, np.ones(len(pixels))])
+    observed = (homogeneous @ np.linalg.inv(k.matrix).T)[:, :2]
+    d = k.distortion
+    x, y = observed[:, 0].copy(), observed[:, 1].copy()
+    for _ in range(40):
+        r2 = x * x + y * y
+        radial = 1.0 + d.k1 * r2 + d.k2 * r2**2 + d.k3 * r2**3
+        tx = 2.0 * d.p1 * x * y + d.p2 * (r2 + 2.0 * x * x)
+        ty = d.p1 * (r2 + 2.0 * y * y) + 2.0 * d.p2 * x * y
+        x, y = (observed[:, 0] - tx) / radial, (observed[:, 1] - ty) / radial
+    r, t = pose.rotation, pose.translation
+    rays = np.column_stack([x, y, np.ones(len(x))]) @ r
+    center = -r.T @ t
+    s = -center[2] / rays[:, 2]
+    hits = center[:2] + s[:, None] * rays[:, :2]
+    hits[s <= 0] = np.nan
+    if convention is FrameConvention.CAMERA:
+        yaw = math.atan2(r[2, 0], r[2, 1])
+        rel = hits - center[:2]
+        c, sn = math.cos(yaw), math.sin(yaw)
+        hits = np.column_stack([rel[:, 0] * c - rel[:, 1] * sn, rel[:, 0] * sn + rel[:, 1] * c])
+    return hits
+
+
+@pytest.mark.parametrize("convention", list(FrameConvention))
+def test_positions_match_an_independent_oracle(lens_scene, convention):
+    detections, regressor, k, pose = lens_scene
+    placeable = [d for d in detections if d.frame_id not in ("uncovered", "far")]
+    expected = _oracle_positions(placeable, regressor, k, pose, convention)
+    results = localize_batch(placeable, regressor, k, pose, convention)
+    for result, (ex, ey) in zip(results, expected):
+        if math.isnan(ex):
+            assert result.reason == "point-not-on-ground"
+            continue
+        assert isinstance(result, LocalizedObject)
+        assert abs(result.x_mm - ex) <= 1e-9
+        assert abs(result.y_mm - ey) <= 1e-9
+        assert result.theta_deg == bearing(result.x_mm, result.y_mm)
+    assert sum(isinstance(r, LocalizedObject) for r in results) == len(placeable) - 3
