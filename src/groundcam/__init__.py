@@ -30,7 +30,6 @@ from .geometry import (
     EulerAngles,
     PixelPoint,
     WorldPoint,
-    back_project_to_plane,
     camera_center,
     euler_from_pose,
     pose_from_euler,
@@ -60,9 +59,7 @@ from .pipeline import (
     LocalizedObject,
     UnlocalizableDetection,
     bearing,
-    frame_convert,
     ingest_detections,
-    localize,
     localize_batch,
 )
 from .regression import (
@@ -71,7 +68,6 @@ from .regression import (
     RegressionSample,
     bottom_center_regressor,
     fit,
-    predict,
 )
 from .scene import SceneConfig, SyntheticScene, generate_scene
 
@@ -104,7 +100,6 @@ __all__ = [
     "SyntheticScene",
     "UnlocalizableDetection",
     "WorldPoint",
-    "back_project_to_plane",
     "bearing",
     "bottom_center_regressor",
     "bucket_by_distance",
@@ -118,16 +113,13 @@ __all__ = [
     "extrinsics_from_homography",
     "field_landmarks",
     "fit",
-    "frame_convert",
     "generate_scene",
     "ingest_detections",
     "levenberg_marquardt",
     "linear_least_squares",
-    "localize",
     "localize_batch",
     "numeric_jacobian",
     "pose_from_euler",
-    "predict",
     "project",
     "refine_calibration",
     "reprojection_report",

@@ -142,8 +142,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     if args.config:
-        obj = json.loads(Path(args.config).read_text())
-        config = config_from_dict(obj)
+        config = files._load_json(args.config, config_from_dict)
     else:
         config = SceneConfig()
     out_dir = Path(args.out)

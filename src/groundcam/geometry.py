@@ -258,25 +258,22 @@ def axis_angle_from_rotation(r: Mat) -> Vec:
     r = np.asarray(r, dtype=float)
     cos_a = max(-1.0, min(1.0, (np.trace(r) - 1.0) / 2.0))
     angle = math.acos(cos_a)
-    if angle < 1e-12:
-        return np.zeros(3)
-    if angle > math.pi - 1e-6:
-        # Near pi the off-diagonal difference vanishes; recover the axis from
-        # the symmetric part instead.
-        m = (r + np.eye(3)) / 2.0
-        axis = np.sqrt(np.maximum(np.diag(m), 0.0))
-        idx = int(np.argmax(axis))
-        if axis[idx] > 0:
-            axis = axis / axis[idx] * math.sqrt(m[idx, idx])
-            if m[idx, (idx + 1) % 3] < 0:
-                axis[(idx + 1) % 3] = -abs(axis[(idx + 1) % 3])
-            if m[idx, (idx + 2) % 3] < 0:
-                axis[(idx + 2) % 3] = -abs(axis[(idx + 2) % 3])
-        norm = np.linalg.norm(axis)
-        if norm == 0:
-            return np.zeros(3)
-        return axis / norm * angle
+    # v = 2 sin(angle) axis, accurate to rounding at every angle.
     v = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
+    if angle < 1e-12:
+        # acos returns 0 for every angle below about 1.5e-8, where sin(angle)
+        # equals the angle to rounding.
+        return v / 2.0
+    if angle > 0.75 * math.pi:
+        # Near pi, acos and the division by sin lose precision. The symmetric
+        # part minus cos(angle) I is (1 - cos(angle)) axis axis^T: its largest
+        # column gives the axis up to sign, and v gives the sign and the sine.
+        s = (r + r.T) / 2.0 - cos_a * np.eye(3)
+        axis = s[:, int(np.argmax(np.diag(s)))]
+        axis = axis / np.linalg.norm(axis)
+        if axis @ v < 0.0:
+            axis = -axis
+        return axis * math.atan2(np.linalg.norm(v) / 2.0, cos_a)
     return v / (2.0 * math.sin(angle)) * angle
 
 
@@ -437,13 +434,6 @@ def project_views(
     return pixels, d_intrinsics, d_pose
 
 
-def distort(px: PixelPoint, k: CameraIntrinsics) -> PixelPoint:
-    """Push an ideal pinhole pixel through the lens model."""
-    x, y = k.normalized_from_pixel(px.u, px.v)
-    xd, yd = distort_normalized(x, y, k.distortion)
-    return PixelPoint(*k.pixel_from_normalized(xd, yd))
-
-
 def undistort_normalized(
     xd: float, yd: float, d: Distortion, pixel: tuple[float, float] | None = None
 ) -> tuple[float, float]:
@@ -525,15 +515,6 @@ class GroundMap(NamedTuple):
         x, y = self.k.normalized_from_pixel(u, v)
         return self.hit(*undistort_normalized(x, y, self.k.distortion, (u, v)))
 
-    def ray(self, x: float, y: float) -> tuple[float, float, float]:
-        """Unnormalized world direction of the ray through ideal normalized (x, y)."""
-        r00, r01, r02, r10, r11, r12, r20, r21, r22 = self.rt
-        return (
-            r00 * x + r01 * y + r02,
-            r10 * x + r11 * y + r12,
-            r20 * x + r21 * y + r22,
-        )
-
     def hit(self, x: float, y: float) -> tuple[float, float]:
         """Where the ray through ideal normalized (x, y) meets z = plane_z.
 
@@ -542,7 +523,10 @@ class GroundMap(NamedTuple):
         (on or above the horizon), and ValueError, as WorldPoint does, when
         the intersection is not finite.
         """
-        dx, dy, dz = self.ray(x, y)
+        r00, r01, r02, r10, r11, r12, r20, r21, r22 = self.rt
+        dx = r00 * x + r01 * y + r02
+        dy = r10 * x + r11 * y + r12
+        dz = r20 * x + r21 * y + r22
         if abs(dz) < RAY_NORMAL_EPS:
             raise RayParallelToPlane(
                 f"normalized ({x:.6g}, {y:.6g}) views along the plane z={self.plane_z}"
@@ -573,56 +557,30 @@ class GroundMap(NamedTuple):
         return dx * c - dy * s, dx * s + dy * c
 
 
-# K = I and no lens: a ground map over ideal normalized coordinates.
-_NORMALIZED_CAMERA = CameraIntrinsics(1.0, 1.0, 0.0, 0.0)
+def camera_center(pose: CameraPose) -> WorldPoint:
+    """Camera center in world coordinates, -R.T @ t."""
+    return WorldPoint(*(-pose.rotation.T @ pose.translation).tolist())
 
 
 def ground_map(
-    k: CameraIntrinsics | None, pose: CameraPose, plane_z: float = 0.0
+    k: CameraIntrinsics, pose: CameraPose, plane_z: float = 0.0
 ) -> GroundMap:
     """The ground map of camera k at pose onto the plane z = plane_z.
 
-    With k None the map takes ideal normalized coordinates, for callers that
-    need only the pose terms. The camera center is -R.T @ t and the yaw is
+    The camera center is camera_center(pose) and the yaw is
     atan2(R[2, 0], R[2, 1]), the heading of the optical axis on the ground.
     """
     r = pose.rotation
     yaw = math.atan2(r[2, 0], r[2, 1])
+    c = camera_center(pose)
     return GroundMap(
-        _NORMALIZED_CAMERA if k is None else k,
+        k,
         tuple(r.T.ravel().tolist()),
-        tuple((-r.T @ pose.translation).tolist()),
+        (c.x, c.y, c.z),
         math.cos(yaw),
         math.sin(yaw),
         float(plane_z),
     )
-
-
-def pixel_ray(
-    px: PixelPoint, k: CameraIntrinsics, pose: CameraPose
-) -> tuple[Vec, Vec]:
-    """World-frame viewing ray of an ideal (already undistorted) pixel.
-
-    Returns (origin, direction): the camera center and the unnormalized
-    direction R.T @ Kinv @ (u, v, 1).
-    """
-    m = ground_map(k, pose)
-    return np.array(m.center), np.array(m.ray(*k.normalized_from_pixel(px.u, px.v)))
-
-
-def back_project_to_plane(
-    px: PixelPoint,
-    k: CameraIntrinsics,
-    pose: CameraPose,
-    plane_z: float = 0.0,
-) -> WorldPoint:
-    """Intersect the pixel's viewing ray with the horizontal plane z = plane_z.
-
-    The pixel must already be undistorted. The returned point carries
-    z = plane_z exactly. Raises what GroundMap.hit raises.
-    """
-    x, y = k.normalized_from_pixel(px.u, px.v)
-    return WorldPoint(*ground_map(k, pose, plane_z).hit(x, y), plane_z)
 
 
 def pose_from_euler(e: EulerAngles, center: WorldPoint) -> CameraPose:
@@ -660,8 +618,3 @@ def euler_from_pose(pose: CameraPose) -> tuple[EulerAngles, WorldPoint]:
         to_range(math.degrees(kappa)),
     )
     return angles, camera_center(pose)
-
-
-def camera_center(pose: CameraPose) -> WorldPoint:
-    """Camera center in world coordinates, -R.T @ t."""
-    return WorldPoint(*ground_map(None, pose).center)

@@ -21,7 +21,6 @@ from .geometry import (
     PixelPoint,
     PointNotOnGround,
     RayParallelToPlane,
-    WorldPoint,
     ground_map,
 )
 from .regression import KNOWN_CLASSES, BoundingBox, GroundRegressor
@@ -99,34 +98,12 @@ def bearing(x: float, y: float) -> float:
     return theta
 
 
-def frame_convert(p: WorldPoint, pose: CameraPose) -> tuple[float, float]:
-    """Field-frame point to camera-relative ground coordinates.
-
-    Translates by the camera center's ground projection and rotates by the
-    camera's yaw (GroundMap.camera_frame), so +y points along the camera's
-    forward ground direction and +x to its right. The z coordinate is
-    discarded.
-    """
-    return ground_map(None, pose).camera_frame(p.x, p.y)
-
-
 _REASON_SLUGS = {
     NonConvergence: "undistort-nonconvergence",
     RayParallelToPlane: "ray-parallel-to-plane",
     PointNotOnGround: "point-not-on-ground",
     UndefinedBearing: "undefined-bearing",
 }
-
-
-def localize(
-    detection: Detection,
-    regressor: GroundRegressor,
-    k: CameraIntrinsics,
-    pose: CameraPose,
-    convention: FrameConvention = FrameConvention.FIELD,
-) -> LocalizedObject | UnlocalizableDetection:
-    """Place one detection on the carpet: a one-row localize_batch."""
-    return localize_batch([detection], regressor, k, pose, convention)[0]
 
 
 def localize_batch(

@@ -32,10 +32,6 @@ class RegressionError(ValueError):
     """Base class for regressor failure modes."""
 
 
-class UnknownClass(RegressionError):
-    """Prediction requested for a class the regressor does not cover."""
-
-
 class InsufficientSamples(RegressionError):
     """A class has fewer training samples than the minimum."""
 
@@ -62,10 +58,6 @@ class BoundingBox:
     @property
     def features(self) -> np.ndarray:
         return np.array([self.xmin, self.ymin, self.xmax, self.ymax, 1.0])
-
-    @property
-    def bottom_center(self) -> PixelPoint:
-        return PixelPoint((self.xmin + self.xmax) / 2.0, self.ymax)
 
 
 @dataclass(frozen=True, slots=True)
@@ -130,20 +122,6 @@ class GroundRegressor:
 
     def covered(self) -> tuple[str, ...]:
         return tuple(sorted(self.classes))
-
-
-def predict(regressor: GroundRegressor, label: str, bbox: BoundingBox) -> PixelPoint:
-    """Ground-contact pixel for one detection box.
-
-    The map is affine in the box coordinates, so predictions interpolate
-    linearly between boxes. Raises UnknownClass for uncovered labels.
-    """
-    model = regressor.classes.get(label)
-    if model is None:
-        raise UnknownClass(
-            f"no model for class {label!r}; covered: {sorted(regressor.classes)}"
-        )
-    return PixelPoint(*model.ground_pixel(bbox))
 
 
 def fit(samples: list[RegressionSample]) -> GroundRegressor:

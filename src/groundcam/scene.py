@@ -31,12 +31,13 @@ from .geometry import (
     GeometryError,
     PixelPoint,
     WorldPoint,
+    ground_map,
     project,
     project_points,
     rotation_from_axis_angle,
 )
 from .intrinsics import PlanarView
-from .pipeline import Detection, FrameConvention, bearing, frame_convert
+from .pipeline import Detection, FrameConvention, bearing
 from .regression import (
     KNOWN_CLASSES,
     BoundingBox,
@@ -200,6 +201,7 @@ def config_from_dict(obj: dict) -> SceneConfig:
         if set(doc) - keys:
             raise ConfigInvalid(f"unknown {section} keys: {sorted(set(doc) - keys)}")
     kwargs: dict = {}
+    where = "calibration"
     try:
         if "calibration" in obj:
             k, pose = files.calibration_from_dict(obj["calibration"])
@@ -209,11 +211,12 @@ def config_from_dict(obj: dict) -> SceneConfig:
         for section, key, name, convert in _SCHEMA:
             doc = obj if section is None else obj.get(section, {})
             if key in doc:
+                where = key if section is None else f"{section}.{key}"
                 kwargs[name] = convert(doc[key])
     except ConfigInvalid:
         raise
     except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigInvalid(f"bad configuration value: {exc}") from exc
+        raise ConfigInvalid(f"bad configuration value {where}: {exc}") from exc
     return SceneConfig(**kwargs)
 
 
@@ -389,6 +392,7 @@ def generate_scene(
     detections: list[Detection] = []
     truth: list[tuple[str, float, float, float]] = []
     frame_width = max(3, len(str(max(len(config.grid_points) - 1, 1))))
+    ground_plane = ground_map(config.intrinsics, config.pose)
     for index, contact in enumerate(config.grid_points):
         ground, bbox = _object_box(config, contact)
         frame_id = f"p{index:0{frame_width}d}"
@@ -416,7 +420,7 @@ def generate_scene(
             )
         )
         if config.frame is FrameConvention.CAMERA:
-            x, y = frame_convert(contact, config.pose)
+            x, y = ground_plane.camera_frame(contact.x, contact.y)
         else:
             x, y = contact.x, contact.y
         try:

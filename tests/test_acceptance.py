@@ -51,7 +51,6 @@ from groundcam.regression import (
     RegressionSample,
     bottom_center_regressor,
     fit,
-    predict,
 )
 
 from conftest import FIXTURES_DIR, REPO_ROOT
@@ -351,13 +350,17 @@ def test_criterion_7_regressor_identity():
     regressor = fit(samples)
     residual = max(
         math.hypot(*(np.array(true_w @ b.features) - np.array(
-            [predict(regressor, "robot", b).u, predict(regressor, "robot", b).v]
+            regressor.classes["robot"].ground_pixel(b)
         )))
         for b in checks
     )
 
     bc_samples = [
-        RegressionSample(label="ball", bbox=b, ground_pixel=b.bottom_center)
+        RegressionSample(
+            label="ball",
+            bbox=b,
+            ground_pixel=PixelPoint((b.xmin + b.xmax) / 2.0, b.ymax),
+        )
         for b in checks
     ]
     fitted_dev = float(

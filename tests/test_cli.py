@@ -463,6 +463,28 @@ class TestSynth:
         assert code == 2
         assert "error:" in err
 
+    def test_truncated_config_names_the_file(self, capsys, tmp_path):
+        config_path = tmp_path / "config.json"
+        config_path.write_text('{"noise_px": ')
+        code, out, err = _run(capsys, "synth", config_path, "--out", tmp_path / "s")
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert f"error: {config_path}" in err
+
+    def test_null_value_names_the_file_and_the_key(self, capsys, tmp_path):
+        config_path = tmp_path / "config.json"
+        doc = config_to_dict(SceneConfig(), seed=0)
+        doc["noise_px"] = None
+        config_path.write_text(json.dumps(doc))
+        code, out, err = _run(capsys, "synth", config_path, "--out", tmp_path / "s")
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert f"error: {config_path}" in err
+        assert "noise_px" in err
+        assert not (tmp_path / "s").exists()
+
 
 # ---------------------------------------------------------------------------
 # Malformed JSON documents

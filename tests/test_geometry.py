@@ -28,14 +28,12 @@ from groundcam.geometry import (
     RayParallelToPlane,
     WorldPoint,
     axis_angle_from_rotation,
-    back_project_to_plane,
     camera_center,
-    distort,
     distort_normalized,
     euler_from_pose,
+    ground_map,
     intrinsic_vector,
     nearest_rotation,
-    pixel_ray,
     pose_from_euler,
     project,
     project_points,
@@ -78,6 +76,17 @@ def _random_pose(rng: np.random.Generator) -> CameraPose:
         [rng.uniform(-300, 300), rng.uniform(-300, 300), rng.uniform(600, 2000)]
     )
     return CameraPose(r, -r @ center)
+
+
+def _distort(px: PixelPoint, k: CameraIntrinsics) -> PixelPoint:
+    """Ideal pinhole pixel pushed through the lens model."""
+    x, y = k.normalized_from_pixel(px.u, px.v)
+    return PixelPoint(*k.pixel_from_normalized(*distort_normalized(x, y, k.distortion)))
+
+
+def _back_project(px: PixelPoint, k: CameraIntrinsics, pose: CameraPose, plane_z=0.0):
+    """Ground (x, y) on z = plane_z of an observed pixel: GroundMap.locate."""
+    return ground_map(k, pose, plane_z).locate(px.u, px.v)
 
 
 SIMPLE_K = CameraIntrinsics(alpha_x=500.0, alpha_y=500.0, u0=320.0, v0=240.0)
@@ -176,7 +185,7 @@ class TestProjectPoints:
 
 
 # ---------------------------------------------------------------------------
-# back_project_to_plane
+# Back-projection: ground_map(...).locate
 # ---------------------------------------------------------------------------
 
 
@@ -189,17 +198,16 @@ class TestBackProject:
         px = project(WorldPoint(100.0, 200.0, 0.0), SIMPLE_K, pose)
         assert px.u == pytest.approx(370.0, abs=1e-12)
         assert px.v == pytest.approx(140.0, abs=1e-12)
-        p = back_project_to_plane(px, SIMPLE_K, pose, plane_z=0.0)
-        assert p.x == pytest.approx(100.0, abs=1e-9)
-        assert p.y == pytest.approx(200.0, abs=1e-9)
-        assert p.z == 0.0
+        x, y = _back_project(px, SIMPLE_K, pose, plane_z=0.0)
+        assert x == pytest.approx(100.0, abs=1e-9)
+        assert y == pytest.approx(200.0, abs=1e-9)
 
     def test_round_trip_with_reference_camera(self, ref_k, ref_pose):
         p = WorldPoint(0.0, 500.0, 0.0)
         px = project(p, ref_k, ref_pose)
-        back = back_project_to_plane(px, ref_k, ref_pose, plane_z=0.0)
-        assert abs(back.x - p.x) < 1e-6
-        assert abs(back.y - p.y) < 1e-6
+        x, y = _back_project(px, ref_k, ref_pose, plane_z=0.0)
+        assert abs(x - p.x) < 1e-6
+        assert abs(y - p.y) < 1e-6
 
     def test_round_trip_random_sweep(self, rng):
         count = 0
@@ -211,36 +219,37 @@ class TestBackProject:
             if depth < 50.0:
                 continue
             px = project(p, SIMPLE_K, pose)
-            back = back_project_to_plane(px, SIMPLE_K, pose, plane_z=plane_z)
-            assert abs(back.x - p.x) < 1e-6
-            assert abs(back.y - p.y) < 1e-6
-            assert back.z == plane_z
+            x, y = _back_project(px, SIMPLE_K, pose, plane_z=plane_z)
+            assert abs(x - p.x) < 1e-6
+            assert abs(y - p.y) < 1e-6
             count += 1
 
     def test_intersection_ignores_ray_normalization(self, ref_k, ref_pose):
         px = PixelPoint(250.0, 400.0)
-        origin, direction = pixel_ray(px, ref_k, ref_pose)
-        expected = back_project_to_plane(px, ref_k, ref_pose)
+        origin = camera_center(ref_pose).array
+        k_inv = np.linalg.inv(ref_k.matrix)
+        direction = ref_pose.rotation.T @ k_inv @ [px.u, px.v, 1.0]
+        expected = _back_project(px, ref_k, ref_pose)
         for scale in (1.0, 1.0 / np.linalg.norm(direction), 7.5):
             d = direction * scale
             s = (0.0 - origin[2]) / d[2]
             hit = origin + s * d
-            assert abs(hit[0] - expected.x) < 1e-9
-            assert abs(hit[1] - expected.y) < 1e-9
+            assert abs(hit[0] - expected[0]) < 1e-9
+            assert abs(hit[1] - expected[1]) < 1e-9
 
     def test_plane_behind_camera(self):
         # Camera above z=0 looking along +z (away from the plane).
         r = np.eye(3)
         pose = CameraPose(r, -r @ np.array([0.0, 0.0, 5.0]))
         with pytest.raises(PointNotOnGround):
-            back_project_to_plane(PixelPoint(320.0, 240.0), SIMPLE_K, pose)
+            _back_project(PixelPoint(320.0, 240.0), SIMPLE_K, pose)
 
     def test_ray_parallel_to_plane(self):
         # Level camera looking along +y; the principal ray is horizontal.
         r = rotation_from_axis_angle(np.array([math.pi / 2.0, 0.0, 0.0]))
         pose = CameraPose(r, -r @ np.array([0.0, 0.0, 300.0]))
         with pytest.raises(RayParallelToPlane):
-            back_project_to_plane(PixelPoint(320.0, 240.0), SIMPLE_K, pose)
+            _back_project(PixelPoint(320.0, 240.0), SIMPLE_K, pose)
 
     def test_reference_horizon_row(self, ref_k, ref_pose):
         # Solve d_z(v) = 0 for the column u = u0; exactly on the root the
@@ -249,9 +258,9 @@ class TestBackProject:
         u = ref_k.u0
         v_h = -(m[2, 0] * u + m[2, 2]) / m[2, 1]
         with pytest.raises(RayParallelToPlane):
-            back_project_to_plane(PixelPoint(u, v_h), ref_k, ref_pose)
+            _back_project(PixelPoint(u, v_h), ref_k, ref_pose)
         with pytest.raises(PointNotOnGround):
-            back_project_to_plane(PixelPoint(u, v_h - 5.0), ref_k, ref_pose)
+            _back_project(PixelPoint(u, v_h - 5.0), ref_k, ref_pose)
 
 
 # ---------------------------------------------------------------------------
@@ -263,11 +272,11 @@ class TestDistortion:
     def test_zero_distortion_is_identity(self):
         px = PixelPoint(123.4, 567.8)
         assert undistort(px, SIMPLE_K) == px
-        assert distort(px, SIMPLE_K) == px
+        assert _distort(px, SIMPLE_K) == px
 
     def test_distort_hand_value(self):
         k = CameraIntrinsics(100.0, 100.0, 0.0, 0.0, distortion=Distortion(k1=0.1))
-        out = distort(PixelPoint(50.0, 0.0), k)
+        out = _distort(PixelPoint(50.0, 0.0), k)
         assert out.u == pytest.approx(51.25, abs=1e-12)
         assert out.v == pytest.approx(0.0, abs=1e-12)
 
@@ -292,7 +301,7 @@ class TestDistortion:
             x, y = k.normalized_from_pixel(px.u, px.v)
             if math.hypot(x, y) >= 1.0:
                 continue
-            distorted = distort(px, k)
+            distorted = _distort(px, k)
             restored = undistort(distorted, k)
             assert abs(restored.u - px.u) < 1e-6
             assert abs(restored.v - px.v) < 1e-6
@@ -301,7 +310,7 @@ class TestDistortion:
         k = SIMPLE_K.with_distortion(Distortion(k1=-0.15, k2=0.02))
         observed = PixelPoint(100.0, 380.0)
         ideal = undistort(observed, k)
-        again = distort(ideal, k)
+        again = _distort(ideal, k)
         assert abs(again.u - observed.u) < 1e-6
         assert abs(again.v - observed.v) < 1e-6
 

@@ -387,6 +387,26 @@ class TestCalibrationJacobian:
         assert analytic.x[:4] == pytest.approx(numeric.x[:4], rel=1e-6)
         assert analytic.x[4:8] == pytest.approx(numeric.x[4:8], rel=1e-4)
 
+    def test_solver_matches_scipy_least_squares(self, rng):
+        optimize = pytest.importorskip("scipy.optimize")
+        views, _ = _synthetic_views(LENS_K, 6, rng, noise_px=0.5)
+        hs = [estimate_homography(v) for v in views]
+        k0 = zhang_closed_form(hs, assume_zero_skew=True)
+        poses = tuple(extrinsics_from_homography(k0, h) for h in hs)
+        init = CalibrationSolution(intrinsics=k0, poses=poses, rmse_px=0.0)
+        problem, x0 = calibration_problem(views, init)
+        ours = levenberg_marquardt(problem, x0)
+        # At MINPACK's default tolerances (1e-8) it stops early, with u0 and
+        # v0 up to 4e-5 off; at 1e-15 it runs on to where ours stops.
+        theirs = optimize.least_squares(
+            problem.residual, x0, jac=problem.jacobian, method="lm",
+            ftol=1e-15, xtol=1e-15, gtol=1e-15,
+        )
+        assert theirs.success
+        assert ours.cost == pytest.approx(theirs.cost, rel=1e-8)
+        # alpha_x, alpha_y, u0, v0 (skew fixed)
+        assert ours.x[:4] == pytest.approx(theirs.x[:4], rel=1e-6)
+
 
 class TestReprojectionRmse:
     def test_zero_for_exact_views(self, rng):

@@ -21,6 +21,7 @@ from groundcam.geometry import (
     PixelPoint,
     WorldPoint,
     camera_center,
+    ground_map,
     pose_from_euler,
     project,
 )
@@ -32,9 +33,7 @@ from groundcam.pipeline import (
     UndefinedBearing,
     UnlocalizableDetection,
     bearing,
-    frame_convert,
     ingest_detections,
-    localize,
     localize_batch,
 )
 from groundcam.reference import reference_intrinsics
@@ -54,6 +53,14 @@ def _detection_at_pixel(px: PixelPoint, label: str = "robot", frame: str = "f0")
 
 def _detection_for_point(p: WorldPoint, k, pose, label: str = "robot"):
     return _detection_at_pixel(project(p, k, pose), label=label)
+
+
+def _localize(detection, regressor, k, pose, convention=FrameConvention.FIELD):
+    return localize_batch([detection], regressor, k, pose, convention)[0]
+
+
+def _camera_frame(p: WorldPoint, pose) -> tuple[float, float]:
+    return ground_map(reference_intrinsics(), pose).camera_frame(p.x, p.y)
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +105,7 @@ class TestBearing:
 
 
 # ---------------------------------------------------------------------------
-# frame_convert
+# Camera frame: GroundMap.camera_frame
 # ---------------------------------------------------------------------------
 
 
@@ -109,7 +116,7 @@ class TestFrameConvert:
         pose = pose_from_euler(
             EulerAngles(106.94, 0.0, 0.0), WorldPoint(-5.0, -500.0, 170.0)
         )
-        x, y = frame_convert(WorldPoint(100.0, 700.0, 0.0), pose)
+        x, y = _camera_frame(WorldPoint(100.0, 700.0, 0.0), pose)
         assert x == pytest.approx(105.0, abs=1e-9)
         assert y == pytest.approx(1200.0, abs=1e-9)
 
@@ -119,7 +126,7 @@ class TestFrameConvert:
         ground_f = np.array([f[0], f[1]])
         ground_f /= np.linalg.norm(ground_f)
         p = WorldPoint(c.x + 750.0 * ground_f[0], c.y + 750.0 * ground_f[1], 0.0)
-        x, y = frame_convert(p, ref_pose)
+        x, y = _camera_frame(p, ref_pose)
         assert x == pytest.approx(0.0, abs=1e-9)
         assert y == pytest.approx(750.0, abs=1e-9)
 
@@ -129,7 +136,7 @@ class TestFrameConvert:
         right = np.array([f[1], -f[0]])
         right /= np.linalg.norm(right)
         p = WorldPoint(c.x + 300.0 * right[0], c.y + 300.0 * right[1], 0.0)
-        x, y = frame_convert(p, ref_pose)
+        x, y = _camera_frame(p, ref_pose)
         assert x == pytest.approx(300.0, abs=1e-9)
         assert y == pytest.approx(0.0, abs=1e-9)
 
@@ -137,14 +144,14 @@ class TestFrameConvert:
         c = camera_center(ref_pose)
         for _ in range(50):
             p = WorldPoint(rng.uniform(-1000, 1000), rng.uniform(-1000, 1000), 0.0)
-            x, y = frame_convert(p, ref_pose)
+            x, y = _camera_frame(p, ref_pose)
             assert math.hypot(x, y) == pytest.approx(
                 math.hypot(p.x - c.x, p.y - c.y), abs=1e-9
             )
 
 
 # ---------------------------------------------------------------------------
-# localize
+# localize_batch
 # ---------------------------------------------------------------------------
 
 
@@ -153,7 +160,7 @@ class TestLocalize:
         regressor = bottom_center_regressor()
         for x, y in [(0.0, 500.0), (-250.0, 750.0), (250.0, 750.0), (0.0, 1000.0)]:
             d = _detection_for_point(WorldPoint(x, y, 0.0), ref_k, ref_pose)
-            out = localize(d, regressor, ref_k, ref_pose, FrameConvention.FIELD)
+            out = _localize(d, regressor, ref_k, ref_pose, FrameConvention.FIELD)
             assert isinstance(out, LocalizedObject)
             assert out.x_mm == pytest.approx(x, abs=1e-6)
             assert out.y_mm == pytest.approx(y, abs=1e-6)
@@ -165,7 +172,7 @@ class TestLocalize:
         k = ref_k.with_distortion(Distortion(k1=-0.1, k2=0.02))
         regressor = bottom_center_regressor()
         d = _detection_for_point(WorldPoint(-250.0, 750.0, 0.0), k, ref_pose)
-        out = localize(d, regressor, k, ref_pose, FrameConvention.FIELD)
+        out = _localize(d, regressor, k, ref_pose, FrameConvention.FIELD)
         assert isinstance(out, LocalizedObject)
         assert out.x_mm == pytest.approx(-250.0, abs=1e-5)
         assert out.y_mm == pytest.approx(750.0, abs=1e-5)
@@ -173,8 +180,8 @@ class TestLocalize:
     def test_camera_convention_subtracts_the_camera(self, ref_k, ref_pose):
         regressor = bottom_center_regressor()
         d = _detection_for_point(WorldPoint(0.0, 750.0, 0.0), ref_k, ref_pose)
-        out = localize(d, regressor, ref_k, ref_pose, FrameConvention.CAMERA)
-        expected = frame_convert(WorldPoint(0.0, 750.0, 0.0), ref_pose)
+        out = _localize(d, regressor, ref_k, ref_pose, FrameConvention.CAMERA)
+        expected = _camera_frame(WorldPoint(0.0, 750.0, 0.0), ref_pose)
         assert isinstance(out, LocalizedObject)
         assert out.x_mm == pytest.approx(expected[0], abs=1e-6)
         assert out.y_mm == pytest.approx(expected[1], abs=1e-6)
@@ -182,7 +189,7 @@ class TestLocalize:
     def test_unknown_class_comes_back_with_reason(self, ref_k, ref_pose):
         regressor = bottom_center_regressor(labels=("ball",))
         d = _detection_at_pixel(PixelPoint(320.0, 400.0), label="goal")
-        out = localize(d, regressor, ref_k, ref_pose)
+        out = _localize(d, regressor, ref_k, ref_pose)
         assert isinstance(out, UnlocalizableDetection)
         assert out.reason == "unknown-class"
         assert out.ground_pixel is None
@@ -190,7 +197,7 @@ class TestLocalize:
 
     def test_above_horizon_pixel(self, ref_k, ref_pose):
         d = _detection_at_pixel(PixelPoint(322.8, 20.0))
-        out = localize(d, bottom_center_regressor(), ref_k, ref_pose)
+        out = _localize(d, bottom_center_regressor(), ref_k, ref_pose)
         assert isinstance(out, UnlocalizableDetection)
         assert out.reason == "point-not-on-ground"
         assert out.ground_pixel is not None
@@ -199,7 +206,7 @@ class TestLocalize:
         m = ref_pose.rotation.T @ np.linalg.inv(ref_k.matrix)
         u = ref_k.u0
         v_h = -(m[2, 0] * u + m[2, 2]) / m[2, 1]
-        out = localize(
+        out = _localize(
             _detection_at_pixel(PixelPoint(u, v_h)),
             bottom_center_regressor(),
             ref_k,
@@ -211,7 +218,7 @@ class TestLocalize:
     def test_undistort_failure_is_reported(self, ref_pose):
         # This lens model has no preimage for the probed pixel.
         k = CameraIntrinsics(1.0, 1.0, 0.0, 0.0, distortion=Distortion(k1=10.0))
-        out = localize(
+        out = _localize(
             _detection_at_pixel(PixelPoint(1.0, 0.0)),
             bottom_center_regressor(),
             k,
@@ -389,7 +396,7 @@ def test_output_does_not_depend_on_batch_size(lens_scene, convention):
     whole = lines(len(detections))
     assert lines(1) == whole
     assert lines(4) == whole
-    singles = [localize(d, regressor, k, pose, convention) for d in detections]
+    singles = [_localize(d, regressor, k, pose, convention) for d in detections]
     assert singles == localize_batch(detections, regressor, k, pose, convention)
     assert {json.loads(line)["status"] for line in whole} == {
         "ok",

@@ -1,4 +1,5 @@
-"""Property tests: the lens inverse and the ground map undo their forward maps.
+"""Property tests: the lens inverse, the ground map and the rotation
+parameterizations undo their forward maps.
 
 Skipped when hypothesis is not installed.
 """
@@ -9,15 +10,23 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
+import math  # noqa: E402
+
+import numpy as np  # noqa: E402
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from groundcam.geometry import (  # noqa: E402
     Distortion,
+    EulerAngles,
     WorldPoint,
+    axis_angle_from_rotation,
     distort_normalized,
+    euler_from_pose,
     ground_map,
+    pose_from_euler,
     project,
+    rotation_from_axis_angle,
     undistort_normalized,
 )
 from groundcam.reference import (  # noqa: E402
@@ -66,3 +75,56 @@ def test_ground_map_inverts_projection_of_ground_points(forward, across, lens):
     x, y = ground_map(k, pose).locate(px.u, px.v)
     assert abs(x - p.x) <= 1e-6
     assert abs(y - p.y) <= 1e-6
+
+
+def _wrapped(deg: float) -> float:
+    """deg folded into [-180, 180)."""
+    return (deg + 180.0) % 360.0 - 180.0
+
+
+# Angles in (-180, 180], the upper end included; phi kept 1 degree clear of
+# the gimbal lock at +-90.
+half_turn = st.one_of(st.just(180.0), st.floats(-180.0, 180.0, exclude_min=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    omega=half_turn,
+    phi=st.floats(-89.0, 89.0),
+    kappa=half_turn,
+    center=st.tuples(*[st.floats(-5000.0, 5000.0)] * 3),
+)
+def test_euler_from_pose_inverts_pose_from_euler(omega, phi, kappa, center):
+    pose = pose_from_euler(EulerAngles(omega, phi, kappa), WorldPoint(*center))
+    angles, c = euler_from_pose(pose)
+    for got, want in ((angles.omega, omega), (angles.phi, phi), (angles.kappa, kappa)):
+        assert -180.0 < got <= 180.0
+        assert abs(_wrapped(got - want)) <= 1e-9
+    assert np.max(np.abs(c.array - center)) <= 1e-9
+
+
+axes = st.tuples(*[st.floats(-1.0, 1.0)] * 3).map(np.array).filter(
+    lambda a: np.linalg.norm(a) > 0.1
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(axis=axes, angle=st.one_of(st.just(0.0), st.floats(0.0, 1e-6)))
+def test_axis_angle_round_trip_near_zero(axis, angle):
+    rvec = axis / np.linalg.norm(axis) * angle
+    back = axis_angle_from_rotation(rotation_from_axis_angle(rvec))
+    # rotation_from_axis_angle itself returns the identity below 1e-12 rad.
+    assert np.max(np.abs(back - rvec)) <= 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(axis=axes, gap=st.one_of(st.just(0.0), st.floats(0.0, 1e-4)))
+def test_axis_angle_round_trip_near_pi(axis, gap):
+    rvec = axis / np.linalg.norm(axis) * (math.pi - gap)
+    r = rotation_from_axis_angle(rvec)
+    back = axis_angle_from_rotation(r)
+    assert abs(np.linalg.norm(back) - (math.pi - gap)) <= 1e-12
+    assert np.max(np.abs(rotation_from_axis_angle(back) - r)) <= 1e-12
+    # At pi itself the axis sign is free; anywhere short of it, it is not.
+    if gap >= 1e-9:
+        assert np.max(np.abs(back - rvec)) <= 1e-12

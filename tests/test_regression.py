@@ -20,10 +20,8 @@ from groundcam.regression import (
     GroundRegressor,
     InsufficientSamples,
     RegressionSample,
-    UnknownClass,
     bottom_center_regressor,
     fit,
-    predict,
 )
 
 # ---------------------------------------------------------------------------
@@ -78,15 +76,17 @@ class TestFit:
         assert np.allclose(model.weights, true_w, atol=1e-9)
         assert model.rmse_px < 1e-9
         box = _random_box(rng)
-        got = predict(fit(samples), "robot", box)
+        u, v = fit(samples).classes["robot"].ground_pixel(box)
         want = true_w @ box.features
-        assert got.u == pytest.approx(want[0], abs=1e-9)
-        assert got.v == pytest.approx(want[1], abs=1e-9)
+        assert u == pytest.approx(want[0], abs=1e-9)
+        assert v == pytest.approx(want[1], abs=1e-9)
 
     def test_bottom_center_data_recovers_bottom_center_weights(self, rng):
         samples = [
             RegressionSample(
-                label="ball", bbox=box, ground_pixel=box.bottom_center
+                label="ball",
+                bbox=box,
+                ground_pixel=PixelPoint((box.xmin + box.xmax) / 2.0, box.ymax),
             )
             for box in (_random_box(rng) for _ in range(12))
         ]
@@ -112,15 +112,14 @@ class TestFit:
         samples = _samples_from_weights(
             BOTTOM_CENTER_WEIGHTS, "goal", 20, rng, noise_px=2.0
         )
-        regressor = fit(samples)
+        model = fit(samples).classes["goal"]
         a = BoundingBox(100.0, 100.0, 160.0, 200.0)
         b = BoundingBox(300.0, 150.0, 420.0, 320.0)
         mid = BoundingBox(200.0, 125.0, 290.0, 260.0)
-        pa = predict(regressor, "goal", a)
-        pb = predict(regressor, "goal", b)
-        pm = predict(regressor, "goal", mid)
-        assert pm.u == pytest.approx((pa.u + pb.u) / 2.0, abs=1e-9)
-        assert pm.v == pytest.approx((pa.v + pb.v) / 2.0, abs=1e-9)
+        (ua, va), (ub, vb) = model.ground_pixel(a), model.ground_pixel(b)
+        um, vm = model.ground_pixel(mid)
+        assert um == pytest.approx((ua + ub) / 2.0, abs=1e-9)
+        assert vm == pytest.approx((va + vb) / 2.0, abs=1e-9)
 
     def test_minimum_sample_count_enforced(self, rng):
         samples = _samples_from_weights(BOTTOM_CENTER_WEIGHTS, "ball", 4, rng)
@@ -147,8 +146,8 @@ class TestFit:
 class TestPredict:
     def test_bottom_center_fallback_hand_value(self):
         regressor = bottom_center_regressor()
-        got = predict(regressor, "ball", BoundingBox(100.0, 100.0, 140.0, 140.0))
-        assert (got.u, got.v) == (120.0, 140.0)
+        box = BoundingBox(100.0, 100.0, 140.0, 140.0)
+        assert regressor.classes["ball"].ground_pixel(box) == (120.0, 140.0)
 
     def test_fallback_covers_all_known_classes(self):
         regressor = bottom_center_regressor()
@@ -157,11 +156,6 @@ class TestPredict:
             assert np.array_equal(
                 regressor.classes[label].weights, BOTTOM_CENTER_WEIGHTS
             )
-
-    def test_uncovered_class_raises(self):
-        regressor = bottom_center_regressor(labels=("ball",))
-        with pytest.raises(UnknownClass):
-            predict(regressor, "robot", BoundingBox(0.0, 0.0, 10.0, 10.0))
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +177,8 @@ class TestBoundingBox:
     def test_feature_vector_and_bottom_center(self):
         box = BoundingBox(1.0, 2.0, 11.0, 22.0)
         assert np.array_equal(box.features, [1.0, 2.0, 11.0, 22.0, 1.0])
-        assert (box.bottom_center.u, box.bottom_center.v) == (6.0, 22.0)
+        bottom_center = bottom_center_regressor().classes["ball"].ground_pixel(box)
+        assert bottom_center == (6.0, 22.0)
 
 
 def test_sample_rejects_unknown_label():

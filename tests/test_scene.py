@@ -13,9 +13,9 @@ import math
 import numpy as np
 import pytest
 
-from groundcam.geometry import Distortion, PixelPoint, WorldPoint, project
+from groundcam.geometry import Distortion, PixelPoint, WorldPoint, ground_map, project
 from groundcam.extrinsics import FieldGeometry, field_landmarks
-from groundcam.pipeline import FrameConvention, bearing, frame_convert, localize_batch
+from groundcam.pipeline import FrameConvention, bearing, localize_batch
 from groundcam.scene import (
     _SCHEMA,
     DEFAULT_LANDMARKS,
@@ -96,17 +96,18 @@ class TestDefaultScene:
 
     def test_annotations_sit_on_box_bottom_centers(self, default_scene):
         for sample in default_scene.samples:
-            bc = sample.bbox.bottom_center
-            assert sample.ground_pixel.u == bc.u
-            assert sample.ground_pixel.v == bc.v
+            box = sample.bbox
+            assert sample.ground_pixel.u == (box.xmin + box.xmax) / 2.0
+            assert sample.ground_pixel.v == box.ymax
 
     def test_truth_frame_ids_and_angles(self, default_scene):
         config = default_scene.config
+        camera = ground_map(config.intrinsics, config.pose)
         assert [row[0] for row in default_scene.truth[:3]] == ["p000", "p001", "p002"]
         for (frame_id, x, y, theta), contact in zip(
             default_scene.truth, config.grid_points
         ):
-            ex, ey = frame_convert(contact, config.pose)
+            ex, ey = camera.camera_frame(contact.x, contact.y)
             assert x == pytest.approx(ex, abs=1e-12)
             assert y == pytest.approx(ey, abs=1e-12)
             assert theta == pytest.approx(bearing(ex, ey), abs=1e-12)
@@ -247,6 +248,21 @@ class TestConfigDict:
         doc = config_to_dict(_small_config(), seed=0)
         doc["grid"]["shape"] = "hex"
         with pytest.raises(ConfigInvalid):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            (None, "noise_px", None),
+            ("grid", "columns", "three"),
+            ("object", "radius_mm", [1]),
+        ],
+    )
+    def test_bad_value_names_its_key(self, section, key, value):
+        doc = config_to_dict(_small_config(), seed=0)
+        (doc if section is None else doc[section])[key] = value
+        where = key if section is None else f"{section}.{key}"
+        with pytest.raises(ConfigInvalid, match=f"bad configuration value {where}: "):
             config_from_dict(doc)
 
     def test_non_object_rejected(self):
