@@ -7,8 +7,6 @@ resulting positions against ground truth.
 
 from .evaluation import (
     EvalPair,
-    EvalReport,
-    ErrorStats,
     bucket_by_distance,
     build_report,
     compare_sources,
@@ -80,10 +78,8 @@ __all__ = [
     "CameraPose",
     "Detection",
     "Distortion",
-    "ErrorStats",
     "EulerAngles",
     "EvalPair",
-    "EvalReport",
     "FieldGeometry",
     "FieldLandmark",
     "FrameConvention",

@@ -1,20 +1,22 @@
 """Command-line front end.
 
-One binary, subcommand style. Machine-readable results (JSON, JSONL) go to
-stdout only; progress and warnings go to stderr. Exit codes: 0 on success,
-2 for invalid or degenerate input, 1 for unexpected internal failures.
+One binary, subcommand style. Each command builds its result document once:
+machine-readable results (JSON, JSONL) go to stdout, and with --out the same
+bytes to a file; progress and warnings go to stderr. Exit codes: 0 on
+success, 2 for invalid or degenerate input, 1 for unexpected internal
+failures.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import sys
 import traceback
 from pathlib import Path
 
 from . import files
-from .evaluation import EvalPair, build_report, compare_sources, report_to_dict
+from .evaluation import EvalPair, build_report, compare_sources
 from .extrinsics import correspondences_from_landmarks, reprojection_report, solve_pnp
 from .intrinsics import calibrate_intrinsics
 from .pipeline import FrameConvention, LocalizedObject, ingest_detections, localize_batch
@@ -25,12 +27,23 @@ DEFAULT_BUCKETS = "1000,2000,3000"
 DEFAULT_MIN_SCORE = 0.5
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text if text.endswith("\n") else text + "\n")
-
-
 def _note(text: str) -> None:
     sys.stderr.write(text if text.endswith("\n") else text + "\n")
+
+
+def _publish(text: str, out: str | None) -> None:
+    """Write a command's result to stdout and, with --out, the same text to
+    out; out is written first, so a failed write leaves stdout empty."""
+    if out:
+        Path(out).write_text(text)
+        _note(f"wrote {out}")
+    sys.stdout.write(text)
+
+
+def _finite(flag: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"{flag} must be a finite number, got {value}")
+    return value
 
 
 def _cmd_calibrate_intrinsics(args: argparse.Namespace) -> int:
@@ -40,13 +53,8 @@ def _cmd_calibrate_intrinsics(args: argparse.Namespace) -> int:
         views, fix_skew=not args.allow_skew, fix_k3=not args.fit_k3
     )
     _note(f"reprojection rmse: {solution.rmse_px:.6f} px")
-    payload = files.calibration_to_dict(solution.intrinsics, rmse_px=solution.rmse_px)
-    _emit(json.dumps(payload, indent=2, sort_keys=True))
-    if args.out:
-        files.save_calibration(
-            Path(args.out), solution.intrinsics, rmse_px=solution.rmse_px
-        )
-        _note(f"wrote {args.out}")
+    doc = files.calibration_to_dict(solution.intrinsics, rmse_px=solution.rmse_px)
+    _publish(files.dumps(doc), args.out)
     return 0
 
 
@@ -64,11 +72,7 @@ def _cmd_calibrate_extrinsics(args: argparse.Namespace) -> int:
         shown = report.names[index] or f"point {index}"
         _note(f"warning: {shown} looks mismarked (residual {report.norms[index]:.6f} px)")
     _note(f"reprojection rmse: {rmse_px:.6f} px")
-    payload = files.calibration_to_dict(k, pose, rmse_px=rmse_px)
-    _emit(json.dumps(payload, indent=2, sort_keys=True))
-    if args.out:
-        files.save_calibration(Path(args.out), k, pose, rmse_px=rmse_px)
-        _note(f"wrote {args.out}")
+    _publish(files.dumps(files.calibration_to_dict(k, pose, rmse_px=rmse_px)), args.out)
     return 0
 
 
@@ -78,31 +82,25 @@ def _cmd_fit_regressor(args: argparse.Namespace) -> int:
     regressor = fit(samples)
     for label in regressor.covered():
         _note(f"  {label}: rmse {regressor.classes[label].rmse_px:.6f} px")
-    _emit(json.dumps(files.model_to_dict(regressor), indent=2, sort_keys=True))
-    if args.out:
-        files.save_model(Path(args.out), regressor)
-        _note(f"wrote {args.out}")
+    _publish(files.dumps(files.model_to_dict(regressor)), args.out)
     return 0
 
 
 def _cmd_localize(args: argparse.Namespace) -> int:
+    min_score = _finite("--min-score", args.min_score)
     k, pose = files.load_calibration(args.calibration)
     if pose is None:
         raise ValueError(
             f"{args.calibration} has no pose; run calibrate-extrinsics first"
         )
     regressor = files.load_model(args.model)
-    with open(args.detections) as f:
-        ingest = ingest_detections(f, min_score=args.min_score)
+    with open(args.detections) as f, files._malformed(args.detections):
+        ingest = ingest_detections(f, min_score=min_score)
     for diagnostic in ingest.diagnostics:
         _note(f"{args.detections}: {diagnostic}")
     convention = FrameConvention(args.frame)
     results = localize_batch(list(ingest.detections), regressor, k, pose, convention)
-    text = "".join([files.localization_line(r) + "\n" for r in results])
-    sys.stdout.write(text)
-    if args.out:
-        Path(args.out).write_text(text)
-        _note(f"wrote {args.out}")
+    _publish("".join([files.localization_line(r) + "\n" for r in results]), args.out)
     ok = sum(isinstance(r, LocalizedObject) for r in results)
     _note(f"localized {ok} of {len(results)} detections")
     return 0
@@ -111,7 +109,7 @@ def _cmd_localize(args: argparse.Namespace) -> int:
 def _parse_buckets(text: str) -> list[float]:
     if not text.strip():
         return []
-    return [float(part) for part in text.split(",")]
+    return [_finite("--buckets", float(part)) for part in text.split(",")]
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
@@ -124,19 +122,20 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         by_source.setdefault(p.source, []).append(p)
     main = by_source.get("ours") or pairs
     report = build_report(main, boundaries)
-    payload = report_to_dict(report)
     if "ours" in by_source and "reference" in by_source:
-        payload["comparison"] = compare_sources(
+        report["comparison"] = compare_sources(
             by_source["ours"], by_source["reference"]
         )
     _note(files.render_report_text(report))
-    _emit(json.dumps(payload, indent=2, sort_keys=True))
+    text = files.dumps(report)
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        files.save_report(report, out_dir / "report.json", out_dir / "report.csv")
+        (out_dir / "report.json").write_text(text)
+        files.save_report(out_dir / "report.csv", report)
         files.save_scatter_csv(out_dir / "scatter.csv", main)
         _note(f"wrote report.json, report.csv, scatter.csv under {out_dir}")
+    sys.stdout.write(text)
     return 0
 
 
@@ -151,12 +150,12 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         f"scene: {len(scene.views)} views, {len(scene.landmark_pixels)} landmarks, "
         f"{len(scene.detections)} detections"
     )
-    payload = {
+    doc = {
         "out_dir": str(out_dir),
         "seed": args.seed,
         "files": {name: str(path) for name, path in sorted(scene.paths.items())},
     }
-    _emit(json.dumps(payload, indent=2, sort_keys=True))
+    sys.stdout.write(files.dumps(doc))
     return 0
 
 

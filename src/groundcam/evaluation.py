@@ -55,36 +55,8 @@ class EvalPair:
         return math.hypot(self.gt_x, self.gt_y)
 
 
-@dataclass(frozen=True, slots=True)
-class AxisStats:
-    mean: float
-    std: float
-
-
-@dataclass(frozen=True, slots=True)
-class ErrorStats:
-    """Signed error statistics: mean and population std per axis and angle."""
-
-    x: AxisStats
-    y: AxisStats
-    theta: AxisStats
-
-
-@dataclass(frozen=True, slots=True)
-class BucketReport:
-    lo: float
-    hi: float | None
-    count: int
-    rmse_mm: float | None
-
-
-@dataclass(frozen=True, slots=True)
-class EvalReport:
-    rmse_mm: float
-    count: int
-    stats: ErrorStats
-    boundaries_mm: tuple[float, ...]
-    buckets: tuple[BucketReport, ...]
+# The keys of error_stats' blocks, each named <axis>_<unit>.
+ERROR_BLOCKS = ("x_mm", "y_mm", "theta_deg")
 
 
 def rmse(pairs: list[EvalPair]) -> float:
@@ -104,18 +76,24 @@ def _wrap_deg(a: float) -> float:
     return wrapped - 180.0
 
 
-def error_stats(pairs: list[EvalPair]) -> ErrorStats:
-    """Signed est-minus-truth statistics; angle errors wrapped to (-180, 180]."""
+def error_stats(pairs: list[EvalPair]) -> dict:
+    """Signed est-minus-truth mean and population std: the x_mm, y_mm and
+    theta_deg blocks of a report; angle errors wrapped to (-180, 180]."""
     if not pairs:
         raise EmptyInput("error stats over zero pairs")
     ex = np.array([p.est_x - p.gt_x for p in pairs])
     ey = np.array([p.est_y - p.gt_y for p in pairs])
     et = np.array([_wrap_deg(p.est_theta - p.gt_theta) for p in pairs])
 
-    def axis(e: np.ndarray) -> AxisStats:
-        return AxisStats(mean=float(e.mean()), std=float(e.std()))
+    return {
+        block: {"mean": float(e.mean()), "std": float(e.std())}
+        for block, e in zip(ERROR_BLOCKS, (ex, ey, et))
+    }
 
-    return ErrorStats(x=axis(ex), y=axis(ey), theta=axis(et))
+
+def _summary(pairs: list[EvalPair]) -> dict:
+    """The headline block shared by a report and each compared source."""
+    return {"rmse_mm": rmse(pairs), "count": len(pairs), **error_stats(pairs)}
 
 
 def bucket_by_distance(
@@ -140,33 +118,26 @@ def bucket_by_distance(
     return buckets
 
 
-def build_report(
-    pairs: list[EvalPair], boundaries: list[float]
-) -> EvalReport:
-    """Overall RMSE and error statistics plus per-distance-band RMSE."""
+def build_report(pairs: list[EvalPair], boundaries: list[float]) -> dict:
+    """The report document: overall RMSE and error statistics plus the RMSE
+    of each distance band (None for an empty band)."""
     if not pairs:
         raise EmptyInput("report over zero pairs")
     split = bucket_by_distance(pairs, boundaries)
-    bounds = tuple(float(b) for b in boundaries)
-    edges_lo = (0.0,) + bounds
-    edges_hi = bounds + (None,)
-    buckets = []
-    for lo, hi, members in zip(edges_lo, edges_hi, split):
-        buckets.append(
-            BucketReport(
-                lo=lo,
-                hi=hi,
-                count=len(members),
-                rmse_mm=rmse(members) if members else None,
-            )
-        )
-    return EvalReport(
-        rmse_mm=rmse(pairs),
-        count=len(pairs),
-        stats=error_stats(pairs),
-        boundaries_mm=bounds,
-        buckets=tuple(buckets),
-    )
+    bounds = [float(b) for b in boundaries]
+    return {
+        **_summary(pairs),
+        "bucket_boundaries_mm": bounds,
+        "buckets": [
+            {
+                "lo_mm": lo,
+                "hi_mm": hi,
+                "count": len(members),
+                "rmse_mm": rmse(members) if members else None,
+            }
+            for lo, hi, members in zip([0.0] + bounds, bounds + [None], split)
+        ],
+    }
 
 
 def compare_sources(
@@ -196,35 +167,4 @@ def compare_sources(
                 f"({b.gt_x}, {b.gt_y}, {b.gt_theta})"
             )
 
-    def summary(pairs: list[EvalPair]) -> dict:
-        return _summary_to_dict(rmse(pairs), len(pairs), error_stats(pairs))
-
-    return {"ours": summary(ours), "reference": summary(reference)}
-
-
-def _summary_to_dict(rmse_mm: float, count: int, stats: ErrorStats) -> dict:
-    """The headline block shared by a report and each compared source."""
-    return {
-        "rmse_mm": rmse_mm,
-        "count": count,
-        "x_mm": {"mean": stats.x.mean, "std": stats.x.std},
-        "y_mm": {"mean": stats.y.mean, "std": stats.y.std},
-        "theta_deg": {"mean": stats.theta.mean, "std": stats.theta.std},
-    }
-
-
-def report_to_dict(report: EvalReport) -> dict:
-    """JSON-shaped view of a report."""
-    return {
-        **_summary_to_dict(report.rmse_mm, report.count, report.stats),
-        "bucket_boundaries_mm": list(report.boundaries_mm),
-        "buckets": [
-            {
-                "lo_mm": b.lo,
-                "hi_mm": b.hi,
-                "count": b.count,
-                "rmse_mm": b.rmse_mm,
-            }
-            for b in report.buckets
-        ],
-    }
+    return {"ours": _summary(ours), "reference": _summary(reference)}

@@ -1,7 +1,8 @@
 """On-disk formats shared by the command-line tools.
 
-JSON documents are written with sorted keys and two-space indentation so a
-regenerated file is byte-identical when its contents are. The calibration
+JSON documents are serialized by dumps alone, with sorted keys and two-space
+indentation, so a regenerated file is byte-identical when its contents are
+and a command's stdout and its --out file are the same bytes. The calibration
 document stores the rotation matrix and translation as the authoritative
 pose; the Euler angles and camera center are derived conveniences written
 alongside for operators.
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .evaluation import EvalPair, EvalReport, report_to_dict
+from .evaluation import ERROR_BLOCKS, EvalPair
 from .extrinsics import FieldGeometry, PnpCorrespondence
 from .geometry import (
     CameraIntrinsics,
@@ -38,8 +39,13 @@ from .regression import (
 )
 
 
-def _dump_json(obj: dict, path: Path) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+def dumps(doc: dict) -> str:
+    """The text of a JSON document: sorted keys, two-space indent, final newline."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def write_json(path: Path, doc: dict) -> None:
+    Path(path).write_text(dumps(doc))
 
 
 @contextmanager
@@ -54,11 +60,10 @@ def _malformed(where: str):
 
 
 def _load_json(path: Path, parse):
-    """parse applied to the JSON document at path; a document of the wrong
-    shape raises ValueError naming the file."""
-    text = Path(path).read_text()
+    """parse applied to the JSON document at path; a file that is not UTF-8
+    JSON, or a document of the wrong shape, raises ValueError naming the file."""
     with _malformed(str(path)):
-        return parse(json.loads(text))
+        return parse(json.loads(Path(path).read_text()))
 
 
 def intrinsics_to_dict(k: CameraIntrinsics) -> dict:
@@ -108,15 +113,6 @@ def calibration_to_dict(
     return obj
 
 
-def save_calibration(
-    path: Path,
-    k: CameraIntrinsics,
-    pose: CameraPose | None = None,
-    rmse_px: float | None = None,
-) -> None:
-    _dump_json(calibration_to_dict(k, pose, rmse_px), Path(path))
-
-
 def calibration_from_dict(obj: dict) -> tuple[CameraIntrinsics, CameraPose | None]:
     """Inverse of calibration_to_dict; the pose is None when obj has none."""
     k = intrinsics_from_dict(obj["intrinsics"])
@@ -151,7 +147,7 @@ def save_planar_views(
             for v in views
         ],
     }
-    _dump_json(obj, Path(path))
+    write_json(path, obj)
 
 
 def load_planar_views(path: Path) -> tuple[list[PlanarView], float]:
@@ -201,7 +197,7 @@ def save_landmarks(
             for c in (extra or [])
         ],
     }
-    _dump_json(obj, Path(path))
+    write_json(path, obj)
 
 
 def load_landmarks(
@@ -234,10 +230,6 @@ def model_to_dict(regressor: GroundRegressor) -> dict:
             for label, model in regressor.classes.items()
         }
     }
-
-
-def save_model(path: Path, regressor: GroundRegressor) -> None:
-    _dump_json(model_to_dict(regressor), Path(path))
 
 
 def model_from_dict(obj: dict) -> GroundRegressor:
@@ -276,8 +268,10 @@ def load_samples(path: Path) -> list[RegressionSample]:
 
     A malformed line raises ValueError naming the file and the line number.
     """
+    with _malformed(str(path)):
+        lines = Path(path).read_text().splitlines()
     samples = []
-    for number, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for number, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         with _malformed(f"{path} line {number}"):
@@ -337,14 +331,6 @@ def localization_line(result: LocalizedObject | UnlocalizableDetection) -> str:
     )
 
 
-def load_localizations(path: Path) -> list[dict]:
-    return [
-        json.loads(line)
-        for line in Path(path).read_text().splitlines()
-        if line.strip()
-    ]
-
-
 PAIRS_HEADER = ["gt_x", "gt_y", "gt_theta", "est_x", "est_y", "est_theta", "source"]
 
 
@@ -360,21 +346,23 @@ def save_pairs_csv(path: Path, pairs: list[EvalPair]) -> None:
 
 def _csv_rows(path: Path, header: list[str]):
     """Yield (line number, row dict) for each data row of a CSV file whose
-    first line is header; any missing field or header mismatch raises
-    ValueError naming the file and the line."""
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        names = reader.fieldnames
-        if names is None or [name.strip() for name in names] != header:
+    first line is header. A missing field or a header mismatch raises
+    ValueError naming the file and the line; a file that is not UTF-8 text
+    raises one naming the file."""
+    with _malformed(str(path)), open(path, newline="") as f:
+        text = f.read()
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    names = reader.fieldnames
+    if names is None or [name.strip() for name in names] != header:
+        raise ValueError(
+            f"{path} line 1: expected header {','.join(header)}, got {names}"
+        )
+    for row in reader:
+        if None in row.values():
             raise ValueError(
-                f"{path} line 1: expected header {','.join(header)}, got {names}"
+                f"{path} line {reader.line_num}: expected {len(header)} fields"
             )
-        for row in reader:
-            if None in row.values():
-                raise ValueError(
-                    f"{path} line {reader.line_num}: expected {len(header)} fields"
-                )
-            yield reader.line_num, row
+        yield reader.line_num, row
 
 
 def load_pairs_csv(path: Path) -> list[EvalPair]:
@@ -422,24 +410,22 @@ def load_truth_csv(path: Path) -> dict[str, tuple[float, float, float]]:
     return truth
 
 
-def save_report(report: EvalReport, json_path: Path, csv_path: Path | None = None) -> None:
-    _dump_json(report_to_dict(report), Path(json_path))
-    if csv_path is not None:
-        with open(csv_path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["metric", "value"])
-            writer.writerow(["rmse_mm", report.rmse_mm])
-            writer.writerow(["count", report.count])
-            writer.writerow(["x_mean_mm", report.stats.x.mean])
-            writer.writerow(["x_std_mm", report.stats.x.std])
-            writer.writerow(["y_mean_mm", report.stats.y.mean])
-            writer.writerow(["y_std_mm", report.stats.y.std])
-            writer.writerow(["theta_mean_deg", report.stats.theta.mean])
-            writer.writerow(["theta_std_deg", report.stats.theta.std])
-            for b in report.buckets:
-                hi = "inf" if b.hi is None else b.hi
-                writer.writerow([f"rmse_mm[{b.lo},{hi})", b.rmse_mm])
-                writer.writerow([f"count[{b.lo},{hi})", b.count])
+def save_report(path: Path, report: dict) -> None:
+    """The headline numbers of a build_report document as a metric,value table."""
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(["metric", "value"])
+        writer.writerow(["rmse_mm", report["rmse_mm"]])
+        writer.writerow(["count", report["count"]])
+        for block in ERROR_BLOCKS:
+            axis, unit = block.split("_")
+            writer.writerow([f"{axis}_mean_{unit}", report[block]["mean"]])
+            writer.writerow([f"{axis}_std_{unit}", report[block]["std"]])
+        for b in report["buckets"]:
+            lo, hi = b["lo_mm"], b["hi_mm"]
+            band = f"[{lo},{'inf' if hi is None else hi})"
+            writer.writerow([f"rmse_mm{band}", b["rmse_mm"]])
+            writer.writerow([f"count{band}", b["count"]])
 
 
 def save_scatter_csv(path: Path, pairs: list[EvalPair]) -> None:
@@ -453,19 +439,21 @@ def save_scatter_csv(path: Path, pairs: list[EvalPair]) -> None:
             writer.writerow([p.est_x, p.est_y, p.source])
 
 
-def render_report_text(report: EvalReport) -> str:
-    """Fixed-decimal human summary used by the evaluation command's stderr."""
+def render_report_text(report: dict) -> str:
+    """Fixed-decimal human summary of a build_report document, used by the
+    evaluation command's stderr."""
     out = io.StringIO()
-    out.write(f"pairs: {report.count}\n")
-    out.write(f"rmse: {report.rmse_mm:.6f} mm\n")
-    s = report.stats
-    out.write(f"x error: {s.x.mean:.6f} +- {s.x.std:.6f} mm\n")
-    out.write(f"y error: {s.y.mean:.6f} +- {s.y.std:.6f} mm\n")
-    out.write(f"theta error: {s.theta.mean:.6f} +- {s.theta.std:.6f} deg\n")
-    for b in report.buckets:
-        hi = "inf" if b.hi is None else f"{b.hi:.0f}"
-        rmse_text = "n/a" if b.rmse_mm is None else f"{b.rmse_mm:.6f}"
+    out.write(f"pairs: {report['count']}\n")
+    out.write(f"rmse: {report['rmse_mm']:.6f} mm\n")
+    for block in ERROR_BLOCKS:
+        axis, unit = block.split("_")
+        stats = report[block]
+        out.write(f"{axis} error: {stats['mean']:.6f} +- {stats['std']:.6f} {unit}\n")
+    for b in report["buckets"]:
+        hi = "inf" if b["hi_mm"] is None else f"{b['hi_mm']:.0f}"
+        rmse_text = "n/a" if b["rmse_mm"] is None else f"{b['rmse_mm']:.6f}"
         out.write(
-            f"bucket [{b.lo:.0f}, {hi}) mm: count {b.count}, rmse {rmse_text} mm\n"
+            f"bucket [{b['lo_mm']:.0f}, {hi}) mm: count {b['count']}, "
+            f"rmse {rmse_text} mm\n"
         )
     return out.getvalue()

@@ -444,12 +444,14 @@ def generate_scene(
         "detections": out_dir / "detections.jsonl",
         "truth": out_dir / "truth.csv",
     }
-    files._dump_json(config_to_dict(config, seed), paths["config"])
-    files.save_calibration(paths["calibration"], config.intrinsics, config.pose)
+    files.write_json(paths["config"], config_to_dict(config, seed))
+    files.write_json(
+        paths["calibration"], files.calibration_to_dict(config.intrinsics, config.pose)
+    )
     files.save_planar_views(paths["views"], views, config.square_size_mm)
     files.save_landmarks(paths["landmarks"], config.geometry, landmark_pixels)
     files.save_samples(paths["samples"], samples)
-    files.save_model(paths["model"], regressor)
+    files.write_json(paths["model"], files.model_to_dict(regressor))
     with open(paths["detections"], "w") as f:
         for d in detections:
             f.write(files.detection_line(d.frame_id, d.label, d.score, d.bbox) + "\n")

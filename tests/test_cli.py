@@ -308,7 +308,7 @@ class TestLocalize:
 
     def test_intrinsics_only_calibration_rejected(self, capsys, cli_scene, tmp_path):
         intrinsics_only = tmp_path / "intrinsics.json"
-        files.save_calibration(intrinsics_only, reference_intrinsics())
+        files.write_json(intrinsics_only, files.calibration_to_dict(reference_intrinsics()))
         code, _, err = _run(
             capsys,
             "localize",
@@ -360,6 +360,19 @@ class TestEvaluate:
         assert "rmse: 14.365632 mm" in err
         for name in ("report.json", "report.csv", "scatter.csv"):
             assert (out_dir / name).is_file()
+
+    def test_report_json_is_the_printed_document(self, capsys, tmp_path):
+        out_dir = tmp_path / "report"
+        code, out, _ = _run(
+            capsys,
+            "evaluate",
+            FIXTURES_DIR / "reference_eval_pairs.csv",
+            "--out",
+            out_dir,
+        )
+        assert code == 0
+        assert (out_dir / "report.json").read_bytes() == out.encode()
+        assert "comparison" in json.loads(out)
 
     def test_bucket_flag(self, capsys, tmp_path):
         src = FIXTURES_DIR / "reference_eval_pairs.csv"
@@ -490,11 +503,20 @@ class TestSynth:
 # Malformed JSON documents
 # ---------------------------------------------------------------------------
 
+# Each command's input files, in argument order, by scene path name.
 _INPUTS = {
     "calibrate-intrinsics": ("views",),
     "calibrate-extrinsics": ("landmarks", "calibration"),
+    "fit-regressor": ("samples",),
     "localize": ("detections", "calibration", "model"),
+    "evaluate": ("pairs",),
+    "synth": ("config",),
 }
+
+
+def _inputs(scene, command):
+    paths = {**scene.paths, "pairs": FIXTURES_DIR / "reference_eval_pairs.csv"}
+    return [paths[name] for name in _INPUTS[command]]
 
 
 @pytest.mark.parametrize(
@@ -528,6 +550,70 @@ def test_malformed_json_document_exits_2_naming_the_file(
     assert out == ""
     assert "Traceback" not in err
     assert f"error: {bad}" in err
+
+
+@pytest.mark.parametrize("command", list(_INPUTS))
+def test_non_utf8_input_exits_2_naming_the_file(capsys, cli_scene, tmp_path, command):
+    # The bad file is each command's first input; the rest are good.
+    bad = tmp_path / "input"
+    bad.write_bytes(b"\xff\xfe{}\n")
+    argv = [bad, *_inputs(cli_scene, command)[1:], "--out", tmp_path / "out"]
+    code, out, err = _run(capsys, command, *argv)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert f"error: {bad}" in err
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("evaluate", "--buckets", "nan"),
+        ("evaluate", "--buckets", "1000,inf"),
+        ("localize", "--min-score", "nan"),
+        ("localize", "--min-score", "inf"),
+        ("localize", "--min-score", "-inf"),
+    ],
+)
+def test_non_finite_flag_exits_2_naming_the_flag(
+    capsys, cli_scene, command, flag, value
+):
+    code, out, err = _run(capsys, command, *_inputs(cli_scene, command), f"{flag}={value}")
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert f"error: {flag}" in err
+
+
+# ---------------------------------------------------------------------------
+# --out gets the bytes that stdout gets
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "command", ["calibrate-intrinsics", "calibrate-extrinsics", "fit-regressor"]
+)
+def test_out_file_equals_stdout(capsys, cli_scene, tmp_path, command):
+    out_path = tmp_path / "out.json"
+    code, out, err = _run(
+        capsys, command, *_inputs(cli_scene, command), "--out", out_path
+    )
+    assert code == 0
+    assert out_path.read_bytes() == out.encode()
+    assert f"wrote {out_path}" in err
+
+
+@pytest.mark.parametrize("command", ["calibrate-intrinsics", "localize", "evaluate"])
+def test_failed_out_write_leaves_stdout_empty(capsys, cli_scene, tmp_path, command):
+    # A file where --out needs a directory makes the write fail.
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    code, out, err = _run(
+        capsys, command, *_inputs(cli_scene, command), "--out", blocker / "out"
+    )
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from groundcam.evaluation import (
     build_report,
     compare_sources,
     error_stats,
-    report_to_dict,
     rmse,
 )
 
@@ -124,39 +123,38 @@ class TestRmse:
 class TestErrorStats:
     def test_frozen_means(self):
         stats = error_stats(_pairs(OURS_ROWS))
-        assert stats.x.mean == pytest.approx(-3.29, abs=1e-9)
-        assert stats.y.mean == pytest.approx(11.6525, abs=1e-9)
-        assert stats.theta.mean == pytest.approx(-0.175, abs=1e-9)
+        assert stats["x_mm"]["mean"] == pytest.approx(-3.29, abs=1e-9)
+        assert stats["y_mm"]["mean"] == pytest.approx(11.6525, abs=1e-9)
+        assert stats["theta_deg"]["mean"] == pytest.approx(-0.175, abs=1e-9)
 
     def test_population_std_matches_numpy(self):
         stats = error_stats(_pairs(OURS_ROWS))
         ex = np.array([r[3] - r[0] for r in OURS_ROWS])
-        assert stats.x.std == pytest.approx(float(ex.std()), abs=1e-12)
+        assert stats["x_mm"]["std"] == pytest.approx(float(ex.std()), abs=1e-12)
 
     def test_reconstructed_reference_stats(self):
         # Two rows sit one std below the mean and two above, so the sample
         # reproduces the published mean and population std exactly.
         stats = error_stats(_pairs(REFERENCE_ROWS, source="reference"))
-        assert stats.x.mean == pytest.approx(15.31, abs=1e-9)
-        assert stats.x.std == pytest.approx(11.04, abs=1e-9)
-        assert stats.y.mean == pytest.approx(-11.03, abs=1e-9)
-        assert stats.y.std == pytest.approx(7.00, abs=1e-9)
-        assert stats.theta.mean == pytest.approx(0.72, abs=1e-9)
-        assert stats.theta.std == pytest.approx(1.12, abs=1e-9)
+        assert stats["x_mm"]["mean"] == pytest.approx(15.31, abs=1e-9)
+        assert stats["x_mm"]["std"] == pytest.approx(11.04, abs=1e-9)
+        assert stats["y_mm"]["mean"] == pytest.approx(-11.03, abs=1e-9)
+        assert stats["y_mm"]["std"] == pytest.approx(7.00, abs=1e-9)
+        assert stats["theta_deg"]["mean"] == pytest.approx(0.72, abs=1e-9)
+        assert stats["theta_deg"]["std"] == pytest.approx(1.12, abs=1e-9)
 
     def test_heading_errors_wrap(self):
         pairs = [EvalPair(0.0, 0.0, 179.0, 0.0, 0.0, -179.0)]
         stats = error_stats(pairs)
-        assert stats.theta.mean == pytest.approx(2.0, abs=1e-12)
+        assert stats["theta_deg"]["mean"] == pytest.approx(2.0, abs=1e-12)
         pairs = [EvalPair(0.0, 0.0, -179.0, 0.0, 0.0, 179.0)]
-        assert error_stats(pairs).theta.mean == pytest.approx(-2.0, abs=1e-12)
+        assert error_stats(pairs)["theta_deg"]["mean"] == pytest.approx(-2.0, abs=1e-12)
 
     def test_perfect_estimates_have_zero_stats(self):
         pairs = [EvalPair(5.0, 6.0, 7.0, 5.0, 6.0, 7.0)] * 3
-        stats = error_stats(pairs)
-        for axis in (stats.x, stats.y, stats.theta):
-            assert axis.mean == 0.0
-            assert axis.std == 0.0
+        assert error_stats(pairs) == {
+            block: {"mean": 0.0, "std": 0.0} for block in ("x_mm", "y_mm", "theta_deg")
+        }
 
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
@@ -210,29 +208,30 @@ class TestBuildReport:
     def test_band_edges_and_empty_band(self):
         pairs = [_pair_at_distance(d) for d in (800.0, 2500.0)]
         report = build_report(pairs, [1000.0, 2000.0])
-        assert report.count == 2
-        assert report.boundaries_mm == (1000.0, 2000.0)
-        assert [(b.lo, b.hi) for b in report.buckets] == [
+        assert report["count"] == 2
+        assert report["bucket_boundaries_mm"] == [1000.0, 2000.0]
+        assert [(b["lo_mm"], b["hi_mm"]) for b in report["buckets"]] == [
             (0.0, 1000.0),
             (1000.0, 2000.0),
             (2000.0, None),
         ]
-        assert report.buckets[1].count == 0
-        assert report.buckets[1].rmse_mm is None
+        assert report["buckets"][1]["count"] == 0
+        assert report["buckets"][1]["rmse_mm"] is None
 
     def test_band_rmse_recombines_to_overall(self, rng):
         pairs = _rng_pairs(rng, 30)
         report = build_report(pairs, [1000.0, 2000.0])
         total_sq = sum(
-            (b.rmse_mm**2) * b.count for b in report.buckets if b.count
+            (b["rmse_mm"] ** 2) * b["count"] for b in report["buckets"] if b["count"]
         )
-        assert math.sqrt(total_sq / report.count) == pytest.approx(
-            report.rmse_mm, abs=1e-9
+        assert math.sqrt(total_sq / report["count"]) == pytest.approx(
+            report["rmse_mm"], abs=1e-9
         )
 
     def test_dict_form_is_json_ready(self):
         report = build_report(_pairs(OURS_ROWS), [700.0])
-        doc = json.loads(json.dumps(report_to_dict(report)))
+        doc = json.loads(json.dumps(report))
+        assert doc == report
         assert doc["rmse_mm"] == pytest.approx(FROZEN_RMSE_MM, abs=1e-9)
         assert doc["count"] == 4
         assert doc["x_mm"]["mean"] == pytest.approx(-3.29, abs=1e-9)

@@ -48,7 +48,7 @@ class TestCalibrationFile:
             distortion=Distortion(k1=-0.1, k2=0.02, k3=1e-4, p1=2e-4, p2=-1e-4),
         )
         path = tmp_path / "calibration.json"
-        files.save_calibration(path, k, ref_pose, rmse_px=0.42)
+        files.write_json(path, files.calibration_to_dict(k, ref_pose, rmse_px=0.42))
         loaded_k, loaded_pose = files.load_calibration(path)
         assert loaded_k == k
         assert np.array_equal(loaded_pose.rotation, ref_pose.rotation)
@@ -60,7 +60,7 @@ class TestCalibrationFile:
 
     def test_intrinsics_only_file(self, tmp_path, ref_k):
         path = tmp_path / "intrinsics.json"
-        files.save_calibration(path, ref_k)
+        files.write_json(path, files.calibration_to_dict(ref_k))
         loaded_k, loaded_pose = files.load_calibration(path)
         assert loaded_k == ref_k
         assert loaded_pose is None
@@ -69,9 +69,12 @@ class TestCalibrationFile:
     def test_json_is_stable(self, tmp_path, ref_k):
         # Sorted keys and a trailing newline keep the bytes diffable.
         path = tmp_path / "calibration.json"
-        files.save_calibration(path, ref_k)
+        doc = files.calibration_to_dict(ref_k)
+        files.write_json(path, doc)
         text = path.read_text()
-        assert text.endswith("\n")
+        assert text == files.dumps(doc)
+        assert text.endswith("}\n")
+        assert '\n  "intrinsics": {\n    "alpha_x": ' in text
         doc = json.loads(text)
         assert list(doc["intrinsics"]) == sorted(doc["intrinsics"])
 
@@ -131,7 +134,7 @@ class TestModelFile:
     def test_round_trip(self, tmp_path):
         regressor = bottom_center_regressor()
         path = tmp_path / "model.json"
-        files.save_model(path, regressor)
+        files.write_json(path, files.model_to_dict(regressor))
         loaded = files.load_model(path)
         assert loaded.covered() == regressor.covered()
         for label in regressor.covered():
@@ -256,27 +259,6 @@ class TestLineFormats:
         for result, obj in zip(results, expected):
             assert files.localization_line(result) == json.dumps(obj, sort_keys=True)
 
-    def test_load_localizations_round_trip(self, tmp_path):
-        lines = [
-            files.localization_line(
-                LocalizedObject(
-                    frame_id="a",
-                    label="ball",
-                    x_mm=1.0,
-                    y_mm=2.0,
-                    theta_deg=3.0,
-                    ground_pixel=PixelPoint(4.0, 5.0),
-                )
-            ),
-            files.localization_line(
-                UnlocalizableDetection(frame_id="b", label="goal", reason="unknown-class")
-            ),
-        ]
-        path = tmp_path / "out.jsonl"
-        path.write_text("\n".join(lines) + "\n")
-        loaded = files.load_localizations(path)
-        assert [d["frame"] for d in loaded] == ["a", "b"]
-
 
 # ---------------------------------------------------------------------------
 # CSV formats
@@ -353,15 +335,17 @@ class TestReportFiles:
         _, report = _four_pair_report()
         json_path = tmp_path / "report.json"
         csv_path = tmp_path / "report.csv"
-        files.save_report(report, json_path, csv_path)
-        doc = json.loads(json_path.read_text())
-        assert doc["rmse_mm"] == pytest.approx(report.rmse_mm, abs=1e-12)
+        files.write_json(json_path, report)
+        files.save_report(csv_path, report)
+        assert json.loads(json_path.read_text()) == report
         with open(csv_path, newline="") as f:
             reader = csv.reader(f)
             next(reader)
             rows = dict(reader)
-        assert float(rows["rmse_mm"]) == pytest.approx(report.rmse_mm, abs=1e-9)
+        assert float(rows["rmse_mm"]) == pytest.approx(report["rmse_mm"], abs=1e-9)
         assert int(rows["count"]) == 4
+        assert float(rows["x_mean_mm"]) == report["x_mm"]["mean"]
+        assert float(rows["theta_std_deg"]) == report["theta_deg"]["std"]
         assert "rmse_mm[0.0,700.0)" in rows
         assert "count[700.0,inf)" in rows
 
@@ -382,6 +366,7 @@ class TestReportFiles:
         assert "pairs: 4" in text
         assert "rmse: 14.365632 mm" in text
         assert "x error: -3.290000" in text
+        assert "theta error: -0.175000 +- " in text
         assert "bucket [0, 700) mm:" in text
         assert "bucket [700, inf) mm:" in text
 
@@ -406,10 +391,10 @@ class TestFixtures:
         assert len(ours) == 4 and len(reference) == 4
         assert rmse(ours) == pytest.approx(14.37, abs=0.05)
         stats = error_stats(reference)
-        assert stats.x.mean == pytest.approx(15.31, abs=1e-9)
-        assert stats.x.std == pytest.approx(11.04, abs=1e-9)
-        assert stats.y.mean == pytest.approx(-11.03, abs=1e-9)
-        assert stats.theta.std == pytest.approx(1.12, abs=1e-9)
+        assert stats["x_mm"]["mean"] == pytest.approx(15.31, abs=1e-9)
+        assert stats["x_mm"]["std"] == pytest.approx(11.04, abs=1e-9)
+        assert stats["y_mm"]["mean"] == pytest.approx(-11.03, abs=1e-9)
+        assert stats["theta_deg"]["std"] == pytest.approx(1.12, abs=1e-9)
 
     def test_default_model_file(self):
         loaded = files.load_model(FIXTURES_DIR / "default_model.json")
