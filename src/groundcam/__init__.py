@@ -15,7 +15,6 @@ from .evaluation import (
 )
 from .extrinsics import (
     FieldGeometry,
-    FieldLandmark,
     PnpCorrespondence,
     field_landmarks,
     reprojection_report,
@@ -45,7 +44,6 @@ from .intrinsics import (
 )
 from .optim import (
     LeastSquaresProblem,
-    LmOptions,
     LmResult,
     levenberg_marquardt,
     linear_least_squares,
@@ -81,11 +79,9 @@ __all__ = [
     "EulerAngles",
     "EvalPair",
     "FieldGeometry",
-    "FieldLandmark",
     "FrameConvention",
     "GroundRegressor",
     "LeastSquaresProblem",
-    "LmOptions",
     "LmResult",
     "LocalizedObject",
     "PixelPoint",

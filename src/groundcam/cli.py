@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import files
 from .evaluation import EvalPair, build_report, compare_sources
-from .extrinsics import correspondences_from_landmarks, reprojection_report, solve_pnp
+from .extrinsics import correspondences_from_landmarks, solve_pnp
 from .intrinsics import calibrate_intrinsics
 from .pipeline import FrameConvention, LocalizedObject, ingest_detections, localize_batch
 from .regression import fit
@@ -63,16 +63,16 @@ def _cmd_calibrate_extrinsics(args: argparse.Namespace) -> int:
     k, _ = files.load_calibration(args.intrinsics)
     correspondences = correspondences_from_landmarks(geometry, named, extra)
     _note(f"{len(correspondences)} correspondences from {args.landmarks}")
-    pose, rmse_px = solve_pnp(correspondences, k)
-    report = reprojection_report(pose, k, correspondences)
+    pose, report = solve_pnp(correspondences, k)
     for name, norm in zip(report.names, report.norms):
         shown = name or "(unnamed)"
         _note(f"  {shown}: residual {norm:.6f} px")
     for index in report.flagged:
         shown = report.names[index] or f"point {index}"
         _note(f"warning: {shown} looks mismarked (residual {report.norms[index]:.6f} px)")
-    _note(f"reprojection rmse: {rmse_px:.6f} px")
-    _publish(files.dumps(files.calibration_to_dict(k, pose, rmse_px=rmse_px)), args.out)
+    _note(f"reprojection rmse: {report.rmse_px:.6f} px")
+    doc = files.calibration_to_dict(k, pose, rmse_px=report.rmse_px)
+    _publish(files.dumps(doc), args.out)
     return 0
 
 
@@ -109,7 +109,14 @@ def _cmd_localize(args: argparse.Namespace) -> int:
 def _parse_buckets(text: str) -> list[float]:
     if not text.strip():
         return []
-    return [_finite("--buckets", float(part)) for part in text.split(",")]
+    boundaries = []
+    for part in text.split(","):
+        try:
+            value = float(part)
+        except ValueError:
+            raise ValueError(f"--buckets must be numbers, got {part!r}") from None
+        boundaries.append(_finite("--buckets", value))
+    return boundaries
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:

@@ -35,7 +35,7 @@ from .intrinsics import (
     extrinsics_from_homography,
     homography_from_points,
 )
-from .optim import LeastSquaresProblem, LmOptions, levenberg_marquardt
+from .optim import LeastSquaresProblem, levenberg_marquardt
 
 COPLANAR_Z_TOL_MM = 1e-9
 RESIDUAL_FLAG_FLOOR_PX = 1e-6
@@ -92,12 +92,6 @@ class FieldGeometry:
 
 
 @dataclass(frozen=True, slots=True)
-class FieldLandmark:
-    name: str
-    world: WorldPoint
-
-
-@dataclass(frozen=True, slots=True)
 class PnpCorrespondence:
     """A marked pixel paired with its known world point."""
 
@@ -122,8 +116,9 @@ class ReprojectionReport:
     flagged: tuple[int, ...]
 
 
-def field_landmarks(geometry: FieldGeometry) -> dict[str, FieldLandmark]:
-    """Catalog of calibration landmarks; every z is 0 or the goal height.
+def field_landmarks(geometry: FieldGeometry) -> dict[str, WorldPoint]:
+    """World point of each calibration landmark by name; every z is 0 or the
+    goal height.
 
     The +x ("near") goal carries the plain names; the mirrored -x copies are
     prefixed far_. Mirroring maps (x, y, z) to (-x, -y, z).
@@ -148,12 +143,9 @@ def field_landmarks(geometry: FieldGeometry) -> dict[str, FieldLandmark]:
         "penalty_goal_line_left_corner": (half_len, half_pen, 0.0),
         "penalty_goal_line_right_corner": (half_len, -half_pen, 0.0),
     }
-    catalog: dict[str, FieldLandmark] = {}
+    catalog = {name: WorldPoint(x, y, z) for name, (x, y, z) in near.items()}
     for name, (x, y, z) in near.items():
-        catalog[name] = FieldLandmark(name, WorldPoint(x, y, z))
-    for name, (x, y, z) in near.items():
-        far = f"far_{name}"
-        catalog[far] = FieldLandmark(far, WorldPoint(-x, -y, z))
+        catalog[f"far_{name}"] = WorldPoint(-x, -y, z)
     return catalog
 
 
@@ -210,15 +202,15 @@ def pose_problem(
 
 def solve_pnp(
     correspondences: list[PnpCorrespondence], k: CameraIntrinsics
-) -> tuple[CameraPose, float]:
-    """Camera pose from marked landmarks; returns (pose, reprojection RMSE px).
+) -> tuple[CameraPose, ReprojectionReport]:
+    """Camera pose from marked landmarks, and its reprojection_report.
 
     Pixels are undistorted before solving, and the initial pose is refined
     over pose_problem. Raises InsufficientPoints below four correspondences,
     DegenerateConfiguration for collinear world points, and NoInitialization
     when the layout fits neither the planar nor the general-position
-    initializer. There is no outlier rejection; suspect marks are surfaced by
-    reprojection_report instead.
+    initializer. There is no outlier rejection; suspect marks are flagged in
+    the returned report instead.
     """
     n = len(correspondences)
     if n < 4:
@@ -249,10 +241,9 @@ def solve_pnp(
         [axis_angle_from_rotation(pose0.rotation), pose0.translation]
     )
     problem = pose_problem(world, ideal, k_ideal)
-    result = levenberg_marquardt(problem, x0, LmOptions())
+    result = levenberg_marquardt(problem, x0)
     pose = CameraPose(rotation_from_axis_angle(result.x[:3]), result.x[3:])
-    report = reprojection_report(pose, k, correspondences)
-    return pose, float(report.rmse_px)
+    return pose, reprojection_report(pose, k, correspondences)
 
 
 def reprojection_report(
@@ -305,7 +296,7 @@ def correspondences_from_landmarks(
     for name, pixel in marked.items():
         if name not in catalog:
             raise KeyError(f"unknown landmark name: {name!r}")
-        out.append(PnpCorrespondence(pixel=pixel, world=catalog[name].world, name=name))
+        out.append(PnpCorrespondence(pixel=pixel, world=catalog[name], name=name))
     if extra:
         out.extend(extra)
     return out

@@ -30,7 +30,7 @@ from .geometry import (
     euler_from_pose,
 )
 from .intrinsics import PlanarView
-from .pipeline import LocalizedObject, UnlocalizableDetection
+from .pipeline import LocalizedObject, UnlocalizableDetection, json_numbers
 from .regression import (
     BoundingBox,
     ClassModel,
@@ -55,7 +55,7 @@ def _malformed(where: str):
         yield
     except KeyError as exc:
         raise ValueError(f"{where}: missing key {exc}") from None
-    except (AttributeError, IndexError, TypeError, ValueError) as exc:
+    except (AttributeError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{where}: {exc}") from None
 
 
@@ -276,18 +276,13 @@ def load_samples(path: Path) -> list[RegressionSample]:
             continue
         with _malformed(f"{path} line {number}"):
             obj = json.loads(line)
-            bbox = [float(v) for v in obj["bbox"]]
-            ground = [float(v) for v in obj["ground_pixel"]]
-            if len(bbox) != 4 or len(ground) != 2:
-                raise ValueError(
-                    f"bbox needs 4 numbers and ground_pixel 2, "
-                    f"got {len(bbox)} and {len(ground)}"
-                )
             samples.append(
                 RegressionSample(
                     label=str(obj["class"]),
-                    bbox=BoundingBox(*bbox),
-                    ground_pixel=PixelPoint(*ground),
+                    bbox=BoundingBox(*json_numbers(obj["bbox"], 4, "bbox")),
+                    ground_pixel=PixelPoint(
+                        *json_numbers(obj["ground_pixel"], 2, "ground_pixel")
+                    ),
                 )
             )
     return samples

@@ -21,15 +21,10 @@ from .geometry import (
     axis_angle_from_rotation,
     intrinsic_vector,
     nearest_rotation,
-    project_points,
     project_views,
     rotation_from_axis_angle,
 )
-from .optim import (
-    LeastSquaresProblem,
-    LmOptions,
-    levenberg_marquardt,
-)
+from .optim import LeastSquaresProblem, levenberg_marquardt
 
 
 class CalibrationError(ValueError):
@@ -266,50 +261,34 @@ def _stack_views(views: list[PlanarView]) -> tuple[np.ndarray, np.ndarray]:
     return world, valid
 
 
-def reprojection_rmse(
-    views: list[PlanarView], k: CameraIntrinsics, poses: list[CameraPose]
-) -> float:
-    """Root mean square of the stacked pixel residuals across every view.
-
-    The u and v errors enter as separate scalars, so a fit to noise of
-    standard deviation sigma settles near sigma rather than sigma*sqrt(2).
-    """
-    total = 0.0
-    count = 0
-    for view, pose in zip(views, poses):
-        world = np.column_stack([view.pattern, np.zeros(len(view))])
-        predicted = project_points(world, k, pose, clamp_depth=True)
-        total += float(np.sum((predicted - view.pixels) ** 2))
-        count += 2 * len(view)
-    return math.sqrt(total / count)
-
-
 def calibration_problem(
     views: list[PlanarView],
-    init: CalibrationSolution,
+    k: CameraIntrinsics,
+    poses: list[CameraPose],
     fix_skew: bool = True,
     fix_k3: bool = True,
 ) -> tuple[LeastSquaresProblem, np.ndarray]:
-    """The joint refinement as a least-squares problem, and its start vector.
+    """The joint refinement as a least-squares problem, and its start vector
+    at intrinsics k and one target-to-camera pose per view.
 
     Parameter order: alpha_x, alpha_y, (gamma), u0, v0, k1, k2, (k3), p1, p2,
     then per view an axis-angle rotation and translation. Every view is
     projected in one stacked evaluation, and the Jacobian is the closed form
     of project_views.
     """
-    if len(views) != len(init.poses):
+    if len(views) != len(poses):
         raise ValueError("one initial pose per view is required")
     world, valid = _stack_views(views)
     observed = np.vstack([v.pixels for v in views])
     n_points = observed.shape[0]
     counts = [len(v) for v in views]
-    base, free = _layout(init.intrinsics, fix_skew, fix_k3)
+    base, free = _layout(k, fix_skew, fix_k3)
     n_shared = len(free)
     x0 = np.concatenate(
         [base[free]]
         + [
             np.concatenate([axis_angle_from_rotation(p.rotation), p.translation])
-            for p in init.poses
+            for p in poses
         ]
     )
     n_params = x0.shape[0]
@@ -342,30 +321,32 @@ def calibration_problem(
 
 def refine_calibration(
     views: list[PlanarView],
-    init: CalibrationSolution,
+    k: CameraIntrinsics,
+    poses: list[CameraPose],
     fix_skew: bool = True,
     fix_k3: bool = True,
 ) -> CalibrationSolution:
-    """Jointly refine intrinsics, lens model, and all view poses.
+    """Jointly refine intrinsics k, lens model, and the per-view poses.
 
-    Solves calibration_problem by Levenberg-Marquardt. The returned RMSE never
-    exceeds the initialization's because only cost-decreasing steps are
-    accepted. With fix_skew the output gamma is exactly 0, with fix_k3 the
-    output k3 is exactly 0.
+    Solves calibration_problem by Levenberg-Marquardt. The returned RMSE is
+    the final cost's, with u and v errors as separate scalars, so a fit to
+    noise of standard deviation sigma settles near sigma. It never exceeds
+    the RMSE at (k, poses) because only cost-decreasing steps are accepted.
+    With fix_skew the output gamma is exactly 0, with fix_k3 the output k3 is
+    exactly 0.
     """
-    problem, x0 = calibration_problem(views, init, fix_skew, fix_k3)
-    result = levenberg_marquardt(problem, x0, LmOptions())
-    base, free = _layout(init.intrinsics, fix_skew, fix_k3)
+    problem, x0 = calibration_problem(views, k, poses, fix_skew, fix_k3)
+    result = levenberg_marquardt(problem, x0)
+    base, free = _layout(k, fix_skew, fix_k3)
     full, rvecs, tvecs = _split(result.x, base, free)
-    k = CameraIntrinsics(
-        full[0], full[1], full[3], full[4], full[2], Distortion(*full[5:])
-    )
-    poses = tuple(
-        CameraPose(rotation_from_axis_angle(r), t) for r, t in zip(rvecs, tvecs)
-    )
-    n_points = sum(len(v) for v in views)
     return CalibrationSolution(
-        intrinsics=k, poses=poses, rmse_px=math.sqrt(result.cost / n_points)
+        intrinsics=CameraIntrinsics(
+            full[0], full[1], full[3], full[4], full[2], Distortion(*full[5:])
+        ),
+        poses=tuple(
+            CameraPose(rotation_from_axis_angle(r), t) for r, t in zip(rvecs, tvecs)
+        ),
+        rmse_px=math.sqrt(result.cost / sum(len(v) for v in views)),
     )
 
 
@@ -374,16 +355,12 @@ def calibrate_intrinsics(
     fix_skew: bool = True,
     fix_k3: bool = True,
 ) -> CalibrationSolution:
-    """Full pipeline: homographies, closed form, per-view extrinsics, refinement."""
-    needed = 2 if fix_skew else 3
-    if len(views) < needed:
-        raise InsufficientViews(f"need at least {needed} views, got {len(views)}")
+    """Full pipeline: homographies, closed form, per-view extrinsics, refinement.
+
+    Raises InsufficientViews (from zhang_closed_form) below three views, or
+    two with fix_skew.
+    """
     homographies = [estimate_homography(v) for v in views]
     k0 = zhang_closed_form(homographies, assume_zero_skew=fix_skew)
     poses = [extrinsics_from_homography(k0, h) for h in homographies]
-    init = CalibrationSolution(
-        intrinsics=k0,
-        poses=tuple(poses),
-        rmse_px=reprojection_rmse(views, k0, poses),
-    )
-    return refine_calibration(views, init, fix_skew=fix_skew, fix_k3=fix_k3)
+    return refine_calibration(views, k0, poses, fix_skew=fix_skew, fix_k3=fix_k3)

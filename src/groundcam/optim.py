@@ -62,25 +62,6 @@ class LeastSquaresProblem:
             )
 
 
-@dataclass(frozen=True)
-class LmOptions:
-    max_iterations: int = 100
-    initial_lambda: float = 1e-3
-    lambda_up: float = 10.0
-    lambda_down: float = 0.1
-    gradient_tol: float = 1e-10
-    step_tol: float = 1e-12
-    cost_tol: float = 1e-12
-
-    def __post_init__(self) -> None:
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.initial_lambda <= 0 or self.lambda_up <= 1 or not 0 < self.lambda_down < 1:
-            raise ValueError("damping schedule parameters out of range")
-        if min(self.gradient_tol, self.step_tol, self.cost_tol) <= 0:
-            raise ValueError("tolerances must be positive")
-
-
 @dataclass(frozen=True, eq=False)
 class LmResult:
     x: np.ndarray
@@ -89,7 +70,13 @@ class LmResult:
     reason: TerminationReason
 
 
+INITIAL_LAMBDA = 1e-3
+LAMBDA_UP = 10.0
+LAMBDA_DOWN = 0.1
 LAMBDA_GIVE_UP = 1e10
+GRADIENT_TOL = 1e-10
+STEP_TOL = 1e-12
+COST_TOL = 1e-12
 
 
 def _evaluate(problem: LeastSquaresProblem, x: np.ndarray) -> np.ndarray:
@@ -129,9 +116,15 @@ def numeric_jacobian(
 def levenberg_marquardt(
     problem: LeastSquaresProblem,
     x0: np.ndarray,
-    options: LmOptions = LmOptions(),
+    max_iterations: int = 100,
 ) -> LmResult:
-    """Minimize 0.5 * ||r(x)||^2 from x0; final cost never exceeds the initial."""
+    """Minimize 0.5 * ||r(x)||^2 from x0; final cost never exceeds the initial.
+
+    Stops after max_iterations outer iterations at most; raises ValueError
+    when it is below 1.
+    """
+    if max_iterations < 1:
+        raise ValueError("max_iterations must be >= 1")
     x = np.asarray(x0, dtype=float).reshape(-1).copy()
     if x.shape[0] != problem.n_params:
         raise ValueError(f"x0 has {x.shape[0]} entries, expected {problem.n_params}")
@@ -139,19 +132,19 @@ def levenberg_marquardt(
     if not np.all(np.isfinite(r)):
         raise NonFiniteResidual("residual at x0 is non-finite")
     cost = 0.5 * float(r @ r)
-    lam = options.initial_lambda
+    lam = INITIAL_LAMBDA
     accepted = 0
     reason = TerminationReason.MAX_ITERATIONS
 
     jacobian = problem.jacobian or (lambda xx: numeric_jacobian(problem, xx))
-    for _ in range(options.max_iterations):
+    for _ in range(max_iterations):
         jac = np.asarray(jacobian(x), dtype=float)
         if jac.shape != (problem.n_residuals, problem.n_params):
             raise ValueError(f"jacobian shape {jac.shape} does not match problem")
         if not np.all(np.isfinite(jac)):
             raise NonFiniteResidual("jacobian is non-finite")
         gradient = jac.T @ r
-        if np.max(np.abs(gradient)) <= options.gradient_tol:
+        if np.max(np.abs(gradient)) <= GRADIENT_TOL:
             reason = TerminationReason.GRADIENT
             break
         jtj = jac.T @ jac
@@ -164,13 +157,13 @@ def levenberg_marquardt(
                 if not np.all(np.isfinite(delta)):
                     raise np.linalg.LinAlgError("non-finite step")
             except np.linalg.LinAlgError:
-                lam *= options.lambda_up
+                lam *= LAMBDA_UP
                 if lam >= LAMBDA_GIVE_UP:
                     raise SingularNormalEquations(
                         f"normal equations unsolvable at lambda={lam:.3g}"
                     ) from None
                 continue
-            if float(np.linalg.norm(delta)) < options.step_tol:
+            if float(np.linalg.norm(delta)) < STEP_TOL:
                 stop = TerminationReason.STEP
                 break
             trial = x + delta
@@ -182,12 +175,12 @@ def levenberg_marquardt(
             if cost_trial < cost:
                 decrease = cost - cost_trial
                 x, r, cost = trial, r_trial, cost_trial
-                lam *= options.lambda_down
+                lam *= LAMBDA_DOWN
                 accepted += 1
-                if decrease < options.cost_tol:
+                if decrease < COST_TOL:
                     stop = TerminationReason.COST
                 break
-            lam *= options.lambda_up
+            lam *= LAMBDA_UP
 
         if stop is not None:
             reason = stop

@@ -106,6 +106,25 @@ _REASON_SLUGS = {
 }
 
 
+def json_number(value, what: str) -> float:
+    """A number json.loads returned, as a float; anything else, a bool
+    included, raises ValueError naming what."""
+    if type(value) is not float and type(value) is not int:
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} must be a float-sized number") from None
+
+
+def json_numbers(value, count: int, what: str) -> list[float]:
+    """A JSON array of count numbers, as floats; anything else raises
+    ValueError naming what."""
+    if type(value) is not list or len(value) != count:
+        raise ValueError(f"{what} must be an array of {count} numbers, got {value!r}")
+    return [json_number(v, what) for v in value]
+
+
 def localize_batch(
     detections: list[Detection],
     regressor: GroundRegressor,
@@ -155,8 +174,10 @@ def ingest_detections(
 ) -> IngestResult:
     """Parse detection JSONL lines, dropping low scores.
 
-    Malformed lines are skipped and reported as diagnostics with their line
-    numbers; blank lines are skipped silently. Input order is preserved.
+    Malformed lines, including a bbox that is not an array of 4 numbers or a
+    score that is not a number, are skipped and reported as diagnostics with
+    their line numbers; blank lines are skipped silently. Input order is
+    preserved.
     """
     detections: list[Detection] = []
     diagnostics: list[str] = []
@@ -166,11 +187,11 @@ def ingest_detections(
             continue
         try:
             obj = json.loads(text)
-            bbox = BoundingBox(*(float(v) for v in obj["bbox"]))
+            bbox = BoundingBox(*json_numbers(obj["bbox"], 4, "bbox"))
             detection = Detection(
                 frame_id=str(obj["frame"]),
                 label=str(obj["class"]),
-                score=float(obj["score"]),
+                score=json_number(obj["score"], "score"),
                 bbox=bbox,
             )
         except (KeyError, TypeError, ValueError) as exc:

@@ -313,9 +313,8 @@ def _landmark_pixels(
     catalog = field_landmarks(config.geometry)
     out: dict[str, PixelPoint] = {}
     for name in config.landmark_names:
-        world = catalog[name].world
         try:
-            px = project(world, config.intrinsics, config.pose)
+            px = project(catalog[name], config.intrinsics, config.pose)
         except GeometryError as exc:
             raise ConfigInvalid(
                 f"landmark {name!r} is not visible from the configured pose: {exc}"

@@ -33,7 +33,6 @@ from groundcam.geometry import (
 from groundcam.intrinsics import PlanarView, calibrate_intrinsics
 from groundcam.optim import (
     LeastSquaresProblem,
-    LmOptions,
     TerminationReason,
     levenberg_marquardt,
     numeric_jacobian,
@@ -302,7 +301,7 @@ def test_criterion_6_optimizer_properties():
     ):
         costs = []
         for cap in range(1, 8):
-            result = levenberg_marquardt(problem, x0, LmOptions(max_iterations=cap))
+            result = levenberg_marquardt(problem, x0, max_iterations=cap)
             if result.reason is not TerminationReason.MAX_ITERATIONS:
                 break
             costs.append(result.cost)

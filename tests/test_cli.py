@@ -18,7 +18,7 @@ import pytest
 from groundcam import files
 from groundcam.cli import main
 from groundcam.geometry import PixelPoint, project
-from groundcam.extrinsics import PnpCorrespondence, field_landmarks
+from groundcam.extrinsics import PnpCorrespondence
 from groundcam.regression import BOTTOM_CENTER_WEIGHTS, BoundingBox
 from groundcam.reference import (
     REFERENCE_CAMERA_CENTER_MM,
@@ -119,7 +119,6 @@ class TestCalibrateExtrinsics:
 
     def test_mismarked_landmark_warning(self, capsys, cli_scene, tmp_path):
         config = cli_scene.config
-        catalog = field_landmarks(config.geometry)
         named = dict(cli_scene.landmark_pixels)
         spoiled = config.landmark_names[0]
         px = named[spoiled]
@@ -191,7 +190,11 @@ class TestFitRegressor:
         [
             ("bbox", None),
             ("bbox", [0.0, 0.0, 10.0]),
+            ("bbox", "1234"),
+            ("bbox", [0.0, 0.0, True, 10.0]),
             ("ground_pixel", None),
+            ("ground_pixel", "56"),
+            ("ground_pixel", [5.0, "10"]),
         ],
     )
     def test_malformed_sample_line_names_file_and_line(
@@ -527,9 +530,10 @@ def _inputs(scene, command):
         ("calibrate-extrinsics", "calibration", ("intrinsics", "distortion"), None),
         ("localize", "calibration", (), ["intrinsics"]),
         ("localize", "model", ("classes",), None),
+        ("calibrate-extrinsics", "calibration", ("intrinsics", "alpha_x"), 10**400),
     ],
     ids=["views-points-null", "landmarks-pixel-null", "distortion-null",
-         "calibration-list", "model-classes-null"],
+         "calibration-list", "model-classes-null", "alpha_x-beyond-float"],
 )
 def test_malformed_json_document_exits_2_naming_the_file(
     capsys, cli_scene, tmp_path, command, document, keys, value
@@ -570,6 +574,8 @@ def test_non_utf8_input_exits_2_naming_the_file(capsys, cli_scene, tmp_path, com
     [
         ("evaluate", "--buckets", "nan"),
         ("evaluate", "--buckets", "1000,inf"),
+        ("evaluate", "--buckets", "1000,abc"),
+        ("evaluate", "--buckets", "1000,,2000"),
         ("localize", "--min-score", "nan"),
         ("localize", "--min-score", "inf"),
         ("localize", "--min-score", "-inf"),
@@ -583,6 +589,88 @@ def test_non_finite_flag_exits_2_naming_the_flag(
     assert out == ""
     assert "Traceback" not in err
     assert f"error: {flag}" in err
+
+
+# ---------------------------------------------------------------------------
+# Fuzzed documents: a malformed input exits 0 or 2, never 1
+# ---------------------------------------------------------------------------
+
+# Replacement values. Huge numbers are left out on purpose: a configuration
+# asking for 1e308 grid columns makes synth run without bound.
+_FUZZ_VALUES = (None, "x", True, -1, 0, [], {}, [1], "1234")
+_FUZZ_MUTATIONS = 24
+
+# The commands each scene input feeds; the command's other inputs stay good.
+_FUZZ_COMMANDS = {
+    "views": ("calibrate-intrinsics",),
+    "landmarks": ("calibrate-extrinsics",),
+    "calibration": ("calibrate-extrinsics", "localize"),
+    "model": ("localize",),
+    "config": ("synth",),
+    "detections": ("localize",),
+    "samples": ("fit-regressor",),
+}
+
+
+def _locations(node, path=()):
+    """The key path of every value in a JSON document, the root first."""
+    yield path
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield from _locations(child, (*path, key))
+
+
+def _mutated(text: str, rng: np.random.Generator) -> tuple[str, tuple, object]:
+    """text's JSON document with one randomly chosen value replaced, and
+    the key path and replacement used."""
+    doc = json.loads(text)
+    paths = list(_locations(doc))
+    path = paths[rng.integers(len(paths))]
+    value = _FUZZ_VALUES[rng.integers(len(_FUZZ_VALUES))]
+    if not path:
+        return json.dumps(value), path, value
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return json.dumps(doc), path, value
+
+
+@pytest.mark.parametrize("document", list(_FUZZ_COMMANDS))
+def test_fuzzed_input_exits_0_or_2(capsys, cli_scene, tmp_path, document):
+    source = cli_scene.paths[document]
+    text = source.read_text()
+    rng = np.random.default_rng([20240817, list(_FUZZ_COMMANDS).index(document)])
+    bad = tmp_path / source.name
+    for _ in range(_FUZZ_MUTATIONS):
+        if source.suffix == ".jsonl":
+            # One line of the log is mutated; the others stay good.
+            lines = text.splitlines()
+            index = int(rng.integers(len(lines)))
+            lines[index], path, value = _mutated(lines[index], rng)
+            bad.write_text("\n".join(lines) + "\n")
+            where = (index + 1, *path)
+        else:
+            mutated, path, value = _mutated(text, rng)
+            bad.write_text(mutated)
+            where = path
+        for command in _FUZZ_COMMANDS[document]:
+            argv = [bad if name == document else cli_scene.paths[name]
+                    for name in _INPUTS[command]]
+            if command == "synth":
+                argv += ["--out", tmp_path / "scene"]
+            code, out, err = _run(capsys, command, *argv)
+            case = f"{command}: {document} {where} = {value!r}"
+            assert code in (0, 2), case
+            assert "Traceback" not in err, case
+            if code == 2:
+                assert out == "", case
+                assert "error: " in err, case
 
 
 # ---------------------------------------------------------------------------

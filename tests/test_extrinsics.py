@@ -117,15 +117,15 @@ class TestFieldGeometry:
 class TestFieldLandmarks:
     def test_hand_computed_positions(self):
         marks = field_landmarks(FieldGeometry.division_b())
-        center = marks["goal_bottom_center"].world
+        center = marks["goal_bottom_center"]
         assert (center.x, center.y, center.z) == (4500.0, 0.0, 0.0)
-        left = marks["goal_bottom_left_corner"].world
+        left = marks["goal_bottom_left_corner"]
         assert (left.x, left.y, left.z) == (4500.0, 500.0, 0.0)
-        top = marks["goal_top_right_corner"].world
+        top = marks["goal_top_right_corner"]
         assert (top.x, top.y, top.z) == (4500.0, -500.0, 155.0)
-        pen = marks["penalty_front_left_corner"].world
+        pen = marks["penalty_front_left_corner"]
         assert (pen.x, pen.y, pen.z) == (3500.0, 1000.0, 0.0)
-        corner = marks["field_corner_right"].world
+        corner = marks["field_corner_right"]
         assert (corner.x, corner.y, corner.z) == (4500.0, -3000.0, 0.0)
 
     def test_far_side_mirrors_near_side(self):
@@ -133,15 +133,15 @@ class TestFieldLandmarks:
         near = {n: m for n, m in marks.items() if not n.startswith("far_")}
         assert len(marks) == 2 * len(near)
         for name, mark in near.items():
-            far = marks[f"far_{name}"].world
-            assert far.x == -mark.world.x
-            assert far.y == -mark.world.y
-            assert far.z == mark.world.z
+            far = marks[f"far_{name}"]
+            assert far.x == -mark.x
+            assert far.y == -mark.y
+            assert far.z == mark.z
 
     def test_heights_are_ground_or_goal_top(self):
         g = FieldGeometry.division_b()
         for mark in field_landmarks(g).values():
-            assert mark.world.z in (0.0, g.goal_height)
+            assert mark.z in (0.0, g.goal_height)
 
 
 # ---------------------------------------------------------------------------
@@ -151,8 +151,8 @@ class TestFieldLandmarks:
 
 class TestSolvePnp:
     def test_ground_landmarks_recover_reference_camera(self, ref_k, ref_pose):
-        pose, rmse = solve_pnp(_render(GROUND_POINTS, ref_k, ref_pose), ref_k)
-        assert rmse < 1e-8
+        pose, report = solve_pnp(_render(GROUND_POINTS, ref_k, ref_pose), ref_k)
+        assert report.rmse_px < 1e-8
         _assert_pose_close(pose, ref_pose, 1e-4, 1e-8)
         angles, center = euler_from_pose(pose)
         assert angles.omega == pytest.approx(REFERENCE_EULER_DEG[0], abs=1e-6)
@@ -163,14 +163,14 @@ class TestSolvePnp:
         assert center.z == pytest.approx(REFERENCE_CAMERA_CENTER_MM[2], abs=1e-4)
 
     def test_non_coplanar_landmarks_use_general_initializer(self, ref_k, ref_pose):
-        pose, rmse = solve_pnp(_render(RAISED_POINTS, ref_k, ref_pose), ref_k)
-        assert rmse < 1e-8
+        pose, report = solve_pnp(_render(RAISED_POINTS, ref_k, ref_pose), ref_k)
+        assert report.rmse_px < 1e-8
         _assert_pose_close(pose, ref_pose, 1e-6, 1e-8)
 
     def test_plane_above_ground(self, ref_k, ref_pose):
         points = [(x, y, 155.0) for (x, y, _) in GROUND_POINTS[:5]]
-        pose, rmse = solve_pnp(_render(points, ref_k, ref_pose), ref_k)
-        assert rmse < 1e-8
+        pose, report = solve_pnp(_render(points, ref_k, ref_pose), ref_k)
+        assert report.rmse_px < 1e-8
         _assert_pose_close(pose, ref_pose, 1e-4, 1e-8)
 
     def test_order_invariance(self, ref_k, ref_pose):
@@ -182,8 +182,8 @@ class TestSolvePnp:
 
     def test_lens_model_is_undone_before_solving(self, ref_pose, ref_k):
         k = ref_k.with_distortion(Distortion(k1=-0.1, k2=0.02, p1=1e-4))
-        pose, rmse = solve_pnp(_render(GROUND_POINTS, k, ref_pose), k)
-        assert rmse < 1e-6
+        pose, report = solve_pnp(_render(GROUND_POINTS, k, ref_pose), k)
+        assert report.rmse_px < 1e-6
         _assert_pose_close(pose, ref_pose, 1e-4, 1e-7)
 
     def test_too_few_points(self, ref_k, ref_pose):

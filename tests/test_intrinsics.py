@@ -22,7 +22,6 @@ from groundcam.geometry import (
     rotation_from_axis_angle,
 )
 from groundcam.intrinsics import (
-    CalibrationSolution,
     DegenerateConfiguration,
     InsufficientViews,
     NonPositiveDefinite,
@@ -32,7 +31,6 @@ from groundcam.intrinsics import (
     estimate_homography,
     extrinsics_from_homography,
     homography_from_points,
-    reprojection_rmse,
     refine_calibration,
     zhang_closed_form,
 )
@@ -43,6 +41,11 @@ from groundcam.optim import levenberg_marquardt, numeric_jacobian
 # ---------------------------------------------------------------------------
 
 TRUE_K = CameraIntrinsics(642.41, 642.54, 322.80, 239.76)
+
+
+def _rms(values: np.ndarray) -> float:
+    """Root mean square over every scalar entry."""
+    return math.sqrt(float(np.mean(np.square(values))))
 
 
 def _pattern(cols: int = 9, rows: int = 6, square: float = 25.0) -> np.ndarray:
@@ -286,13 +289,22 @@ class TestCalibratePipeline:
         hs = [estimate_homography(v) for v in views]
         k0 = zhang_closed_form(hs, assume_zero_skew=True)
         poses = tuple(extrinsics_from_homography(k0, h) for h in hs)
-        init = CalibrationSolution(
-            intrinsics=k0,
-            poses=poses,
-            rmse_px=reprojection_rmse(views, k0, list(poses)),
+        # The starting RMSE over the stacked u and v residuals, computed
+        # with the camera model rather than the solver.
+        initial = np.concatenate(
+            [
+                project_points(
+                    np.column_stack([v.pattern, np.zeros(len(v))]),
+                    k0,
+                    pose,
+                    clamp_depth=True,
+                )
+                - v.pixels
+                for v, pose in zip(views, poses)
+            ]
         )
-        refined = refine_calibration(views, init)
-        assert refined.rmse_px <= init.rmse_px + 1e-12
+        refined = refine_calibration(views, k0, poses)
+        assert refined.rmse_px <= _rms(initial) + 1e-12
 
     def test_skew_fit_when_unpinned(self, rng):
         skewed = CameraIntrinsics(600.0, 620.0, 310.0, 250.0, gamma=3.5)
@@ -310,13 +322,8 @@ class TestCalibratePipeline:
 
     def test_pose_count_mismatch_rejected(self, rng):
         views, poses = _synthetic_views(TRUE_K, 3, rng)
-        init = CalibrationSolution(
-            intrinsics=TRUE_K,
-            poses=tuple(poses[:2]),
-            rmse_px=0.0,
-        )
         with pytest.raises(ValueError):
-            refine_calibration(views, init)
+            refine_calibration(views, TRUE_K, poses[:2])
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +356,7 @@ class TestCalibrationJacobian:
     @pytest.mark.parametrize("fix_k3", [True, False])
     def test_matches_central_differences(self, rng, fix_skew, fix_k3):
         views, poses = _synthetic_views(LENS_K, 5, rng)
-        init = CalibrationSolution(intrinsics=LENS_K, poses=tuple(poses), rmse_px=0.0)
-        problem, x0 = calibration_problem(views, init, fix_skew, fix_k3)
+        problem, x0 = calibration_problem(views, LENS_K, poses, fix_skew, fix_k3)
         n_shared = 10 - int(fix_skew) - int(fix_k3)
         assert problem.n_params == n_shared + 6 * len(views)
         x = x0 + rng.normal(0.0, 1e-3, x0.shape) * np.maximum(np.abs(x0), 1e-2)
@@ -364,8 +370,9 @@ class TestCalibrationJacobian:
     def test_unequal_point_counts(self, rng):
         views, poses = _synthetic_views(LENS_K, 3, rng)
         views[1] = PlanarView("short", views[1].pixels[:20], views[1].pattern[:20])
-        init = CalibrationSolution(intrinsics=LENS_K, poses=tuple(poses), rmse_px=0.0)
-        problem, x0 = calibration_problem(views, init, fix_skew=False, fix_k3=False)
+        problem, x0 = calibration_problem(
+            views, LENS_K, poses, fix_skew=False, fix_k3=False
+        )
         assert problem.n_residuals == 2 * (54 + 20 + 54)
         assert np.max(np.abs(problem.residual(x0))) < 1e-9
         errors = _column_errors(problem.jacobian(x0), numeric_jacobian(problem, x0))
@@ -376,8 +383,7 @@ class TestCalibrationJacobian:
         hs = [estimate_homography(v) for v in views]
         k0 = zhang_closed_form(hs, assume_zero_skew=True)
         poses = tuple(extrinsics_from_homography(k0, h) for h in hs)
-        init = CalibrationSolution(intrinsics=k0, poses=poses, rmse_px=0.0)
-        problem, x0 = calibration_problem(views, init)
+        problem, x0 = calibration_problem(views, k0, poses)
         analytic = levenberg_marquardt(problem, x0)
         numeric = levenberg_marquardt(dataclasses.replace(problem, jacobian=None), x0)
         assert analytic.cost == pytest.approx(numeric.cost, rel=1e-9)
@@ -393,8 +399,7 @@ class TestCalibrationJacobian:
         hs = [estimate_homography(v) for v in views]
         k0 = zhang_closed_form(hs, assume_zero_skew=True)
         poses = tuple(extrinsics_from_homography(k0, h) for h in hs)
-        init = CalibrationSolution(intrinsics=k0, poses=poses, rmse_px=0.0)
-        problem, x0 = calibration_problem(views, init)
+        problem, x0 = calibration_problem(views, k0, poses)
         ours = levenberg_marquardt(problem, x0)
         # At MINPACK's default tolerances (1e-8) it stops early, with u0 and
         # v0 up to 4e-5 off; at 1e-15 it runs on to where ours stops.
@@ -409,9 +414,13 @@ class TestCalibrationJacobian:
 
 
 class TestReprojectionRmse:
+    """The refinement's residual at its start vector is the stacked u and v
+    reprojection error of every view."""
+
     def test_zero_for_exact_views(self, rng):
         views, poses = _synthetic_views(TRUE_K, 3, rng)
-        assert reprojection_rmse(views, TRUE_K, poses) < 1e-12
+        problem, x0 = calibration_problem(views, TRUE_K, poses)
+        assert _rms(problem.residual(x0)) < 1e-12
 
     def test_uniform_offset_gives_its_magnitude(self, rng):
         # Shifting every pixel by (3, 4) adds 9 and 16 to the stacked
@@ -425,8 +434,8 @@ class TestReprojectionRmse:
             )
             for v in views
         ]
-        rmse = reprojection_rmse(shifted, TRUE_K, poses)
-        assert rmse == pytest.approx(5.0 / math.sqrt(2.0), abs=1e-9)
+        problem, x0 = calibration_problem(shifted, TRUE_K, poses)
+        assert _rms(problem.residual(x0)) == pytest.approx(5.0 / math.sqrt(2.0), abs=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ import pytest
 
 from groundcam.optim import (
     LeastSquaresProblem,
-    LmOptions,
     NonFiniteResidual,
     RankDeficient,
     SingularNormalEquations,
@@ -149,7 +148,7 @@ class TestLevenbergMarquardt:
             result = levenberg_marquardt(
                 _rosenbrock(),
                 np.array([-1.2, 1.0]),
-                LmOptions(max_iterations=cap),
+                max_iterations=cap,
             )
             if result.reason is not TerminationReason.MAX_ITERATIONS:
                 break
@@ -165,7 +164,7 @@ class TestLevenbergMarquardt:
             r0 = problem.residual(x0)
             initial = 0.5 * float(r0 @ r0)
             result = levenberg_marquardt(
-                problem, x0, LmOptions(max_iterations=rng.integers(1, 30))
+                problem, x0, max_iterations=rng.integers(1, 30)
             )
             assert result.cost <= initial
 
@@ -197,19 +196,20 @@ class TestLevenbergMarquardt:
         assert result.iterations == 1
 
     def test_short_proposed_step_stops_before_moving(self):
+        # The first proposed step is about 1e-13, below the 1e-12 step
+        # tolerance, while the gradient (about 0.1) is far above its own.
         problem = LeastSquaresProblem(
-            residual=lambda x: x - 1.0, n_params=1, n_residuals=1
+            residual=lambda x: 1e6 * (x - 1.0), n_params=1, n_residuals=1
         )
-        result = levenberg_marquardt(
-            problem, np.array([1.5]), LmOptions(step_tol=10.0)
-        )
+        x0 = np.array([1.0 + 1e-13])
+        result = levenberg_marquardt(problem, x0)
         assert result.reason is TerminationReason.STEP
         assert result.iterations == 0
-        assert result.x[0] == 1.5
+        assert result.x[0] == x0[0]
 
     def test_iteration_cap_reported(self):
         result = levenberg_marquardt(
-            _rosenbrock(), np.array([-1.2, 1.0]), LmOptions(max_iterations=2)
+            _rosenbrock(), np.array([-1.2, 1.0]), max_iterations=2
         )
         assert result.reason is TerminationReason.MAX_ITERATIONS
         assert result.iterations == 2
@@ -318,15 +318,7 @@ def test_problem_dimension_validation():
 
 def test_options_validation():
     with pytest.raises(ValueError):
-        LmOptions(max_iterations=0)
-    with pytest.raises(ValueError):
-        LmOptions(initial_lambda=0.0)
-    with pytest.raises(ValueError):
-        LmOptions(lambda_up=1.0)
-    with pytest.raises(ValueError):
-        LmOptions(lambda_down=1.0)
-    with pytest.raises(ValueError):
-        LmOptions(gradient_tol=0.0)
+        levenberg_marquardt(_rosenbrock(), np.array([-1.2, 1.0]), max_iterations=0)
 
 
 def test_termination_reason_values():

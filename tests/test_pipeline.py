@@ -294,6 +294,38 @@ class TestIngestDetections:
         assert result.detections == ()
         assert "score" in result.diagnostics[0]
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("bbox", '"1234"'),
+            ("bbox", "[10, 10, 50]"),
+            ("bbox", "[10, 10, 50, true]"),
+            ("bbox", '[10, 10, 50, "80"]'),
+            pytest.param("bbox", "[10, 10, 50, 1" + "0" * 400 + "]", id="bbox-huge"),
+            ("score", '"0.9"'),
+            ("score", "true"),
+            ("score", "null"),
+        ],
+    )
+    def test_wrongly_typed_value_is_diagnosed(self, field, value):
+        values = {"frame": '"f0"', "class": '"robot"', "score": "0.9"}
+        values["bbox"] = "[10, 10, 50, 80]"
+        values[field] = value
+        line = "{" + ", ".join(f'"{k}": {v}' for k, v in values.items()) + "}"
+        result = ingest_detections([_line(), line])
+        assert len(result.detections) == 1
+        assert len(result.diagnostics) == 1
+        assert result.diagnostics[0].startswith("line 2:")
+        assert field in result.diagnostics[0]
+
+    def test_integer_values_are_numbers(self):
+        result = ingest_detections(
+            ['{"frame": "f0", "class": "ball", "score": 1, "bbox": [10, 10, 50, 80]}']
+        )
+        assert result.diagnostics == ()
+        assert result.detections[0].score == 1.0
+        assert result.detections[0].bbox.xmax == 50.0
+
     def test_score_filter_drops_silently_and_keeps_the_boundary(self):
         result = ingest_detections(
             [_line(score=0.49), _line(score=0.5), _line(score=0.51)]

@@ -90,7 +90,7 @@ class TestDefaultScene:
         catalog = field_landmarks(config.geometry)
         assert set(default_scene.landmark_pixels) == set(DEFAULT_LANDMARKS)
         for name, px in default_scene.landmark_pixels.items():
-            expected = project(catalog[name].world, config.intrinsics, config.pose)
+            expected = project(catalog[name], config.intrinsics, config.pose)
             assert px.u == expected.u
             assert px.v == expected.v
 
