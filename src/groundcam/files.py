@@ -30,7 +30,12 @@ from .geometry import (
     euler_from_pose,
 )
 from .intrinsics import PlanarView
-from .pipeline import LocalizedObject, UnlocalizableDetection, json_numbers
+from .pipeline import (
+    LocalizedObject,
+    UnlocalizableDetection,
+    json_number,
+    json_numbers,
+)
 from .regression import (
     BoundingBox,
     ClassModel,
@@ -79,19 +84,20 @@ def intrinsics_to_dict(k: CameraIntrinsics) -> dict:
 
 
 def intrinsics_from_dict(obj: dict) -> CameraIntrinsics:
+    """Inverse of intrinsics_to_dict; every value must be a JSON number, and
+    a missing skew or lens coefficient is 0."""
     d = obj.get("distortion", {})
     return CameraIntrinsics(
-        alpha_x=float(obj["alpha_x"]),
-        alpha_y=float(obj["alpha_y"]),
-        u0=float(obj["u0"]),
-        v0=float(obj["v0"]),
-        gamma=float(obj.get("gamma", 0.0)),
+        alpha_x=json_number(obj["alpha_x"], "alpha_x"),
+        alpha_y=json_number(obj["alpha_y"], "alpha_y"),
+        u0=json_number(obj["u0"], "u0"),
+        v0=json_number(obj["v0"], "v0"),
+        gamma=json_number(obj.get("gamma", 0.0), "gamma"),
         distortion=Distortion(
-            k1=float(d.get("k1", 0.0)),
-            k2=float(d.get("k2", 0.0)),
-            k3=float(d.get("k3", 0.0)),
-            p1=float(d.get("p1", 0.0)),
-            p2=float(d.get("p2", 0.0)),
+            *(
+                json_number(d.get(name, 0.0), f"distortion.{name}")
+                for name in ("k1", "k2", "k3", "p1", "p2")
+            )
         ),
     )
 
@@ -118,9 +124,10 @@ def calibration_from_dict(obj: dict) -> tuple[CameraIntrinsics, CameraPose | Non
     k = intrinsics_from_dict(obj["intrinsics"])
     if "pose" not in obj:
         return k, None
-    rotation = np.array(obj["pose"]["rotation"], dtype=float).reshape(3, 3)
-    translation = np.array(obj["pose"]["translation"], dtype=float)
-    return k, CameraPose(rotation, translation)
+    pose = obj["pose"]
+    rotation = json_numbers(pose["rotation"], 9, "pose.rotation")
+    translation = json_numbers(pose["translation"], 3, "pose.translation")
+    return k, CameraPose(np.array(rotation).reshape(3, 3), np.array(translation))
 
 
 def load_calibration(path: Path) -> tuple[CameraIntrinsics, CameraPose | None]:
@@ -174,7 +181,10 @@ def field_geometry_to_dict(g: FieldGeometry) -> dict:
 
 def field_geometry_from_dict(obj: dict) -> FieldGeometry:
     return FieldGeometry(
-        **{f.name: float(obj[f"{f.name}_mm"]) for f in fields(FieldGeometry)}
+        **{
+            f.name: json_number(obj[f"{f.name}_mm"], f"{f.name}_mm")
+            for f in fields(FieldGeometry)
+        }
     )
 
 

@@ -158,18 +158,26 @@ class WorldPoint:
         return np.array([self.x, self.y, self.z])
 
 
-@dataclass(frozen=True, slots=True)
-class PixelPoint:
-    """Image location in pixels; may fall outside the sensor bounds."""
-
+class _PixelPoint(NamedTuple):
     u: float
     v: float
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "u", float(self.u))
-        object.__setattr__(self, "v", float(self.v))
-        if not (math.isfinite(self.u) and math.isfinite(self.v)):
+
+class PixelPoint(_PixelPoint):
+    """Image location in pixels; may fall outside the sensor bounds.
+
+    The coordinates are coerced to float and checked finite on construction;
+    _make and _replace skip the coercion and the check.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, u: float, v: float) -> PixelPoint:
+        u = float(u)
+        v = float(v)
+        if not (math.isfinite(u) and math.isfinite(v)):
             raise ValueError("pixel coordinates must be finite")
+        return tuple.__new__(cls, (u, v))
 
     @property
     def array(self) -> Vec:

@@ -13,6 +13,7 @@ import enum
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .geometry import (
     CameraIntrinsics,
@@ -41,22 +42,31 @@ class FrameConvention(str, enum.Enum):
     CAMERA = "camera"
 
 
-@dataclass(frozen=True, slots=True)
-class Detection:
-    """One detector output tied to a frame identifier."""
-
+class _Detection(NamedTuple):
     frame_id: str
     label: str
     score: float
     bbox: BoundingBox
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.score <= 1.0:
-            raise ValueError(f"score must be in [0, 1], got {self.score}")
+
+class Detection(_Detection):
+    """One detector output tied to a frame identifier.
+
+    The score is checked to lie in [0, 1] on construction; _make and
+    _replace skip the check.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, frame_id: str, label: str, score: float, bbox: BoundingBox
+    ) -> Detection:
+        if not 0.0 <= score <= 1.0:
+            raise ValueError(f"score must be in [0, 1], got {score}")
+        return tuple.__new__(cls, (frame_id, label, score, bbox))
 
 
-@dataclass(frozen=True, slots=True)
-class LocalizedObject:
+class _LocalizedObject(NamedTuple):
     frame_id: str
     label: str
     x_mm: float
@@ -64,14 +74,38 @@ class LocalizedObject:
     theta_deg: float
     ground_pixel: PixelPoint
 
-    def __post_init__(self) -> None:
-        if not -180.0 < self.theta_deg <= 180.0:
-            raise ValueError(f"theta {self.theta_deg} outside (-180, 180]")
+
+class LocalizedObject(_LocalizedObject):
+    """A detection placed on the carpet, with its bearing.
+
+    theta_deg is checked to lie in (-180, 180] on construction; _make and
+    _replace skip the check.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        frame_id: str,
+        label: str,
+        x_mm: float,
+        y_mm: float,
+        theta_deg: float,
+        ground_pixel: PixelPoint,
+    ) -> LocalizedObject:
+        if not -180.0 < theta_deg <= 180.0:
+            raise ValueError(f"theta {theta_deg} outside (-180, 180]")
+        return tuple.__new__(
+            cls, (frame_id, label, x_mm, y_mm, theta_deg, ground_pixel)
+        )
 
 
-@dataclass(frozen=True, slots=True)
-class UnlocalizableDetection:
-    """A detection the pipeline could not place, with the reason attached."""
+class UnlocalizableDetection(NamedTuple):
+    """A detection the pipeline could not place, with the reason attached.
+
+    Nothing is checked on construction, so _make and _replace build the
+    same records the constructor does.
+    """
 
     frame_id: str
     label: str
@@ -168,13 +202,27 @@ def localize_batch(
     return results
 
 
+_decode = json.JSONDecoder().raw_decode
+
+
+def _frame_id(value) -> str:
+    """A frame id json.loads returned: a string as is, an integer (not a
+    bool) as its decimal text; anything else raises ValueError."""
+    if type(value) is str:
+        return value
+    if type(value) is int:
+        return str(value)
+    raise ValueError(f"frame must be a string or an integer, got {value!r}")
+
+
 def ingest_detections(
     lines,
     min_score: float = 0.5,
 ) -> IngestResult:
     """Parse detection JSONL lines, dropping low scores.
 
-    Malformed lines, including a bbox that is not an array of 4 numbers or a
+    Malformed lines, including a frame that is not a string or an integer, a
+    class that is not a string, a bbox that is not an array of 4 numbers or a
     score that is not a number, are skipped and reported as diagnostics with
     their line numbers; blank lines are skipped silently. Input order is
     preserved.
@@ -186,21 +234,23 @@ def ingest_detections(
         if not text:
             continue
         try:
-            obj = json.loads(text)
+            obj, end = _decode(text)
+            if end != len(text):
+                # Trailing data: json.loads reports it at json's own offset.
+                obj = json.loads(text)
             bbox = BoundingBox(*json_numbers(obj["bbox"], 4, "bbox"))
+            frame_id = _frame_id(obj["frame"])
+            label = obj["class"]
+            if type(label) is not str:
+                raise ValueError(f"class must be a string, got {label!r}")
             detection = Detection(
-                frame_id=str(obj["frame"]),
-                label=str(obj["class"]),
-                score=json_number(obj["score"], "score"),
-                bbox=bbox,
+                frame_id, label, json_number(obj["score"], "score"), bbox
             )
         except (KeyError, TypeError, ValueError) as exc:
             diagnostics.append(f"line {number}: {exc}")
             continue
-        if detection.label not in KNOWN_CLASSES:
-            diagnostics.append(
-                f"line {number}: unknown class {detection.label!r}"
-            )
+        if label not in KNOWN_CLASSES:
+            diagnostics.append(f"line {number}: unknown class {label!r}")
             continue
         if detection.score < min_score:
             continue

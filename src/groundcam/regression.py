@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,24 +37,33 @@ class InsufficientSamples(RegressionError):
     """A class has fewer training samples than the minimum."""
 
 
-@dataclass(frozen=True, slots=True)
-class BoundingBox:
-    """Axis-aligned pixel box, xmin < xmax and ymin < ymax."""
-
+class _BoundingBox(NamedTuple):
     xmin: float
     ymin: float
     xmax: float
     ymax: float
 
-    def __post_init__(self) -> None:
-        values = (self.xmin, self.ymin, self.xmax, self.ymax)
-        if not all(map(math.isfinite, values)):
+
+class BoundingBox(_BoundingBox):
+    """Axis-aligned pixel box, xmin < xmax and ymin < ymax.
+
+    The coordinates are checked finite and the extent positive on
+    construction; _make and _replace skip the checks.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, xmin: float, ymin: float, xmax: float, ymax: float
+    ) -> BoundingBox:
+        isfinite = math.isfinite
+        if not (isfinite(xmin) and isfinite(ymin) and isfinite(xmax) and isfinite(ymax)):
             raise ValueError("box coordinates must be finite")
-        if not (self.xmin < self.xmax and self.ymin < self.ymax):
+        if not (xmin < xmax and ymin < ymax):
             raise ValueError(
-                f"box must have positive extent, got ({self.xmin}, {self.ymin}, "
-                f"{self.xmax}, {self.ymax})"
+                f"box must have positive extent, got ({xmin}, {ymin}, {xmax}, {ymax})"
             )
+        return tuple.__new__(cls, (xmin, ymin, xmax, ymax))
 
     @property
     def features(self) -> np.ndarray:
@@ -101,7 +111,7 @@ class ClassModel:
         """(u, v) for one box: each weight row's sum over the features
         (xmin, ymin, xmax, ymax, 1), added in that order."""
         (a0, a1, a2, a3, a4), (b0, b1, b2, b3, b4) = self.rows
-        x0, y0, x1, y1 = bbox.xmin, bbox.ymin, bbox.xmax, bbox.ymax
+        x0, y0, x1, y1 = bbox
         return (
             a0 * x0 + a1 * y0 + a2 * x1 + a3 * y1 + a4,
             b0 * x0 + b1 * y0 + b2 * x1 + b3 * y1 + b4,

@@ -37,7 +37,7 @@ from .geometry import (
     rotation_from_axis_angle,
 )
 from .intrinsics import PlanarView
-from .pipeline import Detection, FrameConvention, bearing
+from .pipeline import Detection, FrameConvention, bearing, json_number, json_numbers
 from .regression import (
     KNOWN_CLASSES,
     BoundingBox,
@@ -139,29 +139,40 @@ class SceneConfig:
         return points
 
 
+def _integer(value) -> int:
+    """A JSON integer; anything else, a bool or 3.0 included, raises ValueError."""
+    if type(value) is not int:
+        raise ValueError(f"value must be an integer, got {value!r}")
+    return value
+
+
+def _number(value) -> float:
+    return json_number(value, "value")
+
+
 def _pair(value) -> tuple[float, float]:
-    x, y = value
-    return float(x), float(y)
+    x, y = json_numbers(value, 2, "value")
+    return x, y
 
 
 # The configuration document: (section, key, SceneConfig field, converter
 # from JSON). Section None is the top level. The calibration, which fills
 # two fields, and the ignored seed are handled apart.
 _SCHEMA = (
-    (None, "image_width_px", "image_width_px", int),
-    (None, "image_height_px", "image_height_px", int),
-    (None, "noise_px", "noise_px", float),
-    ("grid", "columns", "grid_columns", int),
-    ("grid", "rows", "grid_rows", int),
-    ("grid", "spacing_mm", "grid_spacing_mm", float),
+    (None, "image_width_px", "image_width_px", _integer),
+    (None, "image_height_px", "image_height_px", _integer),
+    (None, "noise_px", "noise_px", _number),
+    ("grid", "columns", "grid_columns", _integer),
+    ("grid", "rows", "grid_rows", _integer),
+    ("grid", "spacing_mm", "grid_spacing_mm", _number),
     ("grid", "origin_mm", "grid_origin_mm", _pair),
     ("object", "class", "object_label", str),
-    ("object", "radius_mm", "object_radius_mm", float),
-    ("object", "height_mm", "object_height_mm", float),
-    ("pattern", "views", "num_views", int),
-    ("pattern", "cols", "pattern_cols", int),
-    ("pattern", "rows", "pattern_rows", int),
-    ("pattern", "square_size_mm", "square_size_mm", float),
+    ("object", "radius_mm", "object_radius_mm", _number),
+    ("object", "height_mm", "object_height_mm", _number),
+    ("pattern", "views", "num_views", _integer),
+    ("pattern", "cols", "pattern_cols", _integer),
+    ("pattern", "rows", "pattern_rows", _integer),
+    ("pattern", "square_size_mm", "square_size_mm", _number),
     (None, "field_geometry", "geometry", files.field_geometry_from_dict),
     (None, "landmarks", "landmark_names", lambda names: tuple(map(str, names))),
     (None, "frame", "frame", FrameConvention),

@@ -1,17 +1,61 @@
-"""Shared fixtures: reference calibration, synthetic scenes, repo paths."""
+"""Shared fixtures: reference calibration, synthetic scenes, repo paths, the
+json.loads ingest oracle and the hypothesis profile."""
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from groundcam.pipeline import Detection, json_number, json_numbers
 from groundcam.reference import reference_intrinsics, reference_pose
+from groundcam.regression import KNOWN_CLASSES, BoundingBox
 from groundcam.scene import SceneConfig, generate_scene
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURES_DIR = REPO_ROOT / "fixtures"
+
+try:
+    from hypothesis import settings
+except ImportError:
+    pass
+else:
+    # A derandomized run draws the same examples every time, so a failing
+    # property fails again on re-run whatever the local example database holds.
+    settings.register_profile("groundcam", derandomize=True, deadline=None)
+    settings.load_profile("groundcam")
+
+
+def json_loads_ingest(lines, min_score: float = 0.5):
+    """(kept detections, diagnostics) of ingest_detections' contract, with
+    each stripped line parsed by json.loads: the oracle for its decoder."""
+    kept, diagnostics = [], []
+    for number, raw in enumerate(lines, start=1):
+        text = raw.strip()
+        if not text:
+            continue
+        try:
+            obj = json.loads(text)
+            bbox = BoundingBox(*json_numbers(obj["bbox"], 4, "bbox"))
+            frame = obj["frame"]
+            if type(frame) is int:
+                frame = str(frame)
+            elif type(frame) is not str:
+                raise ValueError(f"frame must be a string or an integer, got {frame!r}")
+            label = obj["class"]
+            if type(label) is not str:
+                raise ValueError(f"class must be a string, got {label!r}")
+            detection = Detection(frame, label, json_number(obj["score"], "score"), bbox)
+        except (KeyError, TypeError, ValueError) as exc:
+            diagnostics.append(f"line {number}: {exc}")
+            continue
+        if label not in KNOWN_CLASSES:
+            diagnostics.append(f"line {number}: unknown class {label!r}")
+        elif detection.score >= min_score:
+            kept.append(detection)
+    return tuple(kept), tuple(diagnostics)
 
 
 @pytest.fixture

@@ -501,6 +501,40 @@ class TestSynth:
         assert "noise_px" in err
         assert not (tmp_path / "s").exists()
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("grid", "columns", "2"), (None, "noise_px", True), ("pattern", "views", 3.7)],
+    )
+    def test_non_number_value_names_the_file_and_the_key(
+        self, capsys, tmp_path, section, key, value
+    ):
+        config_path = tmp_path / "config.json"
+        doc = config_to_dict(SceneConfig(), seed=0)
+        (doc if section is None else doc[section])[key] = value
+        config_path.write_text(json.dumps(doc))
+        code, out, err = _run(capsys, "synth", config_path, "--out", tmp_path / "s")
+        assert code == 2
+        assert out == ""
+        where = key if section is None else f"{section}.{key}"
+        assert err.startswith(f"error: {config_path}: bad configuration value {where}: ")
+        assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("key, value", [("alpha_x", "642.41"), ("gamma", True)])
+def test_non_number_calibration_value_exits_2_naming_the_file_and_the_key(
+    capsys, cli_scene, tmp_path, key, value
+):
+    doc = json.loads(cli_scene.paths["calibration"].read_text())
+    doc["intrinsics"][key] = value
+    path = tmp_path / "calibration.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(
+        capsys, "localize", cli_scene.paths["detections"], path, cli_scene.paths["model"]
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {path}: {key} must be a number, got {value!r}\n"
+
 
 # ---------------------------------------------------------------------------
 # Malformed JSON documents

@@ -78,6 +78,31 @@ class TestCalibrationFile:
         doc = json.loads(text)
         assert list(doc["intrinsics"]) == sorted(doc["intrinsics"])
 
+    @pytest.mark.parametrize(
+        "key, value, named",
+        [
+            ("alpha_x", "642.41", "alpha_x must be a number"),
+            ("gamma", True, "gamma must be a number"),
+            ("distortion", {"k2": None}, "distortion.k2 must be a number"),
+            ("pose", {"rotation": ["1"] * 9, "translation": [0, 0, 1]}, "pose.rotation"),
+            ("pose", {"rotation": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "translation": [0, 0, 1]},
+             "pose.rotation must be an array of 9 numbers"),
+            ("pose", {"rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1], "translation": [0, 0, True]},
+             "pose.translation must be a number, got True"),
+        ],
+    )
+    def test_values_must_be_json_numbers(self, tmp_path, ref_k, ref_pose, key, value, named):
+        doc = files.calibration_to_dict(ref_k, ref_pose)
+        if key == "pose":
+            doc["pose"] = value
+        else:
+            doc["intrinsics"][key] = value
+        path = tmp_path / "calibration.json"
+        files.write_json(path, doc)
+        with pytest.raises(ValueError) as error:
+            files.load_calibration(path)
+        assert str(error.value).startswith(f"{path}: {named}")
+
     def test_missing_distortion_defaults_to_zero(self):
         k = files.intrinsics_from_dict(
             {"alpha_x": 600.0, "alpha_y": 600.0, "u0": 320.0, "v0": 240.0}

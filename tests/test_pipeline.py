@@ -40,6 +40,8 @@ from groundcam.reference import reference_intrinsics
 from groundcam.regression import BoundingBox, bottom_center_regressor
 from groundcam.scene import SceneConfig, generate_scene
 
+from conftest import json_loads_ingest
+
 # ---------------------------------------------------------------------------
 # Helpers
 # ---------------------------------------------------------------------------
@@ -343,6 +345,57 @@ class TestIngestDetections:
         assert result.diagnostics == ()
 
 
+    @pytest.mark.parametrize("value", ["null", "true", "false", "[1]", "1.5", "{}"])
+    def test_frame_must_be_a_string_or_an_integer(self, value):
+        line = f'{{"frame": {value}, "class": "ball", "score": 0.9, "bbox": [1, 2, 3, 4]}}'
+        result = ingest_detections([line])
+        assert result.detections == ()
+        assert result.diagnostics == (
+            f"line 1: frame must be a string or an integer, got {json.loads(value)!r}",
+        )
+
+    def test_integer_frame_keeps_its_decimal_text(self):
+        line = '{"frame": 7, "class": "ball", "score": 0.9, "bbox": [1, 2, 3, 4]}'
+        result = ingest_detections([line])
+        assert result.diagnostics == ()
+        assert result.detections[0].frame_id == "7"
+
+    @pytest.mark.parametrize("value", ["5", "null", "true", '["ball"]'])
+    def test_class_must_be_a_string(self, value):
+        line = f'{{"frame": "f0", "class": {value}, "score": 0.9, "bbox": [1, 2, 3, 4]}}'
+        result = ingest_detections([line])
+        assert result.detections == ()
+        assert result.diagnostics == (
+            f"line 1: class must be a string, got {json.loads(value)!r}",
+        )
+
+
+# Lines whose parse differs between a decoder that stops at the end of the
+# first value and json.loads, which reads the whole line.
+ORACLE_LINES = {
+    "trailing-data": _line() + "x",
+    "trailing-object": _line() + "{}",
+    "trailing-data-after-space": _line() + "   x",
+    "trailing-line-after-tab": _line() + "\t" + _line(),
+    "array": "[1, 2]",
+    "string": '"str"',
+    "number": "42",
+    "empty-object": "{}",
+    "truncated-object": _line()[:-7],
+    "nan-coordinate": '{"frame": "f0", "class": "ball", "score": 0.9, "bbox": [NaN, 2, 3, 4]}',
+    "surrounding-whitespace": " \t " + _line(frame="ws") + " \r\n",
+    "null-frame": '{"frame": null, "class": "ball", "score": 0.9, "bbox": [1, 2, 3, 4]}',
+    "integer-frame": '{"frame": 12, "class": "goal", "score": 0.9, "bbox": [1, 2, 3, 4]}',
+}
+
+
+@pytest.mark.parametrize("text", ORACLE_LINES.values(), ids=ORACLE_LINES.keys())
+def test_ingest_equals_a_json_loads_reference(text):
+    lines = [_line(frame="a"), text, _line(frame="b", score=0.2), _line(frame="c")]
+    result = ingest_detections(lines)
+    assert (result.detections, result.diagnostics) == json_loads_ingest(lines)
+
+
 # ---------------------------------------------------------------------------
 # Value objects
 # ---------------------------------------------------------------------------
@@ -375,6 +428,73 @@ def test_localized_object_theta_range_enforced():
         ground_pixel=PixelPoint(0.0, 0.0),
     )
     assert ok.theta_deg == 180.0
+
+
+_BOX = BoundingBox(10.0, 10.0, 50.0, 80.0)
+_PIXEL = PixelPoint(30.0, 80.0)
+# One valid record of each per-detection type, and a field to assign to.
+RECORDS = {
+    "BoundingBox": (_BOX, "xmin"),
+    "PixelPoint": (_PIXEL, "u"),
+    "Detection": (Detection("f", "ball", 0.9, _BOX), "score"),
+    "LocalizedObject": (LocalizedObject("f", "ball", 1.0, 2.0, 26.5, _PIXEL), "x_mm"),
+    "UnlocalizableDetection": (UnlocalizableDetection("f", "ball", "unknown-class"), "reason"),
+}
+
+
+@pytest.mark.parametrize("record, name", RECORDS.values(), ids=RECORDS.keys())
+def test_records_are_immutable(record, name):
+    with pytest.raises(AttributeError):
+        setattr(record, name, getattr(record, name))
+    with pytest.raises(AttributeError):
+        record.extra = 1
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: BoundingBox(math.nan, 0.0, 1.0, 1.0), "box coordinates must be finite"),
+        (lambda: BoundingBox(0.0, 0.0, 1.0, math.inf), "box coordinates must be finite"),
+        (
+            lambda: BoundingBox(10.0, 0.0, 10.0, 10.0),
+            "box must have positive extent, got (10.0, 0.0, 10.0, 10.0)",
+        ),
+        (
+            lambda: BoundingBox(0.0, 5, 1.0, 5),
+            "box must have positive extent, got (0.0, 5, 1.0, 5)",
+        ),
+        (lambda: PixelPoint(math.inf, 0.0), "pixel coordinates must be finite"),
+        (lambda: PixelPoint(0.0, math.nan), "pixel coordinates must be finite"),
+        (lambda: Detection("f", "ball", 1.5, _BOX), "score must be in [0, 1], got 1.5"),
+        (lambda: Detection("f", "ball", -0.1, _BOX), "score must be in [0, 1], got -0.1"),
+        (lambda: Detection("f", "ball", math.nan, _BOX), "score must be in [0, 1], got nan"),
+        (
+            lambda: LocalizedObject("f", "ball", 0.0, 1.0, -180.0, _PIXEL),
+            "theta -180.0 outside (-180, 180]",
+        ),
+        (
+            lambda: LocalizedObject("f", "ball", 0.0, 1.0, 180.5, _PIXEL),
+            "theta 180.5 outside (-180, 180]",
+        ),
+    ],
+)
+def test_records_reject_bad_values_with_their_messages(build, message):
+    with pytest.raises(ValueError) as error:
+        build()
+    assert str(error.value) == message
+
+
+def test_record_fields_and_defaults():
+    p = PixelPoint(1, 2)
+    assert type(p.u) is float and p.u == 1.0 and p.v == 2.0
+    assert UnlocalizableDetection("f", "ball", "unknown-class").ground_pixel is None
+    placed = LocalizedObject("f", "ball", 0.0, 1.0, 180.0, _PIXEL)
+    missed = UnlocalizableDetection("f", "ball", "point-not-on-ground", _PIXEL)
+    assert isinstance(placed, LocalizedObject)
+    assert not isinstance(placed, UnlocalizableDetection)
+    assert isinstance(missed, UnlocalizableDetection)
+    assert not isinstance(missed, LocalizedObject)
+    assert Detection(frame_id="f", label="ball", score=0.9, bbox=_BOX).bbox is _BOX
 
 
 def test_frame_convention_values():

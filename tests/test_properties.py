@@ -1,5 +1,6 @@
 """Property tests: the lens inverse, the ground map and the rotation
-parameterizations undo their forward maps.
+parameterizations undo their forward maps, and ingest parses any line as
+json.loads does.
 
 Skipped when hypothesis is not installed.
 """
@@ -29,12 +30,15 @@ from groundcam.geometry import (  # noqa: E402
     rotation_from_axis_angle,
     undistort_normalized,
 )
+from groundcam.pipeline import ingest_detections  # noqa: E402
 from groundcam.reference import (  # noqa: E402
     IMAGE_HEIGHT_PX,
     IMAGE_WIDTH_PX,
     reference_intrinsics,
     reference_pose,
 )
+
+from conftest import json_loads_ingest  # noqa: E402
 
 REF_K = reference_intrinsics()
 # Normalized extent of the reference image: |x| <= 0.51, |y| <= 0.38.
@@ -128,3 +132,35 @@ def test_axis_angle_round_trip_near_pi(axis, gap):
     # At pi itself the axis sign is free; anywhere short of it, it is not.
     if gap >= 1e-9:
         assert np.max(np.abs(back - rvec)) <= 1e-12
+
+
+VALID_LINE = '{"bbox": [10.5, 20.0, 50.25, 80.0], "class": "ball", "frame": "f7", "score": 0.75}'
+# Characters that keep a mutated line close to JSON, plus any character.
+json_chars = st.one_of(st.sampled_from(list('{}[]",: \t0123456789.-eENaI')), st.characters())
+
+
+@st.composite
+def one_character_mutations(draw):
+    """VALID_LINE with one character deleted, replaced or inserted."""
+    i = draw(st.integers(0, len(VALID_LINE)))
+    c = draw(json_chars)
+    op = draw(st.sampled_from(("delete", "replace", "insert")))
+    if op == "delete":
+        return VALID_LINE[:i] + VALID_LINE[i + 1 :]
+    if op == "replace":
+        return VALID_LINE[:i] + c + VALID_LINE[i + 1 :]
+    return VALID_LINE[:i] + c + VALID_LINE[i:]
+
+
+# VALID_LINE followed by JSON whitespace and more text.
+trailing_text = st.builds(
+    lambda gap, tail: VALID_LINE + gap + tail, st.text(" \t\r", min_size=1), st.text()
+)
+
+
+@settings(max_examples=500)
+@given(line=st.one_of(st.text(), one_character_mutations(), trailing_text))
+def test_ingest_equals_a_json_loads_reference(line):
+    lines = [VALID_LINE, line, VALID_LINE]
+    result = ingest_detections(lines)
+    assert (result.detections, result.diagnostics) == json_loads_ingest(lines)

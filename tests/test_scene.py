@@ -265,6 +265,43 @@ class TestConfigDict:
         with pytest.raises(ConfigInvalid, match=f"bad configuration value {where}: "):
             config_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("grid", "columns", "2"),
+            ("grid", "columns", 2.0),
+            ("pattern", "views", 3.7),
+            ("pattern", "views", True),
+            (None, "image_width_px", "640"),
+            (None, "noise_px", True),
+            (None, "noise_px", "0.5"),
+            ("grid", "spacing_mm", "250"),
+            ("grid", "origin_mm", ["0", 0]),
+            ("object", "height_mm", False),
+        ],
+    )
+    def test_numbers_must_be_json_numbers(self, section, key, value):
+        doc = config_to_dict(_small_config(), seed=0)
+        (doc if section is None else doc[section])[key] = value
+        where = key if section is None else f"{section}.{key}"
+        with pytest.raises(ConfigInvalid, match=f"bad configuration value {where}: "):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "spoil",
+        [
+            lambda c: c["intrinsics"].update(alpha_x="642.41"),
+            lambda c: c["intrinsics"].update(gamma=True),
+            lambda c: c["intrinsics"]["distortion"].update(k1="0"),
+            lambda c: c["pose"]["translation"].__setitem__(0, "1.0"),
+        ],
+    )
+    def test_calibration_numbers_must_be_json_numbers(self, spoil):
+        doc = config_to_dict(_small_config(), seed=0)
+        spoil(doc["calibration"])
+        with pytest.raises(ConfigInvalid, match="bad configuration value calibration: "):
+            config_from_dict(doc)
+
     def test_non_object_rejected(self):
         with pytest.raises(ConfigInvalid):
             config_from_dict(["not", "a", "mapping"])
