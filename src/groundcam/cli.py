@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import files
 from .evaluation import EvalPair, build_report, compare_sources
-from .extrinsics import correspondences_from_landmarks, solve_pnp
+from .extrinsics import solve_pnp
 from .intrinsics import calibrate_intrinsics
 from .pipeline import FrameConvention, LocalizedObject, ingest_detections, localize_batch
 from .regression import fit
@@ -47,7 +47,7 @@ def _finite(flag: str, value: float) -> float:
 
 
 def _cmd_calibrate_intrinsics(args: argparse.Namespace) -> int:
-    views, _ = files.load_planar_views(args.views)
+    views = files.load_planar_views(args.views)
     _note(f"loaded {len(views)} views from {args.views}")
     solution = calibrate_intrinsics(
         views, fix_skew=not args.allow_skew, fix_k3=not args.fit_k3
@@ -59,9 +59,8 @@ def _cmd_calibrate_intrinsics(args: argparse.Namespace) -> int:
 
 
 def _cmd_calibrate_extrinsics(args: argparse.Namespace) -> int:
-    geometry, named, extra = files.load_landmarks(args.landmarks)
+    correspondences = files.load_landmarks(args.landmarks)
     k, _ = files.load_calibration(args.intrinsics)
-    correspondences = correspondences_from_landmarks(geometry, named, extra)
     _note(f"{len(correspondences)} correspondences from {args.landmarks}")
     pose, report = solve_pnp(correspondences, k)
     for name, norm in zip(report.names, report.norms):

@@ -283,20 +283,3 @@ def reprojection_report(
         rmse_px=rmse,
         flagged=flagged,
     )
-
-
-def correspondences_from_landmarks(
-    geometry: FieldGeometry,
-    marked: dict[str, PixelPoint],
-    extra: list[PnpCorrespondence] | None = None,
-) -> list[PnpCorrespondence]:
-    """Pair named landmark pixels with catalog world points; unknown names raise."""
-    catalog = field_landmarks(geometry)
-    out = []
-    for name, pixel in marked.items():
-        if name not in catalog:
-            raise KeyError(f"unknown landmark name: {name!r}")
-        out.append(PnpCorrespondence(pixel=pixel, world=catalog[name], name=name))
-    if extra:
-        out.extend(extra)
-    return out

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .evaluation import ERROR_BLOCKS, EvalPair
-from .extrinsics import FieldGeometry, PnpCorrespondence
+from .extrinsics import FieldGeometry, PnpCorrespondence, field_landmarks
 from .geometry import (
     CameraIntrinsics,
     CameraPose,
@@ -35,6 +35,7 @@ from .pipeline import (
     UnlocalizableDetection,
     json_number,
     json_numbers,
+    json_string,
 )
 from .regression import (
     BoundingBox,
@@ -135,43 +136,37 @@ def load_calibration(path: Path) -> tuple[CameraIntrinsics, CameraPose | None]:
     return _load_json(path, calibration_from_dict)
 
 
-def save_planar_views(
-    path: Path, views: list[PlanarView], square_size_mm: float
-) -> None:
-    obj = {
+def views_to_dict(views: list[PlanarView], square_size_mm: float) -> dict:
+    return {
         "square_size_mm": square_size_mm,
         "views": [
             {
                 "id": v.view_id,
                 "points": [
-                    {
-                        "pixel": [float(u), float(vv)],
-                        "pattern": [float(x), float(y)],
-                    }
-                    for (u, vv), (x, y) in zip(v.pixels, v.pattern)
+                    {"pixel": pixel, "pattern": pattern}
+                    for pixel, pattern in zip(v.pixels.tolist(), v.pattern.tolist())
                 ],
             }
             for v in views
         ],
     }
-    write_json(path, obj)
 
 
-def load_planar_views(path: Path) -> tuple[list[PlanarView], float]:
-    def parse(obj: dict) -> tuple[list[PlanarView], float]:
-        views = []
-        for entry in obj["views"]:
-            points = entry["points"]
-            views.append(
-                PlanarView(
-                    view_id=str(entry["id"]),
-                    pixels=np.array([p["pixel"] for p in points], dtype=float),
-                    pattern=np.array([p["pattern"] for p in points], dtype=float),
-                )
-            )
-        return views, float(obj.get("square_size_mm", 0.0))
+def views_from_dict(obj: dict) -> list[PlanarView]:
+    """Inverse of views_to_dict. square_size_mm is not read: the pattern
+    coordinates already carry the scale."""
+    return [
+        PlanarView(
+            view_id=json_string(entry["id"], "id"),
+            pixels=[json_numbers(p["pixel"], 2, "pixel") for p in entry["points"]],
+            pattern=[json_numbers(p["pattern"], 2, "pattern") for p in entry["points"]],
+        )
+        for entry in obj["views"]
+    ]
 
-    return _load_json(path, parse)
+
+def load_planar_views(path: Path) -> list[PlanarView]:
+    return _load_json(path, views_from_dict)
 
 
 def field_geometry_to_dict(g: FieldGeometry) -> dict:
@@ -188,13 +183,12 @@ def field_geometry_from_dict(obj: dict) -> FieldGeometry:
     )
 
 
-def save_landmarks(
-    path: Path,
+def landmarks_to_dict(
     geometry: FieldGeometry,
     named: dict[str, PixelPoint],
     extra: list[PnpCorrespondence] | None = None,
-) -> None:
-    obj = {
+) -> dict:
+    return {
         "field_geometry": field_geometry_to_dict(geometry),
         "points": [
             {"name": name, "pixel": [px.u, px.v]} for name, px in named.items()
@@ -207,46 +201,48 @@ def save_landmarks(
             for c in (extra or [])
         ],
     }
-    write_json(path, obj)
 
 
-def load_landmarks(
-    path: Path,
-) -> tuple[FieldGeometry, dict[str, PixelPoint], list[PnpCorrespondence]]:
-    def parse(obj: dict):
-        named = {
-            str(p["name"]): PixelPoint(float(p["pixel"][0]), float(p["pixel"][1]))
-            for p in obj.get("points", [])
-        }
-        extra = [
-            PnpCorrespondence(
-                pixel=PixelPoint(float(e["pixel"][0]), float(e["pixel"][1])),
-                world=WorldPoint(*(float(v) for v in e["world"])),
-            )
-            for e in obj.get("extra", [])
-        ]
-        return field_geometry_from_dict(obj["field_geometry"]), named, extra
+def landmarks_from_dict(obj: dict) -> list[PnpCorrespondence]:
+    """Each named pixel with its field_landmarks world point (a repeated name
+    keeps its last pixel), then the extra points; unknown names raise ValueError."""
+    catalog = field_landmarks(field_geometry_from_dict(obj["field_geometry"]))
+    named = {}
+    for p in obj.get("points", []):
+        name = json_string(p["name"], "name")
+        if name not in catalog:
+            raise ValueError(f"unknown landmark name: {name!r}")
+        pixel = PixelPoint(*json_numbers(p["pixel"], 2, "pixel"))
+        named[name] = PnpCorrespondence(pixel, catalog[name], name)
+    extra = [
+        PnpCorrespondence(
+            PixelPoint(*json_numbers(e["pixel"], 2, "pixel")),
+            WorldPoint(*json_numbers(e["world"], 3, "world")),
+        )
+        for e in obj.get("extra", [])
+    ]
+    return [*named.values(), *extra]
 
-    return _load_json(path, parse)
+
+def load_landmarks(path: Path) -> list[PnpCorrespondence]:
+    return _load_json(path, landmarks_from_dict)
 
 
 def model_to_dict(regressor: GroundRegressor) -> dict:
     return {
         "classes": {
-            label: {
-                "weights": [[float(v) for v in row] for row in model.weights],
-                "rmse_px": model.rmse_px,
-            }
+            label: {"weights": model.weights.tolist(), "rmse_px": model.rmse_px}
             for label, model in regressor.classes.items()
         }
     }
 
 
 def model_from_dict(obj: dict) -> GroundRegressor:
+    """Inverse of model_to_dict; ClassModel checks there are 2 weight rows."""
     classes = {
         label: ClassModel(
-            weights=np.array(entry["weights"], dtype=float),
-            rmse_px=float(entry["rmse_px"]),
+            weights=[json_numbers(row, 5, "weights") for row in entry["weights"]],
+            rmse_px=json_number(entry["rmse_px"], "rmse_px"),
         )
         for label, entry in obj["classes"].items()
     }
@@ -288,7 +284,7 @@ def load_samples(path: Path) -> list[RegressionSample]:
             obj = json.loads(line)
             samples.append(
                 RegressionSample(
-                    label=str(obj["class"]),
+                    label=json_string(obj["class"], "class"),
                     bbox=BoundingBox(*json_numbers(obj["bbox"], 4, "bbox")),
                     ground_pixel=PixelPoint(
                         *json_numbers(obj["ground_pixel"], 2, "ground_pixel")

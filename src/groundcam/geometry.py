@@ -512,10 +512,9 @@ class GroundMap(NamedTuple):
     center: tuple[float, float, float]  # -R^T t
     cos_yaw: float
     sin_yaw: float
-    plane_z: float
 
     def locate(self, u: float, v: float) -> tuple[float, float]:
-        """Ground point (x, y) on z = plane_z seen at the observed pixel (u, v).
+        """Ground point (x, y) on z = 0 seen at the observed pixel (u, v).
 
         Raises NonConvergence when the lens model cannot be inverted there,
         otherwise whatever hit raises.
@@ -524,7 +523,7 @@ class GroundMap(NamedTuple):
         return self.hit(*undistort_normalized(x, y, self.k.distortion, (u, v)))
 
     def hit(self, x: float, y: float) -> tuple[float, float]:
-        """Where the ray through ideal normalized (x, y) meets z = plane_z.
+        """Where the ray through ideal normalized (x, y) meets z = 0.
 
         Raises RayParallelToPlane when the ray's vertical component vanishes,
         PointNotOnGround when the intersection lies at or behind the camera
@@ -537,13 +536,13 @@ class GroundMap(NamedTuple):
         dz = r20 * x + r21 * y + r22
         if abs(dz) < RAY_NORMAL_EPS:
             raise RayParallelToPlane(
-                f"normalized ({x:.6g}, {y:.6g}) views along the plane z={self.plane_z}"
+                f"normalized ({x:.6g}, {y:.6g}) views along the plane z=0"
             )
         cx, cy, cz = self.center
-        s = (self.plane_z - cz) / dz
+        s = (0.0 - cz) / dz
         if s <= 0.0:
             raise PointNotOnGround(
-                f"normalized ({x:.6g}, {y:.6g}) meets plane z={self.plane_z} at "
+                f"normalized ({x:.6g}, {y:.6g}) meets plane z=0 at "
                 f"non-positive ray parameter {s:.6g}"
             )
         gx = cx + s * dx
@@ -570,10 +569,8 @@ def camera_center(pose: CameraPose) -> WorldPoint:
     return WorldPoint(*(-pose.rotation.T @ pose.translation).tolist())
 
 
-def ground_map(
-    k: CameraIntrinsics, pose: CameraPose, plane_z: float = 0.0
-) -> GroundMap:
-    """The ground map of camera k at pose onto the plane z = plane_z.
+def ground_map(k: CameraIntrinsics, pose: CameraPose) -> GroundMap:
+    """The ground map of camera k at pose onto the ground plane z = 0.
 
     The camera center is camera_center(pose) and the yaw is
     atan2(R[2, 0], R[2, 1]), the heading of the optical axis on the ground.
@@ -587,7 +584,6 @@ def ground_map(
         (c.x, c.y, c.z),
         math.cos(yaw),
         math.sin(yaw),
-        float(plane_z),
     )
 
 

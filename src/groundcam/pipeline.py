@@ -159,6 +159,13 @@ def json_numbers(value, count: int, what: str) -> list[float]:
     return [json_number(v, what) for v in value]
 
 
+def json_string(value, what: str) -> str:
+    """A string json.loads returned; anything else raises ValueError naming what."""
+    if type(value) is not str:
+        raise ValueError(f"{what} must be a string, got {value!r}")
+    return value
+
+
 def localize_batch(
     detections: list[Detection],
     regressor: GroundRegressor,
@@ -240,9 +247,7 @@ def ingest_detections(
                 obj = json.loads(text)
             bbox = BoundingBox(*json_numbers(obj["bbox"], 4, "bbox"))
             frame_id = _frame_id(obj["frame"])
-            label = obj["class"]
-            if type(label) is not str:
-                raise ValueError(f"class must be a string, got {label!r}")
+            label = json_string(obj["class"], "class")
             detection = Detection(
                 frame_id, label, json_number(obj["score"], "score"), bbox
             )

@@ -37,7 +37,14 @@ from .geometry import (
     rotation_from_axis_angle,
 )
 from .intrinsics import PlanarView
-from .pipeline import Detection, FrameConvention, bearing, json_number, json_numbers
+from .pipeline import (
+    Detection,
+    FrameConvention,
+    bearing,
+    json_number,
+    json_numbers,
+    json_string,
+)
 from .regression import (
     KNOWN_CLASSES,
     BoundingBox,
@@ -155,6 +162,17 @@ def _pair(value) -> tuple[float, float]:
     return x, y
 
 
+def _string(value) -> str:
+    return json_string(value, "value")
+
+
+def _strings(value) -> tuple[str, ...]:
+    """A JSON array of strings; anything else raises ValueError."""
+    if type(value) is not list:
+        raise ValueError(f"value must be an array of strings, got {value!r}")
+    return tuple(map(_string, value))
+
+
 # The configuration document: (section, key, SceneConfig field, converter
 # from JSON). Section None is the top level. The calibration, which fills
 # two fields, and the ignored seed are handled apart.
@@ -166,7 +184,7 @@ _SCHEMA = (
     ("grid", "rows", "grid_rows", _integer),
     ("grid", "spacing_mm", "grid_spacing_mm", _number),
     ("grid", "origin_mm", "grid_origin_mm", _pair),
-    ("object", "class", "object_label", str),
+    ("object", "class", "object_label", _string),
     ("object", "radius_mm", "object_radius_mm", _number),
     ("object", "height_mm", "object_height_mm", _number),
     ("pattern", "views", "num_views", _integer),
@@ -174,7 +192,7 @@ _SCHEMA = (
     ("pattern", "rows", "pattern_rows", _integer),
     ("pattern", "square_size_mm", "square_size_mm", _number),
     (None, "field_geometry", "geometry", files.field_geometry_from_dict),
-    (None, "landmarks", "landmark_names", lambda names: tuple(map(str, names))),
+    (None, "landmarks", "landmark_names", _strings),
     (None, "frame", "frame", FrameConvention),
 )
 _SECTIONS = {
@@ -454,14 +472,16 @@ def generate_scene(
         "detections": out_dir / "detections.jsonl",
         "truth": out_dir / "truth.csv",
     }
-    files.write_json(paths["config"], config_to_dict(config, seed))
-    files.write_json(
-        paths["calibration"], files.calibration_to_dict(config.intrinsics, config.pose)
-    )
-    files.save_planar_views(paths["views"], views, config.square_size_mm)
-    files.save_landmarks(paths["landmarks"], config.geometry, landmark_pixels)
+    documents = {
+        "config": config_to_dict(config, seed),
+        "calibration": files.calibration_to_dict(config.intrinsics, config.pose),
+        "views": files.views_to_dict(views, config.square_size_mm),
+        "landmarks": files.landmarks_to_dict(config.geometry, landmark_pixels),
+        "model": files.model_to_dict(regressor),
+    }
+    for name, doc in documents.items():
+        files.write_json(paths[name], doc)
     files.save_samples(paths["samples"], samples)
-    files.write_json(paths["model"], files.model_to_dict(regressor))
     with open(paths["detections"], "w") as f:
         for d in detections:
             f.write(files.detection_line(d.frame_id, d.label, d.score, d.bbox) + "\n")

@@ -130,7 +130,7 @@ class TestCalibrateExtrinsics:
             for p in config.grid_points
         ]
         path = tmp_path / "landmarks.json"
-        files.save_landmarks(path, config.geometry, named, extra)
+        files.write_json(path, files.landmarks_to_dict(config.geometry, named, extra))
         code, out, err = _run(
             capsys, "calibrate-extrinsics", path, cli_scene.paths["calibration"]
         )
@@ -143,7 +143,7 @@ class TestCalibrateExtrinsics:
         config = cli_scene.config
         named = dict(list(cli_scene.landmark_pixels.items())[:3])
         path = tmp_path / "landmarks.json"
-        files.save_landmarks(path, config.geometry, named)
+        files.write_json(path, files.landmarks_to_dict(config.geometry, named))
         code, out, err = _run(
             capsys, "calibrate-extrinsics", path, cli_scene.paths["calibration"]
         )
@@ -565,9 +565,23 @@ def _inputs(scene, command):
         ("localize", "calibration", (), ["intrinsics"]),
         ("localize", "model", ("classes",), None),
         ("calibrate-extrinsics", "calibration", ("intrinsics", "alpha_x"), 10**400),
+        ("calibrate-intrinsics", "views", ("views", 0, "points", 0, "pixel"),
+         ["322.5", "210.25"]),
+        ("calibrate-intrinsics", "views", ("views", 0, "points", 0, "pattern"),
+         [True, 0]),
+        ("calibrate-extrinsics", "landmarks", ("points", 0, "pixel"),
+         ["322.5", "210.25"]),
+        ("calibrate-extrinsics", "landmarks", ("extra",),
+         [{"pixel": [322.5, 210.25], "world": [0.0, "0", 0.0]}]),
+        ("calibrate-extrinsics", "landmarks", ("points", 0, "name"), "5"),
+        ("localize", "model", ("classes", "ball", "weights", 0, 0), "0.5"),
+        ("localize", "model", ("classes", "ball", "rmse_px"), "0"),
     ],
     ids=["views-points-null", "landmarks-pixel-null", "distortion-null",
-         "calibration-list", "model-classes-null", "alpha_x-beyond-float"],
+         "calibration-list", "model-classes-null", "alpha_x-beyond-float",
+         "views-pixel-strings", "views-pattern-bool", "landmarks-pixel-strings",
+         "landmarks-extra-world-string", "landmarks-unknown-name",
+         "model-weight-string", "model-rmse-string"],
 )
 def test_malformed_json_document_exits_2_naming_the_file(
     capsys, cli_scene, tmp_path, command, document, keys, value
@@ -705,6 +719,40 @@ def test_fuzzed_input_exits_0_or_2(capsys, cli_scene, tmp_path, document):
             if code == 2:
                 assert out == "", case
                 assert "error: " in err, case
+
+
+# Field mutations of the pairs table, used in turn: the first four replace
+# one field's text, the last two add a field after it or drop it.
+_CSV_FUZZ_KINDS = ("", "x", "nan", "1e400", "extra field", "dropped field")
+
+
+def test_fuzzed_pairs_csv_exits_0_or_2(capsys, tmp_path):
+    rows = [
+        line.split(",")
+        for line in (FIXTURES_DIR / "reference_eval_pairs.csv").read_text().splitlines()
+    ]
+    rng = np.random.default_rng(20240818)
+    bad = tmp_path / "pairs.csv"
+    for index in range(_FUZZ_MUTATIONS):
+        kind = _CSV_FUZZ_KINDS[index % len(_CSV_FUZZ_KINDS)]
+        mutated = [list(row) for row in rows]
+        line = int(rng.integers(len(mutated)))
+        row = mutated[line]
+        field = int(rng.integers(len(row)))
+        if kind == "extra field":
+            row.insert(field + 1, "0")
+        elif kind == "dropped field":
+            del row[field]
+        else:
+            row[field] = kind
+        bad.write_text("".join(",".join(r) + "\n" for r in mutated))
+        code, out, err = _run(capsys, "evaluate", bad)
+        case = f"line {line + 1} field {field}: {kind!r}"
+        assert code in (0, 2), case
+        assert "Traceback" not in err, case
+        if code == 2:
+            assert out == "", case
+            assert "error: " in err, case
 
 
 # ---------------------------------------------------------------------------

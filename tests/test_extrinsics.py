@@ -12,12 +12,12 @@ import math
 import numpy as np
 import pytest
 
+from groundcam import files
 from groundcam.extrinsics import (
     FieldGeometry,
     InsufficientPoints,
     NoInitialization,
     PnpCorrespondence,
-    correspondences_from_landmarks,
     field_landmarks,
     pose_problem,
     reprojection_report,
@@ -283,15 +283,19 @@ class TestReprojectionReport:
 
 
 # ---------------------------------------------------------------------------
-# correspondences_from_landmarks
+# Landmark documents resolved to correspondences (files.landmarks_from_dict)
 # ---------------------------------------------------------------------------
+
+
+def _correspondences(named, extra=None):
+    """files.landmarks_from_dict of a division B landmarks document."""
+    geometry = FieldGeometry.division_b()
+    return files.landmarks_from_dict(files.landmarks_to_dict(geometry, named, extra))
 
 
 class TestCorrespondencesFromLandmarks:
     def test_names_resolve_to_catalog_points(self):
-        g = FieldGeometry.division_b()
-        out = correspondences_from_landmarks(
-            g,
+        out = _correspondences(
             {
                 "goal_bottom_center": PixelPoint(320.0, 200.0),
                 "far_goal_bottom_center": PixelPoint(100.0, 210.0),
@@ -303,11 +307,8 @@ class TestCorrespondencesFromLandmarks:
         assert by_name["goal_bottom_center"].pixel.u == 320.0
 
     def test_unknown_name_raises(self):
-        with pytest.raises(KeyError):
-            correspondences_from_landmarks(
-                FieldGeometry.division_b(),
-                {"center_circle": PixelPoint(0.0, 0.0)},
-            )
+        with pytest.raises(ValueError, match="unknown landmark name: 'center_circle'"):
+            _correspondences({"center_circle": PixelPoint(0.0, 0.0)})
 
     def test_extra_points_are_appended(self):
         extra = [
@@ -315,10 +316,8 @@ class TestCorrespondencesFromLandmarks:
                 pixel=PixelPoint(5.0, 6.0), world=WorldPoint(1.0, 2.0, 0.0)
             )
         ]
-        out = correspondences_from_landmarks(
-            FieldGeometry.division_b(),
-            {"goal_bottom_center": PixelPoint(320.0, 200.0)},
-            extra=extra,
+        out = _correspondences(
+            {"goal_bottom_center": PixelPoint(320.0, 200.0)}, extra=extra
         )
         assert len(out) == 2
         assert out[-1].world.x == 1.0

@@ -15,7 +15,7 @@ import pytest
 
 from groundcam import files
 from groundcam.evaluation import EvalPair, build_report, error_stats, rmse
-from groundcam.extrinsics import FieldGeometry, PnpCorrespondence
+from groundcam.extrinsics import FieldGeometry, PnpCorrespondence, field_landmarks
 from groundcam.geometry import (
     CameraIntrinsics,
     Distortion,
@@ -119,9 +119,9 @@ class TestCalibrationFile:
 class TestPlanarViewsFile:
     def test_round_trip(self, tmp_path, default_scene):
         path = tmp_path / "views.json"
-        files.save_planar_views(path, list(default_scene.views)[:2], 25.0)
-        views, square = files.load_planar_views(path)
-        assert square == 25.0
+        files.write_json(path, files.views_to_dict(list(default_scene.views)[:2], 25.0))
+        views = files.load_planar_views(path)
+        assert json.loads(path.read_text())["square_size_mm"] == 25.0
         assert len(views) == 2
         for loaded, original in zip(views, default_scene.views):
             assert loaded.view_id == original.view_id
@@ -142,13 +142,13 @@ class TestLandmarksFile:
             )
         ]
         path = tmp_path / "landmarks.json"
-        files.save_landmarks(path, geometry, named, extra)
-        loaded_geometry, loaded_named, loaded_extra = files.load_landmarks(path)
-        assert loaded_geometry == geometry
-        assert loaded_named == named
-        assert len(loaded_extra) == 1
-        assert loaded_extra[0].pixel == extra[0].pixel
-        assert loaded_extra[0].world == extra[0].world
+        files.write_json(path, files.landmarks_to_dict(geometry, named, extra))
+        loaded = files.load_landmarks(path)
+        catalog = field_landmarks(geometry)
+        assert loaded == [
+            *(PnpCorrespondence(px, catalog[name], name) for name, px in named.items()),
+            *extra,
+        ]
 
     def test_geometry_survives_the_dict_form(self):
         g = FieldGeometry.division_b()

@@ -84,9 +84,9 @@ def _distort(px: PixelPoint, k: CameraIntrinsics) -> PixelPoint:
     return PixelPoint(*k.pixel_from_normalized(*distort_normalized(x, y, k.distortion)))
 
 
-def _back_project(px: PixelPoint, k: CameraIntrinsics, pose: CameraPose, plane_z=0.0):
-    """Ground (x, y) on z = plane_z of an observed pixel: GroundMap.locate."""
-    return ground_map(k, pose, plane_z).locate(px.u, px.v)
+def _back_project(px: PixelPoint, k: CameraIntrinsics, pose: CameraPose):
+    """Ground (x, y) on z = 0 of an observed pixel: GroundMap.locate."""
+    return ground_map(k, pose).locate(px.u, px.v)
 
 
 SIMPLE_K = CameraIntrinsics(alpha_x=500.0, alpha_y=500.0, u0=320.0, v0=240.0)
@@ -198,14 +198,14 @@ class TestBackProject:
         px = project(WorldPoint(100.0, 200.0, 0.0), SIMPLE_K, pose)
         assert px.u == pytest.approx(370.0, abs=1e-12)
         assert px.v == pytest.approx(140.0, abs=1e-12)
-        x, y = _back_project(px, SIMPLE_K, pose, plane_z=0.0)
+        x, y = _back_project(px, SIMPLE_K, pose)
         assert x == pytest.approx(100.0, abs=1e-9)
         assert y == pytest.approx(200.0, abs=1e-9)
 
     def test_round_trip_with_reference_camera(self, ref_k, ref_pose):
         p = WorldPoint(0.0, 500.0, 0.0)
         px = project(p, ref_k, ref_pose)
-        x, y = _back_project(px, ref_k, ref_pose, plane_z=0.0)
+        x, y = _back_project(px, ref_k, ref_pose)
         assert abs(x - p.x) < 1e-6
         assert abs(y - p.y) < 1e-6
 
@@ -213,13 +213,12 @@ class TestBackProject:
         count = 0
         while count < 100:
             pose = _random_pose(rng)
-            plane_z = rng.uniform(-20, 80)
-            p = WorldPoint(rng.uniform(-500, 500), rng.uniform(-500, 500), plane_z)
+            p = WorldPoint(rng.uniform(-500, 500), rng.uniform(-500, 500), 0.0)
             depth = (pose.rotation @ p.array + pose.translation)[2]
             if depth < 50.0:
                 continue
             px = project(p, SIMPLE_K, pose)
-            x, y = _back_project(px, SIMPLE_K, pose, plane_z=plane_z)
+            x, y = _back_project(px, SIMPLE_K, pose)
             assert abs(x - p.x) < 1e-6
             assert abs(y - p.y) < 1e-6
             count += 1

@@ -256,6 +256,9 @@ class TestConfigDict:
             (None, "noise_px", None),
             ("grid", "columns", "three"),
             ("object", "radius_mm", [1]),
+            ("object", "class", 5),
+            (None, "landmarks", {"goal_bottom_center": 1}),
+            (None, "landmarks", ["goal_bottom_center", 5]),
         ],
     )
     def test_bad_value_names_its_key(self, section, key, value):
