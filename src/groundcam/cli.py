@@ -15,13 +15,11 @@ import sys
 import traceback
 from pathlib import Path
 
+# Only what localize and fit-regressor run is imported here; every other
+# command imports its own modules, so a process loads what its command uses.
 from . import files
-from .evaluation import EvalPair, build_report, compare_sources
-from .extrinsics import solve_pnp
-from .intrinsics import calibrate_intrinsics
 from .pipeline import FrameConvention, LocalizedObject, ingest_detections, localize_batch
 from .regression import fit
-from .scene import SceneConfig, config_from_dict, generate_scene
 
 DEFAULT_BUCKETS = "1000,2000,3000"
 DEFAULT_MIN_SCORE = 0.5
@@ -47,6 +45,8 @@ def _finite(flag: str, value: float) -> float:
 
 
 def _cmd_calibrate_intrinsics(args: argparse.Namespace) -> int:
+    from .intrinsics import calibrate_intrinsics
+
     views = files.load_planar_views(args.views)
     _note(f"loaded {len(views)} views from {args.views}")
     solution = calibrate_intrinsics(
@@ -59,6 +59,8 @@ def _cmd_calibrate_intrinsics(args: argparse.Namespace) -> int:
 
 
 def _cmd_calibrate_extrinsics(args: argparse.Namespace) -> int:
+    from .extrinsics import solve_pnp
+
     correspondences = files.load_landmarks(args.landmarks)
     k, _ = files.load_calibration(args.intrinsics)
     _note(f"{len(correspondences)} correspondences from {args.landmarks}")
@@ -119,6 +121,8 @@ def _parse_buckets(text: str) -> list[float]:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    from .evaluation import EvalPair, build_report, compare_sources
+
     pairs = files.load_pairs_csv(args.pairs)
     if not pairs:
         raise ValueError(f"{args.pairs} contains no pairs")
@@ -129,9 +133,10 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     main = by_source.get("ours") or pairs
     report = build_report(main, boundaries)
     if "ours" in by_source and "reference" in by_source:
-        report["comparison"] = compare_sources(
-            by_source["ours"], by_source["reference"]
-        )
+        with files._malformed(args.pairs):
+            report["comparison"] = compare_sources(
+                by_source["ours"], by_source["reference"]
+            )
     _note(files.render_report_text(report))
     text = files.dumps(report)
     if args.out:
@@ -146,6 +151,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    from .scene import SceneConfig, config_from_dict, generate_scene
+
     if args.config:
         config = files._load_json(args.config, config_from_dict)
     else:

@@ -16,11 +16,10 @@ import json
 from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .evaluation import ERROR_BLOCKS, EvalPair
-from .extrinsics import FieldGeometry, PnpCorrespondence, field_landmarks
 from .geometry import (
     CameraIntrinsics,
     CameraPose,
@@ -29,7 +28,6 @@ from .geometry import (
     WorldPoint,
     euler_from_pose,
 )
-from .intrinsics import PlanarView
 from .pipeline import (
     LocalizedObject,
     UnlocalizableDetection,
@@ -43,6 +41,13 @@ from .regression import (
     GroundRegressor,
     RegressionSample,
 )
+
+# The calibration and evaluation modules are imported by the codecs that use
+# them, so localize and fit-regressor do not load them.
+if TYPE_CHECKING:
+    from .evaluation import EvalPair
+    from .extrinsics import FieldGeometry, PnpCorrespondence
+    from .intrinsics import PlanarView
 
 
 def dumps(doc: dict) -> str:
@@ -155,6 +160,8 @@ def views_to_dict(views: list[PlanarView], square_size_mm: float) -> dict:
 def views_from_dict(obj: dict) -> list[PlanarView]:
     """Inverse of views_to_dict. square_size_mm is not read: the pattern
     coordinates already carry the scale."""
+    from .intrinsics import PlanarView
+
     return [
         PlanarView(
             view_id=json_string(entry["id"], "id"),
@@ -175,6 +182,8 @@ def field_geometry_to_dict(g: FieldGeometry) -> dict:
 
 
 def field_geometry_from_dict(obj: dict) -> FieldGeometry:
+    from .extrinsics import FieldGeometry
+
     return FieldGeometry(
         **{
             f.name: json_number(obj[f"{f.name}_mm"], f"{f.name}_mm")
@@ -204,14 +213,18 @@ def landmarks_to_dict(
 
 
 def landmarks_from_dict(obj: dict) -> list[PnpCorrespondence]:
-    """Each named pixel with its field_landmarks world point (a repeated name
-    keeps its last pixel), then the extra points; unknown names raise ValueError."""
+    """Each named pixel with its field_landmarks world point, then the extra
+    points; an unknown or repeated name raises ValueError."""
+    from .extrinsics import PnpCorrespondence, field_landmarks
+
     catalog = field_landmarks(field_geometry_from_dict(obj["field_geometry"]))
     named = {}
     for p in obj.get("points", []):
         name = json_string(p["name"], "name")
         if name not in catalog:
             raise ValueError(f"unknown landmark name: {name!r}")
+        if name in named:
+            raise ValueError(f"landmark {name!r} is marked twice")
         pixel = PixelPoint(*json_numbers(p["pixel"], 2, "pixel"))
         named[name] = PnpCorrespondence(pixel, catalog[name], name)
     extra = [
@@ -367,11 +380,16 @@ def _csv_rows(path: Path, header: list[str]):
 
 
 def load_pairs_csv(path: Path) -> list[EvalPair]:
-    """Read the pairs table; a malformed row raises ValueError naming the
-    file and the line."""
+    """Read the pairs table; a malformed row, or one whose source is neither
+    ours nor reference, raises ValueError naming the file and the line."""
+    from .evaluation import EvalPair
+
     pairs = []
     for number, row in _csv_rows(path, PAIRS_HEADER):
         with _malformed(f"{path} line {number}"):
+            source = row["source"].strip()
+            if source not in ("ours", "reference"):
+                raise ValueError(f"source must be ours or reference, got {source!r}")
             pairs.append(
                 EvalPair(
                     gt_x=float(row["gt_x"]),
@@ -380,7 +398,7 @@ def load_pairs_csv(path: Path) -> list[EvalPair]:
                     est_x=float(row["est_x"]),
                     est_y=float(row["est_y"]),
                     est_theta=float(row["est_theta"]),
-                    source=row["source"].strip(),
+                    source=source,
                 )
             )
     return pairs
@@ -413,6 +431,8 @@ def load_truth_csv(path: Path) -> dict[str, tuple[float, float, float]]:
 
 def save_report(path: Path, report: dict) -> None:
     """The headline numbers of a build_report document as a metric,value table."""
+    from .evaluation import ERROR_BLOCKS
+
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["metric", "value"])
@@ -443,6 +463,8 @@ def save_scatter_csv(path: Path, pairs: list[EvalPair]) -> None:
 def render_report_text(report: dict) -> str:
     """Fixed-decimal human summary of a build_report document, used by the
     evaluation command's stderr."""
+    from .evaluation import ERROR_BLOCKS
+
     out = io.StringIO()
     out.write(f"pairs: {report['count']}\n")
     out.write(f"rmse: {report['rmse_mm']:.6f} mm\n")

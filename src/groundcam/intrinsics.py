@@ -63,7 +63,7 @@ class PlanarView:
             raise ValueError("a planar view needs at least 4 correspondences")
         if not (np.all(np.isfinite(px)) and np.all(np.isfinite(pt))):
             raise ValueError("correspondences must be finite")
-        if len(np.unique(pt, axis=0)) != pt.shape[0]:
+        if len(set(map(tuple, pt.tolist()))) != pt.shape[0]:
             raise ValueError("pattern points must be distinct")
         px.setflags(write=False)
         pt.setflags(write=False)

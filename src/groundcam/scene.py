@@ -129,9 +129,11 @@ class SceneConfig:
         if self.image_width_px < 2 or self.image_height_px < 2:
             raise ConfigInvalid("image dimensions out of range")
         catalog = field_landmarks(self.geometry)
-        for name in self.landmark_names:
+        for index, name in enumerate(self.landmark_names):
             if name not in catalog:
                 raise ConfigInvalid(f"unknown landmark name {name!r}")
+            if name in self.landmark_names[:index]:
+                raise ConfigInvalid(f"landmarks: {name!r} is repeated")
 
     @property
     def grid_points(self) -> list[WorldPoint]:

@@ -139,6 +139,20 @@ class TestCalibrateExtrinsics:
         assert spoiled in err
         assert "looks mismarked" in err
 
+    def test_repeated_landmark_exits_2_naming_it(self, capsys, cli_scene, tmp_path):
+        doc = json.loads(cli_scene.paths["landmarks"].read_text())
+        first = doc["points"][0]
+        u, v = first["pixel"]
+        doc["points"].append({"name": first["name"], "pixel": [u + 80.0, v]})
+        path = tmp_path / "landmarks.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = _run(
+            capsys, "calibrate-extrinsics", path, cli_scene.paths["calibration"]
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {path}: landmark {first['name']!r} is marked twice\n"
+
     def test_too_few_landmarks(self, capsys, cli_scene, tmp_path):
         config = cli_scene.config
         named = dict(list(cli_scene.landmark_pixels.items())[:3])
@@ -413,6 +427,28 @@ class TestEvaluate:
         assert code == 2
         assert "no pairs" in err
 
+    @pytest.mark.parametrize("source", ["nan", "", "Ours"])
+    def test_unknown_source_names_file_and_line(self, capsys, tmp_path, source):
+        lines = (FIXTURES_DIR / "reference_eval_pairs.csv").read_text().splitlines()
+        lines[7] = lines[7].rsplit(",", 1)[0] + "," + source
+        path = tmp_path / "pairs.csv"
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = _run(capsys, "evaluate", path)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: {path} line 8: source must be ours or reference, got {source!r}\n"
+        )
+
+    def test_mismatched_sources_name_the_pairs_file(self, capsys, tmp_path):
+        lines = (FIXTURES_DIR / "reference_eval_pairs.csv").read_text().splitlines()
+        path = tmp_path / "pairs.csv"
+        path.write_text("\n".join(lines[:-1]) + "\n")
+        code, out, err = _run(capsys, "evaluate", path)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {path}: sources cover 4 vs 3 ground truths\n"
+
 
 # ---------------------------------------------------------------------------
 # synth
@@ -499,6 +535,18 @@ class TestSynth:
         assert "Traceback" not in err
         assert f"error: {config_path}" in err
         assert "noise_px" in err
+        assert not (tmp_path / "s").exists()
+
+    def test_repeated_landmark_names_the_file_and_the_key(self, capsys, tmp_path):
+        config_path = tmp_path / "config.json"
+        doc = config_to_dict(SceneConfig(), seed=0)
+        doc["landmarks"].append(doc["landmarks"][0])
+        config_path.write_text(json.dumps(doc))
+        code, out, err = _run(capsys, "synth", config_path, "--out", tmp_path / "s")
+        assert code == 2
+        assert out == ""
+        name = doc["landmarks"][0]
+        assert err == f"error: {config_path}: landmarks: {name!r} is repeated\n"
         assert not (tmp_path / "s").exists()
 
     @pytest.mark.parametrize(

@@ -310,6 +310,14 @@ class TestCorrespondencesFromLandmarks:
         with pytest.raises(ValueError, match="unknown landmark name: 'center_circle'"):
             _correspondences({"center_circle": PixelPoint(0.0, 0.0)})
 
+    def test_repeated_name_raises(self):
+        doc = files.landmarks_to_dict(
+            FieldGeometry.division_b(), {"goal_bottom_center": PixelPoint(320.0, 200.0)}
+        )
+        doc["points"].append({"name": "goal_bottom_center", "pixel": [400.0, 200.0]})
+        with pytest.raises(ValueError, match="'goal_bottom_center' is marked twice"):
+            files.landmarks_from_dict(doc)
+
     def test_extra_points_are_appended(self):
         extra = [
             PnpCorrespondence(

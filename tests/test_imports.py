@@ -1,0 +1,72 @@
+"""Import footprint: a fresh process loads only the modules its command runs."""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+from groundcam.scene import SceneConfig, generate_scene
+
+from conftest import REPO_ROOT
+
+# Runs in a fresh interpreter: imports what the localize path imports, runs
+# the statements given in argv[1] and prints the loaded module names last.
+_PROBE = """
+import json, sys
+import groundcam.cli
+from groundcam import files
+exec(sys.argv[1])
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+@pytest.fixture(scope="module")
+def scene(tmp_path_factory):
+    config = SceneConfig(
+        grid_columns=2, grid_rows=3, num_views=6, pattern_cols=6, pattern_rows=5
+    )
+    return generate_scene(config, seed=13, out_dir=tmp_path_factory.mktemp("scene"))
+
+
+def _loaded_after(statements: str) -> set[str]:
+    src = str(REPO_ROOT / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src if not path else f"{src}{os.pathsep}{path}"}
+    result = subprocess.run(
+        [sys.executable, "-c", _PROBE, statements],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    return set(json.loads(result.stdout.splitlines()[-1]))
+
+
+def test_loading_a_calibration_and_model_loads_no_calibration_modules(scene):
+    loaded = _loaded_after(
+        f"files.load_calibration({str(scene.paths['calibration'])!r})\n"
+        f"files.load_model({str(scene.paths['model'])!r})"
+    )
+    assert {"groundcam.cli", "groundcam.files", "groundcam.pipeline"} <= loaded
+    unwanted = {
+        "groundcam.intrinsics",
+        "groundcam.extrinsics",
+        "groundcam.evaluation",
+        "groundcam.scene",
+        "groundcam.reference",
+        "numpy.ma",
+    }
+    assert loaded & unwanted == set()
+
+
+def test_calibrate_intrinsics_loads_neither_numpy_ma_nor_scene(scene):
+    views = str(scene.paths["views"])
+    loaded = _loaded_after(
+        f"assert groundcam.cli.main(['calibrate-intrinsics', {views!r}]) == 0"
+    )
+    assert "groundcam.intrinsics" in loaded
+    assert loaded & {"numpy.ma", "groundcam.scene", "groundcam.evaluation"} == set()

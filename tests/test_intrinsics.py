@@ -465,6 +465,14 @@ class TestPlanarView:
         with pytest.raises(ValueError):
             PlanarView("v", pattern, pattern)
 
+    @pytest.mark.parametrize("repeat", [(10.0, 10.0), (-0.0, 10.0)])
+    def test_repeated_pattern_point_rejected(self, repeat):
+        # -0.0 and 0.0 are the same board coordinate.
+        pattern = [(0.0, 0.0), (10.0, 0.0), (0.0, 10.0), (10.0, 10.0), repeat]
+        pixels = [(float(i), float(i * i)) for i in range(5)]
+        with pytest.raises(ValueError, match="pattern points must be distinct"):
+            PlanarView("v", pixels, pattern)
+
     def test_len_and_read_only(self):
         pattern = _pattern(3, 2, 10.0)
         view = PlanarView("v", pattern, pattern)

@@ -344,6 +344,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigInvalid):
             _small_config(**overrides)
 
+    def test_repeated_landmark_rejected_naming_the_key(self):
+        doc = config_to_dict(_small_config(), seed=0)
+        doc["landmarks"] = ["goal_bottom_center", "goal_bottom_center"]
+        with pytest.raises(
+            ConfigInvalid, match="landmarks: 'goal_bottom_center' is repeated"
+        ):
+            config_from_dict(doc)
+
     def test_landmark_names_must_exist_for_the_geometry(self):
         geometry = FieldGeometry(
             field_length=2000.0,
