@@ -130,7 +130,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     by_source: dict[str, list[EvalPair]] = {}
     for p in pairs:
         by_source.setdefault(p.source, []).append(p)
-    main = by_source.get("ours") or pairs
+    if "ours" not in by_source:
+        raise ValueError(f"{args.pairs} has no rows with source ours to score")
+    main = by_source["ours"]
     report = build_report(main, boundaries)
     if "ours" in by_source and "reference" in by_source:
         with files._malformed(args.pairs):

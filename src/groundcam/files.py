@@ -18,8 +18,6 @@ from dataclasses import fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .geometry import (
     CameraIntrinsics,
     CameraPose,
@@ -115,8 +113,8 @@ def calibration_to_dict(
     if pose is not None:
         angles, center = euler_from_pose(pose)
         obj["pose"] = {
-            "rotation": [float(v) for v in pose.rotation.ravel()],
-            "translation": [float(v) for v in pose.translation],
+            "rotation": [v for row in pose.r for v in row],
+            "translation": list(pose.t),
         }
         obj["euler_deg"] = [angles.omega, angles.phi, angles.kappa]
         obj["camera_center_mm"] = [center.x, center.y, center.z]
@@ -133,7 +131,7 @@ def calibration_from_dict(obj: dict) -> tuple[CameraIntrinsics, CameraPose | Non
     pose = obj["pose"]
     rotation = json_numbers(pose["rotation"], 9, "pose.rotation")
     translation = json_numbers(pose["translation"], 3, "pose.translation")
-    return k, CameraPose(np.array(rotation).reshape(3, 3), np.array(translation))
+    return k, CameraPose((rotation[0:3], rotation[3:6], rotation[6:]), translation)
 
 
 def load_calibration(path: Path) -> tuple[CameraIntrinsics, CameraPose | None]:
@@ -244,7 +242,7 @@ def load_landmarks(path: Path) -> list[PnpCorrespondence]:
 def model_to_dict(regressor: GroundRegressor) -> dict:
     return {
         "classes": {
-            label: {"weights": model.weights.tolist(), "rmse_px": model.rmse_px}
+            label: {"weights": list(map(list, model.weights)), "rmse_px": model.rmse_px}
             for label, model in regressor.classes.items()
         }
     }

@@ -8,6 +8,8 @@ Coordinate conventions used throughout the package:
 * ``CameraPose`` holds the world-to-camera rotation R and translation t, so a
   world point p has camera coordinates R @ p + t and the camera center in
   world coordinates is -R.T @ t.
+* The pixel-to-ground path (CameraPose, GroundMap, undistort) runs on plain
+  floats; numpy is imported only inside the functions that do array math.
 * Euler angles (omega, phi, kappa) are degrees at the API boundary and
   compose as R = Rz(kappa) @ Ry(phi) @ Rx(omega).
 
@@ -19,12 +21,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
-
-Vec = np.ndarray
-Mat = np.ndarray
+if TYPE_CHECKING:
+    import numpy as np
 
 MIN_PROJECTION_DEPTH_MM = 1e-9
 RAY_NORMAL_EPS = 1e-12
@@ -61,7 +61,23 @@ class GimbalLock(GeometryError):
     """Euler angles are not uniquely recoverable (|cos phi| ~ 0)."""
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
+def float_entries(a) -> tuple[tuple[int, ...], list[float]]:
+    """The shape numpy gives the nested sequence or array a, and its entries
+    as floats, row-major; a ragged sequence raises ValueError."""
+    a = a.tolist() if hasattr(a, "tolist") else a
+    if not isinstance(a, (list, tuple)):
+        return (), [float(a)]
+    parts = [float_entries(item) for item in a]
+    if len({shape for shape, _ in parts}) > 1:
+        raise ValueError(f"ragged nested sequence {a!r}")
+    return (len(a), *(parts[0][0] if parts else ())), [v for _, e in parts for v in e]
+
+
+def _readonly(values: tuple, shape: tuple[int, ...]) -> np.ndarray:
+    """The float tuple (or tuple of rows) values as a read-only array of shape."""
+    import numpy as np
+
+    a = np.array(values).reshape(shape)
     a.setflags(write=False)
     return a
 
@@ -111,15 +127,10 @@ class CameraIntrinsics:
             raise ValueError("focal lengths must be positive")
 
     @property
-    def matrix(self) -> Mat:
-        """3x3 calibration matrix K."""
-        return np.array(
-            [
-                [self.alpha_x, self.gamma, self.u0],
-                [0.0, self.alpha_y, self.v0],
-                [0.0, 0.0, 1.0],
-            ]
-        )
+    def matrix(self) -> np.ndarray:
+        """3x3 calibration matrix K, read-only."""
+        ax, ay, g = self.alpha_x, self.alpha_y, self.gamma
+        return _readonly((ax, g, self.u0, 0.0, ay, self.v0, 0.0, 0.0, 1.0), (3, 3))
 
     def normalized_from_pixel(self, u: float, v: float) -> tuple[float, float]:
         """Invert K for one pixel, ignoring distortion."""
@@ -154,8 +165,8 @@ class WorldPoint:
             raise ValueError("world coordinates must be finite")
 
     @property
-    def array(self) -> Vec:
-        return np.array([self.x, self.y, self.z])
+    def array(self) -> np.ndarray:
+        return _readonly((self.x, self.y, self.z), (3,))
 
 
 class _PixelPoint(NamedTuple):
@@ -179,10 +190,6 @@ class PixelPoint(_PixelPoint):
             raise ValueError("pixel coordinates must be finite")
         return tuple.__new__(cls, (u, v))
 
-    @property
-    def array(self) -> Vec:
-        return np.array([self.u, self.v])
-
 
 @dataclass(frozen=True, slots=True)
 class EulerAngles:
@@ -202,45 +209,67 @@ class EulerAngles:
                 raise ValueError(f"angle {name}={value} outside (-180, 180]")
 
 
-@dataclass(frozen=True, eq=False)
-class CameraPose:
-    """World-to-camera rigid transform: rotation (3,3) and translation (3,)."""
+class _CameraPose(NamedTuple):
+    r: tuple[tuple[float, float, float], ...]  # the rows of R
+    t: tuple[float, float, float]
 
-    rotation: Mat
-    translation: Vec
 
-    def __post_init__(self) -> None:
-        r = np.array(self.rotation, dtype=float)
-        t = np.array(self.translation, dtype=float).reshape(3)
-        if r.shape != (3, 3):
-            raise ValueError(f"rotation must be 3x3, got {r.shape}")
-        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(t))):
+class CameraPose(_CameraPose):
+    """World-to-camera rigid transform: rotation R (3x3) and translation t (3,).
+
+    Held as floats, the rows of R in r; rotation and translation build
+    read-only arrays on each access. R must be orthonormal within 1e-9 with
+    determinant +1, checked in pure Python; _make and _replace skip checks.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, rotation, translation) -> CameraPose:
+        shape, r = float_entries(rotation)
+        t = float_entries(translation)[1]
+        if len(t) != 3:
+            raise ValueError(f"translation must have 3 entries, got {len(t)}")
+        if shape != (3, 3):
+            raise ValueError(f"rotation must be 3x3, got {shape}")
+        if not all(map(math.isfinite, r + t)):
             raise ValueError("pose entries must be finite")
-        if np.max(np.abs(r.T @ r - np.eye(3))) > ROTATION_TOL:
+        rows = (tuple(r[0:3]), tuple(r[3:6]), tuple(r[6:9]))
+        cols = tuple(zip(*rows))
+        # R^T R row-major, whose diagonal is entries 0, 4 and 8.
+        gram = [sum(a * b for a, b in zip(p, q)) for p in cols for q in cols]
+        if max(abs(g - (n % 4 == 0)) for n, g in enumerate(gram)) > ROTATION_TOL:
             raise ValueError("rotation is not orthonormal within 1e-9")
-        if abs(np.linalg.det(r) - 1.0) > ROTATION_TOL:
+        a, b, c, d, e, f, g, h, i = r
+        det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+        if abs(det - 1.0) > ROTATION_TOL:
             raise ValueError("rotation determinant must be +1")
-        object.__setattr__(self, "rotation", _readonly(r))
-        object.__setattr__(self, "translation", _readonly(t))
+        return tuple.__new__(cls, (rows, tuple(t)))
+
+    @property
+    def rotation(self) -> np.ndarray:
+        return _readonly(self.r, (3, 3))
+
+    @property
+    def translation(self) -> np.ndarray:
+        return _readonly(self.t, (3,))
 
 
-def _rot_x(a: float) -> Mat:
+def _axis_rotation(axis: int, a: float) -> np.ndarray:
+    """Rotation by a radians about coordinate axis 0, 1 or 2 (x, y or z)."""
+    import numpy as np
+
     c, s = math.cos(a), math.sin(a)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+    i, j = ((1, 2), (2, 0), (0, 1))[axis]
+    m = np.eye(3)
+    m[i, i] = m[j, j] = c
+    m[i, j], m[j, i] = -s, s
+    return m
 
 
-def _rot_y(a: float) -> Mat:
-    c, s = math.cos(a), math.sin(a)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-
-
-def _rot_z(a: float) -> Mat:
-    c, s = math.cos(a), math.sin(a)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-def nearest_rotation(m: Mat) -> Mat:
+def nearest_rotation(m: np.ndarray) -> np.ndarray:
     """Orthonormal matrix closest to m in the Frobenius sense, det +1."""
+    import numpy as np
+
     u, _, vt = np.linalg.svd(m)
     r = u @ vt
     if np.linalg.det(r) < 0:
@@ -248,8 +277,10 @@ def nearest_rotation(m: Mat) -> Mat:
     return r
 
 
-def rotation_from_axis_angle(rvec: Vec) -> Mat:
+def rotation_from_axis_angle(rvec: np.ndarray) -> np.ndarray:
     """Rodrigues map from a 3-vector whose norm is the angle in radians."""
+    import numpy as np
+
     rvec = np.asarray(rvec, dtype=float).reshape(3)
     angle = np.linalg.norm(rvec)
     if angle < 1e-12:
@@ -261,8 +292,10 @@ def rotation_from_axis_angle(rvec: Vec) -> Mat:
     return np.eye(3) + math.sin(angle) * kx + (1.0 - math.cos(angle)) * (kx @ kx)
 
 
-def axis_angle_from_rotation(r: Mat) -> Vec:
+def axis_angle_from_rotation(r: np.ndarray) -> np.ndarray:
     """Inverse Rodrigues map; returns the zero vector for the identity."""
+    import numpy as np
+
     r = np.asarray(r, dtype=float)
     cos_a = max(-1.0, min(1.0, (np.trace(r) - 1.0) / 2.0))
     angle = math.acos(cos_a)
@@ -305,6 +338,8 @@ def camera_to_pixels(
     Jacobian of project_views, (x, y, xd, yd, z, clamped): the normalized
     and distorted coordinates, the floored depth and where it was floored.
     """
+    import numpy as np
+
     ax, ay, g, u0, v0 = intrinsics[:5]
     z = pc[..., 2]
     clamped = np.abs(z) < MIN_PROJECTION_DEPTH_MM
@@ -316,13 +351,11 @@ def camera_to_pixels(
     return pixels, (x, y, xd, yd, z, clamped)
 
 
-def intrinsic_vector(k: CameraIntrinsics) -> np.ndarray:
+def intrinsic_vector(k: CameraIntrinsics) -> tuple[float, ...]:
     """(alpha_x, alpha_y, gamma, u0, v0, k1, k2, k3, p1, p2), the order
     camera_to_pixels takes and the intrinsic Jacobian columns follow."""
     d = k.distortion
-    return np.array(
-        [k.alpha_x, k.alpha_y, k.gamma, k.u0, k.v0, d.k1, d.k2, d.k3, d.p1, d.p2]
-    )
+    return (k.alpha_x, k.alpha_y, k.gamma, k.u0, k.v0, d.k1, d.k2, d.k3, d.p1, d.p2)
 
 
 def project(p: WorldPoint, k: CameraIntrinsics, pose: CameraPose) -> PixelPoint:
@@ -345,6 +378,8 @@ def project_points(
     so optimizer trial poses produce large finite residuals instead of raising.
     Without it a point at or behind the camera raises PointBehindCamera.
     """
+    import numpy as np
+
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     pc = pts @ pose.rotation.T + pose.translation
     if not clamp_depth:
@@ -361,6 +396,8 @@ def _right_jacobian(rvec: np.ndarray, r: np.ndarray) -> np.ndarray:
     R^T - I, divided by |r|, would exceed the O(|r|) error of the bracket's
     limit, the identity, so the limit is used instead.
     """
+    import numpy as np
+
     angle2 = float(rvec @ rvec)
     if angle2 < SMALL_ANGLE_RAD**2:
         return np.eye(3)
@@ -391,6 +428,8 @@ def project_views(
     (n_views, n_pts, 2, 10) and to each view's (rvec, t) (n_views, n_pts, 2, 6);
     otherwise both are None.
     """
+    import numpy as np
+
     rotations = np.array([rotation_from_axis_angle(r) for r in rvecs])
     pc = world @ rotations.transpose(0, 2, 1) + tvecs[:, None, :]
     pixels, (x, y, xd, yd, z, clamped) = camera_to_pixels(pc, intrinsics)
@@ -565,34 +604,32 @@ class GroundMap(NamedTuple):
 
 
 def camera_center(pose: CameraPose) -> WorldPoint:
-    """Camera center in world coordinates, -R.T @ t."""
+    """Camera center in world coordinates, -R.T @ t, as numpy computes it."""
     return WorldPoint(*(-pose.rotation.T @ pose.translation).tolist())
 
 
 def ground_map(k: CameraIntrinsics, pose: CameraPose) -> GroundMap:
     """The ground map of camera k at pose onto the ground plane z = 0.
 
-    The camera center is camera_center(pose) and the yaw is
-    atan2(R[2, 0], R[2, 1]), the heading of the optical axis on the ground.
+    The yaw is atan2(R[2, 0], R[2, 1]), the heading of the optical axis on
+    the ground. The center -R^T t is summed on plain floats, so it can
+    differ from camera_center(pose) in the last bit: numpy's matrix product
+    uses fused multiply-adds, which no Python summation order reproduces.
+    Positions located from either center agree within 1e-9 mm.
     """
-    r = pose.rotation
-    yaw = math.atan2(r[2, 0], r[2, 1])
-    c = camera_center(pose)
-    return GroundMap(
-        k,
-        tuple(r.T.ravel().tolist()),
-        (c.x, c.y, c.z),
-        math.cos(yaw),
-        math.sin(yaw),
-    )
+    c0, c1, c2 = zip(*pose.r)  # the rows of R^T
+    tx, ty, tz = pose.t
+    center = tuple(-(a * tx + b * ty + c * tz) for a, b, c in (c0, c1, c2))
+    yaw = math.atan2(pose.r[2][0], pose.r[2][1])
+    return GroundMap(k, c0 + c1 + c2, center, math.cos(yaw), math.sin(yaw))
 
 
 def pose_from_euler(e: EulerAngles, center: WorldPoint) -> CameraPose:
     """Build the world-to-camera pose from Euler angles and the camera center."""
     r = (
-        _rot_z(math.radians(e.kappa))
-        @ _rot_y(math.radians(e.phi))
-        @ _rot_x(math.radians(e.omega))
+        _axis_rotation(2, math.radians(e.kappa))
+        @ _axis_rotation(1, math.radians(e.phi))
+        @ _axis_rotation(0, math.radians(e.omega))
     )
     t = -r @ center.array
     return CameraPose(r, t)
@@ -604,14 +641,14 @@ def euler_from_pose(pose: CameraPose) -> tuple[EulerAngles, WorldPoint]:
     Raises GimbalLock when |cos phi| < 1e-9; omega and kappa are then not
     separable.
     """
-    r = pose.rotation
-    sin_phi = -r[2, 0]
+    (r00, _, _), (r10, _, _), (r20, r21, r22) = pose.r
+    sin_phi = -r20
     cos_phi = math.sqrt(max(0.0, 1.0 - sin_phi * sin_phi))
     if cos_phi < 1e-9:
         raise GimbalLock("phi is within 1e-9 of +-90 degrees")
     phi = math.asin(max(-1.0, min(1.0, sin_phi)))
-    omega = math.atan2(r[2, 1], r[2, 2])
-    kappa = math.atan2(r[1, 0], r[0, 0])
+    omega = math.atan2(r21, r22)
+    kappa = math.atan2(r10, r00)
 
     def to_range(deg: float) -> float:
         return 180.0 if deg <= -180.0 else deg

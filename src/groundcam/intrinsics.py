@@ -233,7 +233,7 @@ def _layout(
 ) -> tuple[np.ndarray, list[int]]:
     """k's intrinsic vector with the pinned entries zeroed, and the indices of
     the entries the refinement adjusts, in parameter order."""
-    base = intrinsic_vector(k)
+    base = np.array(intrinsic_vector(k))
     pinned = ([2] if fix_skew else []) + ([7] if fix_k3 else [])
     base[pinned] = 0.0
     return base, [i for i in range(10) if i not in pinned]

@@ -9,24 +9,16 @@ squares; there is no regularization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
-from .geometry import PixelPoint
-from .optim import linear_least_squares
+from .geometry import PixelPoint, float_entries
 
 KNOWN_CLASSES = ("ball", "robot", "goal")
 
 MIN_SAMPLES_PER_CLASS = 5
 
-BOTTOM_CENTER_WEIGHTS = np.array(
-    [
-        [0.5, 0.0, 0.5, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0, 0.0],
-    ]
-)
+BOTTOM_CENTER_WEIGHTS = ((0.5, 0.0, 0.5, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0, 0.0))
 
 
 class RegressionError(ValueError):
@@ -65,10 +57,6 @@ class BoundingBox(_BoundingBox):
             )
         return tuple.__new__(cls, (xmin, ymin, xmax, ymax))
 
-    @property
-    def features(self) -> np.ndarray:
-        return np.array([self.xmin, self.ymin, self.xmax, self.ymax, 1.0])
-
 
 @dataclass(frozen=True, slots=True)
 class RegressionSample:
@@ -89,28 +77,25 @@ class RegressionSample:
 class ClassModel:
     """Weights of one class plus the training RMS over stacked u, v residuals.
 
-    rows holds the same weights as two tuples of plain floats, the u row and
-    the v row, for ground_pixel.
+    weights is given as any 2x5 nested sequence or array and held as two
+    tuples of plain floats, the u row and the v row.
     """
 
-    weights: np.ndarray
+    weights: tuple[tuple[float, ...], tuple[float, ...]]
     rmse_px: float
-    rows: tuple[tuple[float, ...], tuple[float, ...]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        w = np.array(self.weights, dtype=float)
-        if w.shape != (2, 5):
-            raise ValueError(f"weights must be (2, 5), got {w.shape}")
-        if not np.all(np.isfinite(w)):
+        shape, w = float_entries(self.weights)
+        if shape != (2, 5):
+            raise ValueError(f"weights must be (2, 5), got {shape}")
+        if not all(map(math.isfinite, w)):
             raise ValueError("weights must be finite")
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "rows", tuple(map(tuple, w.tolist())))
+        object.__setattr__(self, "weights", (tuple(w[:5]), tuple(w[5:])))
 
     def ground_pixel(self, bbox: BoundingBox) -> tuple[float, float]:
         """(u, v) for one box: each weight row's sum over the features
         (xmin, ymin, xmax, ymax, 1), added in that order."""
-        (a0, a1, a2, a3, a4), (b0, b1, b2, b3, b4) = self.rows
+        (a0, a1, a2, a3, a4), (b0, b1, b2, b3, b4) = self.weights
         x0, y0, x1, y1 = bbox
         return (
             a0 * x0 + a1 * y0 + a2 * x1 + a3 * y1 + a4,
@@ -142,6 +127,10 @@ def fit(samples: list[RegressionSample]) -> GroundRegressor:
     solver) when a class's boxes do not span the feature space, for example
     when every box is identical.
     """
+    import numpy as np
+
+    from .optim import linear_least_squares
+
     by_class: dict[str, list[RegressionSample]] = {}
     for sample in samples:
         by_class.setdefault(sample.label, []).append(sample)
@@ -156,7 +145,7 @@ def fit(samples: list[RegressionSample]) -> GroundRegressor:
                 f"class {label!r} has {len(group)} samples, needs "
                 f"{MIN_SAMPLES_PER_CLASS}"
             )
-        design = np.vstack([s.bbox.features for s in group])
+        design = np.array([[*s.bbox, 1.0] for s in group])
         targets_u = np.array([s.ground_pixel.u for s in group])
         targets_v = np.array([s.ground_pixel.v for s in group])
         wu = linear_least_squares(design, targets_u)
@@ -175,7 +164,7 @@ def bottom_center_regressor(
     """Untrained fallback: the box's bottom-center is the ground pixel."""
     return GroundRegressor(
         classes={
-            label: ClassModel(weights=BOTTOM_CENTER_WEIGHTS.copy(), rmse_px=0.0)
+            label: ClassModel(weights=BOTTOM_CENTER_WEIGHTS, rmse_px=0.0)
             for label in labels
         }
     )

@@ -18,7 +18,7 @@ pixel stays exactly affine in the box.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +31,7 @@ from .geometry import (
     GeometryError,
     PixelPoint,
     WorldPoint,
+    camera_center,
     ground_map,
     project,
     project_points,
@@ -422,7 +423,9 @@ def generate_scene(
     detections: list[Detection] = []
     truth: list[tuple[str, float, float, float]] = []
     frame_width = max(3, len(str(max(len(config.grid_points) - 1, 1))))
-    ground_plane = ground_map(config.intrinsics, config.pose)
+    # truth.csv keeps numpy's camera center bits, which ground_map's may miss.
+    center = astuple(camera_center(config.pose))
+    ground_plane = ground_map(config.intrinsics, config.pose)._replace(center=center)
     for index, contact in enumerate(config.grid_points):
         ground, bbox = _object_box(config, contact)
         frame_id = f"p{index:0{frame_width}d}"

@@ -339,7 +339,7 @@ def test_criterion_7_regressor_identity():
     for _ in range(25):
         xmin, ymin = rng.uniform(0, 400, 2)
         box = BoundingBox(xmin, ymin, xmin + rng.uniform(10, 100), ymin + rng.uniform(10, 100))
-        u, v = true_w @ box.features
+        u, v = true_w @ np.array([*box, 1.0])
         samples.append(
             RegressionSample(
                 label="robot", bbox=box, ground_pixel=PixelPoint(float(u), float(v))
@@ -348,7 +348,7 @@ def test_criterion_7_regressor_identity():
         checks.append(box)
     regressor = fit(samples)
     residual = max(
-        math.hypot(*(np.array(true_w @ b.features) - np.array(
+        math.hypot(*(true_w @ np.array([*b, 1.0]) - np.array(
             regressor.classes["robot"].ground_pixel(b)
         )))
         for b in checks
@@ -363,7 +363,7 @@ def test_criterion_7_regressor_identity():
         for b in checks
     ]
     fitted_dev = float(
-        np.max(np.abs(fit(bc_samples).classes["ball"].weights - BOTTOM_CENTER_WEIGHTS))
+        np.max(np.abs(np.array(fit(bc_samples).classes["ball"].weights) - BOTTOM_CENTER_WEIGHTS))
     )
     fallback_exact = np.array_equal(
         bottom_center_regressor().classes["ball"].weights, BOTTOM_CENTER_WEIGHTS

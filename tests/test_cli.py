@@ -440,6 +440,18 @@ class TestEvaluate:
             f"error: {path} line 8: source must be ours or reference, got {source!r}\n"
         )
 
+    def test_table_without_ours_rows_rejected(self, capsys, tmp_path):
+        lines = (FIXTURES_DIR / "reference_eval_pairs.csv").read_text().splitlines()
+        path = tmp_path / "pairs.csv"
+        path.write_text("\n".join([lines[0], *lines[5:]]) + "\n")
+        assert all(line.endswith(",reference") for line in lines[5:])
+        out_dir = tmp_path / "report"
+        code, out, err = _run(capsys, "evaluate", path, "--out", out_dir)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {path} has no rows with source ours to score\n"
+        assert not out_dir.exists()
+
     def test_mismatched_sources_name_the_pairs_file(self, capsys, tmp_path):
         lines = (FIXTURES_DIR / "reference_eval_pairs.csv").read_text().splitlines()
         path = tmp_path / "pairs.csv"

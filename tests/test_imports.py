@@ -70,3 +70,47 @@ def test_calibrate_intrinsics_loads_neither_numpy_ma_nor_scene(scene):
     )
     assert "groundcam.intrinsics" in loaded
     assert loaded & {"numpy.ma", "groundcam.scene", "groundcam.evaluation"} == set()
+
+
+# localize runs on plain floats, so its process must not pay for numpy or the
+# least-squares solver.
+NUMPY_MODULES = {"numpy", "groundcam.optim"}
+
+
+def test_setup_probe_loads_no_numpy(scene):
+    loaded = _loaded_after(
+        f"files.load_calibration({str(scene.paths['calibration'])!r})\n"
+        f"files.load_model({str(scene.paths['model'])!r})"
+    )
+    assert loaded & NUMPY_MODULES == set()
+
+
+@pytest.mark.parametrize("frame", ["field", "camera"])
+def test_localize_loads_no_numpy(scene, tmp_path, frame):
+    argv = [
+        "localize",
+        *(str(scene.paths[name]) for name in ("detections", "calibration", "model")),
+        "--frame",
+        frame,
+        "--out",
+        str(tmp_path / "localizations.jsonl"),
+    ]
+    loaded = _loaded_after(f"assert groundcam.cli.main({argv!r}) == 0")
+    assert loaded & NUMPY_MODULES == set()
+    assert (tmp_path / "localizations.jsonl").read_text().count('"status": "ok"') == 6
+
+
+@pytest.mark.parametrize(
+    "command", ["fit-regressor", "calibrate-intrinsics", "calibrate-extrinsics", "evaluate"]
+)
+def test_numpy_commands_run_in_a_fresh_process(scene, tmp_path, command):
+    paths = {name: str(path) for name, path in scene.paths.items()}
+    args = {
+        "fit-regressor": [paths["samples"]],
+        "calibrate-intrinsics": [paths["views"]],
+        "calibrate-extrinsics": [paths["landmarks"], paths["calibration"]],
+        "evaluate": [str(REPO_ROOT / "fixtures" / "reference_eval_pairs.csv")],
+    }[command]
+    argv = [command, *args, "--out", str(tmp_path / "out")]
+    loaded = _loaded_after(f"assert groundcam.cli.main({argv!r}) == 0")
+    assert "numpy" in loaded

@@ -563,7 +563,7 @@ def _oracle_positions(detections, regressor, k, pose, convention):
     fixed-point steps, intersect z = 0, and for the camera frame translate by
     the camera center and rotate by the yaw. Rows above the horizon are NaN."""
     weights = np.stack([regressor.classes[d.label].weights for d in detections])
-    boxes = np.array([d.bbox.features for d in detections])
+    boxes = np.array([[*d.bbox, 1.0] for d in detections])
     pixels = np.einsum("nij,nj->ni", weights, boxes)
     homogeneous = np.column_stack([pixels, np.ones(len(pixels))])
     observed = (homogeneous @ np.linalg.inv(k.matrix).T)[:, :2]

@@ -50,7 +50,7 @@ def _samples_from_weights(
     out = []
     for _ in range(count):
         box = _random_box(rng)
-        u, v = weights @ box.features
+        u, v = weights @ np.array([*box, 1.0])
         if noise_px > 0:
             u += rng.normal(0.0, noise_px)
             v += rng.normal(0.0, noise_px)
@@ -77,7 +77,7 @@ class TestFit:
         assert model.rmse_px < 1e-9
         box = _random_box(rng)
         u, v = fit(samples).classes["robot"].ground_pixel(box)
-        want = true_w @ box.features
+        want = true_w @ np.array([*box, 1.0])
         assert u == pytest.approx(want[0], abs=1e-9)
         assert v == pytest.approx(want[1], abs=1e-9)
 
@@ -176,7 +176,7 @@ class TestBoundingBox:
 
     def test_feature_vector_and_bottom_center(self):
         box = BoundingBox(1.0, 2.0, 11.0, 22.0)
-        assert np.array_equal(box.features, [1.0, 2.0, 11.0, 22.0, 1.0])
+        assert box == (1.0, 2.0, 11.0, 22.0)
         bottom_center = bottom_center_regressor().classes["ball"].ground_pixel(box)
         assert bottom_center == (6.0, 22.0)
 
@@ -195,12 +195,13 @@ def test_class_model_validation():
         ClassModel(weights=np.zeros((2, 4)), rmse_px=0.0)
     with pytest.raises(ValueError):
         ClassModel(weights=np.full((2, 5), np.inf), rmse_px=0.0)
-    model = ClassModel(weights=BOTTOM_CENTER_WEIGHTS.copy(), rmse_px=0.0)
-    with pytest.raises(ValueError):
-        model.weights[0, 0] = 1.0
+    model = ClassModel(weights=np.array(BOTTOM_CENTER_WEIGHTS), rmse_px=0.0)
+    assert model.weights == BOTTOM_CENTER_WEIGHTS
+    with pytest.raises(TypeError):
+        model.weights[0][0] = 1.0
 
 
 def test_regressor_rejects_unsupported_classes():
-    model = ClassModel(weights=BOTTOM_CENTER_WEIGHTS.copy(), rmse_px=0.0)
+    model = ClassModel(weights=BOTTOM_CENTER_WEIGHTS, rmse_px=0.0)
     with pytest.raises(ValueError):
         GroundRegressor(classes={"plane": model})
