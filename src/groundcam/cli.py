@@ -134,7 +134,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         raise ValueError(f"{args.pairs} has no rows with source ours to score")
     main = by_source["ours"]
     report = build_report(main, boundaries)
-    if "ours" in by_source and "reference" in by_source:
+    if "reference" in by_source:
         with files._malformed(args.pairs):
             report["comparison"] = compare_sources(
                 by_source["ours"], by_source["reference"]

@@ -8,14 +8,19 @@ A note on the shipped reference data: its published aggregate mean-error
 line is internally inconsistent with its own rows, so this module always
 reports statistics recomputed from the rows; the row-level RMSE is the
 trustworthy headline number.
+
+Means and spreads are computed on plain floats with numpy's pairwise
+summation order, so they equal numpy.mean and numpy.std bit for bit without
+loading numpy.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-import numpy as np
+from bisect import bisect_right
+from functools import reduce
+from operator import add
+from typing import NamedTuple
 
 
 class EvaluationError(ValueError):
@@ -30,10 +35,7 @@ class MismatchedGroundTruth(EvaluationError):
     """Two sources were compared over different ground-truth sets."""
 
 
-@dataclass(frozen=True, slots=True)
-class EvalPair:
-    """One ground-truth position/heading with the estimate of one source."""
-
+class _EvalPair(NamedTuple):
     gt_x: float
     gt_y: float
     gt_theta: float
@@ -42,13 +44,30 @@ class EvalPair:
     est_theta: float
     source: str = "ours"
 
-    def __post_init__(self) -> None:
-        values = (
-            self.gt_x, self.gt_y, self.gt_theta,
-            self.est_x, self.est_y, self.est_theta,
-        )
+
+class EvalPair(_EvalPair):
+    """One ground-truth position/heading with the estimate of one source.
+
+    The six numbers are checked to be finite on construction; _make and
+    _replace skip the check.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        gt_x: float,
+        gt_y: float,
+        gt_theta: float,
+        est_x: float,
+        est_y: float,
+        est_theta: float,
+        source: str = "ours",
+    ) -> EvalPair:
+        values = (gt_x, gt_y, gt_theta, est_x, est_y, est_theta)
         if not all(map(math.isfinite, values)):
             raise ValueError("pair entries must be finite")
+        return tuple.__new__(cls, (*values, source))
 
     @property
     def gt_distance(self) -> float:
@@ -76,19 +95,41 @@ def _wrap_deg(a: float) -> float:
     return wrapped - 180.0
 
 
+def _pairwise_sum(values: list[float], lo: int, hi: int) -> float:
+    """Sum of values[lo:hi] in the order numpy's float add-reduction uses:
+    a plain loop below 8 terms, eight interleaved accumulators up to 128,
+    and above that two halves split at a multiple of 8."""
+    n = hi - lo
+    if n < 8:
+        return reduce(add, values[lo:hi], 0.0)
+    if n <= 128:
+        tail = hi - n % 8
+        r = [reduce(add, values[lo + j + 8 : tail : 8], values[lo + j]) for j in range(8)]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        return reduce(add, values[tail:hi], total)
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(values, lo, lo + half) + _pairwise_sum(values, lo + half, hi)
+
+
+def _mean_std(values: list[float]) -> dict:
+    """numpy.mean and numpy.std (ddof 0) of a non-empty list, bit for bit;
+    numpy's reduction starts from 0.0, which turns a -0.0 sum into 0.0."""
+    n = len(values)
+    mean = (0.0 + _pairwise_sum(values, 0, n)) / n
+    squares = [(v - mean) * (v - mean) for v in values]
+    return {"mean": mean, "std": math.sqrt((0.0 + _pairwise_sum(squares, 0, n)) / n)}
+
+
 def error_stats(pairs: list[EvalPair]) -> dict:
     """Signed est-minus-truth mean and population std: the x_mm, y_mm and
     theta_deg blocks of a report; angle errors wrapped to (-180, 180]."""
     if not pairs:
         raise EmptyInput("error stats over zero pairs")
-    ex = np.array([p.est_x - p.gt_x for p in pairs])
-    ey = np.array([p.est_y - p.gt_y for p in pairs])
-    et = np.array([_wrap_deg(p.est_theta - p.gt_theta) for p in pairs])
-
-    return {
-        block: {"mean": float(e.mean()), "std": float(e.std())}
-        for block, e in zip(ERROR_BLOCKS, (ex, ey, et))
-    }
+    ex = [p.est_x - p.gt_x for p in pairs]
+    ey = [p.est_y - p.gt_y for p in pairs]
+    et = [_wrap_deg(p.est_theta - p.gt_theta) for p in pairs]
+    return {block: _mean_std(e) for block, e in zip(ERROR_BLOCKS, (ex, ey, et))}
 
 
 def _summary(pairs: list[EvalPair]) -> dict:
@@ -112,9 +153,7 @@ def bucket_by_distance(
         raise ValueError(f"boundaries must be positive and strictly increasing: {bounds}")
     buckets: list[list[EvalPair]] = [[] for _ in range(len(bounds) + 1)]
     for p in pairs:
-        distance = p.gt_distance
-        index = sum(1 for b in bounds if distance >= b)
-        buckets[index].append(p)
+        buckets[bisect_right(bounds, p.gt_distance)].append(p)
     return buckets
 
 

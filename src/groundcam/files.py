@@ -357,48 +357,42 @@ def save_pairs_csv(path: Path, pairs: list[EvalPair]) -> None:
 
 
 def _csv_rows(path: Path, header: list[str]):
-    """Yield (line number, row dict) for each data row of a CSV file whose
-    first line is header. A missing field or a header mismatch raises
-    ValueError naming the file and the line; a file that is not UTF-8 text
-    raises one naming the file."""
+    """Yield (line number, fields) for each non-blank data row of a CSV file
+    whose first line is header; names may carry surrounding spaces. A header
+    mismatch or a row of the wrong width raises ValueError naming the file
+    and the line; a file that is not UTF-8 text raises one naming the file."""
     with _malformed(str(path)), open(path, newline="") as f:
         text = f.read()
-    reader = csv.DictReader(io.StringIO(text, newline=""))
-    names = reader.fieldnames
+    reader = csv.reader(io.StringIO(text, newline=""))
+    names = next(reader, None)
     if names is None or [name.strip() for name in names] != header:
         raise ValueError(
             f"{path} line 1: expected header {','.join(header)}, got {names}"
         )
-    for row in reader:
-        if None in row.values():
-            raise ValueError(
-                f"{path} line {reader.line_num}: expected {len(header)} fields"
-            )
-        yield reader.line_num, row
+    width = len(header)
+    for fields in reader:
+        if len(fields) != width:
+            if not fields:
+                continue
+            raise ValueError(f"{path} line {reader.line_num}: expected {width} fields")
+        yield reader.line_num, fields
 
 
 def load_pairs_csv(path: Path) -> list[EvalPair]:
-    """Read the pairs table; a malformed row, or one whose source is neither
-    ours nor reference, raises ValueError naming the file and the line."""
+    """Read the pairs table by column position; a malformed row, or one whose
+    source is neither ours nor reference, raises ValueError naming the file
+    and the line."""
     from .evaluation import EvalPair
 
     pairs = []
-    for number, row in _csv_rows(path, PAIRS_HEADER):
-        with _malformed(f"{path} line {number}"):
-            source = row["source"].strip()
+    for number, fields in _csv_rows(path, PAIRS_HEADER):
+        try:
+            source = fields[6].strip()
             if source not in ("ours", "reference"):
                 raise ValueError(f"source must be ours or reference, got {source!r}")
-            pairs.append(
-                EvalPair(
-                    gt_x=float(row["gt_x"]),
-                    gt_y=float(row["gt_y"]),
-                    gt_theta=float(row["gt_theta"]),
-                    est_x=float(row["est_x"]),
-                    est_y=float(row["est_y"]),
-                    est_theta=float(row["est_theta"]),
-                    source=source,
-                )
-            )
+            pairs.append(EvalPair(*map(float, fields[:6]), source))
+        except ValueError as exc:
+            raise ValueError(f"{path} line {number}: {exc}") from None
     return pairs
 
 
@@ -417,13 +411,11 @@ def load_truth_csv(path: Path) -> dict[str, tuple[float, float, float]]:
     """Read the truth table by frame; a malformed row raises ValueError
     naming the file and the line."""
     truth = {}
-    for number, row in _csv_rows(path, TRUTH_HEADER):
-        with _malformed(f"{path} line {number}"):
-            truth[row["frame"]] = (
-                float(row["gt_x"]),
-                float(row["gt_y"]),
-                float(row["gt_theta"]),
-            )
+    for number, (frame_id, x, y, theta) in _csv_rows(path, TRUTH_HEADER):
+        try:
+            truth[frame_id] = (float(x), float(y), float(theta))
+        except ValueError as exc:
+            raise ValueError(f"{path} line {number}: {exc}") from None
     return truth
 
 
@@ -448,14 +440,14 @@ def save_report(path: Path, report: dict) -> None:
 
 
 def save_scatter_csv(path: Path, pairs: list[EvalPair]) -> None:
-    """Plot-ready gt/estimate positions: columns x, y, series."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["x", "y", "series"])
-        for p in pairs:
-            writer.writerow([p.gt_x, p.gt_y, "ground_truth"])
-        for p in pairs:
-            writer.writerow([p.est_x, p.est_y, p.source])
+    """Plot-ready gt/estimate positions: columns x, y, series.
+
+    The rows are the bytes csv.writer writes for them: numbers by repr, CRLF
+    line ends, and series names that need no quoting.
+    """
+    rows = [f"{p.gt_x!r},{p.gt_y!r},ground_truth\r\n" for p in pairs]
+    rows += [f"{p.est_x!r},{p.est_y!r},{p.source}\r\n" for p in pairs]
+    Path(path).write_text("x,y,series\r\n" + "".join(rows), newline="")
 
 
 def render_report_text(report: dict) -> str:

@@ -409,7 +409,9 @@ class TestEvaluate:
         assert "error:" in err
 
     @pytest.mark.parametrize(
-        "row", ["0,500,0", "0,500,0,x,508.86,0,ours"], ids=["short", "non-numeric"]
+        "row",
+        ["0,500,0", "0,500,0,x,508.86,0,ours", "0,500,0,1,508.86,0,ours,0"],
+        ids=["short", "non-numeric", "wide"],
     )
     def test_malformed_row_names_file_and_line(self, capsys, tmp_path, row):
         path = tmp_path / "pairs.csv"

@@ -161,6 +161,29 @@ class TestErrorStats:
             error_stats([])
 
 
+# Sizes on either side of numpy's summation thresholds: the 8-term loop, the
+# 128-term unrolled block and the splits above it.
+ORACLE_SIZES = [*range(1, 10), 127, 128, 129, 255, 256, 257, 1023, 1024, 1025, 20000]
+
+
+@pytest.mark.parametrize("size", ORACLE_SIZES)
+def test_error_stats_equal_numpy_bit_for_bit(size):
+    rng = np.random.default_rng(size)
+    for scale in (1e-3, 1.0, 1e2, 1e4):
+        gt = rng.uniform(-2000.0, 2000.0, (3, size))
+        gt[2] = rng.uniform(-179.0, 179.0, size)
+        est = gt + scale * rng.normal(0.3, 1.0, (3, size))
+        est[2] = gt[2] + min(scale, 90.0) * rng.normal(0.3, 1.0, size)
+        pairs = [EvalPair(*g, *e) for g, e in zip(gt.T.tolist(), est.T.tolist())]
+        errors = est - gt
+        wrapped = np.fmod(errors[2] + 180.0, 360.0)
+        errors[2] = np.where(wrapped <= 0.0, wrapped + 360.0, wrapped) - 180.0
+        stats = error_stats(pairs)
+        for block, e in zip(("x_mm", "y_mm", "theta_deg"), errors):
+            expected = {"mean": float(e.mean()), "std": float(e.std())}
+            assert stats[block] == expected, (scale, block)
+
+
 # ---------------------------------------------------------------------------
 # Distance bands
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ directory is covered here too, so a stale regenerated file fails loudly.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import re
 
@@ -310,13 +311,23 @@ class TestPairsCsv:
 
 
     @pytest.mark.parametrize(
-        "row", ["1,2,3", "0,500,0,x,508.86,0,ours"], ids=["short", "non-numeric"]
+        "row",
+        ["1,2,3", "0,500,0,x,508.86,0,ours", "0,500,0,1,2,3,ours,0"],
+        ids=["short", "non-numeric", "wide"],
     )
     def test_malformed_row_names_file_and_line(self, tmp_path, row):
         path = tmp_path / "pairs.csv"
         path.write_text(",".join(files.PAIRS_HEADER) + "\n0,500,0,1,2,3,ours\n" + row + "\n")
         with pytest.raises(ValueError, match=re.escape(f"{path} line 3")):
             files.load_pairs_csv(path)
+
+    @pytest.mark.parametrize("row", ["1,2,3", "0,500,0,1,2,3,ours,0"], ids=["short", "wide"])
+    def test_row_of_the_wrong_width_names_the_field_count(self, tmp_path, row):
+        path = tmp_path / "pairs.csv"
+        path.write_text(",".join(files.PAIRS_HEADER) + "\n\n" + row + "\n")
+        with pytest.raises(ValueError) as caught:
+            files.load_pairs_csv(path)
+        assert str(caught.value) == f"{path} line 3: expected 7 fields"
 
 
 class TestTruthCsv:
@@ -332,12 +343,25 @@ class TestTruthCsv:
         header = path.read_text().splitlines()[0]
         assert header.split(",") == files.TRUTH_HEADER
 
-    @pytest.mark.parametrize("row", ["p002,1,2", "p002,1,x,3"], ids=["short", "non-numeric"])
+    @pytest.mark.parametrize(
+        "row", ["p002,1,2", "p002,1,x,3", "p002,1,2,3,4"], ids=["short", "non-numeric", "wide"]
+    )
     def test_malformed_row_names_file_and_line(self, tmp_path, row):
         path = tmp_path / "truth.csv"
         path.write_text(",".join(files.TRUTH_HEADER) + "\np000,1,2,3\n" + row + "\n")
         with pytest.raises(ValueError, match=re.escape(f"{path} line 3")):
             files.load_truth_csv(path)
+
+
+def test_padded_header_names_load_both_tables(tmp_path):
+    # A space after each comma: the header check strips names, and the rows
+    # are read by position, so both tables load.
+    pairs_path = tmp_path / "pairs.csv"
+    pairs_path.write_text(", ".join(files.PAIRS_HEADER) + "\n0,500,0,1,2,3,ours\n")
+    assert files.load_pairs_csv(pairs_path) == [EvalPair(0.0, 500.0, 0.0, 1.0, 2.0, 3.0)]
+    truth_path = tmp_path / "truth.csv"
+    truth_path.write_text(", ".join(files.TRUTH_HEADER) + "\np000,1,2,3\n")
+    assert files.load_truth_csv(truth_path) == {"p000": (1.0, 2.0, 3.0)}
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +408,24 @@ class TestReportFiles:
         series = [line.rsplit(",", 1)[1] for line in lines[1:]]
         assert series[: len(pairs)] == ["ground_truth"] * len(pairs)
         assert series[len(pairs) :] == ["ours"] * len(pairs)
+
+    def test_scatter_bytes_match_csv_writer(self, tmp_path):
+        pairs = [
+            EvalPair(-0.0, 1e-300, 0.0, 0.0, -0.0, 0.0),
+            EvalPair(1000.0, -250.0, 18.43, 1e-300, 2.5e17, 0.0, "reference"),
+            EvalPair(0.1, 1 / 3, 0.0, -1234.5678, 7.0, 0.0),
+        ]
+        path = tmp_path / "scatter.csv"
+        files.save_scatter_csv(path, pairs)
+        expected = io.StringIO()
+        writer = csv.writer(expected)
+        writer.writerow(["x", "y", "series"])
+        for p in pairs:
+            writer.writerow([p.gt_x, p.gt_y, "ground_truth"])
+        for p in pairs:
+            writer.writerow([p.est_x, p.est_y, p.source])
+        assert path.read_bytes() == expected.getvalue().encode()
+        assert b"-0.0,1e-300,ground_truth\r\n" in path.read_bytes()
 
     def test_text_rendering(self):
         _, report = _four_pair_report()

@@ -72,8 +72,8 @@ def test_calibrate_intrinsics_loads_neither_numpy_ma_nor_scene(scene):
     assert loaded & {"numpy.ma", "groundcam.scene", "groundcam.evaluation"} == set()
 
 
-# localize runs on plain floats, so its process must not pay for numpy or the
-# least-squares solver.
+# localize and evaluate run on plain floats, so their processes must not pay
+# for numpy or the least-squares solver.
 NUMPY_MODULES = {"numpy", "groundcam.optim"}
 
 
@@ -100,8 +100,19 @@ def test_localize_loads_no_numpy(scene, tmp_path, frame):
     assert (tmp_path / "localizations.jsonl").read_text().count('"status": "ok"') == 6
 
 
+def test_evaluate_loads_no_numpy(tmp_path):
+    # The fixture table holds ours and reference rows, so the comparison runs.
+    pairs = REPO_ROOT / "fixtures" / "reference_eval_pairs.csv"
+    argv = ["evaluate", str(pairs), "--out", str(tmp_path / "out")]
+    loaded = _loaded_after(f"assert groundcam.cli.main({argv!r}) == 0")
+    assert "groundcam.evaluation" in loaded
+    assert loaded & NUMPY_MODULES == set()
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert set(report["comparison"]) == {"ours", "reference"}
+
+
 @pytest.mark.parametrize(
-    "command", ["fit-regressor", "calibrate-intrinsics", "calibrate-extrinsics", "evaluate"]
+    "command", ["fit-regressor", "calibrate-intrinsics", "calibrate-extrinsics"]
 )
 def test_numpy_commands_run_in_a_fresh_process(scene, tmp_path, command):
     paths = {name: str(path) for name, path in scene.paths.items()}
@@ -109,7 +120,6 @@ def test_numpy_commands_run_in_a_fresh_process(scene, tmp_path, command):
         "fit-regressor": [paths["samples"]],
         "calibrate-intrinsics": [paths["views"]],
         "calibrate-extrinsics": [paths["landmarks"], paths["calibration"]],
-        "evaluate": [str(REPO_ROOT / "fixtures" / "reference_eval_pairs.csv")],
     }[command]
     argv = [command, *args, "--out", str(tmp_path / "out")]
     loaded = _loaded_after(f"assert groundcam.cli.main({argv!r}) == 0")
