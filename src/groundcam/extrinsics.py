@@ -6,7 +6,7 @@ calibration, left/right named as seen from the field center looking at that
 goal. Landmark pixels are undistorted internally; the pose is initialized
 from a planar homography when every world z coincides (the common
 all-on-carpet case) or from a 3x4 DLT for six or more points in general
-position, then refined over the six pose parameters.
+position, then refined by `refine_calibration` with every intrinsic held.
 """
 
 from __future__ import annotations
@@ -22,20 +22,17 @@ from .geometry import (
     Distortion,
     PixelPoint,
     WorldPoint,
-    axis_angle_from_rotation,
-    intrinsic_vector,
     nearest_rotation,
     project_points,
-    project_views,
-    rotation_from_axis_angle,
     undistort,
 )
 from .intrinsics import (
     DegenerateConfiguration,
+    dlt_rows,
     extrinsics_from_homography,
     homography_from_points,
+    refine_calibration,
 )
-from .optim import LeastSquaresProblem, levenberg_marquardt
 
 COPLANAR_Z_TOL_MM = 1e-9
 RESIDUAL_FLAG_FLOOR_PX = 1e-6
@@ -152,14 +149,8 @@ def field_landmarks(geometry: FieldGeometry) -> dict[str, WorldPoint]:
 def _pose_from_dlt(
     world: np.ndarray, pixels: np.ndarray, k: CameraIntrinsics
 ) -> CameraPose:
-    n = world.shape[0]
-    rows = np.zeros((2 * n, 12))
-    wh = np.column_stack([world, np.ones(n)])
-    rows[0::2, 0:4] = wh
-    rows[0::2, 8:12] = -pixels[:, 0:1] * wh
-    rows[1::2, 4:8] = wh
-    rows[1::2, 8:12] = -pixels[:, 1:2] * wh
-    _, s, vt = np.linalg.svd(rows)
+    wh = np.column_stack([world, np.ones(world.shape[0])])
+    _, s, vt = np.linalg.svd(dlt_rows(wh, pixels))
     if s[10] < 1e-10 * s[0]:
         raise NoInitialization("projection-matrix system is rank deficient")
     p = vt[-1].reshape(3, 4)
@@ -175,42 +166,18 @@ def _pose_from_dlt(
     return CameraPose(r, m[:, 3])
 
 
-def pose_problem(
-    world: np.ndarray, pixels: np.ndarray, k: CameraIntrinsics
-) -> LeastSquaresProblem:
-    """Reprojection error of world points (n, 3) against pixels (n, 2) over
-    x = (axis-angle rotation, translation), intrinsics held fixed, with the
-    closed-form Jacobian of project_views."""
-    n = world.shape[0]
-    intrinsics = intrinsic_vector(k)
-    stacked = world[None]
-
-    def residual(x: np.ndarray) -> np.ndarray:
-        projected, _, _ = project_views(intrinsics, x[None, :3], x[None, 3:], stacked)
-        return (projected[0] - pixels).ravel()
-
-    def jacobian(x: np.ndarray) -> np.ndarray:
-        _, _, d_pose = project_views(
-            intrinsics, x[None, :3], x[None, 3:], stacked, with_jacobian=True
-        )
-        return d_pose[0].reshape(2 * n, 6)
-
-    return LeastSquaresProblem(
-        residual=residual, n_params=6, n_residuals=2 * n, jacobian=jacobian
-    )
-
-
 def solve_pnp(
     correspondences: list[PnpCorrespondence], k: CameraIntrinsics
 ) -> tuple[CameraPose, ReprojectionReport]:
     """Camera pose from marked landmarks, and its reprojection_report.
 
     Pixels are undistorted before solving, and the initial pose is refined
-    over pose_problem. Raises InsufficientPoints below four correspondences,
-    DegenerateConfiguration for collinear world points, and NoInitialization
-    when the layout fits neither the planar nor the general-position
-    initializer. There is no outlier rejection; suspect marks are flagged in
-    the returned report instead.
+    by refine_calibration with every intrinsic held. Raises
+    InsufficientPoints below four correspondences, DegenerateConfiguration
+    for collinear world points, and NoInitialization when the layout fits
+    neither the planar nor the general-position initializer. There is no
+    outlier rejection; suspect marks are flagged in the returned report
+    instead.
     """
     n = len(correspondences)
     if n < 4:
@@ -237,12 +204,7 @@ def solve_pnp(
             "general position"
         )
 
-    x0 = np.concatenate(
-        [axis_angle_from_rotation(pose0.rotation), pose0.translation]
-    )
-    problem = pose_problem(world, ideal, k_ideal)
-    result = levenberg_marquardt(problem, x0)
-    pose = CameraPose(rotation_from_axis_angle(result.x[:3]), result.x[3:])
+    pose = refine_calibration([world], [ideal], k_ideal, [pose0], free=()).poses[0]
     return pose, reprojection_report(pose, k, correspondences)
 
 

@@ -360,22 +360,28 @@ def _csv_rows(path: Path, header: list[str]):
     """Yield (line number, fields) for each non-blank data row of a CSV file
     whose first line is header; names may carry surrounding spaces. A header
     mismatch or a row of the wrong width raises ValueError naming the file
-    and the line; a file that is not UTF-8 text raises one naming the file."""
+    and the line, as does a line csv cannot parse (an oversized field, say);
+    a file that is not UTF-8 text raises one naming the file."""
     with _malformed(str(path)), open(path, newline="") as f:
         text = f.read()
     reader = csv.reader(io.StringIO(text, newline=""))
-    names = next(reader, None)
-    if names is None or [name.strip() for name in names] != header:
-        raise ValueError(
-            f"{path} line 1: expected header {','.join(header)}, got {names}"
-        )
-    width = len(header)
-    for fields in reader:
-        if len(fields) != width:
-            if not fields:
-                continue
-            raise ValueError(f"{path} line {reader.line_num}: expected {width} fields")
-        yield reader.line_num, fields
+    try:
+        names = next(reader, None)
+        if names is None or [name.strip() for name in names] != header:
+            raise ValueError(
+                f"{path} line 1: expected header {','.join(header)}, got {names}"
+            )
+        width = len(header)
+        for fields in reader:
+            if len(fields) != width:
+                if not fields:
+                    continue
+                raise ValueError(
+                    f"{path} line {reader.line_num}: expected {width} fields"
+                )
+            yield reader.line_num, fields
+    except csv.Error as exc:
+        raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
 
 
 def load_pairs_csv(path: Path) -> list[EvalPair]:

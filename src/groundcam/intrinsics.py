@@ -4,7 +4,9 @@ Pipeline: normalized DLT homographies per view, closed-form recovery of the
 calibration matrix from absolute-conic constraints, per-view extrinsics from
 each homography, then a joint Levenberg-Marquardt refinement of intrinsics,
 lens coefficients, and all view poses against total reprojection error, with
-every view projected at once and a closed-form Jacobian.
+every view projected at once and a closed-form Jacobian. The refinement holds
+any chosen intrinsics at given values; landmark PnP runs it with all of them
+held.
 """
 
 from __future__ import annotations
@@ -98,6 +100,19 @@ def _normalization(points: np.ndarray) -> np.ndarray:
     )
 
 
+def dlt_rows(src_h: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """The 2n x 3m DLT system whose null vector is the row-major 3 x m matrix
+    P with dst ~ P src_h, for homogeneous sources src_h (n, m) and pixel
+    coordinates dst (n, >= 2)."""
+    n, m = src_h.shape
+    rows = np.zeros((2 * n, 3 * m))
+    rows[0::2, 0:m] = src_h
+    rows[0::2, 2 * m :] = -dst[:, 0:1] * src_h
+    rows[1::2, m : 2 * m] = src_h
+    rows[1::2, 2 * m :] = -dst[:, 1:2] * src_h
+    return rows
+
+
 def homography_from_points(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """DLT homography mapping src (n, 2) to dst (n, 2), normalized, H33 = 1.
 
@@ -117,12 +132,7 @@ def homography_from_points(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     sh = np.column_stack([src, np.ones(n)]) @ t_src.T
     dh = np.column_stack([dst, np.ones(n)]) @ t_dst.T
 
-    rows = np.zeros((2 * n, 9))
-    rows[0::2, 0:3] = sh
-    rows[0::2, 6:9] = -dh[:, 0:1] * sh
-    rows[1::2, 3:6] = sh
-    rows[1::2, 6:9] = -dh[:, 1:2] * sh
-    _, s, vt = np.linalg.svd(rows)
+    _, s, vt = np.linalg.svd(dlt_rows(sh, dh))
     if s[7] < 1e-10 * s[0]:
         raise DegenerateConfiguration(
             "points do not determine a unique homography "
@@ -228,17 +238,6 @@ def extrinsics_from_homography(
     return CameraPose(r, t - plane_z * r[:, 2])
 
 
-def _layout(
-    k: CameraIntrinsics, fix_skew: bool, fix_k3: bool
-) -> tuple[np.ndarray, list[int]]:
-    """k's intrinsic vector with the pinned entries zeroed, and the indices of
-    the entries the refinement adjusts, in parameter order."""
-    base = np.array(intrinsic_vector(k))
-    pinned = ([2] if fix_skew else []) + ([7] if fix_k3 else [])
-    base[pinned] = 0.0
-    return base, [i for i in range(10) if i not in pinned]
-
-
 def _split(
     x: np.ndarray, base: np.ndarray, free: list[int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -249,40 +248,42 @@ def _split(
     return full, poses[:, :3], poses[:, 3:]
 
 
-def _stack_views(views: list[PlanarView]) -> tuple[np.ndarray, np.ndarray]:
-    """Pattern points as (n_views, n_max, 3) at z = 0, zero-padded, and the
+def _stack_views(world: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """World points as (n_views, n_max, 3), zero-padded, and the
     (n_views, n_max) mask of real entries."""
-    n_max = max(len(v) for v in views)
-    world = np.zeros((len(views), n_max, 3))
-    valid = np.zeros((len(views), n_max), dtype=bool)
-    for i, view in enumerate(views):
-        world[i, : len(view), :2] = view.pattern
-        valid[i, : len(view)] = True
-    return world, valid
+    n_max = max(len(w) for w in world)
+    stacked = np.zeros((len(world), n_max, 3))
+    valid = np.zeros((len(world), n_max), dtype=bool)
+    for i, w in enumerate(world):
+        stacked[i, : len(w)] = w
+        valid[i, : len(w)] = True
+    return stacked, valid
 
 
 def calibration_problem(
-    views: list[PlanarView],
+    world: list[np.ndarray],
+    pixels: list[np.ndarray],
     k: CameraIntrinsics,
     poses: list[CameraPose],
-    fix_skew: bool = True,
-    fix_k3: bool = True,
+    free: tuple[int, ...],
 ) -> tuple[LeastSquaresProblem, np.ndarray]:
-    """The joint refinement as a least-squares problem, and its start vector
-    at intrinsics k and one target-to-camera pose per view.
+    """Reprojection of per-view world points (n_i, 3) against pixels (n_i, 2)
+    as a least-squares problem, and its start vector at intrinsics k and one
+    world-to-camera pose per view.
 
-    Parameter order: alpha_x, alpha_y, (gamma), u0, v0, k1, k2, (k3), p1, p2,
-    then per view an axis-angle rotation and translation. Every view is
-    projected in one stacked evaluation, and the Jacobian is the closed form
-    of project_views.
+    Parameters: the intrinsic_vector entries whose indices are in free, in
+    free's order, then per view an axis-angle rotation and translation. The
+    other intrinsics stay at k's values. Every view is projected in one
+    stacked evaluation, and the Jacobian is the closed form of project_views.
     """
-    if len(views) != len(poses):
-        raise ValueError("one initial pose per view is required")
-    world, valid = _stack_views(views)
-    observed = np.vstack([v.pixels for v in views])
+    if not len(world) == len(pixels) == len(poses):
+        raise ValueError("one pixel array and one initial pose per view are required")
+    stacked, valid = _stack_views(world)
+    observed = np.vstack(pixels)
     n_points = observed.shape[0]
-    counts = [len(v) for v in views]
-    base, free = _layout(k, fix_skew, fix_k3)
+    counts = [len(p) for p in pixels]
+    base = np.array(intrinsic_vector(k))
+    free = list(free)
     n_shared = len(free)
     x0 = np.concatenate(
         [base[free]]
@@ -294,12 +295,12 @@ def calibration_problem(
     n_params = x0.shape[0]
 
     def residual(x: np.ndarray) -> np.ndarray:
-        pixels, _, _ = project_views(*_split(x, base, free), world)
-        return (pixels[valid] - observed).ravel()
+        projected, _, _ = project_views(*_split(x, base, free), stacked)
+        return (projected[valid] - observed).ravel()
 
     def jacobian(x: np.ndarray) -> np.ndarray:
         _, d_intrinsics, d_pose = project_views(
-            *_split(x, base, free), world, with_jacobian=True
+            *_split(x, base, free), stacked, with_jacobian=True
         )
         jac = np.zeros((n_points, 2, n_params))
         jac[:, :, :n_shared] = d_intrinsics[valid][:, :, free]
@@ -320,25 +321,25 @@ def calibration_problem(
 
 
 def refine_calibration(
-    views: list[PlanarView],
+    world: list[np.ndarray],
+    pixels: list[np.ndarray],
     k: CameraIntrinsics,
     poses: list[CameraPose],
-    fix_skew: bool = True,
-    fix_k3: bool = True,
+    free: tuple[int, ...],
 ) -> CalibrationSolution:
-    """Jointly refine intrinsics k, lens model, and the per-view poses.
+    """Refine the intrinsics in free, the lens model's included, and the
+    per-view poses against reprojection error.
 
     Solves calibration_problem by Levenberg-Marquardt. The returned RMSE is
     the final cost's, with u and v errors as separate scalars, so a fit to
     noise of standard deviation sigma settles near sigma. It never exceeds
     the RMSE at (k, poses) because only cost-decreasing steps are accepted.
-    With fix_skew the output gamma is exactly 0, with fix_k3 the output k3 is
-    exactly 0.
+    Every intrinsic outside free is returned equal to k's; with free=() this
+    is resection (PnP) with k known.
     """
-    problem, x0 = calibration_problem(views, k, poses, fix_skew, fix_k3)
+    problem, x0 = calibration_problem(world, pixels, k, poses, free)
     result = levenberg_marquardt(problem, x0)
-    base, free = _layout(k, fix_skew, fix_k3)
-    full, rvecs, tvecs = _split(result.x, base, free)
+    full, rvecs, tvecs = _split(result.x, np.array(intrinsic_vector(k)), list(free))
     return CalibrationSolution(
         intrinsics=CameraIntrinsics(
             full[0], full[1], full[3], full[4], full[2], Distortion(*full[5:])
@@ -346,7 +347,7 @@ def refine_calibration(
         poses=tuple(
             CameraPose(rotation_from_axis_angle(r), t) for r, t in zip(rvecs, tvecs)
         ),
-        rmse_px=math.sqrt(result.cost / sum(len(v) for v in views)),
+        rmse_px=math.sqrt(result.cost / sum(len(p) for p in pixels)),
     )
 
 
@@ -357,10 +358,16 @@ def calibrate_intrinsics(
 ) -> CalibrationSolution:
     """Full pipeline: homographies, closed form, per-view extrinsics, refinement.
 
+    Each pattern lies at z = 0. fix_skew and fix_k3 hold gamma and k3 at the
+    closed form's values, which are exactly 0: zhang_closed_form returns
+    gamma = 0.0 when it assumes zero skew, and always a zero lens model.
     Raises InsufficientViews (from zhang_closed_form) below three views, or
     two with fix_skew.
     """
     homographies = [estimate_homography(v) for v in views]
     k0 = zhang_closed_form(homographies, assume_zero_skew=fix_skew)
     poses = [extrinsics_from_homography(k0, h) for h in homographies]
-    return refine_calibration(views, k0, poses, fix_skew=fix_skew, fix_k3=fix_k3)
+    world = [np.column_stack([v.pattern, np.zeros(len(v))]) for v in views]
+    pinned = ((2,) if fix_skew else ()) + ((7,) if fix_k3 else ())
+    free = tuple(i for i in range(10) if i not in pinned)
+    return refine_calibration(world, [v.pixels for v in views], k0, poses, free)

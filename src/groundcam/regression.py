@@ -90,6 +90,8 @@ class ClassModel:
             raise ValueError(f"weights must be (2, 5), got {shape}")
         if not all(map(math.isfinite, w)):
             raise ValueError("weights must be finite")
+        if not (math.isfinite(self.rmse_px) and self.rmse_px >= 0):
+            raise ValueError(f"rmse_px must be finite and >= 0, got {self.rmse_px}")
         object.__setattr__(self, "weights", (tuple(w[:5]), tuple(w[5:])))
 
     def ground_pixel(self, bbox: BoundingBox) -> tuple[float, float]:

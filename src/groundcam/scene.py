@@ -115,6 +115,15 @@ class SceneConfig:
     def __post_init__(self) -> None:
         if self.noise_px < 0 or not math.isfinite(self.noise_px):
             raise ConfigInvalid(f"noise_px must be >= 0, got {self.noise_px}")
+        for name in (
+            "grid_spacing_mm",
+            "grid_origin_mm",
+            "object_radius_mm",
+            "object_height_mm",
+            "square_size_mm",
+        ):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ConfigInvalid(f"{name} must be finite, got {getattr(self, name)}")
         if self.grid_columns < 1 or self.grid_rows < 1:
             raise ConfigInvalid("grid must have at least one column and row")
         if self.grid_spacing_mm <= 0:

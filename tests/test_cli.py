@@ -8,6 +8,8 @@ point. Machine output must stay parseable JSON or JSONL on stdout.
 from __future__ import annotations
 
 import json
+import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -410,8 +412,13 @@ class TestEvaluate:
 
     @pytest.mark.parametrize(
         "row",
-        ["0,500,0", "0,500,0,x,508.86,0,ours", "0,500,0,1,508.86,0,ours,0"],
-        ids=["short", "non-numeric", "wide"],
+        [
+            "0,500,0",
+            "0,500,0,x,508.86,0,ours",
+            "0,500,0,1,508.86,0,ours,0",
+            "0,500,0,1,2,3," + "x" * 200_000,  # beyond csv's field size limit
+        ],
+        ids=["short", "non-numeric", "wide", "oversized"],
     )
     def test_malformed_row_names_file_and_line(self, capsys, tmp_path, row):
         path = tmp_path / "pairs.csv"
@@ -638,12 +645,15 @@ def _inputs(scene, command):
         ("calibrate-extrinsics", "landmarks", ("points", 0, "name"), "5"),
         ("localize", "model", ("classes", "ball", "weights", 0, 0), "0.5"),
         ("localize", "model", ("classes", "ball", "rmse_px"), "0"),
+        ("localize", "model", ("classes", "ball", "rmse_px"), math.nan),
+        ("localize", "model", ("classes", "ball", "rmse_px"), -3.0),
     ],
     ids=["views-points-null", "landmarks-pixel-null", "distortion-null",
          "calibration-list", "model-classes-null", "alpha_x-beyond-float",
          "views-pixel-strings", "views-pattern-bool", "landmarks-pixel-strings",
          "landmarks-extra-world-string", "landmarks-unknown-name",
-         "model-weight-string", "model-rmse-string"],
+         "model-weight-string", "model-rmse-string", "model-rmse-nan",
+         "model-rmse-negative"],
 )
 def test_malformed_json_document_exits_2_naming_the_file(
     capsys, cli_scene, tmp_path, command, document, keys, value
@@ -859,6 +869,10 @@ def test_unknown_command_exits_via_argparse(capsys):
 
 
 def test_module_entry_point_runs_in_a_subprocess():
+    # The checkout's package, whether or not it is installed.
+    src = str(REPO_ROOT / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src if not path else f"{src}{os.pathsep}{path}"}
     result = subprocess.run(
         [
             sys.executable,
@@ -870,6 +884,7 @@ def test_module_entry_point_runs_in_a_subprocess():
         capture_output=True,
         text=True,
         cwd=REPO_ROOT,
+        env=env,
     )
     assert result.returncode == 0
     doc = json.loads(result.stdout)

@@ -19,7 +19,6 @@ from groundcam.extrinsics import (
     NoInitialization,
     PnpCorrespondence,
     field_landmarks,
-    pose_problem,
     reprojection_report,
     solve_pnp,
 )
@@ -34,7 +33,7 @@ from groundcam.geometry import (
     project,
     project_points,
 )
-from groundcam.intrinsics import DegenerateConfiguration
+from groundcam.intrinsics import DegenerateConfiguration, calibration_problem
 from groundcam.optim import numeric_jacobian
 from groundcam.reference import (
     REFERENCE_CAMERA_CENTER_MM,
@@ -201,6 +200,8 @@ class TestSolvePnp:
 
 
 class TestPoseProblem:
+    """solve_pnp's refinement: calibration_problem with every intrinsic held."""
+
     def test_jacobian_matches_central_differences_off_plane(
         self, ref_k, ref_pose, rng
     ):
@@ -208,11 +209,9 @@ class TestPoseProblem:
         world = np.array(RAISED_POINTS)
         noise = rng.normal(0.0, 0.5, (len(world), 2))
         pixels = project_points(world, k, ref_pose) + noise
-        problem = pose_problem(world, pixels, k)
-        x = np.concatenate(
-            [axis_angle_from_rotation(ref_pose.rotation), ref_pose.translation]
-        )
-        x = x + rng.normal(0.0, 1e-3, 6) * np.maximum(np.abs(x), 1.0)
+        problem, x0 = calibration_problem([world], [pixels], k, [ref_pose], free=())
+        assert problem.n_params == 6
+        x = x0 + rng.normal(0.0, 1e-3, 6) * np.maximum(np.abs(x0), 1.0)
         analytic = problem.jacobian(x)
         numeric = numeric_jacobian(problem, x)
         scale = np.abs(numeric).max(axis=0)

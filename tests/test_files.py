@@ -312,8 +312,13 @@ class TestPairsCsv:
 
     @pytest.mark.parametrize(
         "row",
-        ["1,2,3", "0,500,0,x,508.86,0,ours", "0,500,0,1,2,3,ours,0"],
-        ids=["short", "non-numeric", "wide"],
+        [
+            "1,2,3",
+            "0,500,0,x,508.86,0,ours",
+            "0,500,0,1,2,3,ours,0",
+            "0,500,0,1,2,3," + "x" * 200_000,  # beyond csv's field size limit
+        ],
+        ids=["short", "non-numeric", "wide", "oversized"],
     )
     def test_malformed_row_names_file_and_line(self, tmp_path, row):
         path = tmp_path / "pairs.csv"
@@ -344,7 +349,9 @@ class TestTruthCsv:
         assert header.split(",") == files.TRUTH_HEADER
 
     @pytest.mark.parametrize(
-        "row", ["p002,1,2", "p002,1,x,3", "p002,1,2,3,4"], ids=["short", "non-numeric", "wide"]
+        "row",
+        ["p002,1,2", "p002,1,x,3", "p002,1,2,3,4", "p002,1,2," + "9" * 200_000],
+        ids=["short", "non-numeric", "wide", "oversized"],
     )
     def test_malformed_row_names_file_and_line(self, tmp_path, row):
         path = tmp_path / "truth.csv"

@@ -18,6 +18,7 @@ from groundcam.geometry import (
     CameraPose,
     Distortion,
     axis_angle_from_rotation,
+    intrinsic_vector,
     project_points,
     rotation_from_axis_angle,
 )
@@ -41,6 +42,18 @@ from groundcam.optim import levenberg_marquardt, numeric_jacobian
 # ---------------------------------------------------------------------------
 
 TRUE_K = CameraIntrinsics(642.41, 642.54, 322.80, 239.76)
+
+
+# intrinsic_vector indices the refinement adjusts: all but gamma (2) and k3
+# (7), as calibrate_intrinsics does by default, or all ten.
+FREE = (0, 1, 3, 4, 5, 6, 8, 9)
+ALL_FREE = tuple(range(10))
+
+
+def _arrays(views: list[PlanarView]) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-view world points at z = 0 and pixels, as the refinement takes them."""
+    world = [np.column_stack([v.pattern, np.zeros(len(v))]) for v in views]
+    return world, [v.pixels for v in views]
 
 
 def _rms(values: np.ndarray) -> float:
@@ -303,7 +316,7 @@ class TestCalibratePipeline:
                 for v, pose in zip(views, poses)
             ]
         )
-        refined = refine_calibration(views, k0, poses)
+        refined = refine_calibration(*_arrays(views), k0, poses, FREE)
         assert refined.rmse_px <= _rms(initial) + 1e-12
 
     def test_skew_fit_when_unpinned(self, rng):
@@ -323,7 +336,7 @@ class TestCalibratePipeline:
     def test_pose_count_mismatch_rejected(self, rng):
         views, poses = _synthetic_views(TRUE_K, 3, rng)
         with pytest.raises(ValueError):
-            refine_calibration(views, TRUE_K, poses[:2])
+            refine_calibration(*_arrays(views), TRUE_K, poses[:2], FREE)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +369,9 @@ class TestCalibrationJacobian:
     @pytest.mark.parametrize("fix_k3", [True, False])
     def test_matches_central_differences(self, rng, fix_skew, fix_k3):
         views, poses = _synthetic_views(LENS_K, 5, rng)
-        problem, x0 = calibration_problem(views, LENS_K, poses, fix_skew, fix_k3)
+        pinned = ((2,) if fix_skew else ()) + ((7,) if fix_k3 else ())
+        free = tuple(i for i in ALL_FREE if i not in pinned)
+        problem, x0 = calibration_problem(*_arrays(views), LENS_K, poses, free)
         n_shared = 10 - int(fix_skew) - int(fix_k3)
         assert problem.n_params == n_shared + 6 * len(views)
         x = x0 + rng.normal(0.0, 1e-3, x0.shape) * np.maximum(np.abs(x0), 1e-2)
@@ -370,20 +385,28 @@ class TestCalibrationJacobian:
     def test_unequal_point_counts(self, rng):
         views, poses = _synthetic_views(LENS_K, 3, rng)
         views[1] = PlanarView("short", views[1].pixels[:20], views[1].pattern[:20])
-        problem, x0 = calibration_problem(
-            views, LENS_K, poses, fix_skew=False, fix_k3=False
-        )
+        problem, x0 = calibration_problem(*_arrays(views), LENS_K, poses, ALL_FREE)
         assert problem.n_residuals == 2 * (54 + 20 + 54)
         assert np.max(np.abs(problem.residual(x0))) < 1e-9
         errors = _column_errors(problem.jacobian(x0), numeric_jacobian(problem, x0))
         assert errors.max() < 1e-6
+
+    def test_held_intrinsics_keep_their_values(self, rng):
+        views, poses = _synthetic_views(LENS_K, 4, rng, noise_px=0.5)
+        held = [i for i in ALL_FREE if i not in FREE]
+        refined = refine_calibration(*_arrays(views), LENS_K, poses, FREE)
+        after = intrinsic_vector(refined.intrinsics)
+        # LENS_K's gamma 1.5 and k3 -0.004.
+        assert [after[i] for i in held] == [intrinsic_vector(LENS_K)[i] for i in held]
+        pnp = refine_calibration(*_arrays(views), LENS_K, poses, free=())
+        assert intrinsic_vector(pnp.intrinsics) == intrinsic_vector(LENS_K)
 
     def test_solver_matches_numeric_jacobian_solve(self, rng):
         views, _ = _synthetic_views(LENS_K, 6, rng, noise_px=0.5)
         hs = [estimate_homography(v) for v in views]
         k0 = zhang_closed_form(hs, assume_zero_skew=True)
         poses = tuple(extrinsics_from_homography(k0, h) for h in hs)
-        problem, x0 = calibration_problem(views, k0, poses)
+        problem, x0 = calibration_problem(*_arrays(views), k0, poses, FREE)
         analytic = levenberg_marquardt(problem, x0)
         numeric = levenberg_marquardt(dataclasses.replace(problem, jacobian=None), x0)
         assert analytic.cost == pytest.approx(numeric.cost, rel=1e-9)
@@ -399,7 +422,7 @@ class TestCalibrationJacobian:
         hs = [estimate_homography(v) for v in views]
         k0 = zhang_closed_form(hs, assume_zero_skew=True)
         poses = tuple(extrinsics_from_homography(k0, h) for h in hs)
-        problem, x0 = calibration_problem(views, k0, poses)
+        problem, x0 = calibration_problem(*_arrays(views), k0, poses, FREE)
         ours = levenberg_marquardt(problem, x0)
         # At MINPACK's default tolerances (1e-8) it stops early, with u0 and
         # v0 up to 4e-5 off; at 1e-15 it runs on to where ours stops.
@@ -419,7 +442,7 @@ class TestReprojectionRmse:
 
     def test_zero_for_exact_views(self, rng):
         views, poses = _synthetic_views(TRUE_K, 3, rng)
-        problem, x0 = calibration_problem(views, TRUE_K, poses)
+        problem, x0 = calibration_problem(*_arrays(views), TRUE_K, poses, FREE)
         assert _rms(problem.residual(x0)) < 1e-12
 
     def test_uniform_offset_gives_its_magnitude(self, rng):
@@ -434,7 +457,7 @@ class TestReprojectionRmse:
             )
             for v in views
         ]
-        problem, x0 = calibration_problem(shifted, TRUE_K, poses)
+        problem, x0 = calibration_problem(*_arrays(shifted), TRUE_K, poses, FREE)
         assert _rms(problem.residual(x0)) == pytest.approx(5.0 / math.sqrt(2.0), abs=1e-9)
 
 

@@ -338,6 +338,12 @@ class TestConfigValidation:
             {"square_size_mm": 0.0},
             {"image_width_px": 1},
             {"landmark_names": ("center_circle",)},
+            {"grid_spacing_mm": math.nan},
+            {"grid_spacing_mm": math.inf},
+            {"grid_origin_mm": (math.nan, 0.0)},
+            {"object_radius_mm": math.nan},
+            {"object_height_mm": math.inf},
+            {"square_size_mm": math.nan},
         ],
     )
     def test_bad_values_rejected(self, overrides):
