@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-import traceback
 from pathlib import Path
 
 # Only what localize and fit-regressor run is imported here; every other
@@ -257,6 +256,8 @@ def main(argv: list[str] | None = None) -> int:
         _note(f"error: {exc}")
         return 2
     except Exception:
+        import traceback
+
         traceback.print_exc()
         return 1
 

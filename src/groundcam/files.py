@@ -10,11 +10,9 @@ alongside for operators.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 from contextlib import contextmanager
-from dataclasses import fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -176,10 +174,14 @@ def load_planar_views(path: Path) -> list[PlanarView]:
 
 def field_geometry_to_dict(g: FieldGeometry) -> dict:
     """Every FieldGeometry field under its name plus an _mm suffix."""
+    from dataclasses import fields
+
     return {f"{f.name}_mm": getattr(g, f.name) for f in fields(g)}
 
 
 def field_geometry_from_dict(obj: dict) -> FieldGeometry:
+    from dataclasses import fields
+
     from .extrinsics import FieldGeometry
 
     return FieldGeometry(
@@ -347,6 +349,8 @@ PAIRS_HEADER = ["gt_x", "gt_y", "gt_theta", "est_x", "est_y", "est_theta", "sour
 
 
 def save_pairs_csv(path: Path, pairs: list[EvalPair]) -> None:
+    import csv
+
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(PAIRS_HEADER)
@@ -362,6 +366,8 @@ def _csv_rows(path: Path, header: list[str]):
     mismatch or a row of the wrong width raises ValueError naming the file
     and the line, as does a line csv cannot parse (an oversized field, say);
     a file that is not UTF-8 text raises one naming the file."""
+    import csv
+
     with _malformed(str(path)), open(path, newline="") as f:
         text = f.read()
     reader = csv.reader(io.StringIO(text, newline=""))
@@ -406,6 +412,8 @@ TRUTH_HEADER = ["frame", "gt_x", "gt_y", "gt_theta"]
 
 
 def save_truth_csv(path: Path, rows: list[tuple[str, float, float, float]]) -> None:
+    import csv
+
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(TRUTH_HEADER)
@@ -427,6 +435,8 @@ def load_truth_csv(path: Path) -> dict[str, tuple[float, float, float]]:
 
 def save_report(path: Path, report: dict) -> None:
     """The headline numbers of a build_report document as a metric,value table."""
+    import csv
+
     from .evaluation import ERROR_BLOCKS
 
     with open(path, "w", newline="") as f:
@@ -469,10 +479,16 @@ def render_report_text(report: dict) -> str:
         stats = report[block]
         out.write(f"{axis} error: {stats['mean']:.6f} +- {stats['std']:.6f} {unit}\n")
     for b in report["buckets"]:
-        hi = "inf" if b["hi_mm"] is None else f"{b['hi_mm']:.0f}"
+        hi = "inf" if b["hi_mm"] is None else _band_edge(b["hi_mm"])
         rmse_text = "n/a" if b["rmse_mm"] is None else f"{b['rmse_mm']:.6f}"
         out.write(
-            f"bucket [{b['lo_mm']:.0f}, {hi}) mm: count {b['count']}, "
+            f"bucket [{_band_edge(b['lo_mm'])}, {hi}) mm: count {b['count']}, "
             f"rmse {rmse_text} mm\n"
         )
     return out.getvalue()
+
+
+def _band_edge(mm: float) -> str:
+    """A band edge as given: a whole number of millimeters without decimals,
+    any other value as report.csv writes it."""
+    return f"{mm:.0f}" if mm.is_integer() else repr(mm)

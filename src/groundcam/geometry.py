@@ -20,7 +20,6 @@ whole module is safe to share across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
@@ -82,49 +81,88 @@ def _readonly(values: tuple, shape: tuple[int, ...]) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True, slots=True)
-class Distortion:
+class _Frozen:
+    """Base of the immutable __slots__ records: value equality, hash, repr
+    and pickling over the slots in order. Assignment raises AttributeError,
+    so __init__ sets each slot through object.__setattr__."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        values = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({values})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Distortion(_Frozen):
     """Brown-Conrady lens coefficients: radial k1..k3, tangential p1, p2."""
 
-    k1: float = 0.0
-    k2: float = 0.0
-    k3: float = 0.0
-    p1: float = 0.0
-    p2: float = 0.0
+    __slots__ = ("k1", "k2", "k3", "p1", "p2")
 
-    def __post_init__(self) -> None:
-        for name in ("k1", "k2", "k3", "p1", "p2"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-            if not math.isfinite(getattr(self, name)):
+    def __init__(
+        self,
+        k1: float = 0.0,
+        k2: float = 0.0,
+        k3: float = 0.0,
+        p1: float = 0.0,
+        p2: float = 0.0,
+    ) -> None:
+        for name, value in zip(self.__slots__, (k1, k2, k3, p1, p2)):
+            value = float(value)
+            if not math.isfinite(value):
                 raise ValueError(f"distortion coefficient {name} must be finite")
+            object.__setattr__(self, name, value)
 
     @property
     def is_zero(self) -> bool:
         return self.k1 == self.k2 == self.k3 == self.p1 == self.p2 == 0.0
 
 
-@dataclass(frozen=True, slots=True)
-class CameraIntrinsics:
+class CameraIntrinsics(_Frozen):
     """Focal lengths and principal point in pixels, plus the lens model.
 
     gamma is the skew term; it multiplies the normalized y coordinate in the
     pixel-u equation and is 0 for square-pixel sensors.
     """
 
-    alpha_x: float
-    alpha_y: float
-    u0: float
-    v0: float
-    gamma: float = 0.0
-    distortion: Distortion = field(default_factory=Distortion)
+    __slots__ = ("alpha_x", "alpha_y", "u0", "v0", "gamma", "distortion")
 
-    def __post_init__(self) -> None:
-        for name in ("alpha_x", "alpha_y", "u0", "v0", "gamma"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-            if not math.isfinite(getattr(self, name)):
+    def __init__(
+        self,
+        alpha_x: float,
+        alpha_y: float,
+        u0: float,
+        v0: float,
+        gamma: float = 0.0,
+        distortion: Distortion = Distortion(),
+    ) -> None:
+        for name, value in zip(self.__slots__, (alpha_x, alpha_y, u0, v0, gamma)):
+            value = float(value)
+            if not math.isfinite(value):
                 raise ValueError(f"intrinsic parameter {name} must be finite")
+            object.__setattr__(self, name, value)
         if not (self.alpha_x > 0 and self.alpha_y > 0):
             raise ValueError("focal lengths must be positive")
+        object.__setattr__(self, "distortion", distortion)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -150,23 +188,32 @@ class CameraIntrinsics:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class WorldPoint:
-    """Point in the field frame, millimeters."""
-
+class _WorldPoint(NamedTuple):
     x: float
     y: float
     z: float = 0.0
 
-    def __post_init__(self) -> None:
-        for name in ("x", "y", "z"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        if not all(map(math.isfinite, (self.x, self.y, self.z))):
+
+class WorldPoint(_WorldPoint):
+    """Point in the field frame, millimeters.
+
+    The coordinates are coerced to float and checked finite on construction;
+    _make and _replace skip the coercion and the check.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, x: float, y: float, z: float = 0.0) -> WorldPoint:
+        x = float(x)
+        y = float(y)
+        z = float(z)
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
             raise ValueError("world coordinates must be finite")
+        return tuple.__new__(cls, (x, y, z))
 
     @property
     def array(self) -> np.ndarray:
-        return _readonly((self.x, self.y, self.z), (3,))
+        return _readonly(self, (3,))
 
 
 class _PixelPoint(NamedTuple):
@@ -191,22 +238,31 @@ class PixelPoint(_PixelPoint):
         return tuple.__new__(cls, (u, v))
 
 
-@dataclass(frozen=True, slots=True)
-class EulerAngles:
-    """Rotation as (omega, phi, kappa) degrees, each in (-180, 180]."""
-
+class _EulerAngles(NamedTuple):
     omega: float
     phi: float
     kappa: float
 
-    def __post_init__(self) -> None:
-        for name in ("omega", "phi", "kappa"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-            value = getattr(self, name)
+
+class EulerAngles(_EulerAngles):
+    """Rotation as (omega, phi, kappa) degrees, each in (-180, 180].
+
+    The angles are coerced to float and checked on construction; _make and
+    _replace skip the coercion and the checks.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, omega: float, phi: float, kappa: float) -> EulerAngles:
+        angles = []
+        for name, value in zip(cls._fields, (omega, phi, kappa)):
+            value = float(value)
             if not math.isfinite(value):
                 raise ValueError(f"angle {name} must be finite")
             if not -180.0 < value <= 180.0:
                 raise ValueError(f"angle {name}={value} outside (-180, 180]")
+            angles.append(value)
+        return tuple.__new__(cls, angles)
 
 
 class _CameraPose(NamedTuple):
@@ -517,7 +573,10 @@ def undistort_normalized(
         if -tol < step_x < tol and -tol < step_y < tol:
             break
     fx, fy = distort_normalized(x, y, d)
-    if max(abs(fx - xd), abs(fy - yd)) > UNDISTORT_RESIDUAL_TOL:
+    # Each axis must pass, so a NaN residual (an iterate that overflowed)
+    # fails the test instead of slipping through max().
+    residual_tol = UNDISTORT_RESIDUAL_TOL
+    if not (abs(fx - xd) <= residual_tol and abs(fy - yd) <= residual_tol):
         u, v = (xd, yd) if pixel is None else pixel
         raise NonConvergence(
             f"undistortion of ({u:.3f}, {v:.3f}) did not reach 1e-8 "

@@ -12,7 +12,6 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .geometry import (
@@ -113,8 +112,9 @@ class UnlocalizableDetection(NamedTuple):
     ground_pixel: PixelPoint | None = None
 
 
-@dataclass(frozen=True)
-class IngestResult:
+class IngestResult(NamedTuple):
+    """The kept detections and the diagnostics of the skipped lines."""
+
     detections: tuple[Detection, ...]
     diagnostics: tuple[str, ...]
 

@@ -9,7 +9,6 @@ squares; there is no regularization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .geometry import PixelPoint, float_entries
@@ -58,41 +57,53 @@ class BoundingBox(_BoundingBox):
         return tuple.__new__(cls, (xmin, ymin, xmax, ymax))
 
 
-@dataclass(frozen=True, slots=True)
-class RegressionSample:
-    """One annotated training example for one class."""
-
+class _RegressionSample(NamedTuple):
     label: str
     bbox: BoundingBox
     ground_pixel: PixelPoint
 
-    def __post_init__(self) -> None:
-        if self.label not in KNOWN_CLASSES:
-            raise ValueError(
-                f"class {self.label!r} is not one of {KNOWN_CLASSES}"
-            )
 
+class RegressionSample(_RegressionSample):
+    """One annotated training example for one class.
 
-@dataclass(frozen=True, eq=False)
-class ClassModel:
-    """Weights of one class plus the training RMS over stacked u, v residuals.
-
-    weights is given as any 2x5 nested sequence or array and held as two
-    tuples of plain floats, the u row and the v row.
+    The label is checked to be a known class on construction; _make and
+    _replace skip the check.
     """
 
+    __slots__ = ()
+
+    def __new__(
+        cls, label: str, bbox: BoundingBox, ground_pixel: PixelPoint
+    ) -> RegressionSample:
+        if label not in KNOWN_CLASSES:
+            raise ValueError(f"class {label!r} is not one of {KNOWN_CLASSES}")
+        return tuple.__new__(cls, (label, bbox, ground_pixel))
+
+
+class _ClassModel(NamedTuple):
     weights: tuple[tuple[float, ...], tuple[float, ...]]
     rmse_px: float
 
-    def __post_init__(self) -> None:
-        shape, w = float_entries(self.weights)
+
+class ClassModel(_ClassModel):
+    """Weights of one class plus the training RMS over stacked u, v residuals.
+
+    weights is given as any 2x5 nested sequence or array and held as two
+    tuples of plain floats, the u row and the v row. The weights and rmse_px
+    are checked on construction; _make and _replace skip the checks.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, weights, rmse_px: float) -> ClassModel:
+        shape, w = float_entries(weights)
         if shape != (2, 5):
             raise ValueError(f"weights must be (2, 5), got {shape}")
         if not all(map(math.isfinite, w)):
             raise ValueError("weights must be finite")
-        if not (math.isfinite(self.rmse_px) and self.rmse_px >= 0):
-            raise ValueError(f"rmse_px must be finite and >= 0, got {self.rmse_px}")
-        object.__setattr__(self, "weights", (tuple(w[:5]), tuple(w[5:])))
+        if not (math.isfinite(rmse_px) and rmse_px >= 0):
+            raise ValueError(f"rmse_px must be finite and >= 0, got {rmse_px}")
+        return tuple.__new__(cls, ((tuple(w[:5]), tuple(w[5:])), rmse_px))
 
     def ground_pixel(self, bbox: BoundingBox) -> tuple[float, float]:
         """(u, v) for one box: each weight row's sum over the features
@@ -105,17 +116,24 @@ class ClassModel:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class GroundRegressor:
-    """Immutable bundle of per-class ground-point models."""
-
+class _GroundRegressor(NamedTuple):
     classes: dict[str, ClassModel]
 
-    def __post_init__(self) -> None:
-        unknown = set(self.classes) - set(KNOWN_CLASSES)
+
+class GroundRegressor(_GroundRegressor):
+    """Immutable bundle of per-class ground-point models.
+
+    The classes are checked to be known and copied on construction; _make
+    and _replace skip the check and the copy.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, classes: dict[str, ClassModel]) -> GroundRegressor:
+        unknown = set(classes) - set(KNOWN_CLASSES)
         if unknown:
             raise ValueError(f"unsupported classes: {sorted(unknown)}")
-        object.__setattr__(self, "classes", dict(self.classes))
+        return tuple.__new__(cls, (dict(classes),))
 
     def covered(self) -> tuple[str, ...]:
         return tuple(sorted(self.classes))

@@ -18,7 +18,7 @@ pixel stays exactly affine in the box.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -433,7 +433,7 @@ def generate_scene(
     truth: list[tuple[str, float, float, float]] = []
     frame_width = max(3, len(str(max(len(config.grid_points) - 1, 1))))
     # truth.csv keeps numpy's camera center bits, which ground_map's may miss.
-    center = astuple(camera_center(config.pose))
+    center = tuple(camera_center(config.pose))
     ground_plane = ground_map(config.intrinsics, config.pose)._replace(center=center)
     for index, contact in enumerate(config.grid_points):
         ground, bbox = _object_box(config, contact)

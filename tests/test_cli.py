@@ -17,9 +17,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from groundcam import files
+from groundcam import cli, files
 from groundcam.cli import main
-from groundcam.geometry import PixelPoint, project
+from groundcam.geometry import Distortion, PixelPoint, project
 from groundcam.extrinsics import PnpCorrespondence
 from groundcam.regression import BOTTOM_CENTER_WEIGHTS, BoundingBox
 from groundcam.reference import (
@@ -281,6 +281,28 @@ class TestLocalize:
         assert obj["x_mm"] is None
         assert "localized 0 of 1" in err
 
+    def test_huge_box_with_lens_model_is_reported_not_fatal(
+        self, capsys, cli_scene, tmp_path
+    ):
+        # Undistorting the huge box's pixel overflows; only its row is lost.
+        k, pose = files.load_calibration(cli_scene.paths["calibration"])
+        calibration = tmp_path / "lens.json"
+        lens = Distortion(k1=-0.12, k2=0.03)
+        files.write_json(calibration, files.calibration_to_dict(k.with_distortion(lens), pose))
+        good = files.detection_line(
+            "p0", "ball", 0.9, BoundingBox(300.0, 300.0, 340.0, 360.0)
+        )
+        huge = files.detection_line(
+            "f9", "ball", 0.9, BoundingBox(1e200, 1e200, 2e200, 2e200)
+        )
+        path = tmp_path / "detections.jsonl"
+        path.write_text(f"{good}\n{huge}\n{good}\n")
+        code, out, err = _run(capsys, "localize", path, calibration, cli_scene.paths["model"])
+        assert code == 0
+        statuses = [json.loads(line)["status"] for line in out.splitlines()]
+        assert statuses == ["ok", "unlocalizable:undistort-nonconvergence", "ok"]
+        assert "localized 2 of 3" in err
+
     def test_malformed_line_is_diagnosed(self, capsys, cli_scene, tmp_path):
         path = tmp_path / "detections.jsonl"
         good = files.detection_line(
@@ -402,6 +424,22 @@ class TestEvaluate:
         assert len(doc["buckets"]) == 2
         code, out, _ = _run(capsys, "evaluate", src, "--buckets", "")
         assert json.loads(out)["buckets"][0]["hi_mm"] is None
+
+    def test_stderr_prints_band_edges_as_given(self, capsys, tmp_path):
+        src = FIXTURES_DIR / "reference_eval_pairs.csv"
+        out_dir = tmp_path / "out"
+        code, _, err = _run(
+            capsys, "evaluate", src, "--buckets", "1000.4,1000.6,2500", "--out", out_dir
+        )
+        assert code == 0
+        bands = [line.split(" mm:")[0] for line in err.splitlines() if line.startswith("bucket")]
+        assert bands == [
+            "bucket [0, 1000.4)",
+            "bucket [1000.4, 1000.6)",
+            "bucket [1000.6, 2500)",
+            "bucket [2500, inf)",
+        ]
+        assert "count[1000.4,1000.6)" in (out_dir / "report.csv").read_text()
 
     def test_headerless_file_rejected(self, capsys, tmp_path):
         path = tmp_path / "pairs.csv"
@@ -866,6 +904,18 @@ def test_failed_out_write_leaves_stdout_empty(capsys, cli_scene, tmp_path, comma
 def test_unknown_command_exits_via_argparse(capsys):
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+def test_internal_failure_exits_1_with_a_traceback(capsys, monkeypatch):
+    def fail(args):
+        raise RuntimeError("handler failed")
+
+    monkeypatch.setattr(cli, "_cmd_evaluate", fail)
+    code, out, err = _run(capsys, "evaluate", "pairs.csv")
+    assert code == 1
+    assert out == ""
+    assert "Traceback (most recent call last)" in err
+    assert "RuntimeError: handler failed" in err
 
 
 def test_module_entry_point_runs_in_a_subprocess():

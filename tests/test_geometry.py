@@ -40,6 +40,7 @@ from groundcam.geometry import (
     project_views,
     rotation_from_axis_angle,
     undistort,
+    undistort_normalized,
 )
 from groundcam.reference import (
     REFERENCE_CAMERA_CENTER_MM,
@@ -318,6 +319,13 @@ class TestDistortion:
         k = CameraIntrinsics(1.0, 1.0, 0.0, 0.0, distortion=Distortion(k1=10.0))
         with pytest.raises(NonConvergence):
             undistort(PixelPoint(1.0, 0.0), k)
+
+    def test_overflowing_iterate_raises_non_convergence(self):
+        # r2 overflows to inf and the radial factor to nan, so every iterate
+        # and the residual are nan; the residual test must still fail.
+        lens = Distortion(k1=-0.12, k2=0.03)
+        with pytest.raises(NonConvergence, match="did not reach 1e-8"):
+            undistort_normalized(1e197, 1e197, lens)
 
     def test_readme_states_the_iteration_cap(self):
         readme = (REPO_ROOT / "README.md").read_text()

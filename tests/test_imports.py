@@ -124,3 +124,35 @@ def test_numpy_commands_run_in_a_fresh_process(scene, tmp_path, command):
     argv = [command, *args, "--out", str(tmp_path / "out")]
     loaded = _loaded_after(f"assert groundcam.cli.main({argv!r}) == 0")
     assert "numpy" in loaded
+
+
+# Only the calibration and scene modules, which load numpy and with it
+# inspect, define dataclasses; traceback loads only on the exit-1 path and
+# csv only for the evaluation tables.
+STARTUP_MODULES = {"dataclasses", "inspect", "traceback"}
+
+
+def _numpy_free_run(scene, tmp_path, run: str) -> str:
+    """Probe statements for the set-up probe, localize in either frame, or
+    evaluate on the fixture table."""
+    if run == "setup":
+        return (
+            f"files.load_calibration({str(scene.paths['calibration'])!r})\n"
+            f"files.load_model({str(scene.paths['model'])!r})"
+        )
+    if run == "evaluate":
+        pairs = REPO_ROOT / "fixtures" / "reference_eval_pairs.csv"
+        argv = ["evaluate", str(pairs), "--out", str(tmp_path / "out")]
+    else:
+        inputs = (str(scene.paths[name]) for name in ("detections", "calibration", "model"))
+        frame = run.removeprefix("localize-")
+        argv = ["localize", *inputs, "--frame", frame, "--out", str(tmp_path / "out")]
+    return f"assert groundcam.cli.main({argv!r}) == 0"
+
+
+@pytest.mark.parametrize("run", ["setup", "localize-field", "localize-camera", "evaluate"])
+def test_numpy_free_runs_load_no_dataclass_machinery(scene, tmp_path, run):
+    loaded = _loaded_after(_numpy_free_run(scene, tmp_path, run))
+    assert "groundcam.files" in loaded
+    assert loaded & STARTUP_MODULES == set()
+    assert ("csv" in loaded) == (run == "evaluate")

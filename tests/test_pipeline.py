@@ -7,8 +7,10 @@ pixel, and requiring the pipeline to hand back the original point.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -37,7 +39,13 @@ from groundcam.pipeline import (
     localize_batch,
 )
 from groundcam.reference import reference_intrinsics
-from groundcam.regression import BoundingBox, bottom_center_regressor
+from groundcam.regression import (
+    BOTTOM_CENTER_WEIGHTS,
+    BoundingBox,
+    ClassModel,
+    RegressionSample,
+    bottom_center_regressor,
+)
 from groundcam.scene import SceneConfig, generate_scene
 
 from conftest import json_loads_ingest
@@ -229,6 +237,15 @@ class TestLocalize:
         assert isinstance(out, UnlocalizableDetection)
         assert out.reason == "undistort-nonconvergence"
         assert out.ground_pixel == PixelPoint(1.0, 0.0)
+
+    def test_huge_box_with_lens_model_is_unlocalizable(self, ref_k, ref_pose):
+        # A finite box so large that undistortion overflows to nan.
+        k = ref_k.with_distortion(Distortion(k1=-0.12, k2=0.03))
+        huge = Detection("f9", "ball", 0.9, BoundingBox(1e200, 1e200, 2e200, 2e200))
+        out = _localize(huge, bottom_center_regressor(), k, ref_pose)
+        assert isinstance(out, UnlocalizableDetection)
+        assert out.reason == "undistort-nonconvergence"
+        assert out.ground_pixel == PixelPoint(1.5e200, 2e200)
 
     def test_batch_preserves_order_and_mixes_outcomes(self, ref_k, ref_pose):
         regressor = bottom_center_regressor()
@@ -448,6 +465,39 @@ def test_records_are_immutable(record, name):
         setattr(record, name, getattr(record, name))
     with pytest.raises(AttributeError):
         record.extra = 1
+
+
+# Each set-up record type, built by a function so that two builds are
+# equal but distinct objects, and a field to assign to.
+VALUE_RECORDS = {
+    "Distortion": (lambda: Distortion(k1=-0.12, k2=0.03), "k1"),
+    "CameraIntrinsics": (
+        lambda: CameraIntrinsics(800, 810, 320, 240, 0.5, Distortion(p1=1e-3)),
+        "u0",
+    ),
+    "WorldPoint": (lambda: WorldPoint(1, 2, 3), "z"),
+    "EulerAngles": (lambda: EulerAngles(10, -20, 180), "phi"),
+    "RegressionSample": (lambda: RegressionSample("ball", _BOX, _PIXEL), "label"),
+    "ClassModel": (lambda: ClassModel(BOTTOM_CENTER_WEIGHTS, 0.5), "rmse_px"),
+    "GroundRegressor": (bottom_center_regressor, "classes"),
+    "IngestResult": (
+        lambda: IngestResult((Detection("f", "ball", 0.9, _BOX),), ("line 2: x",)),
+        "diagnostics",
+    ),
+}
+
+
+@pytest.mark.parametrize("build, name", VALUE_RECORDS.values(), ids=VALUE_RECORDS.keys())
+def test_set_up_records_are_immutable_values(build, name):
+    record = build()
+    with pytest.raises(AttributeError):
+        setattr(record, name, getattr(record, name))
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert record == build()
+    for clone in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(clone) is type(record)
+        assert clone == record
 
 
 @pytest.mark.parametrize(
