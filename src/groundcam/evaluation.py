@@ -23,15 +23,11 @@ from operator import add
 from typing import NamedTuple
 
 
-class EvaluationError(ValueError):
-    """Base class for evaluation failure modes."""
-
-
-class EmptyInput(EvaluationError):
+class EmptyInput(ValueError):
     """A metric was requested over zero pairs."""
 
 
-class MismatchedGroundTruth(EvaluationError):
+class MismatchedGroundTruth(ValueError):
     """Two sources were compared over different ground-truth sets."""
 
 

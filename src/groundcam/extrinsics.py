@@ -38,15 +38,11 @@ COPLANAR_Z_TOL_MM = 1e-9
 RESIDUAL_FLAG_FLOOR_PX = 1e-6
 
 
-class PnpError(ValueError):
-    """Base class for pose-solving failure modes."""
-
-
-class InsufficientPoints(PnpError):
+class InsufficientPoints(ValueError):
     """Fewer correspondences than the minimal configuration."""
 
 
-class NoInitialization(PnpError):
+class NoInitialization(ValueError):
     """Points span neither a constant-z plane nor general position."""
 
 

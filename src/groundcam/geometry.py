@@ -36,27 +36,23 @@ UNDISTORT_STEP_TOL = 1e-12
 UNDISTORT_RESIDUAL_TOL = 1e-8
 
 
-class GeometryError(ValueError):
-    """Base class for geometric failure modes."""
-
-
-class PointBehindCamera(GeometryError):
+class PointBehindCamera(ValueError):
     """World point has non-positive depth in the camera frame."""
 
 
-class RayParallelToPlane(GeometryError):
+class RayParallelToPlane(ValueError):
     """Viewing ray never meets the requested horizontal plane."""
 
 
-class PointNotOnGround(GeometryError):
+class PointNotOnGround(ValueError):
     """Plane intersection lies behind the camera (pixel above the horizon)."""
 
 
-class NonConvergence(GeometryError):
+class NonConvergence(ValueError):
     """Iterative undistortion failed to invert the lens model."""
 
 
-class GimbalLock(GeometryError):
+class GimbalLock(ValueError):
     """Euler angles are not uniquely recoverable (|cos phi| ~ 0)."""
 
 

@@ -29,19 +29,15 @@ from .geometry import (
 from .optim import LeastSquaresProblem, levenberg_marquardt
 
 
-class CalibrationError(ValueError):
-    """Base class for calibration failure modes."""
-
-
-class DegenerateConfiguration(CalibrationError):
+class DegenerateConfiguration(ValueError):
     """Point layout does not determine a unique homography."""
 
 
-class InsufficientViews(CalibrationError):
+class InsufficientViews(ValueError):
     """Too few planar views for the closed-form intrinsic solution."""
 
 
-class NonPositiveDefinite(CalibrationError):
+class NonPositiveDefinite(ValueError):
     """Absolute-conic solution is not a valid camera (degenerate motions)."""
 
 
@@ -292,7 +288,6 @@ def calibration_problem(
             for p in poses
         ]
     )
-    n_params = x0.shape[0]
 
     def residual(x: np.ndarray) -> np.ndarray:
         projected, _, _ = project_views(*_split(x, base, free), stacked)
@@ -302,22 +297,16 @@ def calibration_problem(
         _, d_intrinsics, d_pose = project_views(
             *_split(x, base, free), stacked, with_jacobian=True
         )
-        jac = np.zeros((n_points, 2, n_params))
+        jac = np.zeros((n_points, 2, len(x)))
         jac[:, :, :n_shared] = d_intrinsics[valid][:, :, free]
         row = 0
         for v, n in enumerate(counts):
             col = n_shared + 6 * v
             jac[row : row + n, :, col : col + 6] = d_pose[v, :n]
             row += n
-        return jac.reshape(2 * n_points, n_params)
+        return jac.reshape(2 * n_points, len(x))
 
-    problem = LeastSquaresProblem(
-        residual=residual,
-        n_params=n_params,
-        n_residuals=2 * n_points,
-        jacobian=jacobian,
-    )
-    return problem, x0
+    return LeastSquaresProblem(residual=residual, jacobian=jacobian), x0
 
 
 def refine_calibration(

@@ -17,19 +17,15 @@ from typing import Callable
 import numpy as np
 
 
-class OptimError(ValueError):
-    """Base class for solver failure modes."""
-
-
-class NonFiniteResidual(OptimError):
+class NonFiniteResidual(ValueError):
     """A residual evaluation produced NaN or infinity."""
 
 
-class SingularNormalEquations(OptimError):
+class SingularNormalEquations(ValueError):
     """Damped normal equations stayed unsolvable up to lambda = 1e10."""
 
 
-class RankDeficient(OptimError):
+class RankDeficient(ValueError):
     """Linear system has (numerically) dependent columns."""
 
 
@@ -42,24 +38,14 @@ class TerminationReason(str, enum.Enum):
 
 @dataclass(frozen=True)
 class LeastSquaresProblem:
-    """Residual map r(x): R^n -> R^m with m >= n.
+    """Residual map r(x): R^n -> R^m with m >= n, where n is the length of
+    the start vector and m that of the residual there.
 
     jacobian, when given, must return the (m, n) matrix of d r_j / d x_i.
     """
 
     residual: Callable[[np.ndarray], np.ndarray]
-    n_params: int
-    n_residuals: int
     jacobian: Callable[[np.ndarray], np.ndarray] | None = None
-
-    def __post_init__(self) -> None:
-        if self.n_params <= 0 or self.n_residuals <= 0:
-            raise ValueError("problem dimensions must be positive")
-        if self.n_residuals < self.n_params:
-            raise ValueError(
-                f"need at least as many residuals ({self.n_residuals}) "
-                f"as parameters ({self.n_params})"
-            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,12 +65,13 @@ STEP_TOL = 1e-12
 COST_TOL = 1e-12
 
 
-def _evaluate(problem: LeastSquaresProblem, x: np.ndarray) -> np.ndarray:
+def _evaluate(
+    problem: LeastSquaresProblem, x: np.ndarray, m: int | None = None
+) -> np.ndarray:
+    """The residual at x as a flat float array, of m values when m is given."""
     r = np.asarray(problem.residual(x), dtype=float).reshape(-1)
-    if r.shape[0] != problem.n_residuals:
-        raise ValueError(
-            f"residual returned {r.shape[0]} values, expected {problem.n_residuals}"
-        )
+    if m is not None and r.shape[0] != m:
+        raise ValueError(f"residual returned {r.shape[0]} values, expected {m}")
     return r
 
 
@@ -93,24 +80,25 @@ def numeric_jacobian(
 ) -> np.ndarray:
     """Central-difference Jacobian with per-parameter step max(h, h * |x_i|).
 
+    The first probe sets the residual length m that the others must match.
     Raises NonFiniteResidual if any probe evaluation is non-finite.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape[0] != problem.n_params:
-        raise ValueError(f"x has {x.shape[0]} entries, expected {problem.n_params}")
-    jac = np.empty((problem.n_residuals, problem.n_params))
-    for i in range(problem.n_params):
+    m = None
+    columns = []
+    for i in range(x.shape[0]):
         h = max(base_step, base_step * abs(x[i]))
         forward = x.copy()
         forward[i] += h
         backward = x.copy()
         backward[i] -= h
-        rf = _evaluate(problem, forward)
-        rb = _evaluate(problem, backward)
+        rf = _evaluate(problem, forward, m)
+        m = rf.shape[0]
+        rb = _evaluate(problem, backward, m)
         if not (np.all(np.isfinite(rf)) and np.all(np.isfinite(rb))):
             raise NonFiniteResidual(f"non-finite residual while probing parameter {i}")
-        jac[:, i] = (rf - rb) / (2.0 * h)
-    return jac
+        columns.append((rf - rb) / (2.0 * h))
+    return np.column_stack(columns)
 
 
 def levenberg_marquardt(
@@ -121,14 +109,17 @@ def levenberg_marquardt(
     """Minimize 0.5 * ||r(x)||^2 from x0; final cost never exceeds the initial.
 
     Stops after max_iterations outer iterations at most; raises ValueError
-    when it is below 1.
+    when it is below 1, or when r(x0) has fewer values (m) than x0 (n).
     """
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
     x = np.asarray(x0, dtype=float).reshape(-1).copy()
-    if x.shape[0] != problem.n_params:
-        raise ValueError(f"x0 has {x.shape[0]} entries, expected {problem.n_params}")
     r = _evaluate(problem, x)
+    m, n = r.shape[0], x.shape[0]
+    if n == 0:
+        raise ValueError("problem dimensions must be positive")
+    if m < n:
+        raise ValueError(f"need at least as many residuals ({m}) as parameters ({n})")
     if not np.all(np.isfinite(r)):
         raise NonFiniteResidual("residual at x0 is non-finite")
     cost = 0.5 * float(r @ r)
@@ -139,7 +130,7 @@ def levenberg_marquardt(
     jacobian = problem.jacobian or (lambda xx: numeric_jacobian(problem, xx))
     for _ in range(max_iterations):
         jac = np.asarray(jacobian(x), dtype=float)
-        if jac.shape != (problem.n_residuals, problem.n_params):
+        if jac.shape != (m, n):
             raise ValueError(f"jacobian shape {jac.shape} does not match problem")
         if not np.all(np.isfinite(jac)):
             raise NonFiniteResidual("jacobian is non-finite")
@@ -167,7 +158,7 @@ def levenberg_marquardt(
                 stop = TerminationReason.STEP
                 break
             trial = x + delta
-            r_trial = _evaluate(problem, trial)
+            r_trial = _evaluate(problem, trial, m)
             if np.all(np.isfinite(r_trial)):
                 cost_trial = 0.5 * float(r_trial @ r_trial)
             else:

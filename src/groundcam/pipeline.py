@@ -26,11 +26,7 @@ from .geometry import (
 from .regression import KNOWN_CLASSES, BoundingBox, GroundRegressor
 
 
-class PipelineError(ValueError):
-    """Base class for pipeline failure modes."""
-
-
-class UndefinedBearing(PipelineError):
+class UndefinedBearing(ValueError):
     """Bearing requested for the exact frame origin."""
 
 
@@ -178,9 +174,10 @@ def localize_batch(
     The pose's ground map is built once; each detection then goes through
     its class's regressor and GroundMap.locate on plain floats, so a result
     does not depend on the batch it came in. Input order is preserved.
-    Never raises for the expected failure modes (unknown class, horizon or
-    above-horizon pixels, undistortion failure, origin bearing); those come
-    back as UnlocalizableDetection with a reason slug.
+    Never raises for the expected failure modes (unknown class, a ground
+    pixel that overflows, horizon or above-horizon pixels, undistortion
+    failure, origin bearing); those come back as UnlocalizableDetection with
+    a reason slug.
     """
     ground = ground_map(k, pose)
     to_camera = convention is FrameConvention.CAMERA
@@ -191,7 +188,13 @@ def localize_batch(
         if model is None:
             results.append(UnlocalizableDetection(d.frame_id, d.label, "unknown-class"))
             continue
-        ground_pixel = PixelPoint(*model.ground_pixel(d.bbox))
+        try:
+            ground_pixel = PixelPoint(*model.ground_pixel(d.bbox))
+        except ValueError:
+            results.append(
+                UnlocalizableDetection(d.frame_id, d.label, "ground-pixel-not-finite")
+            )
+            continue
         try:
             x, y = ground.locate(ground_pixel.u, ground_pixel.v)
             if to_camera:

@@ -20,11 +20,7 @@ MIN_SAMPLES_PER_CLASS = 5
 BOTTOM_CENTER_WEIGHTS = ((0.5, 0.0, 0.5, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0, 0.0))
 
 
-class RegressionError(ValueError):
-    """Base class for regressor failure modes."""
-
-
-class InsufficientSamples(RegressionError):
+class InsufficientSamples(ValueError):
     """A class has fewer training samples than the minimum."""
 
 

@@ -28,8 +28,8 @@ from .extrinsics import FieldGeometry, field_landmarks
 from .geometry import (
     CameraIntrinsics,
     CameraPose,
-    GeometryError,
     PixelPoint,
+    PointBehindCamera,
     WorldPoint,
     camera_center,
     ground_map,
@@ -277,8 +277,6 @@ class SyntheticScene:
     """Generated data plus the paths it was written to."""
 
     config: SceneConfig
-    seed: int
-    out_dir: Path
     paths: dict[str, Path]
     views: tuple[PlanarView, ...]
     landmark_pixels: dict[str, PixelPoint]
@@ -356,7 +354,7 @@ def _landmark_pixels(
     for name in config.landmark_names:
         try:
             px = project(catalog[name], config.intrinsics, config.pose)
-        except GeometryError as exc:
+        except PointBehindCamera as exc:
             raise ConfigInvalid(
                 f"landmark {name!r} is not visible from the configured pose: {exc}"
             ) from exc
@@ -374,17 +372,19 @@ def _object_box(
 ) -> tuple[PixelPoint, BoundingBox]:
     """True ground pixel and the box whose bottom center lands exactly on it."""
     k, pose = config.intrinsics, config.pose
-    ground = project(contact, k, pose)
-    center = WorldPoint(contact.x, contact.y, config.object_height_mm / 2.0)
-    center_cam = pose.rotation @ center.array + pose.translation
-    if center_cam[2] <= 0:
+    try:
+        ground = project(contact, k, pose)
+        top = project(
+            WorldPoint(contact.x, contact.y, config.object_height_mm), k, pose
+        )
+    except PointBehindCamera as exc:
         raise ConfigInvalid(
             f"object at ({contact.x}, {contact.y}) is behind the camera"
-        )
+        ) from exc
+    # Depth is affine in height, so the center lies in front as both ends do.
+    center = WorldPoint(contact.x, contact.y, config.object_height_mm / 2.0)
+    center_cam = pose.rotation @ center.array + pose.translation
     half_width = k.alpha_x * config.object_radius_mm / center_cam[2]
-    top = project(
-        WorldPoint(contact.x, contact.y, config.object_height_mm), k, pose
-    )
     if top.v >= ground.v:
         raise ConfigInvalid(
             f"object at ({contact.x}, {contact.y}) projects upside down"
@@ -503,8 +503,6 @@ def generate_scene(
 
     return SyntheticScene(
         config=config,
-        seed=seed,
-        out_dir=out_dir,
         paths=paths,
         views=tuple(views),
         landmark_pixels=landmark_pixels,

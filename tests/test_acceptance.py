@@ -276,21 +276,15 @@ def test_criterion_5_intrinsic_calibration_recovery():
 def test_criterion_6_optimizer_properties():
     rosenbrock = LeastSquaresProblem(
         residual=lambda x: np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]]),
-        n_params=2,
-        n_residuals=2,
     )
     a = np.array([[2.0, 1.0], [1.0, 3.0], [0.5, -1.0]])
     linear = LeastSquaresProblem(
         residual=lambda x: a @ x - np.array([1.0, -2.0, 0.5]),
-        n_params=2,
-        n_residuals=3,
     )
     trig = LeastSquaresProblem(
         residual=lambda x: np.array(
             [math.sin(x[0]) - 0.5, math.cos(x[1]) - 0.2, x[0] * x[1] - 0.3]
         ),
-        n_params=2,
-        n_residuals=3,
     )
 
     monotone = True
@@ -310,9 +304,7 @@ def test_criterion_6_optimizer_properties():
     solved = levenberg_marquardt(rosenbrock, np.array([-1.2, 1.0]))
     valley_err = float(np.max(np.abs(solved.x - 1.0)))
 
-    exp_problem = LeastSquaresProblem(
-        residual=lambda x: np.array([math.exp(x[0])]), n_params=1, n_residuals=1
-    )
+    exp_problem = LeastSquaresProblem(residual=lambda x: np.array([math.exp(x[0])]))
     exact = math.exp(0.3)
     x = np.array([0.3])
     err = lambda h: abs(numeric_jacobian(exp_problem, x, base_step=h)[0, 0] - exact)

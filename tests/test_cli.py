@@ -303,6 +303,28 @@ class TestLocalize:
         assert statuses == ["ok", "unlocalizable:undistort-nonconvergence", "ok"]
         assert "localized 2 of 3" in err
 
+    def test_overflowing_ground_pixel_is_reported_not_fatal(
+        self, capsys, cli_scene, tmp_path
+    ):
+        # The model's u = xmin + xmax overflows on the huge box; only its row is lost.
+        model = tmp_path / "model.json"
+        weights = [[1.0, 0.0, 1.0, 0.0, 0.0], list(BOTTOM_CENTER_WEIGHTS[1])]
+        files.write_json(model, {"classes": {"ball": {"weights": weights, "rmse_px": 0.0}}})
+        good = files.detection_line(
+            "p0", "ball", 0.9, BoundingBox(150.0, 300.0, 170.0, 360.0)
+        )
+        huge = '{"bbox": [1e308, 0, 1.7e308, 1], "class": "ball", "frame": "f1", "score": 0.9}'
+        path = tmp_path / "detections.jsonl"
+        path.write_text(f"{good}\n{huge}\n{good}\n")
+        code, out, err = _run(capsys, "localize", path, cli_scene.paths["calibration"], model)
+        assert code == 0
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert [row["status"] for row in rows] == [
+            "ok", "unlocalizable:ground-pixel-not-finite", "ok"
+        ]
+        assert rows[1]["ground_pixel"] is None
+        assert "localized 2 of 3" in err
+
     def test_malformed_line_is_diagnosed(self, capsys, cli_scene, tmp_path):
         path = tmp_path / "detections.jsonl"
         good = files.detection_line(
@@ -607,6 +629,35 @@ class TestSynth:
         name = doc["landmarks"][0]
         assert err == f"error: {config_path}: landmarks: {name!r} is repeated\n"
         assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (
+                {"landmarks": ["goal_bottom_center", "field_corner_right"]},
+                "landmark 'field_corner_right' is not visible from the configured "
+                "pose: points at indices [0] are behind the camera",
+            ),
+            (
+                {"grid": {"origin_mm": [0, -2000]}},
+                "object at (-250.0, -2000.0) is behind the camera",
+            ),
+            (
+                {"frame": "field"},
+                "grid point (0.0, 0.0) sits on the field-frame origin and has no bearing",
+            ),
+        ],
+        ids=["landmark-behind-camera", "grid-point-behind-camera", "grid-point-on-origin"],
+    )
+    def test_unrealizable_scene_is_rejected_naming_what(
+        self, capsys, tmp_path, doc, message
+    ):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(doc))
+        code, out, err = _run(capsys, "synth", config_path, "--out", tmp_path / "s")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
         "section, key, value",

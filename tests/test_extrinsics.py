@@ -210,7 +210,7 @@ class TestPoseProblem:
         noise = rng.normal(0.0, 0.5, (len(world), 2))
         pixels = project_points(world, k, ref_pose) + noise
         problem, x0 = calibration_problem([world], [pixels], k, [ref_pose], free=())
-        assert problem.n_params == 6
+        assert len(x0) == 6
         x = x0 + rng.normal(0.0, 1e-3, 6) * np.maximum(np.abs(x0), 1.0)
         analytic = problem.jacobian(x)
         numeric = numeric_jacobian(problem, x)

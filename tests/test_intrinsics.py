@@ -373,7 +373,7 @@ class TestCalibrationJacobian:
         free = tuple(i for i in ALL_FREE if i not in pinned)
         problem, x0 = calibration_problem(*_arrays(views), LENS_K, poses, free)
         n_shared = 10 - int(fix_skew) - int(fix_k3)
-        assert problem.n_params == n_shared + 6 * len(views)
+        assert len(x0) == n_shared + 6 * len(views)
         x = x0 + rng.normal(0.0, 1e-3, x0.shape) * np.maximum(np.abs(x0), 1e-2)
         # One view on the small-angle limit, one just above it, one near pi.
         x[n_shared : n_shared + 3] = 1e-9 * _unit([1.0, -2.0, 0.5])
@@ -386,7 +386,7 @@ class TestCalibrationJacobian:
         views, poses = _synthetic_views(LENS_K, 3, rng)
         views[1] = PlanarView("short", views[1].pixels[:20], views[1].pattern[:20])
         problem, x0 = calibration_problem(*_arrays(views), LENS_K, poses, ALL_FREE)
-        assert problem.n_residuals == 2 * (54 + 20 + 54)
+        assert len(problem.residual(x0)) == 2 * (54 + 20 + 54)
         assert np.max(np.abs(problem.residual(x0))) < 1e-9
         errors = _column_errors(problem.jacobian(x0), numeric_jacobian(problem, x0))
         assert errors.max() < 1e-6

@@ -31,9 +31,7 @@ from groundcam.optim import (
 
 class TestNumericJacobian:
     def test_identity_residual(self, rng):
-        problem = LeastSquaresProblem(
-            residual=lambda x: x, n_params=4, n_residuals=4
-        )
+        problem = LeastSquaresProblem(residual=lambda x: x)
         x = rng.uniform(-5, 5, 4)
         assert np.allclose(numeric_jacobian(problem, x), np.eye(4), atol=1e-9)
 
@@ -42,8 +40,6 @@ class TestNumericJacobian:
         # differences are exact on quadratics up to roundoff.
         problem = LeastSquaresProblem(
             residual=lambda x: np.array([x[0] ** 2, x[0] * x[1]]),
-            n_params=2,
-            n_residuals=2,
         )
         jac = numeric_jacobian(problem, np.array([2.0, 3.0]))
         assert np.allclose(jac, [[4.0, 0.0], [3.0, 2.0]], atol=1e-8)
@@ -53,8 +49,6 @@ class TestNumericJacobian:
             residual=lambda x: np.array(
                 [math.sin(x[0]) * x[1], math.exp(0.5 * x[0]) + x[1] ** 3]
             ),
-            n_params=2,
-            n_residuals=2,
         )
         x = np.array([0.7, -1.3])
         expected = np.array(
@@ -69,8 +63,6 @@ class TestNumericJacobian:
         # Second-order accuracy: truncation error scales with h^2.
         problem = LeastSquaresProblem(
             residual=lambda x: np.array([math.exp(x[0])]),
-            n_params=1,
-            n_residuals=1,
         )
         x = np.array([0.3])
         exact = math.exp(0.3)
@@ -78,19 +70,12 @@ class TestNumericJacobian:
         ratio = err(2e-4) / err(1e-4)
         assert 3.0 < ratio < 5.0
 
-    def test_rejects_wrong_parameter_count(self):
-        problem = LeastSquaresProblem(
-            residual=lambda x: x, n_params=2, n_residuals=2
-        )
-        with pytest.raises(ValueError):
-            numeric_jacobian(problem, np.zeros(3))
-
     def test_non_finite_probe_raises(self):
         # The residual blows up just left of the probe point.
         def residual(x: np.ndarray) -> np.ndarray:
             return np.array([math.sqrt(x[0]) if x[0] >= 0 else math.nan])
 
-        problem = LeastSquaresProblem(residual=residual, n_params=1, n_residuals=1)
+        problem = LeastSquaresProblem(residual=residual)
         with pytest.raises(NonFiniteResidual):
             numeric_jacobian(problem, np.array([1e-9]))
 
@@ -103,16 +88,12 @@ class TestNumericJacobian:
 def _linear_problem(a: np.ndarray, b: np.ndarray) -> LeastSquaresProblem:
     return LeastSquaresProblem(
         residual=lambda x: a @ x - b,
-        n_params=a.shape[1],
-        n_residuals=a.shape[0],
     )
 
 
 def _rosenbrock() -> LeastSquaresProblem:
     return LeastSquaresProblem(
         residual=lambda x: np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]]),
-        n_params=2,
-        n_residuals=2,
     )
 
 
@@ -132,9 +113,7 @@ class TestLevenbergMarquardt:
         assert result.cost < 1e-12
 
     def test_already_optimal_start(self):
-        problem = LeastSquaresProblem(
-            residual=lambda x: x, n_params=2, n_residuals=2
-        )
+        problem = LeastSquaresProblem(residual=lambda x: x)
         result = levenberg_marquardt(problem, np.zeros(2))
         assert result.iterations == 0
         assert result.cost == 0.0
@@ -179,8 +158,6 @@ class TestLevenbergMarquardt:
 
         problem = LeastSquaresProblem(
             residual=lambda x: a @ x - b,
-            n_params=2,
-            n_residuals=5,
             jacobian=jacobian,
         )
         result = levenberg_marquardt(problem, np.zeros(2))
@@ -188,9 +165,7 @@ class TestLevenbergMarquardt:
         assert np.allclose(result.x, linear_least_squares(a, b), atol=1e-8)
 
     def test_small_residual_decrease_stops_on_cost(self):
-        problem = LeastSquaresProblem(
-            residual=lambda x: x - 1.0, n_params=1, n_residuals=1
-        )
+        problem = LeastSquaresProblem(residual=lambda x: x - 1.0)
         result = levenberg_marquardt(problem, np.array([1.0 + 1e-7]))
         assert result.reason is TerminationReason.COST
         assert result.iterations == 1
@@ -198,9 +173,7 @@ class TestLevenbergMarquardt:
     def test_short_proposed_step_stops_before_moving(self):
         # The first proposed step is about 1e-13, below the 1e-12 step
         # tolerance, while the gradient (about 0.1) is far above its own.
-        problem = LeastSquaresProblem(
-            residual=lambda x: 1e6 * (x - 1.0), n_params=1, n_residuals=1
-        )
+        problem = LeastSquaresProblem(residual=lambda x: 1e6 * (x - 1.0))
         x0 = np.array([1.0 + 1e-13])
         result = levenberg_marquardt(problem, x0)
         assert result.reason is TerminationReason.STEP
@@ -215,17 +188,13 @@ class TestLevenbergMarquardt:
         assert result.iterations == 2
 
     def test_non_finite_start_raises(self):
-        problem = LeastSquaresProblem(
-            residual=lambda x: np.array([math.nan]), n_params=1, n_residuals=1
-        )
+        problem = LeastSquaresProblem(residual=lambda x: np.array([math.nan]))
         with pytest.raises(NonFiniteResidual):
             levenberg_marquardt(problem, np.zeros(1))
 
     def test_non_finite_supplied_jacobian_raises(self):
         problem = LeastSquaresProblem(
             residual=lambda x: x - 1.0,
-            n_params=1,
-            n_residuals=1,
             jacobian=lambda x: np.array([[math.inf]]),
         )
         with pytest.raises(NonFiniteResidual):
@@ -236,24 +205,13 @@ class TestLevenbergMarquardt:
         # keeps a zero row for x1 at every damping level.
         problem = LeastSquaresProblem(
             residual=lambda x: np.array([x[0] - 1.0, x[0] + 1.0]),
-            n_params=2,
-            n_residuals=2,
         )
         with pytest.raises(SingularNormalEquations):
             levenberg_marquardt(problem, np.array([5.0, 0.0]))
 
-    def test_wrong_start_length_raises(self):
-        problem = LeastSquaresProblem(
-            residual=lambda x: x, n_params=2, n_residuals=2
-        )
-        with pytest.raises(ValueError):
-            levenberg_marquardt(problem, np.zeros(3))
-
     def test_wrong_jacobian_shape_raises(self):
         problem = LeastSquaresProblem(
             residual=lambda x: x,
-            n_params=2,
-            n_residuals=2,
             jacobian=lambda x: np.eye(3),
         )
         with pytest.raises(ValueError):
@@ -310,10 +268,11 @@ class TestLinearLeastSquares:
 
 
 def test_problem_dimension_validation():
-    with pytest.raises(ValueError):
-        LeastSquaresProblem(residual=lambda x: x, n_params=0, n_residuals=1)
-    with pytest.raises(ValueError):
-        LeastSquaresProblem(residual=lambda x: x, n_params=3, n_residuals=2)
+    problem = LeastSquaresProblem(residual=lambda x: x[:2])
+    with pytest.raises(ValueError, match="problem dimensions must be positive"):
+        levenberg_marquardt(problem, np.zeros(0))
+    with pytest.raises(ValueError, match=r"residuals \(2\) as parameters \(3\)"):
+        levenberg_marquardt(problem, np.zeros(3))
 
 
 def test_options_validation():

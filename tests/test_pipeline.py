@@ -11,6 +11,7 @@ import copy
 import json
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from groundcam.geometry import (
     project,
 )
 from groundcam.pipeline import (
+    _REASON_SLUGS,
     Detection,
     FrameConvention,
     IngestResult,
@@ -43,12 +45,13 @@ from groundcam.regression import (
     BOTTOM_CENTER_WEIGHTS,
     BoundingBox,
     ClassModel,
+    GroundRegressor,
     RegressionSample,
     bottom_center_regressor,
 )
 from groundcam.scene import SceneConfig, generate_scene
 
-from conftest import json_loads_ingest
+from conftest import REPO_ROOT, json_loads_ingest
 
 # ---------------------------------------------------------------------------
 # Helpers
@@ -246,6 +249,17 @@ class TestLocalize:
         assert isinstance(out, UnlocalizableDetection)
         assert out.reason == "undistort-nonconvergence"
         assert out.ground_pixel == PixelPoint(1.5e200, 2e200)
+
+    def test_overflowing_ground_pixel_is_unlocalizable(self, ref_k, ref_pose):
+        # u = xmin + xmax overflows to inf; the other rows still localize.
+        weights = [(1.0, 0.0, 1.0, 0.0, 0.0), BOTTOM_CENTER_WEIGHTS[1]]
+        regressor = GroundRegressor({"ball": ClassModel(weights, 0.0)})
+        ok = Detection("f0", "ball", 0.9, BoundingBox(150.0, 300.0, 170.0, 360.0))
+        huge = Detection("f1", "ball", 0.9, BoundingBox(1e308, 0.0, 1.7e308, 1.0))
+        results = localize_batch([ok, huge, ok], regressor, ref_k, ref_pose)
+        assert isinstance(results[0], LocalizedObject)
+        assert results[1] == UnlocalizableDetection("f1", "ball", "ground-pixel-not-finite")
+        assert results[2] == results[0]
 
     def test_batch_preserves_order_and_mixes_outcomes(self, ref_k, ref_pose):
         regressor = bottom_center_regressor()
@@ -550,6 +564,15 @@ def test_record_fields_and_defaults():
 def test_frame_convention_values():
     assert FrameConvention.FIELD.value == "field"
     assert FrameConvention.CAMERA.value == "camera"
+
+
+def test_readme_lists_every_unlocalizable_reason():
+    # localize_batch emits the caught geometry failures' slugs and two literals.
+    readme = (REPO_ROOT / "README.md").read_text()
+    entry = readme.split("- `localizations.jsonl`:", 1)[1].split("\n- ", 1)[0]
+    listed = re.findall(r"^  - `([a-z-]+)`:", entry, re.MULTILINE)
+    emitted = [*_REASON_SLUGS.values(), "unknown-class", "ground-pixel-not-finite"]
+    assert sorted(listed) == sorted(emitted)
 
 
 # ---------------------------------------------------------------------------
