@@ -23,14 +23,6 @@ from operator import add
 from typing import NamedTuple
 
 
-class EmptyInput(ValueError):
-    """A metric was requested over zero pairs."""
-
-
-class MismatchedGroundTruth(ValueError):
-    """Two sources were compared over different ground-truth sets."""
-
-
 class _EvalPair(NamedTuple):
     gt_x: float
     gt_y: float
@@ -77,7 +69,7 @@ ERROR_BLOCKS = ("x_mm", "y_mm", "theta_deg")
 def rmse(pairs: list[EvalPair]) -> float:
     """Root mean square xy position error in millimeters."""
     if not pairs:
-        raise EmptyInput("rmse over zero pairs")
+        raise ValueError("rmse over zero pairs")
     total = sum(
         (p.est_x - p.gt_x) ** 2 + (p.est_y - p.gt_y) ** 2 for p in pairs
     )
@@ -121,7 +113,7 @@ def error_stats(pairs: list[EvalPair]) -> dict:
     """Signed est-minus-truth mean and population std: the x_mm, y_mm and
     theta_deg blocks of a report; angle errors wrapped to (-180, 180]."""
     if not pairs:
-        raise EmptyInput("error stats over zero pairs")
+        raise ValueError("error stats over zero pairs")
     ex = [p.est_x - p.gt_x for p in pairs]
     ey = [p.est_y - p.gt_y for p in pairs]
     et = [_wrap_deg(p.est_theta - p.gt_theta) for p in pairs]
@@ -157,7 +149,7 @@ def build_report(pairs: list[EvalPair], boundaries: list[float]) -> dict:
     """The report document: overall RMSE and error statistics plus the RMSE
     of each distance band (None for an empty band)."""
     if not pairs:
-        raise EmptyInput("report over zero pairs")
+        raise ValueError("report over zero pairs")
     split = bucket_by_distance(pairs, boundaries)
     bounds = [float(b) for b in boundaries]
     return {
@@ -180,13 +172,13 @@ def compare_sources(
 ) -> dict:
     """Side-by-side statistics of two sources over the same ground truths.
 
-    Raises MismatchedGroundTruth when the ground-truth multisets differ
-    beyond 1e-9.
+    Raises ValueError when either source is empty or the ground-truth
+    multisets differ beyond 1e-9.
     """
     if not ours or not reference:
-        raise EmptyInput("comparison needs pairs from both sources")
+        raise ValueError("comparison needs pairs from both sources")
     if len(ours) != len(reference):
-        raise MismatchedGroundTruth(
+        raise ValueError(
             f"sources cover {len(ours)} vs {len(reference)} ground truths"
         )
 
@@ -197,7 +189,7 @@ def compare_sources(
         if max(
             abs(a.gt_x - b.gt_x), abs(a.gt_y - b.gt_y), abs(a.gt_theta - b.gt_theta)
         ) > 1e-9:
-            raise MismatchedGroundTruth(
+            raise ValueError(
                 f"ground truths differ: ({a.gt_x}, {a.gt_y}, {a.gt_theta}) vs "
                 f"({b.gt_x}, {b.gt_y}, {b.gt_theta})"
             )

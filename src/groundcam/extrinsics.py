@@ -27,7 +27,6 @@ from .geometry import (
     undistort,
 )
 from .intrinsics import (
-    DegenerateConfiguration,
     dlt_rows,
     extrinsics_from_homography,
     homography_from_points,
@@ -36,14 +35,6 @@ from .intrinsics import (
 
 COPLANAR_Z_TOL_MM = 1e-9
 RESIDUAL_FLAG_FLOOR_PX = 1e-6
-
-
-class InsufficientPoints(ValueError):
-    """Fewer correspondences than the minimal configuration."""
-
-
-class NoInitialization(ValueError):
-    """Points span neither a constant-z plane nor general position."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -148,7 +139,7 @@ def _pose_from_dlt(
     wh = np.column_stack([world, np.ones(world.shape[0])])
     _, s, vt = np.linalg.svd(dlt_rows(wh, pixels))
     if s[10] < 1e-10 * s[0]:
-        raise NoInitialization("projection-matrix system is rank deficient")
+        raise ValueError("projection-matrix system is rank deficient")
     p = vt[-1].reshape(3, 4)
     m = np.linalg.inv(k.matrix) @ p
     centroid = np.append(world.mean(axis=0), 1.0)
@@ -156,7 +147,7 @@ def _pose_from_dlt(
         m = -m
     scale = np.linalg.norm(m[2, :3])
     if scale < 1e-15:
-        raise NoInitialization("projection matrix has a vanishing rotation row")
+        raise ValueError("projection matrix has a vanishing rotation row")
     m = m / scale
     r = nearest_rotation(m[:, :3])
     return CameraPose(r, m[:, 3])
@@ -168,16 +159,15 @@ def solve_pnp(
     """Camera pose from marked landmarks, and its reprojection_report.
 
     Pixels are undistorted before solving, and the initial pose is refined
-    by refine_calibration with every intrinsic held. Raises
-    InsufficientPoints below four correspondences, DegenerateConfiguration
-    for collinear world points, and NoInitialization when the layout fits
-    neither the planar nor the general-position initializer. There is no
-    outlier rejection; suspect marks are flagged in the returned report
-    instead.
+    by refine_calibration with every intrinsic held. Raises ValueError
+    below four correspondences, for collinear world points, and when the
+    layout fits neither the planar nor the general-position initializer.
+    There is no outlier rejection; suspect marks are flagged in the returned
+    report instead.
     """
     n = len(correspondences)
     if n < 4:
-        raise InsufficientPoints(f"need at least 4 correspondences, got {n}")
+        raise ValueError(f"need at least 4 correspondences, got {n}")
     world = np.array([[c.world.x, c.world.y, c.world.z] for c in correspondences])
     undistorted = [undistort(c.pixel, k) for c in correspondences]
     ideal = np.array([[p.u, p.v] for p in undistorted])
@@ -186,7 +176,7 @@ def solve_pnp(
     centered = world - world.mean(axis=0)
     spread = np.linalg.svd(centered, compute_uv=False)
     if spread[1] < 1e-10 * max(spread[0], 1.0):
-        raise DegenerateConfiguration("world points are collinear")
+        raise ValueError("world points are collinear")
 
     z_values = world[:, 2]
     if np.max(np.abs(z_values - z_values[0])) <= COPLANAR_Z_TOL_MM:
@@ -195,7 +185,7 @@ def solve_pnp(
     elif n >= 6 and spread[2] > 1e-10 * spread[0]:
         pose0 = _pose_from_dlt(world, ideal, k_ideal)
     else:
-        raise NoInitialization(
+        raise ValueError(
             "points span neither a constant-z plane nor (with >= 6 points) "
             "general position"
         )

@@ -52,10 +52,6 @@ class NonConvergence(ValueError):
     """Iterative undistortion failed to invert the lens model."""
 
 
-class GimbalLock(ValueError):
-    """Euler angles are not uniquely recoverable (|cos phi| ~ 0)."""
-
-
 def float_entries(a) -> tuple[tuple[int, ...], list[float]]:
     """The shape numpy gives the nested sequence or array a, and its entries
     as floats, row-major; a ragged sequence raises ValueError."""
@@ -403,11 +399,25 @@ def camera_to_pixels(
     return pixels, (x, y, xd, yd, z, clamped)
 
 
+# The entries of intrinsic_vector, in order: the order camera_to_pixels takes
+# and the intrinsic Jacobian columns follow.
+INTRINSIC_PARAMETERS = (
+    "alpha_x", "alpha_y", "gamma", "u0", "v0", "k1", "k2", "k3", "p1", "p2",
+)
+
+
 def intrinsic_vector(k: CameraIntrinsics) -> tuple[float, ...]:
-    """(alpha_x, alpha_y, gamma, u0, v0, k1, k2, k3, p1, p2), the order
-    camera_to_pixels takes and the intrinsic Jacobian columns follow."""
+    """k's INTRINSIC_PARAMETERS, in order."""
     d = k.distortion
     return (k.alpha_x, k.alpha_y, k.gamma, k.u0, k.v0, d.k1, d.k2, d.k3, d.p1, d.p2)
+
+
+def intrinsics_from_vector(v) -> CameraIntrinsics:
+    """The intrinsics whose intrinsic_vector is v."""
+    alpha_x, alpha_y, gamma, u0, v0, k1, k2, k3, p1, p2 = v
+    return CameraIntrinsics(
+        alpha_x, alpha_y, u0, v0, gamma, Distortion(k1, k2, k3, p1, p2)
+    )
 
 
 def project(p: WorldPoint, k: CameraIntrinsics, pose: CameraPose) -> PixelPoint:
@@ -693,14 +703,14 @@ def pose_from_euler(e: EulerAngles, center: WorldPoint) -> CameraPose:
 def euler_from_pose(pose: CameraPose) -> tuple[EulerAngles, WorldPoint]:
     """Recover (omega, phi, kappa) degrees and the camera center from a pose.
 
-    Raises GimbalLock when |cos phi| < 1e-9; omega and kappa are then not
+    Raises ValueError when |cos phi| < 1e-9; omega and kappa are then not
     separable.
     """
     (r00, _, _), (r10, _, _), (r20, r21, r22) = pose.r
     sin_phi = -r20
     cos_phi = math.sqrt(max(0.0, 1.0 - sin_phi * sin_phi))
     if cos_phi < 1e-9:
-        raise GimbalLock("phi is within 1e-9 of +-90 degrees")
+        raise ValueError("phi is within 1e-9 of +-90 degrees")
     phi = math.asin(max(-1.0, min(1.0, sin_phi)))
     omega = math.atan2(r21, r22)
     kappa = math.atan2(r10, r00)

@@ -19,26 +19,15 @@ import numpy as np
 from .geometry import (
     CameraIntrinsics,
     CameraPose,
-    Distortion,
+    INTRINSIC_PARAMETERS,
     axis_angle_from_rotation,
     intrinsic_vector,
+    intrinsics_from_vector,
     nearest_rotation,
     project_views,
     rotation_from_axis_angle,
 )
 from .optim import LeastSquaresProblem, levenberg_marquardt
-
-
-class DegenerateConfiguration(ValueError):
-    """Point layout does not determine a unique homography."""
-
-
-class InsufficientViews(ValueError):
-    """Too few planar views for the closed-form intrinsic solution."""
-
-
-class NonPositiveDefinite(ValueError):
-    """Absolute-conic solution is not a valid camera (degenerate motions)."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,7 +101,7 @@ def dlt_rows(src_h: np.ndarray, dst: np.ndarray) -> np.ndarray:
 def homography_from_points(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """DLT homography mapping src (n, 2) to dst (n, 2), normalized, H33 = 1.
 
-    Raises DegenerateConfiguration for fewer than 4 points or a layout whose
+    Raises ValueError for fewer than 4 points or a layout whose
     constraint system keeps more than a one-dimensional null space (all points
     collinear, coincident, or otherwise rank deficient).
     """
@@ -122,7 +111,7 @@ def homography_from_points(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         raise ValueError("correspondence counts differ")
     n = src.shape[0]
     if n < 4:
-        raise DegenerateConfiguration(f"need at least 4 correspondences, got {n}")
+        raise ValueError(f"need at least 4 correspondences, got {n}")
     t_src = _normalization(src)
     t_dst = _normalization(dst)
     sh = np.column_stack([src, np.ones(n)]) @ t_src.T
@@ -130,14 +119,14 @@ def homography_from_points(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
 
     _, s, vt = np.linalg.svd(dlt_rows(sh, dh))
     if s[7] < 1e-10 * s[0]:
-        raise DegenerateConfiguration(
+        raise ValueError(
             "points do not determine a unique homography "
             f"(singular values {s[7]:.3g} and {s[8]:.3g} of {s[0]:.3g})"
         )
     h_norm = vt[-1].reshape(3, 3)
     h = np.linalg.inv(t_dst) @ h_norm @ t_src
     if abs(h[2, 2]) < 1e-12:
-        raise DegenerateConfiguration("homography maps the origin to infinity")
+        raise ValueError("homography maps the origin to infinity")
     return h / h[2, 2]
 
 
@@ -166,13 +155,13 @@ def zhang_closed_form(
 
     Each homography contributes the two absolute-conic constraints
     v12.b = 0 and (v11 - v22).b = 0. Needs three views in general
-    orientation, or two when skew is pinned to zero. Raises
-    NonPositiveDefinite when the constraints do not describe a physical
+    orientation, or two when skew is pinned to zero. Raises ValueError
+    with fewer views, or when the constraints do not describe a physical
     camera (for example all views frontoparallel or pure translations).
     """
     needed = 2 if assume_zero_skew else 3
     if len(homographies) < needed:
-        raise InsufficientViews(
+        raise ValueError(
             f"need at least {needed} views, got {len(homographies)}"
         )
     rows = []
@@ -187,7 +176,7 @@ def zhang_closed_form(
     v = np.vstack(rows)
     _, s, vt = np.linalg.svd(v)
     if s[4] < 1e-10 * s[0]:
-        raise NonPositiveDefinite(
+        raise ValueError(
             "view orientations are degenerate; the conic constraints keep "
             "a multi-dimensional null space"
         )
@@ -197,11 +186,11 @@ def zhang_closed_form(
         b11, b12, b22, b13, b23, b33 = -b11, -b12, -b22, -b13, -b23, -b33
     denom = b11 * b22 - b12 * b12
     if b11 <= 0 or denom <= 0:
-        raise NonPositiveDefinite("conic solution is not positive definite")
+        raise ValueError("conic solution is not positive definite")
     v0 = (b12 * b13 - b11 * b23) / denom
     lam = b33 - (b13 * b13 + v0 * (b12 * b13 - b11 * b23)) / b11
     if lam <= 0:
-        raise NonPositiveDefinite("conic solution yields a non-positive scale")
+        raise ValueError("conic solution yields a non-positive scale")
     alpha_x = math.sqrt(lam / b11)
     alpha_y = math.sqrt(lam * b11 / denom)
     gamma = -b12 * alpha_x * alpha_x * alpha_y / lam
@@ -330,9 +319,7 @@ def refine_calibration(
     result = levenberg_marquardt(problem, x0)
     full, rvecs, tvecs = _split(result.x, np.array(intrinsic_vector(k)), list(free))
     return CalibrationSolution(
-        intrinsics=CameraIntrinsics(
-            full[0], full[1], full[3], full[4], full[2], Distortion(*full[5:])
-        ),
+        intrinsics=intrinsics_from_vector(full),
         poses=tuple(
             CameraPose(rotation_from_axis_angle(r), t) for r, t in zip(rvecs, tvecs)
         ),
@@ -350,13 +337,15 @@ def calibrate_intrinsics(
     Each pattern lies at z = 0. fix_skew and fix_k3 hold gamma and k3 at the
     closed form's values, which are exactly 0: zhang_closed_form returns
     gamma = 0.0 when it assumes zero skew, and always a zero lens model.
-    Raises InsufficientViews (from zhang_closed_form) below three views, or
-    two with fix_skew.
+    Raises ValueError (from zhang_closed_form) below three views, or two
+    with fix_skew.
     """
     homographies = [estimate_homography(v) for v in views]
     k0 = zhang_closed_form(homographies, assume_zero_skew=fix_skew)
     poses = [extrinsics_from_homography(k0, h) for h in homographies]
     world = [np.column_stack([v.pattern, np.zeros(len(v))]) for v in views]
-    pinned = ((2,) if fix_skew else ()) + ((7,) if fix_k3 else ())
-    free = tuple(i for i in range(10) if i not in pinned)
+    pinned = (("gamma",) if fix_skew else ()) + (("k3",) if fix_k3 else ())
+    free = tuple(
+        i for i, name in enumerate(INTRINSIC_PARAMETERS) if name not in pinned
+    )
     return refine_calibration(world, [v.pixels for v in views], k0, poses, free)

@@ -17,18 +17,6 @@ from typing import Callable
 import numpy as np
 
 
-class NonFiniteResidual(ValueError):
-    """A residual evaluation produced NaN or infinity."""
-
-
-class SingularNormalEquations(ValueError):
-    """Damped normal equations stayed unsolvable up to lambda = 1e10."""
-
-
-class RankDeficient(ValueError):
-    """Linear system has (numerically) dependent columns."""
-
-
 class TerminationReason(str, enum.Enum):
     GRADIENT = "gradient"
     STEP = "step"
@@ -81,7 +69,7 @@ def numeric_jacobian(
     """Central-difference Jacobian with per-parameter step max(h, h * |x_i|).
 
     The first probe sets the residual length m that the others must match.
-    Raises NonFiniteResidual if any probe evaluation is non-finite.
+    Raises ValueError if any probe evaluation is non-finite.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     m = None
@@ -96,7 +84,7 @@ def numeric_jacobian(
         m = rf.shape[0]
         rb = _evaluate(problem, backward, m)
         if not (np.all(np.isfinite(rf)) and np.all(np.isfinite(rb))):
-            raise NonFiniteResidual(f"non-finite residual while probing parameter {i}")
+            raise ValueError(f"non-finite residual while probing parameter {i}")
         columns.append((rf - rb) / (2.0 * h))
     return np.column_stack(columns)
 
@@ -121,7 +109,7 @@ def levenberg_marquardt(
     if m < n:
         raise ValueError(f"need at least as many residuals ({m}) as parameters ({n})")
     if not np.all(np.isfinite(r)):
-        raise NonFiniteResidual("residual at x0 is non-finite")
+        raise ValueError("residual at x0 is non-finite")
     cost = 0.5 * float(r @ r)
     lam = INITIAL_LAMBDA
     accepted = 0
@@ -133,7 +121,7 @@ def levenberg_marquardt(
         if jac.shape != (m, n):
             raise ValueError(f"jacobian shape {jac.shape} does not match problem")
         if not np.all(np.isfinite(jac)):
-            raise NonFiniteResidual("jacobian is non-finite")
+            raise ValueError("jacobian is non-finite")
         gradient = jac.T @ r
         if np.max(np.abs(gradient)) <= GRADIENT_TOL:
             reason = TerminationReason.GRADIENT
@@ -150,7 +138,7 @@ def levenberg_marquardt(
             except np.linalg.LinAlgError:
                 lam *= LAMBDA_UP
                 if lam >= LAMBDA_GIVE_UP:
-                    raise SingularNormalEquations(
+                    raise ValueError(
                         f"normal equations unsolvable at lambda={lam:.3g}"
                     ) from None
                 continue
@@ -183,7 +171,7 @@ def levenberg_marquardt(
 def linear_least_squares(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve min ||A x - b|| by QR; A must be (m, n) with m >= n.
 
-    Raises RankDeficient when the smallest |R_ii| falls below 1e-12 times the
+    Raises ValueError when the smallest |R_ii| falls below 1e-12 times the
     largest.
     """
     a = np.asarray(a, dtype=float)
@@ -195,7 +183,7 @@ def linear_least_squares(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     q, r = np.linalg.qr(a)
     diag = np.abs(np.diag(r))
     if diag.min() < 1e-12 * diag.max():
-        raise RankDeficient(
+        raise ValueError(
             f"column dependence detected (|R_ii| ratio {diag.min():.3g}/{diag.max():.3g})"
         )
     return np.linalg.solve(r, q.T @ b)

@@ -128,6 +128,8 @@ def bearing(x: float, y: float) -> float:
     return theta
 
 
+# The reason slug of each failure localize_batch reports, keyed by the exact
+# type its raise site raises.
 _REASON_SLUGS = {
     NonConvergence: "undistort-nonconvergence",
     RayParallelToPlane: "ray-parallel-to-plane",
@@ -201,7 +203,7 @@ def localize_batch(
                 x, y = ground.camera_frame(x, y)
             theta = bearing(x, y)
         except tuple(_REASON_SLUGS) as exc:
-            slug = next(s for cls, s in _REASON_SLUGS.items() if isinstance(exc, cls))
+            slug = _REASON_SLUGS[type(exc)]
             results.append(
                 UnlocalizableDetection(d.frame_id, d.label, slug, ground_pixel)
             )

@@ -20,10 +20,6 @@ MIN_SAMPLES_PER_CLASS = 5
 BOTTOM_CENTER_WEIGHTS = ((0.5, 0.0, 0.5, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0, 0.0))
 
 
-class InsufficientSamples(ValueError):
-    """A class has fewer training samples than the minimum."""
-
-
 class _BoundingBox(NamedTuple):
     xmin: float
     ymin: float
@@ -139,7 +135,7 @@ def fit(samples: list[RegressionSample]) -> GroundRegressor:
     """Fit one independent 2x5 model per class present in the samples.
 
     Every class needs at least 5 samples. Adding samples of one class never
-    changes another class's weights. Raises RankDeficient (from the linear
+    changes another class's weights. Raises ValueError (from the linear
     solver) when a class's boxes do not span the feature space, for example
     when every box is identical.
     """
@@ -151,13 +147,13 @@ def fit(samples: list[RegressionSample]) -> GroundRegressor:
     for sample in samples:
         by_class.setdefault(sample.label, []).append(sample)
     if not by_class:
-        raise InsufficientSamples("no training samples given")
+        raise ValueError("no training samples given")
 
     classes: dict[str, ClassModel] = {}
     for label in sorted(by_class):
         group = by_class[label]
         if len(group) < MIN_SAMPLES_PER_CLASS:
-            raise InsufficientSamples(
+            raise ValueError(
                 f"class {label!r} has {len(group)} samples, needs "
                 f"{MIN_SAMPLES_PER_CLASS}"
             )

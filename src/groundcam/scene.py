@@ -61,10 +61,6 @@ from .reference import (
 )
 
 
-class ConfigInvalid(ValueError):
-    """Scene configuration cannot produce a valid scene."""
-
-
 DEFAULT_LANDMARKS = (
     "goal_bottom_left_corner",
     "goal_bottom_right_corner",
@@ -114,7 +110,7 @@ class SceneConfig:
 
     def __post_init__(self) -> None:
         if self.noise_px < 0 or not math.isfinite(self.noise_px):
-            raise ConfigInvalid(f"noise_px must be >= 0, got {self.noise_px}")
+            raise ValueError(f"noise_px must be >= 0, got {self.noise_px}")
         for name in (
             "grid_spacing_mm",
             "grid_origin_mm",
@@ -123,27 +119,27 @@ class SceneConfig:
             "square_size_mm",
         ):
             if not np.all(np.isfinite(getattr(self, name))):
-                raise ConfigInvalid(f"{name} must be finite, got {getattr(self, name)}")
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.grid_columns < 1 or self.grid_rows < 1:
-            raise ConfigInvalid("grid must have at least one column and row")
+            raise ValueError("grid must have at least one column and row")
         if self.grid_spacing_mm <= 0:
-            raise ConfigInvalid("grid spacing must be positive")
+            raise ValueError("grid spacing must be positive")
         if self.object_label not in KNOWN_CLASSES:
-            raise ConfigInvalid(f"unsupported object class {self.object_label!r}")
+            raise ValueError(f"unsupported object class {self.object_label!r}")
         if self.object_radius_mm <= 0 or self.object_height_mm <= 0:
-            raise ConfigInvalid("object dimensions must be positive")
+            raise ValueError("object dimensions must be positive")
         if self.num_views < 0 or self.pattern_cols < 2 or self.pattern_rows < 2:
-            raise ConfigInvalid("pattern configuration out of range")
+            raise ValueError("pattern configuration out of range")
         if self.square_size_mm <= 0:
-            raise ConfigInvalid("square size must be positive")
+            raise ValueError("square size must be positive")
         if self.image_width_px < 2 or self.image_height_px < 2:
-            raise ConfigInvalid("image dimensions out of range")
+            raise ValueError("image dimensions out of range")
         catalog = field_landmarks(self.geometry)
         for index, name in enumerate(self.landmark_names):
             if name not in catalog:
-                raise ConfigInvalid(f"unknown landmark name {name!r}")
+                raise ValueError(f"unknown landmark name {name!r}")
             if name in self.landmark_names[:index]:
-                raise ConfigInvalid(f"landmarks: {name!r} is repeated")
+                raise ValueError(f"landmarks: {name!r} is repeated")
 
     @property
     def grid_points(self) -> list[WorldPoint]:
@@ -222,6 +218,14 @@ def _to_json(value):
     return list(value) if isinstance(value, tuple) else value
 
 
+def _converted(where: str, convert, value):
+    """convert(value); a malformed value raises ValueError naming where."""
+    try:
+        return convert(value)
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"bad configuration value {where}: {exc}") from exc
+
+
 def config_from_dict(obj: dict) -> SceneConfig:
     """Build a configuration from a JSON document, strictly validated.
 
@@ -229,35 +233,29 @@ def config_from_dict(obj: dict) -> SceneConfig:
     fed straight back in; the command line owns the seed.
     """
     if not isinstance(obj, dict):
-        raise ConfigInvalid("configuration must be a JSON object")
+        raise ValueError("configuration must be a JSON object")
     known = {"seed", "calibration", *_SECTIONS}
     known.update(key for section, key, _, _ in _SCHEMA if section is None)
     unknown = set(obj) - known
     if unknown:
-        raise ConfigInvalid(f"unknown configuration keys: {sorted(unknown)}")
+        raise ValueError(f"unknown configuration keys: {sorted(unknown)}")
     for section, keys in _SECTIONS.items():
         doc = obj.get(section, {})
         if not isinstance(doc, dict):
-            raise ConfigInvalid(f"{section} must be a JSON object")
+            raise ValueError(f"{section} must be a JSON object")
         if set(doc) - keys:
-            raise ConfigInvalid(f"unknown {section} keys: {sorted(set(doc) - keys)}")
+            raise ValueError(f"unknown {section} keys: {sorted(set(doc) - keys)}")
     kwargs: dict = {}
-    where = "calibration"
-    try:
-        if "calibration" in obj:
-            k, pose = files.calibration_from_dict(obj["calibration"])
-            if pose is None:
-                raise ConfigInvalid("calibration has no pose")
-            kwargs.update(intrinsics=k, pose=pose)
-        for section, key, name, convert in _SCHEMA:
-            doc = obj if section is None else obj.get(section, {})
-            if key in doc:
-                where = key if section is None else f"{section}.{key}"
-                kwargs[name] = convert(doc[key])
-    except ConfigInvalid:
-        raise
-    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigInvalid(f"bad configuration value {where}: {exc}") from exc
+    if "calibration" in obj:
+        k, pose = _converted("calibration", files.calibration_from_dict, obj["calibration"])
+        if pose is None:
+            raise ValueError("calibration has no pose")
+        kwargs.update(intrinsics=k, pose=pose)
+    for section, key, name, convert in _SCHEMA:
+        doc = obj if section is None else obj.get(section, {})
+        if key in doc:
+            where = key if section is None else f"{section}.{key}"
+            kwargs[name] = _converted(where, convert, doc[key])
     return SceneConfig(**kwargs)
 
 
@@ -339,7 +337,7 @@ def _sample_views(
             placed = True
             break
         if not placed:
-            raise ConfigInvalid(
+            raise ValueError(
                 "could not place the calibration pattern fully in view; "
                 "check the pattern and image dimensions"
             )
@@ -355,7 +353,7 @@ def _landmark_pixels(
         try:
             px = project(catalog[name], config.intrinsics, config.pose)
         except PointBehindCamera as exc:
-            raise ConfigInvalid(
+            raise ValueError(
                 f"landmark {name!r} is not visible from the configured pose: {exc}"
             ) from exc
         if config.noise_px > 0:
@@ -378,7 +376,7 @@ def _object_box(
             WorldPoint(contact.x, contact.y, config.object_height_mm), k, pose
         )
     except PointBehindCamera as exc:
-        raise ConfigInvalid(
+        raise ValueError(
             f"object at ({contact.x}, {contact.y}) is behind the camera"
         ) from exc
     # Depth is affine in height, so the center lies in front as both ends do.
@@ -386,7 +384,7 @@ def _object_box(
     center_cam = pose.rotation @ center.array + pose.translation
     half_width = k.alpha_x * config.object_radius_mm / center_cam[2]
     if top.v >= ground.v:
-        raise ConfigInvalid(
+        raise ValueError(
             f"object at ({contact.x}, {contact.y}) projects upside down"
         )
     bbox = BoundingBox(
@@ -414,7 +412,7 @@ def _noisy_box(
             )
         except ValueError:
             continue
-    raise ConfigInvalid("noise level collapses detection boxes")
+    raise ValueError("noise level collapses detection boxes")
 
 
 def generate_scene(
@@ -423,7 +421,6 @@ def generate_scene(
     """Generate and write a scene; identical (config, seed) gives identical bytes."""
     rng = np.random.default_rng(seed)
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     views = _sample_views(config, rng)
     landmark_pixels = _landmark_pixels(config, rng)
@@ -468,7 +465,7 @@ def generate_scene(
         try:
             theta = bearing(x, y)
         except ValueError as exc:
-            raise ConfigInvalid(
+            raise ValueError(
                 f"grid point ({contact.x}, {contact.y}) sits on the "
                 f"{config.frame.value}-frame origin and has no bearing"
             ) from exc
@@ -493,6 +490,7 @@ def generate_scene(
         "landmarks": files.landmarks_to_dict(config.geometry, landmark_pixels),
         "model": files.model_to_dict(regressor),
     }
+    out_dir.mkdir(parents=True, exist_ok=True)
     for name, doc in documents.items():
         files.write_json(paths[name], doc)
     files.save_samples(paths["samples"], samples)

@@ -658,6 +658,18 @@ class TestSynth:
         assert code == 2
         assert out == ""
         assert err == f"error: {message}\n"
+        assert not (tmp_path / "s").exists()
+
+    def test_calibration_without_pose_names_the_file(self, capsys, tmp_path):
+        config_path = tmp_path / "config.json"
+        doc = config_to_dict(SceneConfig(), seed=0)
+        del doc["calibration"]["pose"]
+        config_path.write_text(json.dumps(doc))
+        code, out, err = _run(capsys, "synth", config_path, "--out", tmp_path / "s")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {config_path}: calibration has no pose\n"
+        assert not (tmp_path / "s").exists()
 
     @pytest.mark.parametrize(
         "section, key, value",

@@ -15,9 +15,7 @@ import numpy as np
 import pytest
 
 from groundcam.evaluation import (
-    EmptyInput,
     EvalPair,
-    MismatchedGroundTruth,
     bucket_by_distance,
     build_report,
     compare_sources,
@@ -111,7 +109,7 @@ class TestRmse:
         assert rmse(pairs) == pytest.approx(10.0, abs=1e-12)
 
     def test_empty_input(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(ValueError, match="rmse over zero pairs"):
             rmse([])
 
 
@@ -157,7 +155,7 @@ class TestErrorStats:
         }
 
     def test_empty_input(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(ValueError, match="error stats over zero pairs"):
             error_stats([])
 
 
@@ -264,7 +262,7 @@ class TestBuildReport:
         assert doc["buckets"][0]["lo_mm"] == 0.0
 
     def test_empty_input(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(ValueError, match="report over zero pairs"):
             build_report([], [1000.0])
 
 
@@ -302,19 +300,23 @@ class TestCompareSources:
         shifted = [
             (r[0] + 1.0, *r[1:]) for r in REFERENCE_ROWS
         ]
-        with pytest.raises(MismatchedGroundTruth):
+        with pytest.raises(ValueError, match="ground truths differ: "):
             compare_sources(_pairs(OURS_ROWS), _pairs(shifted, "reference"))
 
     def test_count_mismatch_rejected(self):
-        with pytest.raises(MismatchedGroundTruth):
+        with pytest.raises(ValueError, match="sources cover 4 vs 3 ground truths"):
             compare_sources(
                 _pairs(OURS_ROWS), _pairs(REFERENCE_ROWS[:3], "reference")
             )
 
     def test_either_side_empty_rejected(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(
+            ValueError, match="comparison needs pairs from both sources"
+        ):
             compare_sources([], _pairs(REFERENCE_ROWS, "reference"))
-        with pytest.raises(EmptyInput):
+        with pytest.raises(
+            ValueError, match="comparison needs pairs from both sources"
+        ):
             compare_sources(_pairs(OURS_ROWS), [])
 
 

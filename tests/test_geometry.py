@@ -15,12 +15,12 @@ import numpy as np
 import pytest
 
 from groundcam.geometry import (
+    INTRINSIC_PARAMETERS,
     UNDISTORT_MAX_ITERATIONS,
     CameraIntrinsics,
     CameraPose,
     Distortion,
     EulerAngles,
-    GimbalLock,
     NonConvergence,
     PixelPoint,
     PointBehindCamera,
@@ -33,6 +33,7 @@ from groundcam.geometry import (
     euler_from_pose,
     ground_map,
     intrinsic_vector,
+    intrinsics_from_vector,
     nearest_rotation,
     pose_from_euler,
     project,
@@ -373,7 +374,9 @@ class TestEulerPose:
 
     def test_gimbal_lock(self):
         pose = pose_from_euler(EulerAngles(0.0, 90.0, 0.0), WorldPoint(0, 0, 0))
-        with pytest.raises(GimbalLock):
+        with pytest.raises(
+            ValueError, match=re.escape("phi is within 1e-9 of +-90 degrees")
+        ):
             euler_from_pose(pose)
 
     def test_angle_range_enforced(self):
@@ -466,3 +469,15 @@ def test_world_point_rejects_non_finite():
         WorldPoint(float("nan"), 0.0, 0.0)
     with pytest.raises(ValueError):
         PixelPoint(float("inf"), 0.0)
+
+
+def test_intrinsic_vector_follows_the_named_layout():
+    k = CameraIntrinsics(
+        600.5, 601.5, 320.25, 240.75, 1.5, Distortion(-0.1, 0.02, -0.004, 1e-4, -2e-4)
+    )
+    vector = intrinsic_vector(k)
+    for name, value in zip(INTRINSIC_PARAMETERS, vector, strict=True):
+        owner = k.distortion if hasattr(k.distortion, name) else k
+        assert getattr(owner, name) == value, name
+    assert intrinsics_from_vector(vector) == k
+    assert intrinsics_from_vector(np.array(vector)) == k

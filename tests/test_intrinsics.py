@@ -23,9 +23,6 @@ from groundcam.geometry import (
     rotation_from_axis_angle,
 )
 from groundcam.intrinsics import (
-    DegenerateConfiguration,
-    InsufficientViews,
-    NonPositiveDefinite,
     PlanarView,
     calibrate_intrinsics,
     calibration_problem,
@@ -146,12 +143,14 @@ class TestHomography:
     def test_collinear_points_rejected(self):
         src = np.column_stack([np.arange(6.0), np.zeros(6)])
         dst = src * 2.0
-        with pytest.raises(DegenerateConfiguration):
+        with pytest.raises(
+            ValueError, match="points do not determine a unique homography"
+        ):
             homography_from_points(src, dst)
 
     def test_too_few_points_rejected(self):
         pts = _pattern(3, 1, 10.0)
-        with pytest.raises(DegenerateConfiguration):
+        with pytest.raises(ValueError, match="need at least 4 correspondences, got 3"):
             homography_from_points(pts, pts)
 
     def test_count_mismatch_rejected(self):
@@ -203,13 +202,13 @@ class TestZhangClosedForm:
                     PlanarView(view_id="flat", pixels=pixels, pattern=pattern)
                 )
             )
-        with pytest.raises(NonPositiveDefinite):
+        with pytest.raises(ValueError, match="view orientations are degenerate"):
             zhang_closed_form(hs, assume_zero_skew=True)
 
     def test_view_count_enforced(self):
-        with pytest.raises(InsufficientViews):
+        with pytest.raises(ValueError, match="need at least 2 views, got 1"):
             zhang_closed_form([np.eye(3)], assume_zero_skew=True)
-        with pytest.raises(InsufficientViews):
+        with pytest.raises(ValueError, match="need at least 3 views, got 2"):
             zhang_closed_form([np.eye(3), np.eye(3)], assume_zero_skew=False)
 
     def test_rejects_wrong_shape(self):
@@ -328,9 +327,9 @@ class TestCalibratePipeline:
 
     def test_view_count_enforced(self, rng):
         views, _ = _synthetic_views(TRUE_K, 1, rng)
-        with pytest.raises(InsufficientViews):
+        with pytest.raises(ValueError, match="need at least 2 views, got 1"):
             calibrate_intrinsics(views)
-        with pytest.raises(InsufficientViews):
+        with pytest.raises(ValueError, match="need at least 3 views, got 2"):
             calibrate_intrinsics(views * 2, fix_skew=False)
 
     def test_pose_count_mismatch_rejected(self, rng):

@@ -9,15 +9,13 @@ termination and failure paths.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from groundcam.optim import (
     LeastSquaresProblem,
-    NonFiniteResidual,
-    RankDeficient,
-    SingularNormalEquations,
     TerminationReason,
     levenberg_marquardt,
     linear_least_squares,
@@ -76,7 +74,9 @@ class TestNumericJacobian:
             return np.array([math.sqrt(x[0]) if x[0] >= 0 else math.nan])
 
         problem = LeastSquaresProblem(residual=residual)
-        with pytest.raises(NonFiniteResidual):
+        with pytest.raises(
+            ValueError, match="non-finite residual while probing parameter 0"
+        ):
             numeric_jacobian(problem, np.array([1e-9]))
 
 
@@ -189,7 +189,7 @@ class TestLevenbergMarquardt:
 
     def test_non_finite_start_raises(self):
         problem = LeastSquaresProblem(residual=lambda x: np.array([math.nan]))
-        with pytest.raises(NonFiniteResidual):
+        with pytest.raises(ValueError, match="residual at x0 is non-finite"):
             levenberg_marquardt(problem, np.zeros(1))
 
     def test_non_finite_supplied_jacobian_raises(self):
@@ -197,7 +197,7 @@ class TestLevenbergMarquardt:
             residual=lambda x: x - 1.0,
             jacobian=lambda x: np.array([[math.inf]]),
         )
-        with pytest.raises(NonFiniteResidual):
+        with pytest.raises(ValueError, match="jacobian is non-finite"):
             levenberg_marquardt(problem, np.zeros(1))
 
     def test_structurally_singular_system_raises(self):
@@ -206,7 +206,7 @@ class TestLevenbergMarquardt:
         problem = LeastSquaresProblem(
             residual=lambda x: np.array([x[0] - 1.0, x[0] + 1.0]),
         )
-        with pytest.raises(SingularNormalEquations):
+        with pytest.raises(ValueError, match="normal equations unsolvable at lambda="):
             levenberg_marquardt(problem, np.array([5.0, 0.0]))
 
     def test_wrong_jacobian_shape_raises(self):
@@ -250,7 +250,9 @@ class TestLinearLeastSquares:
     def test_duplicate_columns_raise(self, rng):
         col = rng.normal(0.0, 1.0, 5)
         a = np.column_stack([col, col])
-        with pytest.raises(RankDeficient):
+        with pytest.raises(
+            ValueError, match=re.escape("column dependence detected (|R_ii| ratio")
+        ):
             linear_least_squares(a, rng.normal(0.0, 1.0, 5))
 
     def test_wide_matrix_rejected(self):

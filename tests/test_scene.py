@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from groundcam.pipeline import FrameConvention, bearing, localize_batch
 from groundcam.scene import (
     _SCHEMA,
     DEFAULT_LANDMARKS,
-    ConfigInvalid,
     SceneConfig,
     config_from_dict,
     config_to_dict,
@@ -241,13 +241,15 @@ class TestConfigDict:
     def test_unknown_keys_rejected(self):
         doc = config_to_dict(_small_config(), seed=0)
         doc["sensor"] = "imu"
-        with pytest.raises(ConfigInvalid):
+        with pytest.raises(
+            ValueError, match=re.escape("unknown configuration keys: ['sensor']")
+        ):
             config_from_dict(doc)
 
     def test_unknown_nested_keys_rejected(self):
         doc = config_to_dict(_small_config(), seed=0)
         doc["grid"]["shape"] = "hex"
-        with pytest.raises(ConfigInvalid):
+        with pytest.raises(ValueError, match=re.escape("unknown grid keys: ['shape']")):
             config_from_dict(doc)
 
     @pytest.mark.parametrize(
@@ -265,7 +267,7 @@ class TestConfigDict:
         doc = config_to_dict(_small_config(), seed=0)
         (doc if section is None else doc[section])[key] = value
         where = key if section is None else f"{section}.{key}"
-        with pytest.raises(ConfigInvalid, match=f"bad configuration value {where}: "):
+        with pytest.raises(ValueError, match=f"bad configuration value {where}: "):
             config_from_dict(doc)
 
     @pytest.mark.parametrize(
@@ -287,7 +289,7 @@ class TestConfigDict:
         doc = config_to_dict(_small_config(), seed=0)
         (doc if section is None else doc[section])[key] = value
         where = key if section is None else f"{section}.{key}"
-        with pytest.raises(ConfigInvalid, match=f"bad configuration value {where}: "):
+        with pytest.raises(ValueError, match=f"bad configuration value {where}: "):
             config_from_dict(doc)
 
     @pytest.mark.parametrize(
@@ -302,11 +304,11 @@ class TestConfigDict:
     def test_calibration_numbers_must_be_json_numbers(self, spoil):
         doc = config_to_dict(_small_config(), seed=0)
         spoil(doc["calibration"])
-        with pytest.raises(ConfigInvalid, match="bad configuration value calibration: "):
+        with pytest.raises(ValueError, match="bad configuration value calibration: "):
             config_from_dict(doc)
 
     def test_non_object_rejected(self):
-        with pytest.raises(ConfigInvalid):
+        with pytest.raises(ValueError, match="configuration must be a JSON object"):
             config_from_dict(["not", "a", "mapping"])
 
     @pytest.mark.parametrize("spoil", ["no-pose", "distortion-null"])
@@ -314,15 +316,31 @@ class TestConfigDict:
         doc = config_to_dict(_small_config(), seed=0)
         if spoil == "no-pose":
             del doc["calibration"]["pose"]
+            message = "^calibration has no pose$"
         else:
             doc["calibration"]["intrinsics"]["distortion"] = None
-        with pytest.raises(ConfigInvalid):
+            message = "^bad configuration value calibration: "
+        with pytest.raises(ValueError, match=message):
             config_from_dict(doc)
 
 
 # ---------------------------------------------------------------------------
 # Config validation
 # ---------------------------------------------------------------------------
+
+
+# The message SceneConfig raises for each finite bad value below.
+_BAD_VALUE_MESSAGES = {
+    "noise_px": "noise_px must be >= 0, got -0.1",
+    "grid_columns": "grid must have at least one column and row",
+    "grid_spacing_mm": "grid spacing must be positive",
+    "object_label": "unsupported object class 'plane'",
+    "object_radius_mm": "object dimensions must be positive",
+    "pattern_cols": "pattern configuration out of range",
+    "square_size_mm": "square size must be positive",
+    "image_width_px": "image dimensions out of range",
+    "landmark_names": "unknown landmark name 'center_circle'",
+}
 
 
 class TestConfigValidation:
@@ -347,14 +365,20 @@ class TestConfigValidation:
         ],
     )
     def test_bad_values_rejected(self, overrides):
-        with pytest.raises(ConfigInvalid):
+        ((name, value),) = overrides.items()
+        values = value if isinstance(value, tuple) else (value,)
+        if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+            message = f"{name} must be finite, got {value}"
+        else:
+            message = _BAD_VALUE_MESSAGES[name]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             _small_config(**overrides)
 
     def test_repeated_landmark_rejected_naming_the_key(self):
         doc = config_to_dict(_small_config(), seed=0)
         doc["landmarks"] = ["goal_bottom_center", "goal_bottom_center"]
         with pytest.raises(
-            ConfigInvalid, match="landmarks: 'goal_bottom_center' is repeated"
+            ValueError, match="landmarks: 'goal_bottom_center' is repeated"
         ):
             config_from_dict(doc)
 
