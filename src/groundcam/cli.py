@@ -63,7 +63,10 @@ def _cmd_calibrate_extrinsics(args: argparse.Namespace) -> int:
     correspondences = files.load_landmarks(args.landmarks)
     k, _ = files.load_calibration(args.intrinsics)
     _note(f"{len(correspondences)} correspondences from {args.landmarks}")
-    pose, report = solve_pnp(correspondences, k)
+    try:
+        pose, report = solve_pnp(correspondences, k)
+    except ValueError as exc:
+        raise ValueError(f"{args.landmarks}: {exc}") from None
     for name, norm in zip(report.names, report.norms):
         shown = name or "(unnamed)"
         _note(f"  {shown}: residual {norm:.6f} px")
@@ -159,7 +162,12 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     else:
         config = SceneConfig()
     out_dir = Path(args.out)
-    scene = generate_scene(config, args.seed, out_dir)
+    try:
+        scene = generate_scene(config, args.seed, out_dir)
+    except ValueError as exc:
+        if args.config:
+            raise ValueError(f"{args.config}: {exc}") from None
+        raise
     _note(
         f"scene: {len(scene.views)} views, {len(scene.landmark_pixels)} landmarks, "
         f"{len(scene.detections)} detections"

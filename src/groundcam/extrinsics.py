@@ -20,6 +20,7 @@ from .geometry import (
     CameraIntrinsics,
     CameraPose,
     Distortion,
+    NonConvergence,
     PixelPoint,
     WorldPoint,
     nearest_rotation,
@@ -160,8 +161,10 @@ def solve_pnp(
 
     Pixels are undistorted before solving, and the initial pose is refined
     by refine_calibration with every intrinsic held. Raises ValueError
-    below four correspondences, for collinear world points, and when the
-    layout fits neither the planar nor the general-position initializer.
+    below four correspondences, for a mark the lens model cannot be inverted
+    at (naming it, or "point <i>" for an unnamed one), for collinear world
+    points, and when the layout fits neither the planar nor the
+    general-position initializer.
     There is no outlier rejection; suspect marks are flagged in the returned
     report instead.
     """
@@ -169,8 +172,12 @@ def solve_pnp(
     if n < 4:
         raise ValueError(f"need at least 4 correspondences, got {n}")
     world = np.array([[c.world.x, c.world.y, c.world.z] for c in correspondences])
-    undistorted = [undistort(c.pixel, k) for c in correspondences]
-    ideal = np.array([[p.u, p.v] for p in undistorted])
+    ideal = np.empty((n, 2))
+    for i, c in enumerate(correspondences):
+        try:
+            ideal[i] = undistort(c.pixel, k)
+        except NonConvergence as exc:
+            raise ValueError(f"{c.name or f'point {i}'}: {exc}") from None
     k_ideal = k.with_distortion(Distortion())
 
     centered = world - world.mean(axis=0)

@@ -57,12 +57,15 @@ def write_json(path: Path, doc: dict) -> None:
 
 @contextmanager
 def _malformed(where: str):
-    """Re-raise any parse failure inside the block as ValueError naming where."""
+    """Re-raise any parse failure inside the block as ValueError naming where;
+    a RecursionError is one too, from json nesting deeper than the stack."""
     try:
         yield
     except KeyError as exc:
         raise ValueError(f"{where}: missing key {exc}") from None
-    except (AttributeError, IndexError, TypeError, ValueError, OverflowError) as exc:
+    except (
+        AttributeError, IndexError, TypeError, ValueError, OverflowError, RecursionError
+    ) as exc:
         raise ValueError(f"{where}: {exc}") from None
 
 
@@ -397,6 +400,8 @@ def load_pairs_csv(path: Path) -> list[EvalPair]:
     from .evaluation import EvalPair
 
     pairs = []
+    # A try per row, not _malformed: entering that context manager on every
+    # row made this loader about 70 % slower on a 20k-row table.
     for number, fields in _csv_rows(path, PAIRS_HEADER):
         try:
             source = fields[6].strip()

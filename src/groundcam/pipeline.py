@@ -233,11 +233,11 @@ def ingest_detections(
 ) -> IngestResult:
     """Parse detection JSONL lines, dropping low scores.
 
-    Malformed lines, including a frame that is not a string or an integer, a
-    class that is not a string, a bbox that is not an array of 4 numbers or a
-    score that is not a number, are skipped and reported as diagnostics with
-    their line numbers; blank lines are skipped silently. Input order is
-    preserved.
+    Malformed lines, including JSON nested deeper than the decoder's stack, a
+    frame that is not a string or an integer, a class that is not a string, a
+    bbox that is not an array of 4 numbers or a score that is not a number,
+    are skipped and reported as diagnostics with their line numbers; blank
+    lines are skipped silently. Input order is preserved.
     """
     detections: list[Detection] = []
     diagnostics: list[str] = []
@@ -256,7 +256,7 @@ def ingest_detections(
             detection = Detection(
                 frame_id, label, json_number(obj["score"], "score"), bbox
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             diagnostics.append(f"line {number}: {exc}")
             continue
         if label not in KNOWN_CLASSES:

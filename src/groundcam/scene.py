@@ -218,14 +218,6 @@ def _to_json(value):
     return list(value) if isinstance(value, tuple) else value
 
 
-def _converted(where: str, convert, value):
-    """convert(value); a malformed value raises ValueError naming where."""
-    try:
-        return convert(value)
-    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"bad configuration value {where}: {exc}") from exc
-
-
 def config_from_dict(obj: dict) -> SceneConfig:
     """Build a configuration from a JSON document, strictly validated.
 
@@ -247,7 +239,8 @@ def config_from_dict(obj: dict) -> SceneConfig:
             raise ValueError(f"unknown {section} keys: {sorted(set(doc) - keys)}")
     kwargs: dict = {}
     if "calibration" in obj:
-        k, pose = _converted("calibration", files.calibration_from_dict, obj["calibration"])
+        with files._malformed("bad configuration value calibration"):
+            k, pose = files.calibration_from_dict(obj["calibration"])
         if pose is None:
             raise ValueError("calibration has no pose")
         kwargs.update(intrinsics=k, pose=pose)
@@ -255,7 +248,8 @@ def config_from_dict(obj: dict) -> SceneConfig:
         doc = obj if section is None else obj.get(section, {})
         if key in doc:
             where = key if section is None else f"{section}.{key}"
-            kwargs[name] = _converted(where, convert, doc[key])
+            with files._malformed(f"bad configuration value {where}"):
+                kwargs[name] = convert(doc[key])
     return SceneConfig(**kwargs)
 
 

@@ -20,7 +20,7 @@ import pytest
 from groundcam import cli, files
 from groundcam.cli import main
 from groundcam.geometry import Distortion, PixelPoint, project
-from groundcam.extrinsics import PnpCorrespondence
+from groundcam.extrinsics import PnpCorrespondence, field_landmarks
 from groundcam.regression import BOTTOM_CENTER_WEIGHTS, BoundingBox
 from groundcam.reference import (
     REFERENCE_CAMERA_CENTER_MM,
@@ -53,6 +53,10 @@ def _run(capsys, *argv):
     code = main([str(a) for a in argv])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# One JSON array nested far deeper than the decoder's recursion limit.
+_DEEP_JSON = "[" * 100_000 + "]" * 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +158,42 @@ class TestCalibrateExtrinsics:
         assert code == 2
         assert out == ""
         assert err == f"error: {path}: landmark {first['name']!r} is marked twice\n"
+
+    @pytest.mark.parametrize("named", [True, False], ids=["named", "unnamed"])
+    def test_mark_the_lens_model_cannot_undistort_is_named(
+        self, capsys, tmp_path, named
+    ):
+        # The lens scene's goal_bottom_right_corner projects far outside the
+        # image, where undistortion does not converge.
+        intrinsics = SceneConfig().intrinsics.with_distortion(
+            Distortion(k1=-0.12, k2=0.03)
+        )
+        scene = generate_scene(
+            SceneConfig(intrinsics=intrinsics), seed=0, out_dir=tmp_path / "lens"
+        )
+        path = scene.paths["landmarks"]
+        doc = json.loads(path.read_text())
+        mark = "goal_bottom_right_corner"
+        index = [p["name"] for p in doc["points"]].index(mark)
+        if not named:
+            catalog = field_landmarks(scene.config.geometry)
+            doc["extra"] = [
+                {"pixel": p["pixel"], "world": list(catalog[p["name"]])}
+                for p in doc["points"]
+            ]
+            doc["points"] = []
+            path = tmp_path / "landmarks.json"
+            path.write_text(json.dumps(doc))
+            mark = f"point {index}"
+        code, out, err = _run(
+            capsys, "calibrate-extrinsics", path, scene.paths["calibration"]
+        )
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith(
+            f"error: {path}: {mark}: undistortion of "
+        )
 
     def test_too_few_landmarks(self, capsys, cli_scene, tmp_path):
         config = cli_scene.config
@@ -341,6 +381,17 @@ class TestLocalize:
         assert code == 0
         assert "line 1:" in err
         assert len(out.splitlines()) == 1
+
+    def test_deeply_nested_line_is_diagnosed(self, capsys, cli_scene, tmp_path):
+        path = tmp_path / "detections.jsonl"
+        path.write_text(_DEEP_JSON + "\n" + cli_scene.paths["detections"].read_text())
+        rest = (cli_scene.paths["calibration"], cli_scene.paths["model"])
+        code, out, err = _run(capsys, "localize", path, *rest)
+        assert code == 0
+        assert "Traceback" not in err
+        assert f"{path}: line 1: maximum recursion depth exceeded" in err
+        _, expected, _ = _run(capsys, "localize", cli_scene.paths["detections"], *rest)
+        assert out == expected
 
     def test_score_threshold_flag(self, capsys, cli_scene, tmp_path):
         path = tmp_path / "detections.jsonl"
@@ -657,7 +708,7 @@ class TestSynth:
         code, out, err = _run(capsys, "synth", config_path, "--out", tmp_path / "s")
         assert code == 2
         assert out == ""
-        assert err == f"error: {message}\n"
+        assert err == f"error: {config_path}: {message}\n"
         assert not (tmp_path / "s").exists()
 
     def test_calibration_without_pose_names_the_file(self, capsys, tmp_path):
@@ -788,6 +839,26 @@ def test_non_utf8_input_exits_2_naming_the_file(capsys, cli_scene, tmp_path, com
     assert out == ""
     assert "Traceback" not in err
     assert f"error: {bad}" in err
+
+
+@pytest.mark.parametrize(
+    "command, document, good_lines",
+    [("localize", "calibration", 0), ("fit-regressor", "samples", 1), ("synth", "config", 0)],
+)
+def test_deeply_nested_json_exits_2_naming_the_file(
+    capsys, cli_scene, tmp_path, command, document, good_lines
+):
+    # Samples are read line by line, so there the deep line follows a good one.
+    bad = tmp_path / document
+    good = cli_scene.paths[document].read_text().splitlines(keepends=True)[:good_lines]
+    bad.write_text("".join(good) + _DEEP_JSON + "\n")
+    where = f"{bad} line {good_lines + 1}" if good_lines else bad
+    argv = [bad if name == document else cli_scene.paths[name] for name in _INPUTS[command]]
+    code, out, err = _run(capsys, command, *argv, "--out", tmp_path / "out")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {where}: maximum recursion depth exceeded")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
