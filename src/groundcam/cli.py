@@ -10,7 +10,9 @@ failures.
 from __future__ import annotations
 
 import argparse
+import marshal
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -89,6 +91,100 @@ def _cmd_fit_regressor(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on; 1 where it cannot fork or cannot
+    tell (os.sched_getaffinity is Linux's)."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _child(r: int, w: int, work, part: list[str], first: int) -> None:
+    """In a forked child: send marshal.dumps of work(part, first) through w,
+    or for an error main reports as invalid input its message, or for any
+    other its traceback. Leaves through os._exit, with 0, 2 or 1 as main
+    would, once the whole payload is written, and with 1 otherwise."""
+    code = 1
+    try:
+        # With the parent's read end the only one left, a write fails instead
+        # of blocking should the parent be gone.
+        os.close(r)
+        try:
+            payload, status = marshal.dumps(work(part, first)), 0
+        except (ValueError, KeyError, OSError) as exc:
+            payload, status = marshal.dumps(str(exc)), 2
+        except Exception:
+            import traceback
+
+            payload, status = marshal.dumps(traceback.format_exc()), 1
+        with open(w, "wb") as f:
+            f.write(payload)
+        code = status
+    finally:
+        os._exit(code)
+
+
+def _fork(work, part: list[str], first: int) -> tuple[int, int]:
+    """Start _child on part; return its pid and the read end of its pipe."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        _child(r, w, work, part, first)
+    os.close(w)
+    return pid, r
+
+
+def _split(work, lines: list[str]) -> list:
+    """work(part, number of its first line) over contiguous parts of lines,
+    one per CPU this process may use, in line order.
+
+    Part 0 runs here and every other part in a forked child, so the result
+    does not depend on the count as long as work's does not depend on where
+    lines are cut. A child's failure is raised here in line order: as a
+    ValueError with the message of an error main reports as invalid input,
+    as a RuntimeError with the child's traceback otherwise. Every child is
+    reaped before this returns or raises.
+    """
+    count = max(1, min(_cpus(), len(lines)))
+    bounds = [len(lines) * i // count for i in range(count + 1)]
+    # Nothing may sit in these buffers when a child copies them.
+    sys.stdout.flush()
+    sys.stderr.flush()
+    children: list[tuple[int, int]] = []
+    statuses = []
+    try:
+        for i in range(1, count):
+            children.append(_fork(work, lines[bounds[i]:bounds[i + 1]], bounds[i] + 1))
+        results = [work(lines[:bounds[1]], 1)]
+        payloads = []
+        for _, r in children:
+            with open(r, "rb", closefd=False) as f:
+                payloads.append(f.read())
+    finally:
+        # Closing the read ends first frees a child blocked on a full pipe.
+        for _, r in children:
+            os.close(r)
+        for pid, _ in children:
+            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    for i, payload, code in zip(range(1, count), payloads, statuses):
+        if code == 0:
+            results.append(marshal.loads(payload))
+        elif code == 2:
+            raise ValueError(marshal.loads(payload))
+        else:
+            detail = marshal.loads(payload) if payload else ""
+            raise RuntimeError(
+                f"the worker on lines {bounds[i] + 1}-{bounds[i + 1]} exited with "
+                f"{code}\n{detail}".rstrip()
+            )
+    return results
+
+
 def _cmd_localize(args: argparse.Namespace) -> int:
     min_score = _finite("--min-score", args.min_score)
     k, pose = files.load_calibration(args.calibration)
@@ -97,15 +193,25 @@ def _cmd_localize(args: argparse.Namespace) -> int:
             f"{args.calibration} has no pose; run calibrate-extrinsics first"
         )
     regressor = files.load_model(args.model)
-    with open(args.detections) as f, files._malformed(args.detections):
-        ingest = ingest_detections(f, min_score=min_score)
-    for diagnostic in ingest.diagnostics:
-        _note(f"{args.detections}: {diagnostic}")
     convention = FrameConvention(args.frame)
-    results = localize_batch(list(ingest.detections), regressor, k, pose, convention)
-    _publish("".join([files.localization_line(r) + "\n" for r in results]), args.out)
-    ok = sum(isinstance(r, LocalizedObject) for r in results)
-    _note(f"localized {ok} of {len(results)} detections")
+    # readlines splits on "\n" only, as iterating the file does; splitlines
+    # would also split on U+2028 and renumber the lines after it.
+    with open(args.detections, encoding="utf-8") as f, files._malformed(args.detections):
+        lines = f.readlines()
+
+    def work(part: list[str], first: int) -> tuple[tuple[str, ...], str, int, int]:
+        ingest = ingest_detections(part, min_score=min_score, first=first)
+        results = localize_batch(list(ingest.detections), regressor, k, pose, convention)
+        text = "".join([files.localization_line(r) + "\n" for r in results])
+        ok = sum(isinstance(r, LocalizedObject) for r in results)
+        return ingest.diagnostics, text, ok, len(results)
+
+    diagnostics, texts, oks, counts = zip(*_split(work, lines))
+    for part in diagnostics:
+        for diagnostic in part:
+            _note(f"{args.detections}: {diagnostic}")
+    _publish("".join(texts), args.out)
+    _note(f"localized {sum(oks)} of {sum(counts)} detections")
     return 0
 
 

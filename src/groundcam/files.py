@@ -73,7 +73,7 @@ def _load_json(path: Path, parse):
     """parse applied to the JSON document at path; a file that is not UTF-8
     JSON, or a document of the wrong shape, raises ValueError naming the file."""
     with _malformed(str(path)):
-        return parse(json.loads(Path(path).read_text()))
+        return parse(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 def intrinsics_to_dict(k: CameraIntrinsics) -> dict:
@@ -291,7 +291,7 @@ def load_samples(path: Path) -> list[RegressionSample]:
     A malformed line raises ValueError naming the file and the line number.
     """
     with _malformed(str(path)):
-        lines = Path(path).read_text().splitlines()
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
     samples = []
     for number, line in enumerate(lines, start=1):
         if not line.strip():
@@ -371,7 +371,7 @@ def _csv_rows(path: Path, header: list[str]):
     a file that is not UTF-8 text raises one naming the file."""
     import csv
 
-    with _malformed(str(path)), open(path, newline="") as f:
+    with _malformed(str(path)), open(path, newline="", encoding="utf-8") as f:
         text = f.read()
     reader = csv.reader(io.StringIO(text, newline=""))
     try:

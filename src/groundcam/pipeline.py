@@ -230,6 +230,7 @@ def _frame_id(value) -> str:
 def ingest_detections(
     lines,
     min_score: float = 0.5,
+    first: int = 1,
 ) -> IngestResult:
     """Parse detection JSONL lines, dropping low scores.
 
@@ -237,11 +238,12 @@ def ingest_detections(
     frame that is not a string or an integer, a class that is not a string, a
     bbox that is not an array of 4 numbers or a score that is not a number,
     are skipped and reported as diagnostics with their line numbers; blank
-    lines are skipped silently. Input order is preserved.
+    lines are skipped silently. Lines are numbered from first, so a slice of
+    a file keeps the file's numbers. Input order is preserved.
     """
     detections: list[Detection] = []
     diagnostics: list[str] = []
-    for number, raw in enumerate(lines, start=1):
+    for number, raw in enumerate(lines, start=first):
         text = raw.strip()
         if not text:
             continue

@@ -449,6 +449,119 @@ class TestLocalize:
 
 
 # ---------------------------------------------------------------------------
+# localize split across the CPUs the process may use
+# ---------------------------------------------------------------------------
+
+# Lines of the mixed log that are not scene detections, by index: blank lines,
+# malformed lines (the first of a later part for 2 and 3 CPUs, and the
+# file's last line, without a newline), an unknown class, a low score and an
+# above-horizon box. 42 lines split at 21 for 2 CPUs, at 14 and 28 for 3 and
+# every 6 for 7.
+_MIXED = {
+    6: "",
+    14: "{oops",
+    21: "[1, 2",
+    25: "   ",
+    28: files.detection_line("u0", "referee", 0.9, BoundingBox(300.0, 300.0, 340.0, 360.0)),
+    33: files.detection_line("low", "ball", 0.1, BoundingBox(300.0, 300.0, 340.0, 360.0)),
+    36: files.detection_line("sky", "ball", 0.9, BoundingBox(300.0, 5.0, 340.0, 15.0)),
+    41: '{"frame": "f41"}',
+}
+
+
+def _mixed_log(scene, special: dict[int, str] = _MIXED) -> str:
+    detections = scene.paths["detections"].read_text().splitlines()
+    return "\n".join(special.get(i, detections[i % len(detections)]) for i in range(42))
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """One entry per os.fork call made in this process."""
+    calls = []
+    fork = os.fork
+
+    def counted():
+        calls.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
+def _use_cpus(monkeypatch, count: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("frame", ["field", "camera"])
+def test_localize_writes_the_same_bytes_for_any_cpu_count(
+    capsys, monkeypatch, forks, cli_scene, tmp_path, frame
+):
+    path = tmp_path / "detections.jsonl"
+    path.write_text(_mixed_log(cli_scene))
+    out_path = tmp_path / "out.jsonl"
+    argv = [path, cli_scene.paths["calibration"], cli_scene.paths["model"]]
+    runs = {}
+    for cpus in (1, 2, 3, 7):
+        _use_cpus(monkeypatch, cpus)
+        forks.clear()
+        code, out, err = _run(capsys, "localize", *argv, "--frame", frame, "--out", out_path)
+        runs[cpus] = (code, out, err, out_path.read_bytes())
+        out_path.unlink()
+        assert len(forks) == cpus - 1
+    _no_child_left()
+    for cpus, run in runs.items():
+        assert run == runs[1], cpus
+    code, out, err, _ = runs[1]
+    assert code == 0
+    for number in (15, 22, 29, 42):
+        assert f"{path}: line {number}: " in err
+    assert "unknown class 'referee'" in err
+    assert "localized 34 of 35 detections" in err
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert [row["frame"] for row in rows if row["status"] != "ok"] == ["sky"]
+
+
+@pytest.mark.parametrize("error, exit_code", [(RuntimeError, 1), (ValueError, 2)])
+def test_a_failing_worker_fails_the_run(
+    capsys, monkeypatch, forks, cli_scene, tmp_path, error, exit_code
+):
+    # The second part of two holds the frame the wrapped localize_batch fails on.
+    path = tmp_path / "detections.jsonl"
+    boom = files.detection_line("boom", "ball", 0.9, BoundingBox(300.0, 300.0, 340.0, 360.0))
+    path.write_text(_mixed_log(cli_scene, {**_MIXED, 30: boom}))
+    localize_batch = cli.localize_batch
+
+    def failing(detections, *rest):
+        if any(d.frame_id == "boom" for d in detections):
+            raise error("worker failed")
+        return localize_batch(detections, *rest)
+
+    monkeypatch.setattr(cli, "localize_batch", failing)
+    out_path = tmp_path / "out.jsonl"
+    argv = [path, cli_scene.paths["calibration"], cli_scene.paths["model"], "--out", out_path]
+    _use_cpus(monkeypatch, 2)
+    code, out, err = _run(capsys, "localize", *argv)
+    assert len(forks) == 1
+    _no_child_left()
+    assert code == exit_code
+    assert out == ""
+    assert not out_path.exists()
+    if error is RuntimeError:
+        assert "Traceback (most recent call last)" in err
+        assert "RuntimeError: worker failed" in err
+    else:
+        # The message and exit code an in-process failure gives.
+        _use_cpus(monkeypatch, 1)
+        assert _run(capsys, "localize", *argv) == (exit_code, "", err)
+        assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
 # evaluate
 # ---------------------------------------------------------------------------
 
@@ -1050,6 +1163,59 @@ def test_internal_failure_exits_1_with_a_traceback(capsys, monkeypatch):
     assert out == ""
     assert "Traceback (most recent call last)" in err
     assert "RuntimeError: handler failed" in err
+
+
+# A locale whose preferred encoding is ASCII: no coercion to C.UTF-8, no UTF-8 mode.
+_ASCII_LOCALE = {"PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}
+
+
+@pytest.mark.parametrize("reader", ["detections", "documents", "samples", "truth-csv"])
+def test_utf8_input_is_read_whatever_the_locale(cli_scene, tmp_path, reader):
+    # One input carries a non-ASCII string where its reader accepts any text.
+    paths = {name: str(path) for name, path in cli_scene.paths.items()}
+    if reader == "detections":
+        detections = tmp_path / "detections.jsonl"
+        detections.write_text(
+            '{"bbox": [300, 300, 340, 360], "class": "ball", "frame": "café", "score": 0.9}\n',
+            encoding="utf-8",
+        )
+        argv = ["-m", "groundcam.cli", "localize", detections, paths["calibration"], paths["model"]]
+    elif reader == "documents":
+        documents = []
+        for name in ("calibration", "model"):
+            doc = {**json.loads(cli_scene.paths[name].read_text()), "note": "café"}
+            documents.append(tmp_path / f"{name}.json")
+            documents[-1].write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+        argv = ["-m", "groundcam.cli", "localize", paths["detections"], *documents]
+    elif reader == "samples":
+        samples = tmp_path / "samples.jsonl"
+        rows = [json.loads(line) for line in cli_scene.paths["samples"].read_text().splitlines()]
+        samples.write_text(
+            "".join(json.dumps({**row, "note": "café"}, ensure_ascii=False) + "\n" for row in rows),
+            encoding="utf-8",
+        )
+        argv = ["-m", "groundcam.cli", "fit-regressor", samples]
+    else:
+        truth = tmp_path / "truth.csv"
+        truth.write_text("frame,gt_x,gt_y,gt_theta\ncafé,1,2,3\n", encoding="utf-8")
+        code = "import sys; from groundcam import files; print(ascii(files.load_truth_csv(sys.argv[1])))"
+        argv = ["-c", code, truth]
+    src = str(REPO_ROOT / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {
+        **os.environ,
+        "PYTHONPATH": src if not path else f"{src}{os.pathsep}{path}",
+        **_ASCII_LOCALE,
+    }
+    result = subprocess.run(
+        [sys.executable, *map(str, argv)], capture_output=True, env=env, timeout=120
+    )
+    assert result.returncode == 0, result.stderr.decode("utf-8", "replace")
+    assert result.stdout.isascii()
+    if reader == "detections":
+        assert json.loads(result.stdout)["frame"] == "café"
+    if reader == "truth-csv":
+        assert result.stdout.decode() == "{'caf\\xe9': (1.0, 2.0, 3.0)}\n"
 
 
 def test_module_entry_point_runs_in_a_subprocess():

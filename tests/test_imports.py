@@ -85,6 +85,11 @@ def test_setup_probe_loads_no_numpy(scene):
     assert loaded & NUMPY_MODULES == set()
 
 
+# localize splits its log with os.fork and marshal; a process pool or pickle
+# would add their import time to every run.
+POOL_MODULES = {"multiprocessing", "concurrent.futures", "pickle"}
+
+
 @pytest.mark.parametrize("frame", ["field", "camera"])
 def test_localize_loads_no_numpy(scene, tmp_path, frame):
     argv = [
@@ -97,6 +102,7 @@ def test_localize_loads_no_numpy(scene, tmp_path, frame):
     ]
     loaded = _loaded_after(f"assert groundcam.cli.main({argv!r}) == 0")
     assert loaded & NUMPY_MODULES == set()
+    assert loaded & POOL_MODULES == set()
     assert (tmp_path / "localizations.jsonl").read_text().count('"status": "ok"') == 6
 
 
