@@ -25,6 +25,9 @@ from .regression import fit
 DEFAULT_BUCKETS = "1000,2000,3000"
 DEFAULT_MIN_SCORE = 0.5
 
+# The errors main reports as invalid input, with exit code 2.
+INVALID_INPUT = (ValueError, KeyError, OSError)
+
 
 def _note(text: str) -> None:
     sys.stderr.write(text if text.endswith("\n") else text + "\n")
@@ -111,7 +114,7 @@ def _child(r: int, w: int, work, part: list[str], first: int) -> None:
         os.close(r)
         try:
             payload, status = marshal.dumps(work(part, first)), 0
-        except (ValueError, KeyError, OSError) as exc:
+        except INVALID_INPUT as exc:
             payload, status = marshal.dumps(str(exc)), 2
         except Exception:
             import traceback
@@ -194,10 +197,7 @@ def _cmd_localize(args: argparse.Namespace) -> int:
         )
     regressor = files.load_model(args.model)
     convention = FrameConvention(args.frame)
-    # readlines splits on "\n" only, as iterating the file does; splitlines
-    # would also split on U+2028 and renumber the lines after it.
-    with open(args.detections, encoding="utf-8") as f, files._malformed(args.detections):
-        lines = f.readlines()
+    lines = files.read_lines(args.detections)
 
     def work(part: list[str], first: int) -> tuple[tuple[str, ...], str, int, int]:
         ingest = ingest_detections(part, min_score=min_score, first=first)
@@ -243,10 +243,10 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     main = by_source["ours"]
     report = build_report(main, boundaries)
     if "reference" in by_source:
-        with files._malformed(args.pairs):
-            report["comparison"] = compare_sources(
-                by_source["ours"], by_source["reference"]
-            )
+        try:
+            report["comparison"] = compare_sources(main, by_source["reference"])
+        except ValueError as exc:
+            raise ValueError(f"{args.pairs}: {exc}") from None
     _note(files.render_report_text(report))
     text = files.dumps(report)
     if args.out:
@@ -366,7 +366,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, KeyError, OSError) as exc:
+    except INVALID_INPUT as exc:
         _note(f"error: {exc}")
         return 2
     except Exception:

@@ -285,19 +285,33 @@ def save_samples(path: Path, samples: list[RegressionSample]) -> None:
             )
 
 
-def load_samples(path: Path) -> list[RegressionSample]:
-    """Read one sample per JSONL line; blank lines are skipped.
+def read_lines(path: Path) -> list[str]:
+    """The lines of a JSON Lines file, each with its line end, read as UTF-8
+    whatever the locale. A line ends at "\n" (or "\r\n" or "\r") only,
+    not at U+0085, U+2028 or U+2029, which a JSON string may hold raw. A file
+    that is not UTF-8 raises ValueError naming it and the offending byte."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.readlines()
+    except UnicodeDecodeError as exc:
+        # readlines decodes chunk by chunk and counts exc's offset from the
+        # chunk's start; decoding the whole file counts it from the file's.
+        with _malformed(str(path)):
+            Path(path).read_bytes().decode("utf-8")
+        raise ValueError(f"{path}: {exc}") from None
 
-    A malformed line raises ValueError naming the file and the line number.
-    """
-    with _malformed(str(path)):
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+
+def load_samples(path: Path) -> list[RegressionSample]:
+    """One sample per line of read_lines, stripped as ingest_detections strips
+    one; blank lines are skipped. A malformed line raises ValueError naming
+    the file and the line number."""
     samples = []
-    for number, line in enumerate(lines, start=1):
-        if not line.strip():
+    for number, line in enumerate(read_lines(path), start=1):
+        text = line.strip()
+        if not text:
             continue
         with _malformed(f"{path} line {number}"):
-            obj = json.loads(line)
+            obj = json.loads(text)
             samples.append(
                 RegressionSample(
                     label=json_string(obj["class"], "class"),
@@ -348,49 +362,50 @@ def localization_line(result: LocalizedObject | UnlocalizableDetection) -> str:
     )
 
 
-PAIRS_HEADER = ["gt_x", "gt_y", "gt_theta", "est_x", "est_y", "est_theta", "source"]
-
-
-def save_pairs_csv(path: Path, pairs: list[EvalPair]) -> None:
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """A CSV table: the header, then each row, as csv.writer writes them."""
     import csv
 
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(PAIRS_HEADER)
-        for p in pairs:
-            writer.writerow(
-                [p.gt_x, p.gt_y, p.gt_theta, p.est_x, p.est_y, p.est_theta, p.source]
-            )
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
-def _csv_rows(path: Path, header: list[str]):
-    """Yield (line number, fields) for each non-blank data row of a CSV file
-    whose first line is header; names may carry surrounding spaces. A header
-    mismatch or a row of the wrong width raises ValueError naming the file
-    and the line, as does a line csv cannot parse (an oversized field, say);
-    a file that is not UTF-8 text raises one naming the file."""
+def _csv_rows(path: Path, header: list[str], parse) -> list:
+    """parse(fields) for each non-blank data row of a CSV file whose first
+    line is header; names may carry surrounding spaces. A header mismatch, a
+    row of the wrong width, a line csv cannot parse (an oversized field, say)
+    or a ValueError from parse raises ValueError naming the file and the
+    line; a file that is not UTF-8 text raises one naming the file."""
     import csv
 
     with _malformed(str(path)), open(path, newline="", encoding="utf-8") as f:
         text = f.read()
     reader = csv.reader(io.StringIO(text, newline=""))
+    width = len(header)
+    rows = []
+    # A plain try, not _malformed: entering that context manager on every
+    # row made the pairs table load about 70 % slower at 20k rows.
     try:
         names = next(reader, None)
-        if names is None or [name.strip() for name in names] != header:
-            raise ValueError(
-                f"{path} line 1: expected header {','.join(header)}, got {names}"
-            )
-        width = len(header)
-        for fields in reader:
-            if len(fields) != width:
-                if not fields:
-                    continue
-                raise ValueError(
-                    f"{path} line {reader.line_num}: expected {width} fields"
-                )
-            yield reader.line_num, fields
-    except csv.Error as exc:
+        if names is not None and [name.strip() for name in names] == header:
+            for fields in reader:
+                if len(fields) == width:
+                    rows.append(parse(fields))
+                elif fields:
+                    raise ValueError(f"expected {width} fields")
+            return rows
+    except (csv.Error, ValueError) as exc:
         raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
+    raise ValueError(f"{path} line 1: expected header {','.join(header)}, got {names}")
+
+
+PAIRS_HEADER = ["gt_x", "gt_y", "gt_theta", "est_x", "est_y", "est_theta", "source"]
+
+
+def save_pairs_csv(path: Path, pairs: list[EvalPair]) -> None:
+    _write_csv(path, PAIRS_HEADER, pairs)
 
 
 def load_pairs_csv(path: Path) -> list[EvalPair]:
@@ -399,65 +414,48 @@ def load_pairs_csv(path: Path) -> list[EvalPair]:
     and the line."""
     from .evaluation import EvalPair
 
-    pairs = []
-    # A try per row, not _malformed: entering that context manager on every
-    # row made this loader about 70 % slower on a 20k-row table.
-    for number, fields in _csv_rows(path, PAIRS_HEADER):
-        try:
-            source = fields[6].strip()
-            if source not in ("ours", "reference"):
-                raise ValueError(f"source must be ours or reference, got {source!r}")
-            pairs.append(EvalPair(*map(float, fields[:6]), source))
-        except ValueError as exc:
-            raise ValueError(f"{path} line {number}: {exc}") from None
-    return pairs
+    def pair(fields: list[str]) -> EvalPair:
+        source = fields[6].strip()
+        if source not in ("ours", "reference"):
+            raise ValueError(f"source must be ours or reference, got {source!r}")
+        return EvalPair(*map(float, fields[:6]), source)
+
+    return _csv_rows(path, PAIRS_HEADER, pair)
 
 
 TRUTH_HEADER = ["frame", "gt_x", "gt_y", "gt_theta"]
 
 
 def save_truth_csv(path: Path, rows: list[tuple[str, float, float, float]]) -> None:
-    import csv
-
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(TRUTH_HEADER)
-        for frame_id, x, y, theta in rows:
-            writer.writerow([frame_id, x, y, theta])
+    _write_csv(path, TRUTH_HEADER, rows)
 
 
 def load_truth_csv(path: Path) -> dict[str, tuple[float, float, float]]:
     """Read the truth table by frame; a malformed row raises ValueError
     naming the file and the line."""
-    truth = {}
-    for number, (frame_id, x, y, theta) in _csv_rows(path, TRUTH_HEADER):
-        try:
-            truth[frame_id] = (float(x), float(y), float(theta))
-        except ValueError as exc:
-            raise ValueError(f"{path} line {number}: {exc}") from None
-    return truth
+
+    def row(fields: list[str]) -> tuple[str, tuple[float, float, float]]:
+        frame_id, x, y, theta = fields
+        return frame_id, (float(x), float(y), float(theta))
+
+    return dict(_csv_rows(path, TRUTH_HEADER, row))
 
 
 def save_report(path: Path, report: dict) -> None:
     """The headline numbers of a build_report document as a metric,value table."""
-    import csv
-
     from .evaluation import ERROR_BLOCKS
 
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["metric", "value"])
-        writer.writerow(["rmse_mm", report["rmse_mm"]])
-        writer.writerow(["count", report["count"]])
-        for block in ERROR_BLOCKS:
-            axis, unit = block.split("_")
-            writer.writerow([f"{axis}_mean_{unit}", report[block]["mean"]])
-            writer.writerow([f"{axis}_std_{unit}", report[block]["std"]])
-        for b in report["buckets"]:
-            lo, hi = b["lo_mm"], b["hi_mm"]
-            band = f"[{lo},{'inf' if hi is None else hi})"
-            writer.writerow([f"rmse_mm{band}", b["rmse_mm"]])
-            writer.writerow([f"count{band}", b["count"]])
+    rows = [["rmse_mm", report["rmse_mm"]], ["count", report["count"]]]
+    for block in ERROR_BLOCKS:
+        axis, unit = block.split("_")
+        rows.append([f"{axis}_mean_{unit}", report[block]["mean"]])
+        rows.append([f"{axis}_std_{unit}", report[block]["std"]])
+    for b in report["buckets"]:
+        lo, hi = b["lo_mm"], b["hi_mm"]
+        band = f"[{lo},{'inf' if hi is None else hi})"
+        rows.append([f"rmse_mm{band}", b["rmse_mm"]])
+        rows.append([f"count{band}", b["count"]])
+    _write_csv(path, ["metric", "value"], rows)
 
 
 def save_scatter_csv(path: Path, pairs: list[EvalPair]) -> None:

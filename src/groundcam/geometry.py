@@ -41,7 +41,7 @@ class PointBehindCamera(ValueError):
 
 
 class RayParallelToPlane(ValueError):
-    """Viewing ray never meets the requested horizontal plane."""
+    """Viewing ray never meets the requested horizontal plane within float range."""
 
 
 class PointNotOnGround(ValueError):
@@ -629,10 +629,9 @@ class GroundMap(NamedTuple):
     def hit(self, x: float, y: float) -> tuple[float, float]:
         """Where the ray through ideal normalized (x, y) meets z = 0.
 
-        Raises RayParallelToPlane when the ray's vertical component vanishes,
-        PointNotOnGround when the intersection lies at or behind the camera
-        (on or above the horizon), and ValueError, as WorldPoint does, when
-        the intersection is not finite.
+        Raises RayParallelToPlane when the ray's vertical component vanishes
+        or the intersection lies beyond float range, and PointNotOnGround
+        when it lies at or behind the camera (on or above the horizon).
         """
         r00, r01, r02, r10, r11, r12, r20, r21, r22 = self.rt
         dx = r00 * x + r01 * y + r02
@@ -652,7 +651,9 @@ class GroundMap(NamedTuple):
         gx = cx + s * dx
         gy = cy + s * dy
         if not (math.isfinite(gx) and math.isfinite(gy)):
-            raise ValueError("world coordinates must be finite")
+            raise RayParallelToPlane(
+                f"normalized ({x:.6g}, {y:.6g}) meets plane z=0 beyond float range"
+            )
         return gx, gy
 
     def camera_frame(self, x: float, y: float) -> tuple[float, float]:

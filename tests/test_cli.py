@@ -17,9 +17,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from groundcam import cli, files
+from groundcam import cli, evaluation, files
 from groundcam.cli import main
-from groundcam.geometry import Distortion, PixelPoint, project
+from groundcam.geometry import CameraPose, Distortion, PixelPoint, project
 from groundcam.extrinsics import PnpCorrespondence, field_landmarks
 from groundcam.regression import BOTTOM_CENTER_WEIGHTS, BoundingBox
 from groundcam.reference import (
@@ -195,6 +195,26 @@ class TestCalibrateExtrinsics:
             f"error: {path}: {mark}: undistortion of "
         )
 
+    def test_collapsed_radial_factor_names_the_mark(self, capsys, tmp_path):
+        scene = generate_scene(SceneConfig(), seed=0, out_dir=tmp_path / "scene")
+        doc = json.loads(scene.paths["calibration"].read_text())
+        doc["intrinsics"]["distortion"]["k1"] = -1.0
+        calibration = tmp_path / "k.json"
+        calibration.write_text(json.dumps(doc))
+        doc = json.loads(scene.paths["landmarks"].read_text())
+        for point in doc["points"]:
+            if point["name"] == "goal_bottom_left_corner":
+                point["pixel"] = [100, 100]
+        landmarks = tmp_path / "lm.json"
+        landmarks.write_text(json.dumps(doc))
+        code, out, err = _run(capsys, "calibrate-extrinsics", landmarks, calibration)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[-1] == (
+            f"error: {landmarks}: goal_bottom_left_corner: radial factor collapsed "
+            "at r2=2.31433 while undistorting"
+        )
+
     def test_too_few_landmarks(self, capsys, cli_scene, tmp_path):
         config = cli_scene.config
         named = dict(list(cli_scene.landmark_pixels.items())[:3])
@@ -270,6 +290,20 @@ class TestFitRegressor:
         assert code == 2
         assert "Traceback" not in err
         assert f"{path} line 3" in err
+
+    @pytest.mark.parametrize("char", ["\x85", "\u2028", "\u2029"])
+    def test_unicode_line_separator_in_a_string_is_not_a_line_end(
+        self, capsys, cli_scene, tmp_path, char
+    ):
+        # The character sits raw in a key the reader ignores.
+        rows = cli_scene.paths["samples"].read_text().splitlines()
+        rows[2] = json.dumps({**json.loads(rows[2]), "note": f"a{char}b"}, ensure_ascii=False)
+        path = tmp_path / "samples.jsonl"
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        code, out, err = _run(capsys, "fit-regressor", path)
+        assert code == 0, err
+        _, expected, _ = _run(capsys, "fit-regressor", cli_scene.paths["samples"])
+        assert out == expected
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +398,44 @@ class TestLocalize:
         ]
         assert rows[1]["ground_pixel"] is None
         assert "localized 2 of 3" in err
+
+    @pytest.mark.parametrize("frame", ["field", "camera"])
+    def test_hit_beyond_float_range_is_reported_not_fatal(self, capsys, tmp_path, frame):
+        # From 1e300 mm up, the first box's ground pixel, 7e-8 px below the
+        # horizon, meets the ground farther out than a float reaches.
+        k, pose = files.load_calibration(FIXTURES_DIR / "calibration_reference.json")
+        center = np.array([0.0, 0.0, 1e300])
+        calibration = tmp_path / "calibration.json"
+        files.write_json(
+            calibration,
+            files.calibration_to_dict(k, CameraPose(pose.r, -pose.rotation @ center)),
+        )
+        path = tmp_path / "detections.jsonl"
+        path.write_text(
+            files.detection_line("f1", "ball", 0.9, BoundingBox(300, 34, 340, 44.067679435510534))
+            + "\n"
+            + files.detection_line("f2", "ball", 0.9, BoundingBox(300, 300, 340, 360))
+            + "\n"
+        )
+        model = FIXTURES_DIR / "default_model.json"
+        code, out, err = _run(capsys, "localize", path, calibration, model, "--frame", frame)
+        assert code == 0
+        statuses = [json.loads(line)["status"] for line in out.splitlines()]
+        assert statuses == ["unlocalizable:ray-parallel-to-plane", "ok"]
+        assert err == "localized 1 of 2 detections\n"
+
+    @pytest.mark.parametrize("char", ["\x85", "\u2028", "\u2029"])
+    def test_unicode_line_separator_in_a_frame_id_is_not_a_line_end(
+        self, capsys, cli_scene, tmp_path, char
+    ):
+        path = tmp_path / "detections.jsonl"
+        line = files.detection_line("p0", "ball", 0.9, BoundingBox(300.0, 300.0, 340.0, 360.0))
+        path.write_text(line.replace('"p0"', f'"p{char}0"') + "\n", encoding="utf-8")
+        rest = (cli_scene.paths["calibration"], cli_scene.paths["model"])
+        code, out, err = _run(capsys, "localize", path, *rest)
+        assert code == 0
+        assert json.loads(out)["frame"] == f"p{char}0"
+        assert err == "localized 1 of 1 detections\n"
 
     def test_malformed_line_is_diagnosed(self, capsys, cli_scene, tmp_path):
         path = tmp_path / "detections.jsonl"
@@ -526,7 +598,9 @@ def test_localize_writes_the_same_bytes_for_any_cpu_count(
     assert [row["frame"] for row in rows if row["status"] != "ok"] == ["sky"]
 
 
-@pytest.mark.parametrize("error, exit_code", [(RuntimeError, 1), (ValueError, 2)])
+@pytest.mark.parametrize(
+    "error, exit_code", [(RuntimeError, 1), (ValueError, 2), (KeyError, 2), (OSError, 2)]
+)
 def test_a_failing_worker_fails_the_run(
     capsys, monkeypatch, forks, cli_scene, tmp_path, error, exit_code
 ):
@@ -685,6 +759,17 @@ class TestEvaluate:
         assert err == f"error: {path} has no rows with source ours to score\n"
         assert not out_dir.exists()
 
+    def test_internal_failure_comparing_sources_exits_1(self, capsys, monkeypatch):
+        def fail(ours, reference):
+            raise TypeError("comparison failed")
+
+        monkeypatch.setattr(evaluation, "compare_sources", fail)
+        code, out, err = _run(capsys, "evaluate", FIXTURES_DIR / "reference_eval_pairs.csv")
+        assert code == 1
+        assert out == ""
+        assert "Traceback (most recent call last)" in err
+        assert "TypeError: comparison failed" in err
+
     def test_mismatched_sources_name_the_pairs_file(self, capsys, tmp_path):
         lines = (FIXTURES_DIR / "reference_eval_pairs.csv").read_text().splitlines()
         path = tmp_path / "pairs.csv"
@@ -810,8 +895,12 @@ class TestSynth:
                 {"frame": "field"},
                 "grid point (0.0, 0.0) sits on the field-frame origin and has no bearing",
             ),
+            ({"grid": 3}, "grid must be a JSON object"),
         ],
-        ids=["landmark-behind-camera", "grid-point-behind-camera", "grid-point-on-origin"],
+        ids=[
+            "landmark-behind-camera", "grid-point-behind-camera", "grid-point-on-origin",
+            "grid-not-an-object",
+        ],
     )
     def test_unrealizable_scene_is_rejected_naming_what(
         self, capsys, tmp_path, doc, message
@@ -890,6 +979,10 @@ def _inputs(scene, command):
     return [paths[name] for name in _INPUTS[command]]
 
 
+# A value that deletes its key from the document.
+_MISSING = object()
+
+
 @pytest.mark.parametrize(
     "command, document, keys, value",
     [
@@ -912,13 +1005,19 @@ def _inputs(scene, command):
         ("localize", "model", ("classes", "ball", "rmse_px"), "0"),
         ("localize", "model", ("classes", "ball", "rmse_px"), math.nan),
         ("localize", "model", ("classes", "ball", "rmse_px"), -3.0),
+        ("localize", "model", ("classes", "ball", "rmse_px"), _MISSING),
+        ("localize", "calibration", ("intrinsics",), _MISSING),
+        ("localize", "calibration", ("intrinsics", "distortion", "k1"), math.nan),
+        ("localize", "calibration", ("intrinsics", "u0"), math.inf),
+        ("localize", "calibration", ("intrinsics", "alpha_x"), -642.41),
     ],
     ids=["views-points-null", "landmarks-pixel-null", "distortion-null",
          "calibration-list", "model-classes-null", "alpha_x-beyond-float",
          "views-pixel-strings", "views-pattern-bool", "landmarks-pixel-strings",
          "landmarks-extra-world-string", "landmarks-unknown-name",
          "model-weight-string", "model-rmse-string", "model-rmse-nan",
-         "model-rmse-negative"],
+         "model-rmse-negative", "model-rmse-missing", "calibration-intrinsics-missing",
+         "distortion-k1-nan", "u0-infinite", "alpha_x-negative"],
 )
 def test_malformed_json_document_exits_2_naming_the_file(
     capsys, cli_scene, tmp_path, command, document, keys, value
@@ -928,7 +1027,10 @@ def test_malformed_json_document_exits_2_naming_the_file(
         target = doc
         for key in keys[:-1]:
             target = target[key]
-        target[keys[-1]] = value
+        if value is _MISSING:
+            del target[keys[-1]]
+        else:
+            target[keys[-1]] = value
     else:
         doc = value
     bad = tmp_path / f"{document}.json"
@@ -943,15 +1045,18 @@ def test_malformed_json_document_exits_2_naming_the_file(
 
 @pytest.mark.parametrize("command", list(_INPUTS))
 def test_non_utf8_input_exits_2_naming_the_file(capsys, cli_scene, tmp_path, command):
-    # The bad file is each command's first input; the rest are good.
+    # The bad file is each command's first input; the rest are good. Its bad
+    # byte lies past the first chunk a line reader decodes.
     bad = tmp_path / "input"
-    bad.write_bytes(b"\xff\xfe{}\n")
+    bad.write_bytes(b"\n" * 10_000 + b"\xff\n")
     argv = [bad, *_inputs(cli_scene, command)[1:], "--out", tmp_path / "out"]
     code, out, err = _run(capsys, command, *argv)
     assert code == 2
     assert out == ""
-    assert "Traceback" not in err
-    assert f"error: {bad}" in err
+    assert err == (
+        f"error: {bad}: 'utf-8' codec can't decode byte 0xff in position 10000: "
+        "invalid start byte\n"
+    )
 
 
 @pytest.mark.parametrize(

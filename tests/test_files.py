@@ -192,6 +192,20 @@ class TestSamplesFile:
         assert len(lines) == 2
         assert set(json.loads(lines[0])) == {"class", "bbox", "ground_pixel"}
 
+    def test_blank_lines_are_skipped_but_numbered(self, tmp_path):
+        sample = '{"bbox": [0, 0, 10, 10], "class": "ball", "ground_pixel": [5, 10]}'
+        path = tmp_path / "samples.jsonl"
+        path.write_text(f"{sample}\n\n   \n{sample}\n")
+        assert len(files.load_samples(path)) == 2
+        # Whitespace around a line is dropped before parsing, as localize drops it.
+        path.write_text(f"{sample}\n\n   \n{sample}\n  {{oops \n")
+        with pytest.raises(ValueError) as error:
+            files.load_samples(path)
+        assert str(error.value) == (
+            f"{path} line 5: Expecting property name enclosed in double quotes: "
+            "line 1 column 2 (char 1)"
+        )
+
 
 # ---------------------------------------------------------------------------
 # JSONL line formats

@@ -263,6 +263,14 @@ class TestBackProject:
         with pytest.raises(PointNotOnGround):
             _back_project(PixelPoint(u, v_h - 5.0), ref_k, ref_pose)
 
+    def test_hit_beyond_float_range_is_a_parallel_ray(self, ref_k, ref_pose):
+        # From 1e300 mm up, a pixel 7e-8 px below the horizon meets z = 0
+        # farther out than a float reaches.
+        r = ref_pose.rotation
+        pose = CameraPose(r, -r @ np.array([0.0, 0.0, 1e300]))
+        with pytest.raises(RayParallelToPlane, match="beyond float range"):
+            _back_project(PixelPoint(320.0, 44.067679435510534), ref_k, pose)
+
 
 # ---------------------------------------------------------------------------
 # Lens model
