@@ -49,9 +49,9 @@ def _finite(flag: str, value: float) -> float:
 
 
 def _cmd_calibrate_intrinsics(args: argparse.Namespace) -> int:
-    from .intrinsics import calibrate_intrinsics
+    from .intrinsics import calibrate_intrinsics, load_planar_views
 
-    views = files.load_planar_views(args.views)
+    views = load_planar_views(args.views)
     _note(f"loaded {len(views)} views from {args.views}")
     solution = calibrate_intrinsics(
         views, fix_skew=not args.allow_skew, fix_k3=not args.fit_k3
@@ -63,9 +63,9 @@ def _cmd_calibrate_intrinsics(args: argparse.Namespace) -> int:
 
 
 def _cmd_calibrate_extrinsics(args: argparse.Namespace) -> int:
-    from .extrinsics import solve_pnp
+    from .extrinsics import load_landmarks, solve_pnp
 
-    correspondences = files.load_landmarks(args.landmarks)
+    correspondences = load_landmarks(args.landmarks)
     k, _ = files.load_calibration(args.intrinsics)
     _note(f"{len(correspondences)} correspondences from {args.landmarks}")
     try:
@@ -229,9 +229,17 @@ def _parse_buckets(text: str) -> list[float]:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    from .evaluation import EvalPair, build_report, compare_sources
+    from .evaluation import (
+        EvalPair,
+        build_report,
+        compare_sources,
+        load_pairs_csv,
+        render_report_text,
+        save_report,
+        save_scatter_csv,
+    )
 
-    pairs = files.load_pairs_csv(args.pairs)
+    pairs = load_pairs_csv(args.pairs)
     if not pairs:
         raise ValueError(f"{args.pairs} contains no pairs")
     boundaries = _parse_buckets(args.buckets)
@@ -247,14 +255,14 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
             report["comparison"] = compare_sources(main, by_source["reference"])
         except ValueError as exc:
             raise ValueError(f"{args.pairs}: {exc}") from None
-    _note(files.render_report_text(report))
+    _note(render_report_text(report))
     text = files.dumps(report)
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "report.json").write_text(text)
-        files.save_report(out_dir / "report.csv", report)
-        files.save_scatter_csv(out_dir / "scatter.csv", main)
+        save_report(out_dir / "report.csv", report)
+        save_scatter_csv(out_dir / "scatter.csv", main)
         _note(f"wrote report.json, report.csv, scatter.csv under {out_dir}")
     sys.stdout.write(text)
     return 0

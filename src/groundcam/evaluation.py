@@ -11,16 +11,21 @@ trustworthy headline number.
 
 Means and spreads are computed on plain floats with numpy's pairwise
 summation order, so they equal numpy.mean and numpy.std bit for bit without
-loading numpy.
+loading numpy. The codecs of the pairs, truth, report and scatter tables
+live here too.
 """
 
 from __future__ import annotations
 
+import io
 import math
 from bisect import bisect_right
 from functools import reduce
 from operator import add
+from pathlib import Path
 from typing import NamedTuple
+
+from . import files
 
 
 class _EvalPair(NamedTuple):
@@ -195,3 +200,133 @@ def compare_sources(
             )
 
     return {"ours": _summary(ours), "reference": _summary(reference)}
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """A CSV table: the header, then each row, as csv.writer writes them."""
+    import csv
+
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _csv_rows(path: Path, header: list[str], parse) -> list:
+    """parse(fields) for each non-blank data row of a CSV file whose first
+    line is header; names may carry surrounding spaces. A header mismatch, a
+    row of the wrong width, a line csv cannot parse (an oversized field, say)
+    or a ValueError from parse raises ValueError naming the file and the
+    line; a file that is not UTF-8 text raises one naming the file."""
+    import csv
+
+    with files._malformed(str(path)), open(path, newline="", encoding="utf-8") as f:
+        text = f.read()
+    reader = csv.reader(io.StringIO(text, newline=""))
+    width = len(header)
+    rows = []
+    # A plain try, not _malformed: entering that context manager on every
+    # row made the pairs table load about 70 % slower at 20k rows.
+    try:
+        names = next(reader, None)
+        if names is not None and [name.strip() for name in names] == header:
+            for fields in reader:
+                if len(fields) == width:
+                    rows.append(parse(fields))
+                elif fields:
+                    raise ValueError(f"expected {width} fields")
+            return rows
+    except (csv.Error, ValueError) as exc:
+        raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
+    raise ValueError(f"{path} line 1: expected header {','.join(header)}, got {names}")
+
+
+PAIRS_HEADER = ["gt_x", "gt_y", "gt_theta", "est_x", "est_y", "est_theta", "source"]
+
+
+def save_pairs_csv(path: Path, pairs: list[EvalPair]) -> None:
+    _write_csv(path, PAIRS_HEADER, pairs)
+
+
+def load_pairs_csv(path: Path) -> list[EvalPair]:
+    """Read the pairs table by column position; a malformed row, or one whose
+    source is neither ours nor reference, raises ValueError naming the file
+    and the line."""
+
+    def pair(fields: list[str]) -> EvalPair:
+        source = fields[6].strip()
+        if source not in ("ours", "reference"):
+            raise ValueError(f"source must be ours or reference, got {source!r}")
+        return EvalPair(*map(float, fields[:6]), source)
+
+    return _csv_rows(path, PAIRS_HEADER, pair)
+
+
+TRUTH_HEADER = ["frame", "gt_x", "gt_y", "gt_theta"]
+
+
+def save_truth_csv(path: Path, rows: list[tuple[str, float, float, float]]) -> None:
+    _write_csv(path, TRUTH_HEADER, rows)
+
+
+def load_truth_csv(path: Path) -> dict[str, tuple[float, float, float]]:
+    """Read the truth table by frame; a malformed row raises ValueError
+    naming the file and the line."""
+
+    def row(fields: list[str]) -> tuple[str, tuple[float, float, float]]:
+        frame_id, x, y, theta = fields
+        return frame_id, (float(x), float(y), float(theta))
+
+    return dict(_csv_rows(path, TRUTH_HEADER, row))
+
+
+def save_report(path: Path, report: dict) -> None:
+    """The headline numbers of a build_report document as a metric,value table."""
+    rows = [["rmse_mm", report["rmse_mm"]], ["count", report["count"]]]
+    for block in ERROR_BLOCKS:
+        axis, unit = block.split("_")
+        rows.append([f"{axis}_mean_{unit}", report[block]["mean"]])
+        rows.append([f"{axis}_std_{unit}", report[block]["std"]])
+    for b in report["buckets"]:
+        lo, hi = b["lo_mm"], b["hi_mm"]
+        band = f"[{lo},{'inf' if hi is None else hi})"
+        rows.append([f"rmse_mm{band}", b["rmse_mm"]])
+        rows.append([f"count{band}", b["count"]])
+    _write_csv(path, ["metric", "value"], rows)
+
+
+def save_scatter_csv(path: Path, pairs: list[EvalPair]) -> None:
+    """Plot-ready gt/estimate positions: columns x, y, series.
+
+    The rows are the bytes csv.writer writes for them: numbers by repr, CRLF
+    line ends, and series names that need no quoting.
+    """
+    rows = [f"{p.gt_x!r},{p.gt_y!r},ground_truth\r\n" for p in pairs]
+    rows += [f"{p.est_x!r},{p.est_y!r},{p.source}\r\n" for p in pairs]
+    Path(path).write_text("x,y,series\r\n" + "".join(rows), newline="")
+
+
+def render_report_text(report: dict) -> str:
+    """Fixed-decimal human summary of a build_report document, used by the
+    evaluation command's stderr."""
+    out = io.StringIO()
+    out.write(f"pairs: {report['count']}\n")
+    out.write(f"rmse: {report['rmse_mm']:.6f} mm\n")
+    for block in ERROR_BLOCKS:
+        axis, unit = block.split("_")
+        stats = report[block]
+        out.write(f"{axis} error: {stats['mean']:.6f} +- {stats['std']:.6f} {unit}\n")
+    for b in report["buckets"]:
+        hi = "inf" if b["hi_mm"] is None else _band_edge(b["hi_mm"])
+        rmse_text = "n/a" if b["rmse_mm"] is None else f"{b['rmse_mm']:.6f}"
+        out.write(
+            f"bucket [{_band_edge(b['lo_mm'])}, {hi}) mm: count {b['count']}, "
+            f"rmse {rmse_text} mm\n"
+        )
+    return out.getvalue()
+
+
+def _band_edge(mm: float) -> str:
+    """A band edge as given: a whole number of millimeters without decimals,
+    any other value as report.csv writes it."""
+    return f"{mm:.0f}" if mm.is_integer() else repr(mm)

@@ -6,33 +6,28 @@ calibration, left/right named as seen from the field center looking at that
 goal. Landmark pixels are undistorted internally; the pose is initialized
 from a planar homography when every world z coincides (the common
 all-on-carpet case) or from a 3x4 DLT for six or more points in general
-position, then refined by `refine_calibration` with every intrinsic held.
+position, then refined by `refine_calibration` with every intrinsic held. The
+landmarks document's codec lives here too, beside the catalog it names.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from pathlib import Path
 
 import numpy as np
 
-from .geometry import (
-    CameraIntrinsics,
-    CameraPose,
-    Distortion,
-    NonConvergence,
-    PixelPoint,
-    WorldPoint,
-    nearest_rotation,
-    project_points,
-    undistort,
-)
+from . import files
+from .geometry import CameraIntrinsics, CameraPose, Distortion, NonConvergence, PixelPoint
 from .intrinsics import (
     dlt_rows,
     extrinsics_from_homography,
     homography_from_points,
     refine_calibration,
 )
+from .pipeline import json_number, json_numbers, json_string
+from .projection import WorldPoint, nearest_rotation, project_points, undistort
 
 COPLANAR_Z_TOL_MM = 1e-9
 RESIDUAL_FLAG_FLOOR_PX = 1e-6
@@ -132,6 +127,67 @@ def field_landmarks(geometry: FieldGeometry) -> dict[str, WorldPoint]:
     for name, (x, y, z) in near.items():
         catalog[f"far_{name}"] = WorldPoint(-x, -y, z)
     return catalog
+
+
+def field_geometry_to_dict(g: FieldGeometry) -> dict:
+    """Every FieldGeometry field under its name plus an _mm suffix."""
+    return {f"{f.name}_mm": getattr(g, f.name) for f in fields(g)}
+
+
+def field_geometry_from_dict(obj: dict) -> FieldGeometry:
+    return FieldGeometry(
+        **{
+            f.name: json_number(obj[f"{f.name}_mm"], f"{f.name}_mm")
+            for f in fields(FieldGeometry)
+        }
+    )
+
+
+def landmarks_to_dict(
+    geometry: FieldGeometry,
+    named: dict[str, PixelPoint],
+    extra: list[PnpCorrespondence] | None = None,
+) -> dict:
+    return {
+        "field_geometry": field_geometry_to_dict(geometry),
+        "points": [
+            {"name": name, "pixel": [px.u, px.v]} for name, px in named.items()
+        ],
+        "extra": [
+            {
+                "pixel": [c.pixel.u, c.pixel.v],
+                "world": [c.world.x, c.world.y, c.world.z],
+            }
+            for c in (extra or [])
+        ],
+    }
+
+
+def landmarks_from_dict(obj: dict) -> list[PnpCorrespondence]:
+    """Each named pixel with its field_landmarks world point, then the extra
+    points; an unknown or repeated name raises ValueError."""
+    catalog = field_landmarks(field_geometry_from_dict(obj["field_geometry"]))
+    named = {}
+    for p in obj.get("points", []):
+        name = json_string(p["name"], "name")
+        if name not in catalog:
+            raise ValueError(f"unknown landmark name: {name!r}")
+        if name in named:
+            raise ValueError(f"landmark {name!r} is marked twice")
+        pixel = PixelPoint(*json_numbers(p["pixel"], 2, "pixel"))
+        named[name] = PnpCorrespondence(pixel, catalog[name], name)
+    extra = [
+        PnpCorrespondence(
+            PixelPoint(*json_numbers(e["pixel"], 2, "pixel")),
+            WorldPoint(*json_numbers(e["world"], 3, "world")),
+        )
+        for e in obj.get("extra", [])
+    ]
+    return [*named.values(), *extra]
+
+
+def load_landmarks(path: Path) -> list[PnpCorrespondence]:
+    return files._load_json(path, landmarks_from_dict)
 
 
 def _pose_from_dlt(

@@ -1,4 +1,8 @@
-"""On-disk formats shared by the command-line tools.
+"""On-disk formats: the shared JSON helpers, calibration, model and JSON Lines.
+
+Every other codec sits beside the type it builds: the views document in
+intrinsics, the landmarks document in extrinsics and the CSV tables in
+evaluation, so a localize process compiles only the codecs it runs.
 
 JSON documents are serialized by dumps alone, with sorted keys and two-space
 indentation, so a regenerated file is byte-identical when its contents are
@@ -10,20 +14,11 @@ alongside for operators.
 
 from __future__ import annotations
 
-import io
 import json
 from contextlib import contextmanager
 from pathlib import Path
-from typing import TYPE_CHECKING
 
-from .geometry import (
-    CameraIntrinsics,
-    CameraPose,
-    Distortion,
-    PixelPoint,
-    WorldPoint,
-    euler_from_pose,
-)
+from .geometry import CameraIntrinsics, CameraPose, Distortion, PixelPoint
 from .pipeline import (
     LocalizedObject,
     UnlocalizableDetection,
@@ -37,13 +32,6 @@ from .regression import (
     GroundRegressor,
     RegressionSample,
 )
-
-# The calibration and evaluation modules are imported by the codecs that use
-# them, so localize and fit-regressor do not load them.
-if TYPE_CHECKING:
-    from .evaluation import EvalPair
-    from .extrinsics import FieldGeometry, PnpCorrespondence
-    from .intrinsics import PlanarView
 
 
 def dumps(doc: dict) -> str:
@@ -112,6 +100,9 @@ def calibration_to_dict(
 ) -> dict:
     obj: dict = {"intrinsics": intrinsics_to_dict(k)}
     if pose is not None:
+        # Only the commands that write a pose load numpy's camera model.
+        from .projection import euler_from_pose
+
         angles, center = euler_from_pose(pose)
         obj["pose"] = {
             "rotation": [v for row in pose.r for v in row],
@@ -138,110 +129,6 @@ def calibration_from_dict(obj: dict) -> tuple[CameraIntrinsics, CameraPose | Non
 def load_calibration(path: Path) -> tuple[CameraIntrinsics, CameraPose | None]:
     """Read a calibration document; the pose is None for intrinsics-only files."""
     return _load_json(path, calibration_from_dict)
-
-
-def views_to_dict(views: list[PlanarView], square_size_mm: float) -> dict:
-    return {
-        "square_size_mm": square_size_mm,
-        "views": [
-            {
-                "id": v.view_id,
-                "points": [
-                    {"pixel": pixel, "pattern": pattern}
-                    for pixel, pattern in zip(v.pixels.tolist(), v.pattern.tolist())
-                ],
-            }
-            for v in views
-        ],
-    }
-
-
-def views_from_dict(obj: dict) -> list[PlanarView]:
-    """Inverse of views_to_dict. square_size_mm is not read: the pattern
-    coordinates already carry the scale."""
-    from .intrinsics import PlanarView
-
-    return [
-        PlanarView(
-            view_id=json_string(entry["id"], "id"),
-            pixels=[json_numbers(p["pixel"], 2, "pixel") for p in entry["points"]],
-            pattern=[json_numbers(p["pattern"], 2, "pattern") for p in entry["points"]],
-        )
-        for entry in obj["views"]
-    ]
-
-
-def load_planar_views(path: Path) -> list[PlanarView]:
-    return _load_json(path, views_from_dict)
-
-
-def field_geometry_to_dict(g: FieldGeometry) -> dict:
-    """Every FieldGeometry field under its name plus an _mm suffix."""
-    from dataclasses import fields
-
-    return {f"{f.name}_mm": getattr(g, f.name) for f in fields(g)}
-
-
-def field_geometry_from_dict(obj: dict) -> FieldGeometry:
-    from dataclasses import fields
-
-    from .extrinsics import FieldGeometry
-
-    return FieldGeometry(
-        **{
-            f.name: json_number(obj[f"{f.name}_mm"], f"{f.name}_mm")
-            for f in fields(FieldGeometry)
-        }
-    )
-
-
-def landmarks_to_dict(
-    geometry: FieldGeometry,
-    named: dict[str, PixelPoint],
-    extra: list[PnpCorrespondence] | None = None,
-) -> dict:
-    return {
-        "field_geometry": field_geometry_to_dict(geometry),
-        "points": [
-            {"name": name, "pixel": [px.u, px.v]} for name, px in named.items()
-        ],
-        "extra": [
-            {
-                "pixel": [c.pixel.u, c.pixel.v],
-                "world": [c.world.x, c.world.y, c.world.z],
-            }
-            for c in (extra or [])
-        ],
-    }
-
-
-def landmarks_from_dict(obj: dict) -> list[PnpCorrespondence]:
-    """Each named pixel with its field_landmarks world point, then the extra
-    points; an unknown or repeated name raises ValueError."""
-    from .extrinsics import PnpCorrespondence, field_landmarks
-
-    catalog = field_landmarks(field_geometry_from_dict(obj["field_geometry"]))
-    named = {}
-    for p in obj.get("points", []):
-        name = json_string(p["name"], "name")
-        if name not in catalog:
-            raise ValueError(f"unknown landmark name: {name!r}")
-        if name in named:
-            raise ValueError(f"landmark {name!r} is marked twice")
-        pixel = PixelPoint(*json_numbers(p["pixel"], 2, "pixel"))
-        named[name] = PnpCorrespondence(pixel, catalog[name], name)
-    extra = [
-        PnpCorrespondence(
-            PixelPoint(*json_numbers(e["pixel"], 2, "pixel")),
-            WorldPoint(*json_numbers(e["world"], 3, "world")),
-        )
-        for e in obj.get("extra", [])
-    ]
-    return [*named.values(), *extra]
-
-
-def load_landmarks(path: Path) -> list[PnpCorrespondence]:
-    return _load_json(path, landmarks_from_dict)
 
 
 def model_to_dict(regressor: GroundRegressor) -> dict:
@@ -360,138 +247,3 @@ def localization_line(result: LocalizedObject | UnlocalizableDetection) -> str:
         f'{head}"ground_pixel": {pixel}, "status": {status}, '
         f'"theta_deg": null, "x_mm": null, "y_mm": null}}'
     )
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    """A CSV table: the header, then each row, as csv.writer writes them."""
-    import csv
-
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _csv_rows(path: Path, header: list[str], parse) -> list:
-    """parse(fields) for each non-blank data row of a CSV file whose first
-    line is header; names may carry surrounding spaces. A header mismatch, a
-    row of the wrong width, a line csv cannot parse (an oversized field, say)
-    or a ValueError from parse raises ValueError naming the file and the
-    line; a file that is not UTF-8 text raises one naming the file."""
-    import csv
-
-    with _malformed(str(path)), open(path, newline="", encoding="utf-8") as f:
-        text = f.read()
-    reader = csv.reader(io.StringIO(text, newline=""))
-    width = len(header)
-    rows = []
-    # A plain try, not _malformed: entering that context manager on every
-    # row made the pairs table load about 70 % slower at 20k rows.
-    try:
-        names = next(reader, None)
-        if names is not None and [name.strip() for name in names] == header:
-            for fields in reader:
-                if len(fields) == width:
-                    rows.append(parse(fields))
-                elif fields:
-                    raise ValueError(f"expected {width} fields")
-            return rows
-    except (csv.Error, ValueError) as exc:
-        raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
-    raise ValueError(f"{path} line 1: expected header {','.join(header)}, got {names}")
-
-
-PAIRS_HEADER = ["gt_x", "gt_y", "gt_theta", "est_x", "est_y", "est_theta", "source"]
-
-
-def save_pairs_csv(path: Path, pairs: list[EvalPair]) -> None:
-    _write_csv(path, PAIRS_HEADER, pairs)
-
-
-def load_pairs_csv(path: Path) -> list[EvalPair]:
-    """Read the pairs table by column position; a malformed row, or one whose
-    source is neither ours nor reference, raises ValueError naming the file
-    and the line."""
-    from .evaluation import EvalPair
-
-    def pair(fields: list[str]) -> EvalPair:
-        source = fields[6].strip()
-        if source not in ("ours", "reference"):
-            raise ValueError(f"source must be ours or reference, got {source!r}")
-        return EvalPair(*map(float, fields[:6]), source)
-
-    return _csv_rows(path, PAIRS_HEADER, pair)
-
-
-TRUTH_HEADER = ["frame", "gt_x", "gt_y", "gt_theta"]
-
-
-def save_truth_csv(path: Path, rows: list[tuple[str, float, float, float]]) -> None:
-    _write_csv(path, TRUTH_HEADER, rows)
-
-
-def load_truth_csv(path: Path) -> dict[str, tuple[float, float, float]]:
-    """Read the truth table by frame; a malformed row raises ValueError
-    naming the file and the line."""
-
-    def row(fields: list[str]) -> tuple[str, tuple[float, float, float]]:
-        frame_id, x, y, theta = fields
-        return frame_id, (float(x), float(y), float(theta))
-
-    return dict(_csv_rows(path, TRUTH_HEADER, row))
-
-
-def save_report(path: Path, report: dict) -> None:
-    """The headline numbers of a build_report document as a metric,value table."""
-    from .evaluation import ERROR_BLOCKS
-
-    rows = [["rmse_mm", report["rmse_mm"]], ["count", report["count"]]]
-    for block in ERROR_BLOCKS:
-        axis, unit = block.split("_")
-        rows.append([f"{axis}_mean_{unit}", report[block]["mean"]])
-        rows.append([f"{axis}_std_{unit}", report[block]["std"]])
-    for b in report["buckets"]:
-        lo, hi = b["lo_mm"], b["hi_mm"]
-        band = f"[{lo},{'inf' if hi is None else hi})"
-        rows.append([f"rmse_mm{band}", b["rmse_mm"]])
-        rows.append([f"count{band}", b["count"]])
-    _write_csv(path, ["metric", "value"], rows)
-
-
-def save_scatter_csv(path: Path, pairs: list[EvalPair]) -> None:
-    """Plot-ready gt/estimate positions: columns x, y, series.
-
-    The rows are the bytes csv.writer writes for them: numbers by repr, CRLF
-    line ends, and series names that need no quoting.
-    """
-    rows = [f"{p.gt_x!r},{p.gt_y!r},ground_truth\r\n" for p in pairs]
-    rows += [f"{p.est_x!r},{p.est_y!r},{p.source}\r\n" for p in pairs]
-    Path(path).write_text("x,y,series\r\n" + "".join(rows), newline="")
-
-
-def render_report_text(report: dict) -> str:
-    """Fixed-decimal human summary of a build_report document, used by the
-    evaluation command's stderr."""
-    from .evaluation import ERROR_BLOCKS
-
-    out = io.StringIO()
-    out.write(f"pairs: {report['count']}\n")
-    out.write(f"rmse: {report['rmse_mm']:.6f} mm\n")
-    for block in ERROR_BLOCKS:
-        axis, unit = block.split("_")
-        stats = report[block]
-        out.write(f"{axis} error: {stats['mean']:.6f} +- {stats['std']:.6f} {unit}\n")
-    for b in report["buckets"]:
-        hi = "inf" if b["hi_mm"] is None else _band_edge(b["hi_mm"])
-        rmse_text = "n/a" if b["rmse_mm"] is None else f"{b['rmse_mm']:.6f}"
-        out.write(
-            f"bucket [{_band_edge(b['lo_mm'])}, {hi}) mm: count {b['count']}, "
-            f"rmse {rmse_text} mm\n"
-        )
-    return out.getvalue()
-
-
-def _band_edge(mm: float) -> str:
-    """A band edge as given: a whole number of millimeters without decimals,
-    any other value as report.csv writes it."""
-    return f"{mm:.0f}" if mm.is_integer() else repr(mm)

@@ -6,19 +6,22 @@ each homography, then a joint Levenberg-Marquardt refinement of intrinsics,
 lens coefficients, and all view poses against total reprojection error, with
 every view projected at once and a closed-form Jacobian. The refinement holds
 any chosen intrinsics at given values; landmark PnP runs it with all of them
-held.
+held. The views document's codec lives here too, beside PlanarView.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .geometry import (
-    CameraIntrinsics,
-    CameraPose,
+from . import files
+from .geometry import CameraIntrinsics, CameraPose
+from .optim import LeastSquaresProblem, levenberg_marquardt
+from .pipeline import json_numbers, json_string
+from .projection import (
     INTRINSIC_PARAMETERS,
     axis_angle_from_rotation,
     intrinsic_vector,
@@ -27,7 +30,6 @@ from .geometry import (
     project_views,
     rotation_from_axis_angle,
 )
-from .optim import LeastSquaresProblem, levenberg_marquardt
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,6 +61,39 @@ class PlanarView:
 
     def __len__(self) -> int:
         return self.pixels.shape[0]
+
+
+def views_to_dict(views: list[PlanarView], square_size_mm: float) -> dict:
+    return {
+        "square_size_mm": square_size_mm,
+        "views": [
+            {
+                "id": v.view_id,
+                "points": [
+                    {"pixel": pixel, "pattern": pattern}
+                    for pixel, pattern in zip(v.pixels.tolist(), v.pattern.tolist())
+                ],
+            }
+            for v in views
+        ],
+    }
+
+
+def views_from_dict(obj: dict) -> list[PlanarView]:
+    """Inverse of views_to_dict. square_size_mm is not read: the pattern
+    coordinates already carry the scale."""
+    return [
+        PlanarView(
+            view_id=json_string(entry["id"], "id"),
+            pixels=[json_numbers(p["pixel"], 2, "pixel") for p in entry["points"]],
+            pattern=[json_numbers(p["pattern"], 2, "pattern") for p in entry["points"]],
+        )
+        for entry in obj["views"]
+    ]
+
+
+def load_planar_views(path: Path) -> list[PlanarView]:
+    return files._load_json(path, views_from_dict)
 
 
 @dataclass(frozen=True, eq=False)

@@ -24,20 +24,22 @@ from pathlib import Path
 import numpy as np
 
 from . import files
-from .extrinsics import FieldGeometry, field_landmarks
+from .evaluation import save_truth_csv
+from .extrinsics import (
+    FieldGeometry,
+    field_geometry_from_dict,
+    field_geometry_to_dict,
+    field_landmarks,
+    landmarks_to_dict,
+)
 from .geometry import (
     CameraIntrinsics,
     CameraPose,
     PixelPoint,
     PointBehindCamera,
-    WorldPoint,
-    camera_center,
     ground_map,
-    project,
-    project_points,
-    rotation_from_axis_angle,
 )
-from .intrinsics import PlanarView
+from .intrinsics import PlanarView, views_to_dict
 from .pipeline import (
     Detection,
     FrameConvention,
@@ -45,6 +47,13 @@ from .pipeline import (
     json_number,
     json_numbers,
     json_string,
+)
+from .projection import (
+    WorldPoint,
+    camera_center,
+    project,
+    project_points,
+    rotation_from_axis_angle,
 )
 from .regression import (
     KNOWN_CLASSES,
@@ -199,7 +208,7 @@ _SCHEMA = (
     ("pattern", "cols", "pattern_cols", _integer),
     ("pattern", "rows", "pattern_rows", _integer),
     ("pattern", "square_size_mm", "square_size_mm", _number),
-    (None, "field_geometry", "geometry", files.field_geometry_from_dict),
+    (None, "field_geometry", "geometry", field_geometry_from_dict),
     (None, "landmarks", "landmark_names", _strings),
     (None, "frame", "frame", FrameConvention),
 )
@@ -212,7 +221,7 @@ _SECTIONS = {
 
 def _to_json(value):
     if isinstance(value, FieldGeometry):
-        return files.field_geometry_to_dict(value)
+        return field_geometry_to_dict(value)
     if isinstance(value, FrameConvention):
         return value.value
     return list(value) if isinstance(value, tuple) else value
@@ -480,8 +489,8 @@ def generate_scene(
     documents = {
         "config": config_to_dict(config, seed),
         "calibration": files.calibration_to_dict(config.intrinsics, config.pose),
-        "views": files.views_to_dict(views, config.square_size_mm),
-        "landmarks": files.landmarks_to_dict(config.geometry, landmark_pixels),
+        "views": views_to_dict(views, config.square_size_mm),
+        "landmarks": landmarks_to_dict(config.geometry, landmark_pixels),
         "model": files.model_to_dict(regressor),
     }
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -491,7 +500,7 @@ def generate_scene(
     with open(paths["detections"], "w") as f:
         for d in detections:
             f.write(files.detection_line(d.frame_id, d.label, d.score, d.bbox) + "\n")
-    files.save_truth_csv(paths["truth"], truth)
+    save_truth_csv(paths["truth"], truth)
 
     return SyntheticScene(
         config=config,

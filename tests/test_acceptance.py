@@ -14,22 +14,11 @@ import time
 
 import numpy as np
 
-from groundcam import files
+from groundcam import evaluation
 from groundcam.cli import main
 from groundcam.evaluation import EvalPair
 from groundcam.extrinsics import PnpCorrespondence, solve_pnp
-from groundcam.geometry import (
-    CameraPose,
-    EulerAngles,
-    PixelPoint,
-    WorldPoint,
-    camera_center,
-    euler_from_pose,
-    pose_from_euler,
-    project,
-    project_points,
-    rotation_from_axis_angle,
-)
+from groundcam.geometry import CameraPose, PixelPoint
 from groundcam.intrinsics import PlanarView, calibrate_intrinsics
 from groundcam.optim import (
     LeastSquaresProblem,
@@ -38,6 +27,16 @@ from groundcam.optim import (
     numeric_jacobian,
 )
 from groundcam.pipeline import bearing
+from groundcam.projection import (
+    EulerAngles,
+    WorldPoint,
+    camera_center,
+    euler_from_pose,
+    pose_from_euler,
+    project,
+    project_points,
+    rotation_from_axis_angle,
+)
 from groundcam.reference import (
     REFERENCE_CAMERA_CENTER_MM,
     REFERENCE_EULER_DEG,
@@ -171,7 +170,7 @@ def test_criterion_4_end_to_end_closure(capsys, tmp_path):
     estimates = {
         obj["frame"]: obj for obj in map(json.loads, out.splitlines())
     }
-    truth = files.load_truth_csv(scene_dir / "truth.csv")
+    truth = evaluation.load_truth_csv(scene_dir / "truth.csv")
     pairs = [
         EvalPair(
             gt_x=gx,
@@ -184,7 +183,7 @@ def test_criterion_4_end_to_end_closure(capsys, tmp_path):
         for frame, (gx, gy, gt) in truth.items()
     ]
     pairs_path = tmp_path / "pairs.csv"
-    files.save_pairs_csv(pairs_path, pairs)
+    evaluation.save_pairs_csv(pairs_path, pairs)
 
     code = main(["evaluate", str(pairs_path), "--buckets", ""])
     out = capsys.readouterr().out

@@ -17,10 +17,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from groundcam import cli, evaluation, files
+from groundcam import cli, evaluation, extrinsics, files
 from groundcam.cli import main
-from groundcam.geometry import CameraPose, Distortion, PixelPoint, project
+from groundcam.geometry import CameraPose, Distortion, PixelPoint
 from groundcam.extrinsics import PnpCorrespondence, field_landmarks
+from groundcam.projection import project
 from groundcam.regression import BOTTOM_CENTER_WEIGHTS, BoundingBox
 from groundcam.reference import (
     REFERENCE_CAMERA_CENTER_MM,
@@ -136,7 +137,7 @@ class TestCalibrateExtrinsics:
             for p in config.grid_points
         ]
         path = tmp_path / "landmarks.json"
-        files.write_json(path, files.landmarks_to_dict(config.geometry, named, extra))
+        files.write_json(path, extrinsics.landmarks_to_dict(config.geometry, named, extra))
         code, out, err = _run(
             capsys, "calibrate-extrinsics", path, cli_scene.paths["calibration"]
         )
@@ -219,7 +220,7 @@ class TestCalibrateExtrinsics:
         config = cli_scene.config
         named = dict(list(cli_scene.landmark_pixels.items())[:3])
         path = tmp_path / "landmarks.json"
-        files.write_json(path, files.landmarks_to_dict(config.geometry, named))
+        files.write_json(path, extrinsics.landmarks_to_dict(config.geometry, named))
         code, out, err = _run(
             capsys, "calibrate-extrinsics", path, cli_scene.paths["calibration"]
         )
@@ -720,7 +721,7 @@ class TestEvaluate:
     )
     def test_malformed_row_names_file_and_line(self, capsys, tmp_path, row):
         path = tmp_path / "pairs.csv"
-        path.write_text(",".join(files.PAIRS_HEADER) + "\n" + row + "\n")
+        path.write_text(",".join(evaluation.PAIRS_HEADER) + "\n" + row + "\n")
         code, out, err = _run(capsys, "evaluate", path)
         assert code == 2
         assert out == ""
@@ -729,7 +730,7 @@ class TestEvaluate:
 
     def test_empty_table_rejected(self, capsys, tmp_path):
         path = tmp_path / "pairs.csv"
-        path.write_text(",".join(files.PAIRS_HEADER) + "\n")
+        path.write_text(",".join(evaluation.PAIRS_HEADER) + "\n")
         code, _, err = _run(capsys, "evaluate", path)
         assert code == 2
         assert "no pairs" in err
@@ -1303,7 +1304,7 @@ def test_utf8_input_is_read_whatever_the_locale(cli_scene, tmp_path, reader):
     else:
         truth = tmp_path / "truth.csv"
         truth.write_text("frame,gt_x,gt_y,gt_theta\ncafé,1,2,3\n", encoding="utf-8")
-        code = "import sys; from groundcam import files; print(ascii(files.load_truth_csv(sys.argv[1])))"
+        code = "import sys; from groundcam import evaluation; print(ascii(evaluation.load_truth_csv(sys.argv[1])))"
         argv = ["-c", code, truth]
     src = str(REPO_ROOT / "src")
     path = os.environ.get("PYTHONPATH")

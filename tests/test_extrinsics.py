@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from groundcam import files
+from groundcam import extrinsics
 from groundcam.extrinsics import (
     FieldGeometry,
     PnpCorrespondence,
@@ -20,10 +20,10 @@ from groundcam.extrinsics import (
     reprojection_report,
     solve_pnp,
 )
-from groundcam.geometry import (
-    CameraIntrinsics,
-    Distortion,
-    PixelPoint,
+from groundcam.geometry import CameraIntrinsics, Distortion, PixelPoint
+from groundcam.intrinsics import calibration_problem
+from groundcam.optim import numeric_jacobian
+from groundcam.projection import (
     WorldPoint,
     axis_angle_from_rotation,
     camera_center,
@@ -31,8 +31,6 @@ from groundcam.geometry import (
     project,
     project_points,
 )
-from groundcam.intrinsics import calibration_problem
-from groundcam.optim import numeric_jacobian
 from groundcam.reference import (
     REFERENCE_CAMERA_CENTER_MM,
     REFERENCE_EULER_DEG,
@@ -282,14 +280,14 @@ class TestReprojectionReport:
 
 
 # ---------------------------------------------------------------------------
-# Landmark documents resolved to correspondences (files.landmarks_from_dict)
+# Landmark documents resolved to correspondences (extrinsics.landmarks_from_dict)
 # ---------------------------------------------------------------------------
 
 
 def _correspondences(named, extra=None):
-    """files.landmarks_from_dict of a division B landmarks document."""
+    """extrinsics.landmarks_from_dict of a division B landmarks document."""
     geometry = FieldGeometry.division_b()
-    return files.landmarks_from_dict(files.landmarks_to_dict(geometry, named, extra))
+    return extrinsics.landmarks_from_dict(extrinsics.landmarks_to_dict(geometry, named, extra))
 
 
 class TestCorrespondencesFromLandmarks:
@@ -310,12 +308,12 @@ class TestCorrespondencesFromLandmarks:
             _correspondences({"center_circle": PixelPoint(0.0, 0.0)})
 
     def test_repeated_name_raises(self):
-        doc = files.landmarks_to_dict(
+        doc = extrinsics.landmarks_to_dict(
             FieldGeometry.division_b(), {"goal_bottom_center": PixelPoint(320.0, 200.0)}
         )
         doc["points"].append({"name": "goal_bottom_center", "pixel": [400.0, 200.0]})
         with pytest.raises(ValueError, match="'goal_bottom_center' is marked twice"):
-            files.landmarks_from_dict(doc)
+            extrinsics.landmarks_from_dict(doc)
 
     def test_extra_points_are_appended(self):
         extra = [

@@ -14,16 +14,12 @@ import re
 import numpy as np
 import pytest
 
-from groundcam import files
+from groundcam import evaluation, extrinsics, files, intrinsics
 from groundcam.evaluation import EvalPair, build_report, error_stats, rmse
 from groundcam.extrinsics import FieldGeometry, PnpCorrespondence, field_landmarks
-from groundcam.geometry import (
-    CameraIntrinsics,
-    Distortion,
-    PixelPoint,
-    WorldPoint,
-)
+from groundcam.geometry import CameraIntrinsics, Distortion, PixelPoint
 from groundcam.pipeline import LocalizedObject, UnlocalizableDetection
+from groundcam.projection import WorldPoint
 from groundcam.regression import (
     BoundingBox,
     RegressionSample,
@@ -120,8 +116,8 @@ class TestCalibrationFile:
 class TestPlanarViewsFile:
     def test_round_trip(self, tmp_path, default_scene):
         path = tmp_path / "views.json"
-        files.write_json(path, files.views_to_dict(list(default_scene.views)[:2], 25.0))
-        views = files.load_planar_views(path)
+        files.write_json(path, intrinsics.views_to_dict(list(default_scene.views)[:2], 25.0))
+        views = intrinsics.load_planar_views(path)
         assert json.loads(path.read_text())["square_size_mm"] == 25.0
         assert len(views) == 2
         for loaded, original in zip(views, default_scene.views):
@@ -143,8 +139,8 @@ class TestLandmarksFile:
             )
         ]
         path = tmp_path / "landmarks.json"
-        files.write_json(path, files.landmarks_to_dict(geometry, named, extra))
-        loaded = files.load_landmarks(path)
+        files.write_json(path, extrinsics.landmarks_to_dict(geometry, named, extra))
+        loaded = extrinsics.load_landmarks(path)
         catalog = field_landmarks(geometry)
         assert loaded == [
             *(PnpCorrespondence(px, catalog[name], name) for name, px in named.items()),
@@ -153,7 +149,7 @@ class TestLandmarksFile:
 
     def test_geometry_survives_the_dict_form(self):
         g = FieldGeometry.division_b()
-        assert files.field_geometry_from_dict(files.field_geometry_to_dict(g)) == g
+        assert extrinsics.field_geometry_from_dict(extrinsics.field_geometry_to_dict(g)) == g
 
 
 class TestModelFile:
@@ -312,16 +308,16 @@ class TestPairsCsv:
             EvalPair(-250.0, 750.0, -18.43, -259.17, 762.23, -18.78, "reference"),
         ]
         path = tmp_path / "pairs.csv"
-        files.save_pairs_csv(path, pairs)
-        assert files.load_pairs_csv(path) == pairs
+        evaluation.save_pairs_csv(path, pairs)
+        assert evaluation.load_pairs_csv(path) == pairs
         header = path.read_text().splitlines()[0]
-        assert header.split(",") == files.PAIRS_HEADER
+        assert header.split(",") == evaluation.PAIRS_HEADER
 
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "pairs.csv"
         path.write_text("x,y,theta\n1,2,3\n")
         with pytest.raises(ValueError):
-            files.load_pairs_csv(path)
+            evaluation.load_pairs_csv(path)
 
 
     @pytest.mark.parametrize(
@@ -336,16 +332,16 @@ class TestPairsCsv:
     )
     def test_malformed_row_names_file_and_line(self, tmp_path, row):
         path = tmp_path / "pairs.csv"
-        path.write_text(",".join(files.PAIRS_HEADER) + "\n0,500,0,1,2,3,ours\n" + row + "\n")
+        path.write_text(",".join(evaluation.PAIRS_HEADER) + "\n0,500,0,1,2,3,ours\n" + row + "\n")
         with pytest.raises(ValueError, match=re.escape(f"{path} line 3")):
-            files.load_pairs_csv(path)
+            evaluation.load_pairs_csv(path)
 
     @pytest.mark.parametrize("row", ["1,2,3", "0,500,0,1,2,3,ours,0"], ids=["short", "wide"])
     def test_row_of_the_wrong_width_names_the_field_count(self, tmp_path, row):
         path = tmp_path / "pairs.csv"
-        path.write_text(",".join(files.PAIRS_HEADER) + "\n\n" + row + "\n")
+        path.write_text(",".join(evaluation.PAIRS_HEADER) + "\n\n" + row + "\n")
         with pytest.raises(ValueError) as caught:
-            files.load_pairs_csv(path)
+            evaluation.load_pairs_csv(path)
         assert str(caught.value) == f"{path} line 3: expected 7 fields"
 
 
@@ -353,14 +349,14 @@ class TestTruthCsv:
     def test_round_trip(self, tmp_path):
         rows = [("p000", -250.0, 750.0, -18.43), ("p001", 0.0, 500.0, 0.0)]
         path = tmp_path / "truth.csv"
-        files.save_truth_csv(path, rows)
-        loaded = files.load_truth_csv(path)
+        evaluation.save_truth_csv(path, rows)
+        loaded = evaluation.load_truth_csv(path)
         assert loaded == {
             "p000": (-250.0, 750.0, -18.43),
             "p001": (0.0, 500.0, 0.0),
         }
         header = path.read_text().splitlines()[0]
-        assert header.split(",") == files.TRUTH_HEADER
+        assert header.split(",") == evaluation.TRUTH_HEADER
 
     @pytest.mark.parametrize(
         "row",
@@ -369,20 +365,20 @@ class TestTruthCsv:
     )
     def test_malformed_row_names_file_and_line(self, tmp_path, row):
         path = tmp_path / "truth.csv"
-        path.write_text(",".join(files.TRUTH_HEADER) + "\np000,1,2,3\n" + row + "\n")
+        path.write_text(",".join(evaluation.TRUTH_HEADER) + "\np000,1,2,3\n" + row + "\n")
         with pytest.raises(ValueError, match=re.escape(f"{path} line 3")):
-            files.load_truth_csv(path)
+            evaluation.load_truth_csv(path)
 
 
 def test_padded_header_names_load_both_tables(tmp_path):
     # A space after each comma: the header check strips names, and the rows
     # are read by position, so both tables load.
     pairs_path = tmp_path / "pairs.csv"
-    pairs_path.write_text(", ".join(files.PAIRS_HEADER) + "\n0,500,0,1,2,3,ours\n")
-    assert files.load_pairs_csv(pairs_path) == [EvalPair(0.0, 500.0, 0.0, 1.0, 2.0, 3.0)]
+    pairs_path.write_text(", ".join(evaluation.PAIRS_HEADER) + "\n0,500,0,1,2,3,ours\n")
+    assert evaluation.load_pairs_csv(pairs_path) == [EvalPair(0.0, 500.0, 0.0, 1.0, 2.0, 3.0)]
     truth_path = tmp_path / "truth.csv"
-    truth_path.write_text(", ".join(files.TRUTH_HEADER) + "\np000,1,2,3\n")
-    assert files.load_truth_csv(truth_path) == {"p000": (1.0, 2.0, 3.0)}
+    truth_path.write_text(", ".join(evaluation.TRUTH_HEADER) + "\np000,1,2,3\n")
+    assert evaluation.load_truth_csv(truth_path) == {"p000": (1.0, 2.0, 3.0)}
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +402,7 @@ class TestReportFiles:
         json_path = tmp_path / "report.json"
         csv_path = tmp_path / "report.csv"
         files.write_json(json_path, report)
-        files.save_report(csv_path, report)
+        evaluation.save_report(csv_path, report)
         assert json.loads(json_path.read_text()) == report
         with open(csv_path, newline="") as f:
             reader = csv.reader(f)
@@ -422,7 +418,7 @@ class TestReportFiles:
     def test_scatter_layout(self, tmp_path):
         pairs, _ = _four_pair_report()
         path = tmp_path / "scatter.csv"
-        files.save_scatter_csv(path, pairs)
+        evaluation.save_scatter_csv(path, pairs)
         lines = path.read_text().splitlines()
         assert lines[0] == "x,y,series"
         assert len(lines) == 1 + 2 * len(pairs)
@@ -437,7 +433,7 @@ class TestReportFiles:
             EvalPair(0.1, 1 / 3, 0.0, -1234.5678, 7.0, 0.0),
         ]
         path = tmp_path / "scatter.csv"
-        files.save_scatter_csv(path, pairs)
+        evaluation.save_scatter_csv(path, pairs)
         expected = io.StringIO()
         writer = csv.writer(expected)
         writer.writerow(["x", "y", "series"])
@@ -450,7 +446,7 @@ class TestReportFiles:
 
     def test_text_rendering(self):
         _, report = _four_pair_report()
-        text = files.render_report_text(report)
+        text = evaluation.render_report_text(report)
         assert "pairs: 4" in text
         assert "rmse: 14.365632 mm" in text
         assert "x error: -3.290000" in text
@@ -473,7 +469,7 @@ class TestFixtures:
         assert np.array_equal(pose.translation, expected.translation)
 
     def test_reference_pairs_reproduce_the_headline_numbers(self):
-        pairs = files.load_pairs_csv(FIXTURES_DIR / "reference_eval_pairs.csv")
+        pairs = evaluation.load_pairs_csv(FIXTURES_DIR / "reference_eval_pairs.csv")
         ours = [p for p in pairs if p.source == "ours"]
         reference = [p for p in pairs if p.source == "reference"]
         assert len(ours) == 4 and len(reference) == 4

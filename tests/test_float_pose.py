@@ -17,18 +17,17 @@ import pickle
 import numpy as np
 import pytest
 
-from groundcam import files
-from groundcam.geometry import (
-    CameraPose,
+from groundcam import evaluation, files
+from groundcam.geometry import CameraPose, ground_map
+from groundcam.optim import linear_least_squares
+from groundcam.pipeline import FrameConvention, bearing
+from groundcam.projection import (
     EulerAngles,
     WorldPoint,
     camera_center,
-    ground_map,
     pose_from_euler,
     rotation_from_axis_angle,
 )
-from groundcam.optim import linear_least_squares
-from groundcam.pipeline import FrameConvention, bearing
 from groundcam.reference import reference_intrinsics, reference_pose
 from groundcam.regression import ClassModel, fit
 from groundcam.scene import SceneConfig, generate_scene
@@ -209,7 +208,7 @@ def test_synth_truth_and_calibration_keep_numpy_bits(tmp_path, seed, frame):
             dx, dy = x - center[0], y - center[1]
             x, y = float(dx * c - dy * s), float(dx * s + dy * c)
         rows.append((frame_id, x, y, bearing(x, y)))
-    files.save_truth_csv(tmp_path / "truth.csv", rows)
+    evaluation.save_truth_csv(tmp_path / "truth.csv", rows)
     assert scene.paths["truth"].read_bytes() == (tmp_path / "truth.csv").read_bytes()
     calibration = files.dumps(_numpy_calibration_doc(config.intrinsics, pose))
     assert scene.paths["calibration"].read_text() == calibration

@@ -15,23 +15,26 @@ import numpy as np
 import pytest
 
 from groundcam.geometry import (
-    INTRINSIC_PARAMETERS,
     UNDISTORT_MAX_ITERATIONS,
     CameraIntrinsics,
     CameraPose,
     Distortion,
-    EulerAngles,
     NonConvergence,
     PixelPoint,
     PointBehindCamera,
     PointNotOnGround,
     RayParallelToPlane,
+    distort_normalized,
+    ground_map,
+    undistort_normalized,
+)
+from groundcam.projection import (
+    INTRINSIC_PARAMETERS,
+    EulerAngles,
     WorldPoint,
     axis_angle_from_rotation,
     camera_center,
-    distort_normalized,
     euler_from_pose,
-    ground_map,
     intrinsic_vector,
     intrinsics_from_vector,
     nearest_rotation,
@@ -41,7 +44,6 @@ from groundcam.geometry import (
     project_views,
     rotation_from_axis_angle,
     undistort,
-    undistort_normalized,
 )
 from groundcam.reference import (
     REFERENCE_CAMERA_CENTER_MM,

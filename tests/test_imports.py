@@ -162,3 +162,33 @@ def test_numpy_free_runs_load_no_dataclass_machinery(scene, tmp_path, run):
     assert "groundcam.files" in loaded
     assert loaded & STARTUP_MODULES == set()
     assert ("csv" in loaded) == (run == "evaluate")
+
+
+# The set-up probe and localize compile these groundcam modules alone, so
+# neither the numpy camera model (groundcam.projection) nor the codecs that
+# only the calibration and evaluation commands run are read from source.
+PER_DETECTION_MODULES = {
+    "groundcam",
+    "groundcam.cli",
+    "groundcam.files",
+    "groundcam.pipeline",
+    "groundcam.geometry",
+    "groundcam.regression",
+}
+
+
+@pytest.mark.parametrize("run", ["setup", "localize-field", "localize-camera", "evaluate"])
+def test_numpy_free_runs_load_only_the_per_detection_modules(scene, tmp_path, run):
+    loaded = _loaded_after(_numpy_free_run(scene, tmp_path, run))
+    ours = {name for name in loaded if name.partition(".")[0] == "groundcam"}
+    scoring = {"groundcam.evaluation"} if run == "evaluate" else set()
+    assert ours == PER_DETECTION_MODULES | scoring
+
+
+def test_calibrate_intrinsics_loads_neither_landmark_nor_table_codecs(scene):
+    views = str(scene.paths["views"])
+    loaded = _loaded_after(
+        f"assert groundcam.cli.main(['calibrate-intrinsics', {views!r}]) == 0"
+    )
+    assert "groundcam.projection" in loaded
+    assert loaded & {"groundcam.extrinsics", "groundcam.evaluation"} == set()

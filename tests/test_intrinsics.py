@@ -13,15 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from groundcam.geometry import (
-    CameraIntrinsics,
-    CameraPose,
-    Distortion,
-    axis_angle_from_rotation,
-    intrinsic_vector,
-    project_points,
-    rotation_from_axis_angle,
-)
+from groundcam.geometry import CameraIntrinsics, CameraPose, Distortion
 from groundcam.intrinsics import (
     PlanarView,
     calibrate_intrinsics,
@@ -33,6 +25,12 @@ from groundcam.intrinsics import (
     zhang_closed_form,
 )
 from groundcam.optim import levenberg_marquardt, numeric_jacobian
+from groundcam.projection import (
+    axis_angle_from_rotation,
+    intrinsic_vector,
+    project_points,
+    rotation_from_axis_angle,
+)
 
 # ---------------------------------------------------------------------------
 # Synthetic target builders

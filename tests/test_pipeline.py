@@ -17,17 +17,7 @@ import numpy as np
 import pytest
 
 from groundcam import files
-from groundcam.geometry import (
-    CameraIntrinsics,
-    Distortion,
-    EulerAngles,
-    PixelPoint,
-    WorldPoint,
-    camera_center,
-    ground_map,
-    pose_from_euler,
-    project,
-)
+from groundcam.geometry import CameraIntrinsics, Distortion, PixelPoint, ground_map
 from groundcam.pipeline import (
     _REASON_SLUGS,
     Detection,
@@ -39,6 +29,13 @@ from groundcam.pipeline import (
     bearing,
     ingest_detections,
     localize_batch,
+)
+from groundcam.projection import (
+    EulerAngles,
+    WorldPoint,
+    camera_center,
+    pose_from_euler,
+    project,
 )
 from groundcam.reference import reference_intrinsics
 from groundcam.regression import (

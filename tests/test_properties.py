@@ -19,18 +19,20 @@ from hypothesis import strategies as st  # noqa: E402
 
 from groundcam.geometry import (  # noqa: E402
     Distortion,
-    EulerAngles,
-    WorldPoint,
-    axis_angle_from_rotation,
     distort_normalized,
-    euler_from_pose,
     ground_map,
-    pose_from_euler,
-    project,
-    rotation_from_axis_angle,
     undistort_normalized,
 )
 from groundcam.pipeline import ingest_detections  # noqa: E402
+from groundcam.projection import (  # noqa: E402
+    EulerAngles,
+    WorldPoint,
+    axis_angle_from_rotation,
+    euler_from_pose,
+    pose_from_euler,
+    project,
+    rotation_from_axis_angle,
+)
 from groundcam.reference import (  # noqa: E402
     IMAGE_HEIGHT_PX,
     IMAGE_WIDTH_PX,

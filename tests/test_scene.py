@@ -14,9 +14,10 @@ import re
 import numpy as np
 import pytest
 
-from groundcam.geometry import Distortion, PixelPoint, WorldPoint, ground_map, project
+from groundcam.geometry import Distortion, PixelPoint, ground_map
 from groundcam.extrinsics import FieldGeometry, field_landmarks
 from groundcam.pipeline import FrameConvention, bearing, localize_batch
+from groundcam.projection import WorldPoint, project
 from groundcam.scene import (
     _SCHEMA,
     DEFAULT_LANDMARKS,
