@@ -53,9 +53,12 @@ def _cmd_calibrate_intrinsics(args: argparse.Namespace) -> int:
 
     views = load_planar_views(args.views)
     _note(f"loaded {len(views)} views from {args.views}")
-    solution = calibrate_intrinsics(
-        views, fix_skew=not args.allow_skew, fix_k3=not args.fit_k3
-    )
+    try:
+        solution = calibrate_intrinsics(
+            views, fix_skew=not args.allow_skew, fix_k3=not args.fit_k3
+        )
+    except ValueError as exc:
+        raise ValueError(f"{args.views}: {exc}") from None
     _note(f"reprojection rmse: {solution.rmse_px:.6f} px")
     doc = files.calibration_to_dict(solution.intrinsics, rmse_px=solution.rmse_px)
     _publish(files.dumps(doc), args.out)
@@ -87,7 +90,10 @@ def _cmd_calibrate_extrinsics(args: argparse.Namespace) -> int:
 def _cmd_fit_regressor(args: argparse.Namespace) -> int:
     samples = files.load_samples(args.samples)
     _note(f"loaded {len(samples)} samples from {args.samples}")
-    regressor = fit(samples)
+    try:
+        regressor = fit(samples)
+    except ValueError as exc:
+        raise ValueError(f"{args.samples}: {exc}") from None
     for label in regressor.covered():
         _note(f"  {label}: rmse {regressor.classes[label].rmse_px:.6f} px")
     _publish(files.dumps(files.model_to_dict(regressor)), args.out)
@@ -233,6 +239,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         EvalPair,
         build_report,
         compare_sources,
+        first_nonfinite,
         load_pairs_csv,
         render_report_text,
         save_report,
@@ -255,6 +262,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
             report["comparison"] = compare_sources(main, by_source["reference"])
         except ValueError as exc:
             raise ValueError(f"{args.pairs}: {exc}") from None
+    overflow = first_nonfinite(report)
+    if overflow is not None:
+        raise ValueError(f"{args.pairs}: {overflow} overflows float range")
     _note(render_report_text(report))
     text = files.dumps(report)
     if args.out:

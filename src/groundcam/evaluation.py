@@ -72,12 +72,16 @@ ERROR_BLOCKS = ("x_mm", "y_mm", "theta_deg")
 
 
 def rmse(pairs: list[EvalPair]) -> float:
-    """Root mean square xy position error in millimeters."""
+    """Root mean square xy position error in millimeters; inf when an error
+    is too large to square."""
     if not pairs:
         raise ValueError("rmse over zero pairs")
-    total = sum(
-        (p.est_x - p.gt_x) ** 2 + (p.est_y - p.gt_y) ** 2 for p in pairs
-    )
+    try:
+        total = sum(
+            (p.est_x - p.gt_x) ** 2 + (p.est_y - p.gt_y) ** 2 for p in pairs
+        )
+    except OverflowError:
+        return math.inf
     return math.sqrt(total / len(pairs))
 
 
@@ -170,6 +174,25 @@ def build_report(pairs: list[EvalPair], boundaries: list[float]) -> dict:
             for lo, hi, members in zip([0.0] + bounds, bounds + [None], split)
         ],
     }
+
+
+def first_nonfinite(doc, name: str = "") -> str | None:
+    """The key path, such as "rmse_mm" or "buckets[1].rmse_mm", of the first
+    number in doc, a report document, that is inf or nan, which JSON cannot
+    hold; None when every number is finite."""
+    if type(doc) is float:
+        return None if math.isfinite(doc) else name
+    if type(doc) is dict:
+        entries = ((f"{name}.{key}" if name else key, v) for key, v in doc.items())
+    elif type(doc) is list:
+        entries = ((f"{name}[{i}]", v) for i, v in enumerate(doc))
+    else:
+        return None
+    for key, value in entries:
+        found = first_nonfinite(value, key)
+        if found is not None:
+            return found
+    return None
 
 
 def compare_sources(

@@ -210,6 +210,10 @@ def _pose_from_dlt(
     return CameraPose(r, m[:, 3])
 
 
+# The solve fails on any non-finite residual, Jacobian or step, so numpy's
+# overflow warnings on the way (from intrinsics far out of range, say) are
+# only noise on stderr.
+@np.errstate(over="ignore", invalid="ignore")
 def solve_pnp(
     correspondences: list[PnpCorrespondence], k: CameraIntrinsics
 ) -> tuple[CameraPose, ReprojectionReport]:

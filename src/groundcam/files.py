@@ -27,6 +27,7 @@ from .pipeline import (
     json_string,
 )
 from .regression import (
+    KNOWN_CLASSES,
     BoundingBox,
     ClassModel,
     GroundRegressor,
@@ -141,7 +142,9 @@ def model_to_dict(regressor: GroundRegressor) -> dict:
 
 
 def model_from_dict(obj: dict) -> GroundRegressor:
-    """Inverse of model_to_dict; ClassModel checks there are 2 weight rows."""
+    """Inverse of model_to_dict. Raises ValueError when a class's weights
+    are not rows of 5 numbers or its rmse_px is not a number, when ClassModel
+    rejects them, and then when a class is not one of KNOWN_CLASSES."""
     classes = {
         label: ClassModel(
             weights=[json_numbers(row, 5, "weights") for row in entry["weights"]],
@@ -149,6 +152,9 @@ def model_from_dict(obj: dict) -> GroundRegressor:
         )
         for label, entry in obj["classes"].items()
     }
+    unknown = set(classes) - set(KNOWN_CLASSES)
+    if unknown:
+        raise ValueError(f"unsupported classes: {sorted(unknown)}")
     return GroundRegressor(classes=classes)
 
 
@@ -190,8 +196,11 @@ def read_lines(path: Path) -> list[str]:
 
 def load_samples(path: Path) -> list[RegressionSample]:
     """One sample per line of read_lines, stripped as ingest_detections strips
-    one; blank lines are skipped. A malformed line raises ValueError naming
-    the file and the line number."""
+    one; blank lines are skipped. Each line is checked in this order: the
+    class is a string, the bbox an array of 4 numbers that BoundingBox
+    accepts, the ground pixel an array of 2 finite numbers, and the class one
+    of KNOWN_CLASSES. A line that fails, or is not JSON, raises ValueError
+    naming the file, the line number and the first failed check."""
     samples = []
     for number, line in enumerate(read_lines(path), start=1):
         text = line.strip()
@@ -199,15 +208,14 @@ def load_samples(path: Path) -> list[RegressionSample]:
             continue
         with _malformed(f"{path} line {number}"):
             obj = json.loads(text)
-            samples.append(
-                RegressionSample(
-                    label=json_string(obj["class"], "class"),
-                    bbox=BoundingBox(*json_numbers(obj["bbox"], 4, "bbox")),
-                    ground_pixel=PixelPoint(
-                        *json_numbers(obj["ground_pixel"], 2, "ground_pixel")
-                    ),
-                )
+            label = json_string(obj["class"], "class")
+            bbox = BoundingBox(*json_numbers(obj["bbox"], 4, "bbox"))
+            ground_pixel = PixelPoint(
+                *json_numbers(obj["ground_pixel"], 2, "ground_pixel")
             )
+            if label not in KNOWN_CLASSES:
+                raise ValueError(f"class {label!r} is not one of {KNOWN_CLASSES}")
+            samples.append(RegressionSample(label, bbox, ground_pixel))
     return samples
 
 

@@ -362,6 +362,10 @@ def refine_calibration(
     )
 
 
+# A degenerate view fails its homography's rank test and a diverging solve
+# its finiteness checks, so numpy's overflow warnings on the way (from a
+# pixel near float range, say) are only noise on stderr.
+@np.errstate(over="ignore", invalid="ignore")
 def calibrate_intrinsics(
     views: list[PlanarView],
     fix_skew: bool = True,
@@ -373,9 +377,14 @@ def calibrate_intrinsics(
     closed form's values, which are exactly 0: zhang_closed_form returns
     gamma = 0.0 when it assumes zero skew, and always a zero lens model.
     Raises ValueError (from zhang_closed_form) below three views, or two
-    with fix_skew.
+    with fix_skew, and one naming the view whose homography is undetermined.
     """
-    homographies = [estimate_homography(v) for v in views]
+    homographies = []
+    for v in views:
+        try:
+            homographies.append(estimate_homography(v))
+        except ValueError as exc:
+            raise ValueError(f"{v.view_id}: {exc}") from None
     k0 = zhang_closed_form(homographies, assume_zero_skew=fix_skew)
     poses = [extrinsics_from_homography(k0, h) for h in homographies]
     world = [np.column_stack([v.pattern, np.zeros(len(v))]) for v in views]

@@ -37,31 +37,18 @@ class FrameConvention(str, enum.Enum):
     CAMERA = "camera"
 
 
-class _Detection(NamedTuple):
+class Detection(NamedTuple):
+    """One detector output tied to a frame identifier."""
+
     frame_id: str
     label: str
     score: float
     bbox: BoundingBox
 
 
-class Detection(_Detection):
-    """One detector output tied to a frame identifier.
+class LocalizedObject(NamedTuple):
+    """A detection placed on the carpet, with its bearing in (-180, 180]."""
 
-    The score is checked to lie in [0, 1] on construction; _make and
-    _replace skip the check.
-    """
-
-    __slots__ = ()
-
-    def __new__(
-        cls, frame_id: str, label: str, score: float, bbox: BoundingBox
-    ) -> Detection:
-        if not 0.0 <= score <= 1.0:
-            raise ValueError(f"score must be in [0, 1], got {score}")
-        return tuple.__new__(cls, (frame_id, label, score, bbox))
-
-
-class _LocalizedObject(NamedTuple):
     frame_id: str
     label: str
     x_mm: float
@@ -70,37 +57,8 @@ class _LocalizedObject(NamedTuple):
     ground_pixel: PixelPoint
 
 
-class LocalizedObject(_LocalizedObject):
-    """A detection placed on the carpet, with its bearing.
-
-    theta_deg is checked to lie in (-180, 180] on construction; _make and
-    _replace skip the check.
-    """
-
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        frame_id: str,
-        label: str,
-        x_mm: float,
-        y_mm: float,
-        theta_deg: float,
-        ground_pixel: PixelPoint,
-    ) -> LocalizedObject:
-        if not -180.0 < theta_deg <= 180.0:
-            raise ValueError(f"theta {theta_deg} outside (-180, 180]")
-        return tuple.__new__(
-            cls, (frame_id, label, x_mm, y_mm, theta_deg, ground_pixel)
-        )
-
-
 class UnlocalizableDetection(NamedTuple):
-    """A detection the pipeline could not place, with the reason attached.
-
-    Nothing is checked on construction, so _make and _replace build the
-    same records the constructor does.
-    """
+    """A detection the pipeline could not place, with the reason attached."""
 
     frame_id: str
     label: str
@@ -234,11 +192,13 @@ def ingest_detections(
 ) -> IngestResult:
     """Parse detection JSONL lines, dropping low scores.
 
-    Malformed lines, including JSON nested deeper than the decoder's stack, a
-    frame that is not a string or an integer, a class that is not a string, a
-    bbox that is not an array of 4 numbers or a score that is not a number,
-    are skipped and reported as diagnostics with their line numbers; blank
-    lines are skipped silently. Lines are numbered from first, so a slice of
+    Each line is checked in this order: the bbox is an array of 4 numbers
+    that BoundingBox accepts, the frame is a string or an integer, the class
+    is a string, the score is a number in [0, 1], and the class is one of
+    KNOWN_CLASSES. A line that fails a check, or that is not JSON (nested
+    deeper than the decoder's stack, say), is skipped and reported as a
+    diagnostic with its line number and the first failed check; blank lines
+    are skipped silently. Lines are numbered from first, so a slice of
     a file keeps the file's numbers. Input order is preserved.
     """
     detections: list[Detection] = []
@@ -255,18 +215,18 @@ def ingest_detections(
             bbox = BoundingBox(*json_numbers(obj["bbox"], 4, "bbox"))
             frame_id = _frame_id(obj["frame"])
             label = json_string(obj["class"], "class")
-            detection = Detection(
-                frame_id, label, json_number(obj["score"], "score"), bbox
-            )
+            score = json_number(obj["score"], "score")
+            if not 0.0 <= score <= 1.0:
+                raise ValueError(f"score must be in [0, 1], got {score}")
         except (KeyError, TypeError, ValueError, RecursionError) as exc:
             diagnostics.append(f"line {number}: {exc}")
             continue
         if label not in KNOWN_CLASSES:
             diagnostics.append(f"line {number}: unknown class {label!r}")
             continue
-        if detection.score < min_score:
+        if score < min_score:
             continue
-        detections.append(detection)
+        detections.append(Detection(frame_id, label, score, bbox))
     return IngestResult(
         detections=tuple(detections), diagnostics=tuple(diagnostics)
     )

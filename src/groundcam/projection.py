@@ -61,31 +61,13 @@ class WorldPoint(_WorldPoint):
         return _readonly(self, (3,))
 
 
-class _EulerAngles(NamedTuple):
+class EulerAngles(NamedTuple):
+    """Rotation as (omega, phi, kappa) degrees; euler_from_pose returns each
+    in (-180, 180]."""
+
     omega: float
     phi: float
     kappa: float
-
-
-class EulerAngles(_EulerAngles):
-    """Rotation as (omega, phi, kappa) degrees, each in (-180, 180].
-
-    The angles are coerced to float and checked on construction; _make and
-    _replace skip the coercion and the checks.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, omega: float, phi: float, kappa: float) -> EulerAngles:
-        angles = []
-        for name, value in zip(cls._fields, (omega, phi, kappa)):
-            value = float(value)
-            if not math.isfinite(value):
-                raise ValueError(f"angle {name} must be finite")
-            if not -180.0 < value <= 180.0:
-                raise ValueError(f"angle {name}={value} outside (-180, 180]")
-            angles.append(value)
-        return tuple.__new__(cls, angles)
 
 
 def _axis_rotation(axis: int, a: float) -> np.ndarray:

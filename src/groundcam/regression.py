@@ -49,27 +49,12 @@ class BoundingBox(_BoundingBox):
         return tuple.__new__(cls, (xmin, ymin, xmax, ymax))
 
 
-class _RegressionSample(NamedTuple):
+class RegressionSample(NamedTuple):
+    """One annotated training example for one class."""
+
     label: str
     bbox: BoundingBox
     ground_pixel: PixelPoint
-
-
-class RegressionSample(_RegressionSample):
-    """One annotated training example for one class.
-
-    The label is checked to be a known class on construction; _make and
-    _replace skip the check.
-    """
-
-    __slots__ = ()
-
-    def __new__(
-        cls, label: str, bbox: BoundingBox, ground_pixel: PixelPoint
-    ) -> RegressionSample:
-        if label not in KNOWN_CLASSES:
-            raise ValueError(f"class {label!r} is not one of {KNOWN_CLASSES}")
-        return tuple.__new__(cls, (label, bbox, ground_pixel))
 
 
 class _ClassModel(NamedTuple):
@@ -108,24 +93,10 @@ class ClassModel(_ClassModel):
         )
 
 
-class _GroundRegressor(NamedTuple):
+class GroundRegressor(NamedTuple):
+    """The per-class ground-point models, keyed by class."""
+
     classes: dict[str, ClassModel]
-
-
-class GroundRegressor(_GroundRegressor):
-    """Immutable bundle of per-class ground-point models.
-
-    The classes are checked to be known and copied on construction; _make
-    and _replace skip the check and the copy.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, classes: dict[str, ClassModel]) -> GroundRegressor:
-        unknown = set(classes) - set(KNOWN_CLASSES)
-        if unknown:
-            raise ValueError(f"unsupported classes: {sorted(unknown)}")
-        return tuple.__new__(cls, (dict(classes),))
 
     def covered(self) -> tuple[str, ...]:
         return tuple(sorted(self.classes))
@@ -135,9 +106,9 @@ def fit(samples: list[RegressionSample]) -> GroundRegressor:
     """Fit one independent 2x5 model per class present in the samples.
 
     Every class needs at least 5 samples. Adding samples of one class never
-    changes another class's weights. Raises ValueError (from the linear
-    solver) when a class's boxes do not span the feature space, for example
-    when every box is identical.
+    changes another class's weights. Raises ValueError naming the class when
+    its boxes do not span the feature space (every box identical, say) or
+    its weights come out non-finite.
     """
     import numpy as np
 
@@ -160,13 +131,19 @@ def fit(samples: list[RegressionSample]) -> GroundRegressor:
         design = np.array([[*s.bbox, 1.0] for s in group])
         targets_u = np.array([s.ground_pixel.u for s in group])
         targets_v = np.array([s.ground_pixel.v for s in group])
-        wu = linear_least_squares(design, targets_u)
-        wv = linear_least_squares(design, targets_v)
-        weights = np.vstack([wu, wv])
-        predicted = design @ weights.T
-        observed = np.column_stack([targets_u, targets_v])
-        rmse = math.sqrt(float(np.mean((predicted - observed) ** 2)))
-        classes[label] = ClassModel(weights=weights, rmse_px=rmse)
+        # ClassModel rejects a non-finite weight or RMSE, so numpy's overflow
+        # warnings on the way are only noise on stderr.
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                wu = linear_least_squares(design, targets_u)
+                wv = linear_least_squares(design, targets_v)
+                weights = np.vstack([wu, wv])
+                predicted = design @ weights.T
+                observed = np.column_stack([targets_u, targets_v])
+                rmse = math.sqrt(float(np.mean((predicted - observed) ** 2)))
+            classes[label] = ClassModel(weights=weights, rmse_px=rmse)
+        except ValueError as exc:
+            raise ValueError(f"class {label!r}: {exc}") from None
     return GroundRegressor(classes=classes)
 
 

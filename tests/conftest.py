@@ -47,14 +47,16 @@ def json_loads_ingest(lines, min_score: float = 0.5):
             label = obj["class"]
             if type(label) is not str:
                 raise ValueError(f"class must be a string, got {label!r}")
-            detection = Detection(frame, label, json_number(obj["score"], "score"), bbox)
+            score = json_number(obj["score"], "score")
+            if not 0.0 <= score <= 1.0:
+                raise ValueError(f"score must be in [0, 1], got {score}")
         except (KeyError, TypeError, ValueError) as exc:
             diagnostics.append(f"line {number}: {exc}")
             continue
         if label not in KNOWN_CLASSES:
             diagnostics.append(f"line {number}: unknown class {label!r}")
-        elif detection.score >= min_score:
-            kept.append(detection)
+        elif score >= min_score:
+            kept.append(Detection(frame, label, score, bbox))
     return tuple(kept), tuple(diagnostics)
 
 

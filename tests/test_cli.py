@@ -88,6 +88,21 @@ class TestCalibrateIntrinsics:
         assert loaded_k.alpha_x == pytest.approx(truth.alpha_x, rel=1e-6)
         assert loaded_pose is None
 
+    def test_degenerate_view_names_the_file_and_the_view(self, capsys, cli_scene, tmp_path):
+        doc = json.loads(cli_scene.paths["views"].read_text())
+        for point in doc["views"][0]["points"]:
+            point["pixel"] = [5.0, 5.0]
+        path = tmp_path / "views.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = _run(capsys, "calibrate-intrinsics", path)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"loaded 6 views from {path}\n"
+            f"error: {path}: view000: points do not determine a unique homography "
+            "(singular values 0 and -0 of 6.35)\n"
+        )
+
     def test_unreadable_file(self, capsys, tmp_path):
         bad = tmp_path / "views.json"
         bad.write_text("{broken")
@@ -261,6 +276,32 @@ class TestFitRegressor:
         code, _, err = _run(capsys, "fit-regressor", path)
         assert code == 2
         assert "error:" in err
+
+    def test_degenerate_class_names_the_file_and_the_class(self, capsys, tmp_path):
+        # Six copies of one box: the xmin and ymin columns are all zero.
+        sample = {"class": "ball", "bbox": [0.0, 0.0, 10.0, 10.0], "ground_pixel": [5.0, 10.0]}
+        path = tmp_path / "samples.jsonl"
+        path.write_text((json.dumps(sample) + "\n") * 6)
+        code, out, err = _run(capsys, "fit-regressor", path)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"loaded 6 samples from {path}\n"
+            f"error: {path}: class 'ball': column dependence detected (|R_ii| ratio 0/20)\n"
+        )
+
+    def test_unknown_class_names_the_file_and_the_line(self, capsys, cli_scene, tmp_path):
+        lines = cli_scene.paths["samples"].read_text().splitlines()
+        sample = json.loads(lines[2])
+        lines[2] = json.dumps({**sample, "class": "plane"})
+        path = tmp_path / "samples.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = _run(capsys, "fit-regressor", path)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: {path} line 3: class 'plane' is not one of ('ball', 'robot', 'goal')\n"
+        )
 
     @pytest.mark.parametrize(
         "field, value",
@@ -492,6 +533,18 @@ class TestLocalize:
             "0.3",
         )
         assert code == 0 and len(out.splitlines()) == 1
+
+    def test_unknown_model_class_names_the_file(self, capsys, cli_scene, tmp_path):
+        doc = json.loads(cli_scene.paths["model"].read_text())
+        doc["classes"]["plane"] = next(iter(doc["classes"].values()))
+        path = tmp_path / "model.json"
+        files.write_json(path, doc)
+        code, out, err = _run(
+            capsys, "localize", cli_scene.paths["detections"], cli_scene.paths["calibration"], path
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {path}: unsupported classes: ['plane']\n"
 
     def test_intrinsics_only_calibration_rejected(self, capsys, cli_scene, tmp_path):
         intrinsics_only = tmp_path / "intrinsics.json"
@@ -770,6 +823,22 @@ class TestEvaluate:
         assert out == ""
         assert "Traceback (most recent call last)" in err
         assert "TypeError: comparison failed" in err
+
+    @pytest.mark.parametrize(
+        "est_y",
+        [["1e308"], ["1e200"], ["1.2e154", "-1.2e154"]],
+        ids=["square-overflows", "square-overflows-1e200", "sum-overflows"],
+    )
+    def test_errors_too_large_to_score_name_the_pairs_file(self, capsys, tmp_path, est_y):
+        rows = [f"0,500,0,0,{value},0,ours" for value in est_y]
+        path = tmp_path / "pairs.csv"
+        path.write_text(",".join(evaluation.PAIRS_HEADER) + "\n" + "\n".join(rows) + "\n")
+        out_dir = tmp_path / "report"
+        code, out, err = _run(capsys, "evaluate", path, "--out", out_dir)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {path}: rmse_mm overflows float range\n"
+        assert not out_dir.exists()
 
     def test_mismatched_sources_name_the_pairs_file(self, capsys, tmp_path):
         lines = (FIXTURES_DIR / "reference_eval_pairs.csv").read_text().splitlines()
@@ -1100,6 +1169,57 @@ def test_non_finite_flag_exits_2_naming_the_flag(
     assert out == ""
     assert "Traceback" not in err
     assert f"error: {flag}" in err
+
+
+def _set_json(text: str, keys: tuple, value) -> str:
+    doc = json.loads(text)
+    target = doc
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    return json.dumps(doc)
+
+
+# Inputs that take numpy past float range on the way to a failure the command
+# checks for. The suite turns warnings into errors, so a numpy RuntimeWarning
+# would end the command with exit 1 here, and on stderr outside the suite.
+@pytest.mark.parametrize(
+    "command, document, mutate, error",
+    [
+        (
+            "calibrate-extrinsics",
+            "calibration",
+            lambda text: _set_json(text, ("intrinsics", "alpha_x"), 1e308),
+            "{landmarks}: normal equations unsolvable at lambda=1e+10",
+        ),
+        (
+            "calibrate-intrinsics",
+            "views",
+            lambda text: _set_json(text, ("views", 0, "points", 0, "pixel", 0), 1e308),
+            "{views}: view000: points do not determine a unique homography "
+            "(singular values 0 and -0 of 6.35)",
+        ),
+        (
+            "fit-regressor",
+            "samples",
+            lambda text: _set_json(text.splitlines()[0], ("ground_pixel", 1), 1e200)
+            + "\n" + "".join(line + "\n" for line in text.splitlines()[1:]),
+            "{samples}: class 'ball': rmse_px must be finite and >= 0, got inf",
+        ),
+    ],
+)
+def test_overflow_on_the_way_to_an_error_prints_no_warning(
+    capsys, cli_scene, tmp_path, command, document, mutate, error
+):
+    paths = dict(cli_scene.paths)
+    paths[document] = tmp_path / paths[document].name
+    paths[document].write_text(mutate(cli_scene.paths[document].read_text()))
+    code, out, err = _run(capsys, command, *[paths[name] for name in _INPUTS[command]])
+    assert code == 2
+    assert out == ""
+    *notes, last = err.splitlines()
+    assert last == "error: " + error.format(**paths)
+    assert all(note.startswith(("loaded ", "5 correspondences")) for note in notes), err
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from groundcam.evaluation import (
     build_report,
     compare_sources,
     error_stats,
+    first_nonfinite,
     rmse,
 )
 
@@ -264,6 +265,17 @@ class TestBuildReport:
     def test_empty_input(self):
         with pytest.raises(ValueError, match="report over zero pairs"):
             build_report([], [1000.0])
+
+    def test_overflow_is_found_by_its_key_path(self):
+        # The far pair's error squares past float range; the first number
+        # that overflows, in document order, is named.
+        pairs = [_pair_at_distance(500.0), EvalPair(0.0, 3000.0, 0.0, 0.0, 1e200, 0.0)]
+        report = build_report(pairs, [1000.0])
+        assert report["rmse_mm"] == math.inf
+        assert first_nonfinite(report) == "rmse_mm"
+        assert first_nonfinite(report["buckets"]) == "[1].rmse_mm"
+        assert first_nonfinite({"a": [1.0, None, 2], "b": {"c": math.nan}}) == "b.c"
+        assert first_nonfinite(build_report(_pairs(OURS_ROWS), [700.0])) is None
 
 
 # ---------------------------------------------------------------------------

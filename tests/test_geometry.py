@@ -390,11 +390,12 @@ class TestEulerPose:
             euler_from_pose(pose)
 
     def test_angle_range_enforced(self):
-        with pytest.raises(ValueError):
-            EulerAngles(200.0, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            EulerAngles(0.0, -180.0, 0.0)
-        assert EulerAngles(0.0, 180.0, 0.0).phi == 180.0
+        # A half turn comes back as +180, never -180, whichever sign went in.
+        for omega, phi, kappa in ((-180.0, 10.0, -180.0), (180.0, -20.0, 180.0)):
+            pose = pose_from_euler(EulerAngles(omega, phi, kappa), WorldPoint(1, 2, 3))
+            angles, _ = euler_from_pose(pose)
+            assert (angles.omega, angles.kappa) == (180.0, 180.0)
+            assert angles.phi == pytest.approx(phi, abs=1e-12)
 
     def test_camera_center_identity(self, rng):
         for _ in range(100):

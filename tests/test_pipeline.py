@@ -430,32 +430,38 @@ def test_ingest_equals_a_json_loads_reference(text):
 
 
 def test_detection_score_range_enforced():
-    box = BoundingBox(0.0, 0.0, 10.0, 10.0)
-    with pytest.raises(ValueError):
-        Detection(frame_id="f", label="ball", score=1.5, bbox=box)
-    with pytest.raises(ValueError):
-        Detection(frame_id="f", label="ball", score=-0.1, bbox=box)
-
-
-def test_localized_object_theta_range_enforced():
-    with pytest.raises(ValueError):
-        LocalizedObject(
-            frame_id="f",
-            label="ball",
-            x_mm=0.0,
-            y_mm=1.0,
-            theta_deg=-180.0,
-            ground_pixel=PixelPoint(0.0, 0.0),
-        )
-    ok = LocalizedObject(
-        frame_id="f",
-        label="ball",
-        x_mm=0.0,
-        y_mm=1.0,
-        theta_deg=180.0,
-        ground_pixel=PixelPoint(0.0, 0.0),
+    # ingest_detections is the one reader of a score: it keeps [0, 1] and
+    # names any other value, NaN included, before it looks at the class.
+    lines = [
+        _line(frame="a", score=1.5),
+        _line(frame="b", score=-0.1),
+        _line(frame="c", score=math.nan),
+        _line(frame="d", cls="plane", score=7),
+        _line(frame="e", score=0.0),
+        _line(frame="f", score=1.0),
+    ]
+    result = ingest_detections(lines, min_score=0.0)
+    assert result.diagnostics == (
+        "line 1: score must be in [0, 1], got 1.5",
+        "line 2: score must be in [0, 1], got -0.1",
+        "line 3: score must be in [0, 1], got nan",
+        "line 4: score must be in [0, 1], got 7.0",
     )
-    assert ok.theta_deg == 180.0
+    assert [(d.frame_id, d.score) for d in result.detections] == [("e", 0.0), ("f", 1.0)]
+
+
+def test_localized_object_theta_range_enforced(ref_k, ref_pose):
+    # Ground points straddling the field frame's -y axis, in front of the
+    # reference camera, where atan2 flips between +180 and -180 degrees.
+    points = [WorldPoint(x, y) for x in (-1.0, -1e-9, 0.0, 1e-9, 1.0) for y in (-300.0, -100.0)]
+    detections = [_detection_for_point(p, ref_k, ref_pose) for p in points]
+    results = localize_batch(detections, bottom_center_regressor(), ref_k, ref_pose)
+    thetas = [r.theta_deg for r in results]
+    assert all(isinstance(r, LocalizedObject) for r in results)
+    assert all(-180.0 < theta <= 180.0 for theta in thetas)
+    assert min(thetas) < -179.0 and max(thetas) > 179.0
+    for r in results:
+        assert r.theta_deg == bearing(r.x_mm, r.y_mm)
 
 
 _BOX = BoundingBox(10.0, 10.0, 50.0, 80.0)
@@ -526,17 +532,6 @@ def test_set_up_records_are_immutable_values(build, name):
         ),
         (lambda: PixelPoint(math.inf, 0.0), "pixel coordinates must be finite"),
         (lambda: PixelPoint(0.0, math.nan), "pixel coordinates must be finite"),
-        (lambda: Detection("f", "ball", 1.5, _BOX), "score must be in [0, 1], got 1.5"),
-        (lambda: Detection("f", "ball", -0.1, _BOX), "score must be in [0, 1], got -0.1"),
-        (lambda: Detection("f", "ball", math.nan, _BOX), "score must be in [0, 1], got nan"),
-        (
-            lambda: LocalizedObject("f", "ball", 0.0, 1.0, -180.0, _PIXEL),
-            "theta -180.0 outside (-180, 180]",
-        ),
-        (
-            lambda: LocalizedObject("f", "ball", 0.0, 1.0, 180.5, _PIXEL),
-            "theta 180.5 outside (-180, 180]",
-        ),
     ],
 )
 def test_records_reject_bad_values_with_their_messages(build, message):

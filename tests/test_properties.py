@@ -1,6 +1,6 @@
 """Property tests: the lens inverse, the ground map and the rotation
-parameterizations undo their forward maps, and ingest parses any line as
-json.loads does.
+parameterizations undo their forward maps, bearings stay in (-180, 180],
+and ingest parses any line as json.loads does.
 
 Skipped when hypothesis is not installed.
 """
@@ -23,7 +23,7 @@ from groundcam.geometry import (  # noqa: E402
     ground_map,
     undistort_normalized,
 )
-from groundcam.pipeline import ingest_detections  # noqa: E402
+from groundcam.pipeline import bearing, ingest_detections  # noqa: E402
 from groundcam.projection import (  # noqa: E402
     EulerAngles,
     WorldPoint,
@@ -107,6 +107,18 @@ def test_euler_from_pose_inverts_pose_from_euler(omega, phi, kappa, center):
         assert -180.0 < got <= 180.0
         assert abs(_wrapped(got - want)) <= 1e-9
     assert np.max(np.abs(c.array - center)) <= 1e-9
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=finite, y=finite)
+def test_bearing_is_in_half_open_range(x, y):
+    assume(x != 0.0 or y != 0.0)
+    theta = bearing(x, y)
+    assert -180.0 < theta <= 180.0
+    assert abs(_wrapped(theta - math.degrees(math.atan2(x, y)))) <= 1e-12
 
 
 axes = st.tuples(*[st.floats(-1.0, 1.0)] * 3).map(np.array).filter(

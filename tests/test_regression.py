@@ -7,16 +7,18 @@ the injected noise level.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
+from groundcam import files
 from groundcam.geometry import PixelPoint
 from groundcam.regression import (
     BOTTOM_CENTER_WEIGHTS,
     KNOWN_CLASSES,
     BoundingBox,
     ClassModel,
-    GroundRegressor,
     RegressionSample,
     bottom_center_regressor,
     fit,
@@ -179,13 +181,22 @@ class TestBoundingBox:
         assert bottom_center == (6.0, 22.0)
 
 
-def test_sample_rejects_unknown_label():
-    with pytest.raises(ValueError):
-        RegressionSample(
-            label="plane",
-            bbox=BoundingBox(0.0, 0.0, 1.0, 1.0),
-            ground_pixel=PixelPoint(0.5, 1.0),
-        )
+def test_sample_rejects_unknown_label(tmp_path):
+    # load_samples checks the class last, after the box and the ground pixel.
+    path = tmp_path / "samples.jsonl"
+    good = {"class": "ball", "bbox": [0.0, 0.0, 1.0, 1.0], "ground_pixel": [0.5, 1.0]}
+    plane = dict(good, **{"class": "plane"})
+    for bad, message in (
+        (plane, "class 'plane' is not one of ('ball', 'robot', 'goal')"),
+        (
+            dict(plane, bbox=[0.0, 0.0, 0.0, 1.0]),
+            "box must have positive extent, got (0.0, 0.0, 0.0, 1.0)",
+        ),
+    ):
+        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        with pytest.raises(ValueError) as error:
+            files.load_samples(path)
+        assert str(error.value) == f"{path} line 2: {message}"
 
 
 def test_class_model_validation():
@@ -199,7 +210,17 @@ def test_class_model_validation():
         model.weights[0][0] = 1.0
 
 
-def test_regressor_rejects_unsupported_classes():
-    model = ClassModel(weights=BOTTOM_CENTER_WEIGHTS, rmse_px=0.0)
-    with pytest.raises(ValueError):
-        GroundRegressor(classes={"plane": model})
+def test_regressor_rejects_unsupported_classes(tmp_path):
+    # load_model checks the class names once every ClassModel is built.
+    path = tmp_path / "model.json"
+    doc = files.model_to_dict(bottom_center_regressor())
+    doc["classes"]["plane"] = doc["classes"]["ball"]
+    files.write_json(path, doc)
+    with pytest.raises(ValueError) as error:
+        files.load_model(path)
+    assert str(error.value) == f"{path}: unsupported classes: ['plane']"
+    doc["classes"]["plane"] = {"weights": [[0.0] * 5], "rmse_px": 0.0}
+    files.write_json(path, doc)
+    with pytest.raises(ValueError) as error:
+        files.load_model(path)
+    assert str(error.value) == f"{path}: weights must be (2, 5), got (1, 5)"
