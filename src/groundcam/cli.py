@@ -26,7 +26,7 @@ DEFAULT_BUCKETS = "1000,2000,3000"
 DEFAULT_MIN_SCORE = 0.5
 
 # The errors main reports as invalid input, with exit code 2.
-INVALID_INPUT = (ValueError, KeyError, OSError)
+INVALID_INPUT = (ValueError, OSError)
 
 
 def _note(text: str) -> None:
@@ -71,10 +71,11 @@ def _cmd_calibrate_extrinsics(args: argparse.Namespace) -> int:
     correspondences = load_landmarks(args.landmarks)
     k, _ = files.load_calibration(args.intrinsics)
     _note(f"{len(correspondences)} correspondences from {args.landmarks}")
+    # The solve depends on both files, so its failure names both.
     try:
         pose, report = solve_pnp(correspondences, k)
     except ValueError as exc:
-        raise ValueError(f"{args.landmarks}: {exc}") from None
+        raise ValueError(f"{args.landmarks}, {args.intrinsics}: {exc}") from None
     for name, norm in zip(report.names, report.norms):
         shown = name or "(unnamed)"
         _note(f"  {shown}: residual {norm:.6f} px")
@@ -91,12 +92,12 @@ def _cmd_fit_regressor(args: argparse.Namespace) -> int:
     samples = files.load_samples(args.samples)
     _note(f"loaded {len(samples)} samples from {args.samples}")
     try:
-        regressor = fit(samples)
+        models = fit(samples)
     except ValueError as exc:
         raise ValueError(f"{args.samples}: {exc}") from None
-    for label in regressor.covered():
-        _note(f"  {label}: rmse {regressor.classes[label].rmse_px:.6f} px")
-    _publish(files.dumps(files.model_to_dict(regressor)), args.out)
+    for label in sorted(models):
+        _note(f"  {label}: rmse {models[label].rmse_px:.6f} px")
+    _publish(files.dumps(files.model_to_dict(models)), args.out)
     return 0
 
 
@@ -201,13 +202,13 @@ def _cmd_localize(args: argparse.Namespace) -> int:
         raise ValueError(
             f"{args.calibration} has no pose; run calibrate-extrinsics first"
         )
-    regressor = files.load_model(args.model)
+    models = files.load_model(args.model)
     convention = FrameConvention(args.frame)
     lines = files.read_lines(args.detections)
 
     def work(part: list[str], first: int) -> tuple[tuple[str, ...], str, int, int]:
         ingest = ingest_detections(part, min_score=min_score, first=first)
-        results = localize_batch(list(ingest.detections), regressor, k, pose, convention)
+        results = localize_batch(list(ingest.detections), models, k, pose, convention)
         text = "".join([files.localization_line(r) + "\n" for r in results])
         ok = sum(isinstance(r, LocalizedObject) for r in results)
         return ingest.diagnostics, text, ok, len(results)

@@ -13,8 +13,9 @@ landmarks document's codec lives here too, beside the catalog it names.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,8 +34,7 @@ COPLANAR_Z_TOL_MM = 1e-9
 RESIDUAL_FLAG_FLOOR_PX = 1e-6
 
 
-@dataclass(frozen=True, slots=True)
-class FieldGeometry:
+class FieldGeometry(NamedTuple):
     """Field dimensions in millimeters; all symmetric about the center."""
 
     field_length: float
@@ -45,20 +45,8 @@ class FieldGeometry:
     penalty_depth: float
     penalty_width: float
 
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{f.name} must be positive, got {value}")
-        if self.goal_width > self.field_width:
-            raise ValueError("goal wider than the field")
-        if self.penalty_width > self.field_width:
-            raise ValueError("penalty area wider than the field")
-        if self.penalty_depth > self.field_length / 2:
-            raise ValueError("penalty area deeper than the half field")
-
     @classmethod
-    def division_b(cls) -> "FieldGeometry":
+    def division_b(cls) -> FieldGeometry:
         """Standard small-league division B dimensions."""
         return cls(
             field_length=9000.0,
@@ -92,7 +80,7 @@ class ReprojectionReport:
     names: tuple[str, ...]
     residuals: np.ndarray
     norms: np.ndarray
-    rmse_px: float | None
+    rmse_px: float
     flagged: tuple[int, ...]
 
 
@@ -131,16 +119,25 @@ def field_landmarks(geometry: FieldGeometry) -> dict[str, WorldPoint]:
 
 def field_geometry_to_dict(g: FieldGeometry) -> dict:
     """Every FieldGeometry field under its name plus an _mm suffix."""
-    return {f"{f.name}_mm": getattr(g, f.name) for f in fields(g)}
+    return {f"{name}_mm": value for name, value in zip(g._fields, g)}
 
 
 def field_geometry_from_dict(obj: dict) -> FieldGeometry:
-    return FieldGeometry(
-        **{
-            f.name: json_number(obj[f"{f.name}_mm"], f"{f.name}_mm")
-            for f in fields(FieldGeometry)
-        }
+    """Inverse of field_geometry_to_dict; raises ValueError for a dimension
+    that is not a positive number or an area the field cannot hold."""
+    g = FieldGeometry(
+        *(json_number(obj[f"{name}_mm"], f"{name}_mm") for name in FieldGeometry._fields)
     )
+    for name, value in zip(g._fields, g):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be positive, got {value}")
+    if g.goal_width > g.field_width:
+        raise ValueError("goal wider than the field")
+    if g.penalty_width > g.field_width:
+        raise ValueError("penalty area wider than the field")
+    if g.penalty_depth > g.field_length / 2:
+        raise ValueError("penalty area deeper than the half field")
+    return g
 
 
 def landmarks_to_dict(
@@ -269,17 +266,8 @@ def reprojection_report(
     """Residuals of marked pixels against full-model reprojections.
 
     The aggregate is the root mean square of the stacked u and v residuals;
-    the per-point norms used for mismark flagging stay Euclidean. An empty
-    correspondence list yields an empty report with rmse None.
+    the per-point norms used for mismark flagging stay Euclidean.
     """
-    if not correspondences:
-        return ReprojectionReport(
-            names=(),
-            residuals=np.zeros((0, 2)),
-            norms=np.zeros(0),
-            rmse_px=None,
-            flagged=(),
-        )
     world = np.array([[c.world.x, c.world.y, c.world.z] for c in correspondences])
     marked = np.array([[c.pixel.u, c.pixel.v] for c in correspondences])
     predicted = project_points(world, k, pose, clamp_depth=True)

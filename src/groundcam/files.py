@@ -30,7 +30,6 @@ from .regression import (
     KNOWN_CLASSES,
     BoundingBox,
     ClassModel,
-    GroundRegressor,
     RegressionSample,
 )
 
@@ -132,16 +131,16 @@ def load_calibration(path: Path) -> tuple[CameraIntrinsics, CameraPose | None]:
     return _load_json(path, calibration_from_dict)
 
 
-def model_to_dict(regressor: GroundRegressor) -> dict:
+def model_to_dict(models: dict[str, ClassModel]) -> dict:
     return {
         "classes": {
             label: {"weights": list(map(list, model.weights)), "rmse_px": model.rmse_px}
-            for label, model in regressor.classes.items()
+            for label, model in models.items()
         }
     }
 
 
-def model_from_dict(obj: dict) -> GroundRegressor:
+def model_from_dict(obj: dict) -> dict[str, ClassModel]:
     """Inverse of model_to_dict. Raises ValueError when a class's weights
     are not rows of 5 numbers or its rmse_px is not a number, when ClassModel
     rejects them, and then when a class is not one of KNOWN_CLASSES."""
@@ -155,10 +154,10 @@ def model_from_dict(obj: dict) -> GroundRegressor:
     unknown = set(classes) - set(KNOWN_CLASSES)
     if unknown:
         raise ValueError(f"unsupported classes: {sorted(unknown)}")
-    return GroundRegressor(classes=classes)
+    return classes
 
 
-def load_model(path: Path) -> GroundRegressor:
+def load_model(path: Path) -> dict[str, ClassModel]:
     return _load_json(path, model_from_dict)
 
 

@@ -23,7 +23,7 @@ from .geometry import (
     RayParallelToPlane,
     ground_map,
 )
-from .regression import KNOWN_CLASSES, BoundingBox, GroundRegressor
+from .regression import KNOWN_CLASSES, BoundingBox, ClassModel
 
 
 class UndefinedBearing(ValueError):
@@ -124,7 +124,7 @@ def json_string(value, what: str) -> str:
 
 def localize_batch(
     detections: list[Detection],
-    regressor: GroundRegressor,
+    models: dict[str, ClassModel],
     k: CameraIntrinsics,
     pose: CameraPose,
     convention: FrameConvention = FrameConvention.FIELD,
@@ -132,7 +132,7 @@ def localize_batch(
     """Place each detection on the carpet, or explain why it cannot be placed.
 
     The pose's ground map is built once; each detection then goes through
-    its class's regressor and GroundMap.locate on plain floats, so a result
+    its class's model and GroundMap.locate on plain floats, so a result
     does not depend on the batch it came in. Input order is preserved.
     Never raises for the expected failure modes (unknown class, a ground
     pixel that overflows, horizon or above-horizon pixels, undistortion
@@ -141,7 +141,6 @@ def localize_batch(
     """
     ground = ground_map(k, pose)
     to_camera = convention is FrameConvention.CAMERA
-    models = regressor.classes
     results: list[LocalizedObject | UnlocalizableDetection] = []
     for d in detections:
         model = models.get(d.label)

@@ -93,16 +93,7 @@ class ClassModel(_ClassModel):
         )
 
 
-class GroundRegressor(NamedTuple):
-    """The per-class ground-point models, keyed by class."""
-
-    classes: dict[str, ClassModel]
-
-    def covered(self) -> tuple[str, ...]:
-        return tuple(sorted(self.classes))
-
-
-def fit(samples: list[RegressionSample]) -> GroundRegressor:
+def fit(samples: list[RegressionSample]) -> dict[str, ClassModel]:
     """Fit one independent 2x5 model per class present in the samples.
 
     Every class needs at least 5 samples. Adding samples of one class never
@@ -144,16 +135,14 @@ def fit(samples: list[RegressionSample]) -> GroundRegressor:
             classes[label] = ClassModel(weights=weights, rmse_px=rmse)
         except ValueError as exc:
             raise ValueError(f"class {label!r}: {exc}") from None
-    return GroundRegressor(classes=classes)
+    return classes
 
 
 def bottom_center_regressor(
     labels: tuple[str, ...] = KNOWN_CLASSES,
-) -> GroundRegressor:
-    """Untrained fallback: the box's bottom-center is the ground pixel."""
-    return GroundRegressor(
-        classes={
-            label: ClassModel(weights=BOTTOM_CENTER_WEIGHTS, rmse_px=0.0)
-            for label in labels
-        }
-    )
+) -> dict[str, ClassModel]:
+    """Untrained model: the box's bottom-center is the ground pixel."""
+    return {
+        label: ClassModel(weights=BOTTOM_CENTER_WEIGHTS, rmse_px=0.0)
+        for label in labels
+    }

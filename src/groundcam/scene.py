@@ -58,7 +58,7 @@ from .projection import (
 from .regression import (
     KNOWN_CLASSES,
     BoundingBox,
-    GroundRegressor,
+    ClassModel,
     RegressionSample,
     bottom_center_regressor,
 )
@@ -284,7 +284,7 @@ class SyntheticScene:
     samples: tuple[RegressionSample, ...]
     detections: tuple[Detection, ...]
     truth: tuple[tuple[str, float, float, float], ...]
-    regressor: GroundRegressor
+    regressor: dict[str, ClassModel]
 
 
 def _pattern_grid(config: SceneConfig) -> np.ndarray:

@@ -340,7 +340,7 @@ def test_criterion_7_regressor_identity():
     regressor = fit(samples)
     residual = max(
         math.hypot(*(true_w @ np.array([*b, 1.0]) - np.array(
-            regressor.classes["robot"].ground_pixel(b)
+            regressor["robot"].ground_pixel(b)
         )))
         for b in checks
     )
@@ -354,10 +354,10 @@ def test_criterion_7_regressor_identity():
         for b in checks
     ]
     fitted_dev = float(
-        np.max(np.abs(np.array(fit(bc_samples).classes["ball"].weights) - BOTTOM_CENTER_WEIGHTS))
+        np.max(np.abs(np.array(fit(bc_samples)["ball"].weights) - BOTTOM_CENTER_WEIGHTS))
     )
     fallback_exact = np.array_equal(
-        bottom_center_regressor().classes["ball"].weights, BOTTOM_CENTER_WEIGHTS
+        bottom_center_regressor()["ball"].weights, BOTTOM_CENTER_WEIGHTS
     )
 
     ok = residual < 1e-9 and fitted_dev < 1e-9 and fallback_exact

@@ -96,17 +96,35 @@ class TestFieldGeometry:
         assert g.penalty_depth == 1000.0
         assert g.penalty_width == 2000.0
 
-    def test_positive_dimensions_enforced(self):
-        with pytest.raises(ValueError):
-            FieldGeometry(0.0, 6000.0, 1000.0, 180.0, 155.0, 1000.0, 2000.0)
-
-    def test_containment_enforced(self):
-        with pytest.raises(ValueError):
-            FieldGeometry(9000.0, 6000.0, 7000.0, 180.0, 155.0, 1000.0, 2000.0)
-        with pytest.raises(ValueError):
-            FieldGeometry(9000.0, 6000.0, 1000.0, 180.0, 155.0, 1000.0, 6500.0)
-        with pytest.raises(ValueError):
-            FieldGeometry(9000.0, 6000.0, 1000.0, 180.0, 155.0, 4600.0, 2000.0)
+    # field_geometry_from_dict builds every FieldGeometry read from a file,
+    # so its checks are the only ones; they run in this order.
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"goal_width_mm": "1"}, "goal_width_mm must be a number, got '1'"),
+            ({"field_length_mm": 0.0}, "field_length must be positive, got 0.0"),
+            ({"goal_width_mm": -1.0}, "goal_width must be positive, got -1.0"),
+            ({"goal_height_mm": math.inf}, "goal_height must be positive, got inf"),
+            ({"penalty_width_mm": math.nan}, "penalty_width must be positive, got nan"),
+            ({"goal_width_mm": 7000.0}, "goal wider than the field"),
+            ({"penalty_width_mm": 6500.0}, "penalty area wider than the field"),
+            ({"penalty_depth_mm": 4600.0}, "penalty area deeper than the half field"),
+            (
+                {"goal_width_mm": 7000.0, "penalty_depth_mm": -1.0},
+                "penalty_depth must be positive, got -1.0",
+            ),
+            (
+                {"goal_width_mm": 7000.0, "penalty_depth_mm": 4600.0},
+                "goal wider than the field",
+            ),
+        ],
+    )
+    def test_reader_rejects_a_bad_geometry(self, changes, message):
+        doc = extrinsics.field_geometry_to_dict(FieldGeometry.division_b())
+        doc.update(changes)
+        with pytest.raises(ValueError) as info:
+            extrinsics.field_geometry_from_dict(doc)
+        assert str(info.value) == message
 
 
 class TestFieldLandmarks:
@@ -263,13 +281,6 @@ class TestReprojectionReport:
         assert report.rmse_px == pytest.approx(5.0 / math.sqrt(2.0), abs=1e-9)
         assert np.allclose(report.norms, 5.0, atol=1e-9)
         assert report.flagged == ()
-
-    def test_empty_input(self, ref_k, ref_pose):
-        report = reprojection_report(ref_pose, ref_k, [])
-        assert report.rmse_px is None
-        assert report.names == ()
-        assert report.flagged == ()
-        assert report.residuals.shape == (0, 2)
 
     def test_arrays_are_read_only(self, ref_k, ref_pose):
         report = reprojection_report(

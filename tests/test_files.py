@@ -158,12 +158,12 @@ class TestModelFile:
         path = tmp_path / "model.json"
         files.write_json(path, files.model_to_dict(regressor))
         loaded = files.load_model(path)
-        assert loaded.covered() == regressor.covered()
-        for label in regressor.covered():
+        assert tuple(sorted(loaded)) == tuple(sorted(regressor))
+        for label in sorted(regressor):
             assert np.array_equal(
-                loaded.classes[label].weights, regressor.classes[label].weights
+                loaded[label].weights, regressor[label].weights
             )
-            assert loaded.classes[label].rmse_px == regressor.classes[label].rmse_px
+            assert loaded[label].rmse_px == regressor[label].rmse_px
 
 
 class TestSamplesFile:
@@ -483,8 +483,8 @@ class TestFixtures:
     def test_default_model_file(self):
         loaded = files.load_model(FIXTURES_DIR / "default_model.json")
         expected = bottom_center_regressor()
-        assert loaded.covered() == expected.covered()
-        for label in expected.covered():
+        assert tuple(sorted(loaded)) == tuple(sorted(expected))
+        for label in sorted(expected):
             assert np.array_equal(
-                loaded.classes[label].weights, expected.classes[label].weights
+                loaded[label].weights, expected[label].weights
             )

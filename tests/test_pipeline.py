@@ -42,7 +42,6 @@ from groundcam.regression import (
     BOTTOM_CENTER_WEIGHTS,
     BoundingBox,
     ClassModel,
-    GroundRegressor,
     RegressionSample,
     bottom_center_regressor,
 )
@@ -250,7 +249,7 @@ class TestLocalize:
     def test_overflowing_ground_pixel_is_unlocalizable(self, ref_k, ref_pose):
         # u = xmin + xmax overflows to inf; the other rows still localize.
         weights = [(1.0, 0.0, 1.0, 0.0, 0.0), BOTTOM_CENTER_WEIGHTS[1]]
-        regressor = GroundRegressor({"ball": ClassModel(weights, 0.0)})
+        regressor = {"ball": ClassModel(weights, 0.0)}
         ok = Detection("f0", "ball", 0.9, BoundingBox(150.0, 300.0, 170.0, 360.0))
         huge = Detection("f1", "ball", 0.9, BoundingBox(1e308, 0.0, 1.7e308, 1.0))
         results = localize_batch([ok, huge, ok], regressor, ref_k, ref_pose)
@@ -496,7 +495,6 @@ VALUE_RECORDS = {
     "EulerAngles": (lambda: EulerAngles(10, -20, 180), "phi"),
     "RegressionSample": (lambda: RegressionSample("ball", _BOX, _PIXEL), "label"),
     "ClassModel": (lambda: ClassModel(BOTTOM_CENTER_WEIGHTS, 0.5), "rmse_px"),
-    "GroundRegressor": (bottom_center_regressor, "classes"),
     "IngestResult": (
         lambda: IngestResult((Detection("f", "ball", 0.9, _BOX),), ("line 2: x",)),
         "diagnostics",
@@ -627,7 +625,7 @@ def _oracle_positions(detections, regressor, k, pose, convention):
     """Ground positions from numpy alone: regress, undistort by 40
     fixed-point steps, intersect z = 0, and for the camera frame translate by
     the camera center and rotate by the yaw. Rows above the horizon are NaN."""
-    weights = np.stack([regressor.classes[d.label].weights for d in detections])
+    weights = np.stack([regressor[d.label].weights for d in detections])
     boxes = np.array([[*d.bbox, 1.0] for d in detections])
     pixels = np.einsum("nij,nj->ni", weights, boxes)
     homogeneous = np.column_stack([pixels, np.ones(len(pixels))])

@@ -72,11 +72,11 @@ class TestFit:
         true_w = rng.uniform(-1.0, 1.0, (2, 5))
         true_w[:, 4] = rng.uniform(-50, 50, 2)
         samples = _samples_from_weights(true_w, "robot", 30, rng)
-        model = fit(samples).classes["robot"]
+        model = fit(samples)["robot"]
         assert np.allclose(model.weights, true_w, atol=1e-9)
         assert model.rmse_px < 1e-9
         box = _random_box(rng)
-        u, v = fit(samples).classes["robot"].ground_pixel(box)
+        u, v = fit(samples)["robot"].ground_pixel(box)
         want = true_w @ np.array([*box, 1.0])
         assert u == pytest.approx(want[0], abs=1e-9)
         assert v == pytest.approx(want[1], abs=1e-9)
@@ -90,21 +90,21 @@ class TestFit:
             )
             for box in (_random_box(rng) for _ in range(12))
         ]
-        model = fit(samples).classes["ball"]
+        model = fit(samples)["ball"]
         assert np.allclose(model.weights, BOTTOM_CENTER_WEIGHTS, atol=1e-9)
 
     def test_noisy_fit_settles_at_noise_level(self, rng):
         samples = _samples_from_weights(
             BOTTOM_CENTER_WEIGHTS, "robot", 30, rng, noise_px=1.0
         )
-        model = fit(samples).classes["robot"]
+        model = fit(samples)["robot"]
         assert 0.5 < model.rmse_px < 1.5
 
     def test_classes_are_fit_independently(self, rng):
         ball = _samples_from_weights(BOTTOM_CENTER_WEIGHTS, "ball", 8, rng, 0.5)
         robot = _samples_from_weights(BOTTOM_CENTER_WEIGHTS, "robot", 8, rng, 0.5)
-        alone = fit(ball).classes["ball"]
-        together = fit(ball + robot).classes["ball"]
+        alone = fit(ball)["ball"]
+        together = fit(ball + robot)["ball"]
         assert np.allclose(alone.weights, together.weights, atol=1e-12)
         assert alone.rmse_px == pytest.approx(together.rmse_px, abs=1e-12)
 
@@ -112,7 +112,7 @@ class TestFit:
         samples = _samples_from_weights(
             BOTTOM_CENTER_WEIGHTS, "goal", 20, rng, noise_px=2.0
         )
-        model = fit(samples).classes["goal"]
+        model = fit(samples)["goal"]
         a = BoundingBox(100.0, 100.0, 160.0, 200.0)
         b = BoundingBox(300.0, 150.0, 420.0, 320.0)
         mid = BoundingBox(200.0, 125.0, 290.0, 260.0)
@@ -147,14 +147,14 @@ class TestPredict:
     def test_bottom_center_fallback_hand_value(self):
         regressor = bottom_center_regressor()
         box = BoundingBox(100.0, 100.0, 140.0, 140.0)
-        assert regressor.classes["ball"].ground_pixel(box) == (120.0, 140.0)
+        assert regressor["ball"].ground_pixel(box) == (120.0, 140.0)
 
     def test_fallback_covers_all_known_classes(self):
         regressor = bottom_center_regressor()
-        assert regressor.covered() == tuple(sorted(KNOWN_CLASSES))
+        assert tuple(sorted(regressor)) == tuple(sorted(KNOWN_CLASSES))
         for label in KNOWN_CLASSES:
             assert np.array_equal(
-                regressor.classes[label].weights, BOTTOM_CENTER_WEIGHTS
+                regressor[label].weights, BOTTOM_CENTER_WEIGHTS
             )
 
 
@@ -177,7 +177,7 @@ class TestBoundingBox:
     def test_feature_vector_and_bottom_center(self):
         box = BoundingBox(1.0, 2.0, 11.0, 22.0)
         assert box == (1.0, 2.0, 11.0, 22.0)
-        bottom_center = bottom_center_regressor().classes["ball"].ground_pixel(box)
+        bottom_center = bottom_center_regressor()["ball"].ground_pixel(box)
         assert bottom_center == (6.0, 22.0)
 
 
