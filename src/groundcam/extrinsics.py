@@ -70,15 +70,14 @@ class PnpCorrespondence:
 
 @dataclass(frozen=True, eq=False)
 class ReprojectionReport:
-    """Per-point residuals of a solved pose, with suspected mismarks flagged.
+    """Per-point residual norms of a solved pose, with suspected mismarks flagged.
 
-    residuals is (n, 2) in pixels, norms (n,). A point is flagged when its
-    norm exceeds three times the median norm (with a 1e-6 px floor so exact
-    synthetic data never flags).
+    norms is (n,) in pixels. A point is flagged when its norm exceeds three
+    times the median norm (with a 1e-6 px floor so exact synthetic data never
+    flags).
     """
 
     names: tuple[str, ...]
-    residuals: np.ndarray
     norms: np.ndarray
     rmse_px: float
     flagged: tuple[int, ...]
@@ -162,7 +161,7 @@ def landmarks_to_dict(
 
 def landmarks_from_dict(obj: dict) -> list[PnpCorrespondence]:
     """Each named pixel with its field_landmarks world point, then the extra
-    points; an unknown or repeated name raises ValueError."""
+    points; an unknown or repeated name or a non-finite world point raises ValueError."""
     catalog = field_landmarks(field_geometry_from_dict(obj["field_geometry"]))
     named = {}
     for p in obj.get("points", []):
@@ -173,13 +172,13 @@ def landmarks_from_dict(obj: dict) -> list[PnpCorrespondence]:
             raise ValueError(f"landmark {name!r} is marked twice")
         pixel = PixelPoint(*json_numbers(p["pixel"], 2, "pixel"))
         named[name] = PnpCorrespondence(pixel, catalog[name], name)
-    extra = [
-        PnpCorrespondence(
-            PixelPoint(*json_numbers(e["pixel"], 2, "pixel")),
-            WorldPoint(*json_numbers(e["world"], 3, "world")),
-        )
-        for e in obj.get("extra", [])
-    ]
+    extra = []
+    for e in obj.get("extra", []):
+        pixel = PixelPoint(*json_numbers(e["pixel"], 2, "pixel"))
+        world = WorldPoint(*json_numbers(e["world"], 3, "world"))
+        if not all(map(math.isfinite, world)):
+            raise ValueError("world coordinates must be finite")
+        extra.append(PnpCorrespondence(pixel, world))
     return [*named.values(), *extra]
 
 
@@ -277,11 +276,9 @@ def reprojection_report(
     threshold = max(3.0 * float(np.median(norms)), RESIDUAL_FLAG_FLOOR_PX)
     flagged = tuple(int(i) for i in np.nonzero(norms > threshold)[0])
     names = tuple(c.name for c in correspondences)
-    residuals.setflags(write=False)
     norms.setflags(write=False)
     return ReprojectionReport(
         names=names,
-        residuals=residuals,
         norms=norms,
         rmse_px=rmse,
         flagged=flagged,

@@ -33,28 +33,13 @@ MIN_PROJECTION_DEPTH_MM = 1e-9
 SMALL_ANGLE_RAD = 1e-8
 
 
-class _WorldPoint(NamedTuple):
+class WorldPoint(NamedTuple):
+    """Point in the field frame, millimeters, unchecked: every builder passes
+    checked floats, and landmarks_from_dict checks a landmarks file's points."""
+
     x: float
     y: float
     z: float = 0.0
-
-
-class WorldPoint(_WorldPoint):
-    """Point in the field frame, millimeters.
-
-    The coordinates are coerced to float and checked finite on construction;
-    _make and _replace skip the coercion and the check.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, x: float, y: float, z: float = 0.0) -> WorldPoint:
-        x = float(x)
-        y = float(y)
-        z = float(z)
-        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
-            raise ValueError("world coordinates must be finite")
-        return tuple.__new__(cls, (x, y, z))
 
     @property
     def array(self) -> np.ndarray:

@@ -103,6 +103,49 @@ class TestCalibrateIntrinsics:
             "(singular values 0 and -0 of 6.35)\n"
         )
 
+    # Views whose pixels are pattern points mapped through these homographies,
+    # which no physical camera produces.
+    @pytest.mark.parametrize(
+        "homographies, origin, message",
+        [
+            (
+                [[[0, 0, 1], [0, 1, 0], [1, 0, 0]]],
+                25.0,
+                "view000: homography maps the origin to infinity",
+            ),
+            (
+                [[[-1, 0, -3], [-2, 1, 1], [1, -1, 3]], [[3, 1, 1], [1, -1, -2], [1, 0, -1]]],
+                0.0,
+                "conic solution is not positive definite",
+            ),
+            (
+                [[[0, 3, 0], [0, 1, 3], [3, 0, 2]], [[0, 0, 2], [-1, 1, 1], [3, -2, 1]]],
+                0.0,
+                "conic solution yields a non-positive scale",
+            ),
+        ],
+        ids=["origin-at-infinity", "conic-not-positive-definite", "non-positive-scale"],
+    )
+    def test_views_no_camera_produces_name_the_file(
+        self, capsys, tmp_path, homographies, origin, message
+    ):
+        pattern = [(origin + 25.0 * i, origin + 25.0 * j) for j in range(4) for i in range(5)]
+        views = []
+        for index, h in enumerate(homographies):
+            points = []
+            for x, y in pattern:
+                u, v, w = (row[0] * x + row[1] * y + row[2] for row in h)
+                points.append({"pixel": [u / w, v / w], "pattern": [x, y]})
+            views.append({"id": f"view{index:03d}", "points": points})
+        path = tmp_path / "views.json"
+        path.write_text(json.dumps({"square_size_mm": 25.0, "views": views}))
+        code, out, err = _run(capsys, "calibrate-intrinsics", path)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"loaded {len(views)} views from {path}\nerror: {path}: {message}\n"
+        )
+
     def test_unreadable_file(self, capsys, tmp_path):
         bad = tmp_path / "views.json"
         bad.write_text("{broken")
@@ -251,6 +294,54 @@ class TestCalibrateExtrinsics:
         assert code == 2
         assert out == ""
         assert err == f"error: {path}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "world, where", [((0.0, math.inf, 0.0), "inf"), ((0.0, 500.0, math.nan), "nan")]
+    )
+    def test_non_finite_extra_world_point_names_the_file(
+        self, capsys, cli_scene, tmp_path, world, where
+    ):
+        doc = json.loads(cli_scene.paths["landmarks"].read_text())
+        doc["extra"] = [{"pixel": [320.0, 400.0], "world": list(world)}]
+        path = tmp_path / "landmarks.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = _run(
+            capsys, "calibrate-extrinsics", path, cli_scene.paths["calibration"]
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {path}: world coordinates must be finite\n"
+
+    # Six landmarks off the ground plane, so the pose starts from the DLT;
+    # marks that no perspective camera produces leave it without a pose.
+    @pytest.mark.parametrize(
+        "mark, message",
+        [
+            (lambda p: (320.0, 240.0), "projection-matrix system is rank deficient"),
+            # A side elevation: an affine camera, infinitely far away.
+            (lambda p: (0.1 * p.y, 0.1 * p.z), "projection matrix has a vanishing rotation row"),
+        ],
+        ids=["one-pixel", "affine"],
+    )
+    def test_marks_no_camera_produces_name_both_files(
+        self, capsys, cli_scene, tmp_path, mark, message
+    ):
+        catalog = field_landmarks(cli_scene.config.geometry)
+        names = [
+            f"{part}_{side}_corner"
+            for part in ("goal_bottom", "goal_top", "penalty_front")
+            for side in ("left", "right")
+        ]
+        named = {name: PixelPoint(*mark(catalog[name])) for name in names}
+        path = tmp_path / "landmarks.json"
+        files.write_json(path, extrinsics.landmarks_to_dict(cli_scene.config.geometry, named))
+        calibration = cli_scene.paths["calibration"]
+        code, out, err = _run(capsys, "calibrate-extrinsics", path, calibration)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"6 correspondences from {path}\nerror: {path}, {calibration}: {message}\n"
+        )
 
     def test_too_few_landmarks(self, capsys, cli_scene, tmp_path):
         config = cli_scene.config
@@ -1062,6 +1153,105 @@ class TestSynth:
         assert out == ""
         where = key if section is None else f"{section}.{key}"
         assert err.startswith(f"error: {config_path}: bad configuration value {where}: ")
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize(
+        "section, values, message",
+        [
+            ("grid", {"columns": 2**63}, "grid.columns x grid.rows must be at most "
+             f"100000, got {10 * 2**63}"),
+            ("grid", {"rows": 2**63}, "grid.columns x grid.rows must be at most "
+             f"100000, got {3 * 2**63}"),
+            ("grid", {"columns": 10, "rows": 10001}, "grid.columns x grid.rows must "
+             "be at most 100000, got 100010"),
+            ("pattern", {"views": 2**63}, "pattern.views x pattern.cols x "
+             f"pattern.rows must be at most 100000, got {54 * 2**63}"),
+            ("pattern", {"cols": 10**9}, "pattern.views x pattern.cols x "
+             "pattern.rows must be at most 100000, got 120000000000"),
+            ("pattern", {"cols": 2**63}, "pattern.views x pattern.cols x "
+             f"pattern.rows must be at most 100000, got {120 * 2**63}"),
+            ("pattern", {"views": 1852}, "pattern.views x pattern.cols x "
+             "pattern.rows must be at most 100000, got 100008"),
+            ("grid", {"origin_mm": [0.0, 1.7e308], "spacing_mm": 1e307},
+             "world coordinates must be finite"),
+        ],
+        ids=[
+            "grid-columns", "grid-rows", "grid-just-over", "pattern-views",
+            "pattern-cols-1e9", "pattern-cols", "pattern-just-over",
+            "grid-past-float-range",
+        ],
+    )
+    def test_scene_past_the_limits_exits_2_before_generating(
+        self, capsys, monkeypatch, tmp_path, section, values, message
+    ):
+        # The reader must reject these: generating them would not end or
+        # would exhaust memory, so generation fails the test instead.
+        def generate(*args):
+            raise AssertionError("an over-limit scene reached generate_scene")
+
+        monkeypatch.setattr("groundcam.scene.generate_scene", generate)
+        config_path = tmp_path / "config.json"
+        doc = config_to_dict(SceneConfig(), seed=0)
+        doc[section].update(values)
+        config_path.write_text(json.dumps(doc))
+        code, out, err = _run(capsys, "synth", config_path, "--out", tmp_path / "s")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {config_path}: {message}\n"
+        assert not (tmp_path / "s").exists()
+
+    # Each spoils the default configuration so that generation fails on a
+    # check of what it built; those near float range take numpy past it on
+    # the way, which must not print a warning (the suite turns one into an
+    # error, so the command would exit 1).
+    @pytest.mark.parametrize(
+        "spoil, message",
+        [
+            (
+                lambda doc: doc["pattern"].update(square_size_mm=1e308),
+                "pose entries must be finite",
+            ),
+            (
+                lambda doc: doc["calibration"]["intrinsics"]["distortion"].update(k1=1e308),
+                "could not place the calibration pattern fully in view; check the "
+                "pattern and image dimensions",
+            ),
+            (
+                lambda doc: doc["calibration"]["pose"]["translation"].__setitem__(1, 1e200),
+                "pixel coordinates must be finite",
+            ),
+            (
+                lambda doc: doc["pattern"].update(square_size_mm=200.0),
+                "could not place the calibration pattern fully in view; check the "
+                "pattern and image dimensions",
+            ),
+            (
+                # The camera rolled half a turn about its optical axis.
+                lambda doc: doc["calibration"]["pose"].update(
+                    rotation=[-r for r in doc["calibration"]["pose"]["rotation"][:6]]
+                    + doc["calibration"]["pose"]["rotation"][6:],
+                    translation=[-t for t in doc["calibration"]["pose"]["translation"][:2]]
+                    + doc["calibration"]["pose"]["translation"][2:],
+                ),
+                "object at (-250.0, 0.0) projects upside down",
+            ),
+        ],
+        ids=[
+            "board-overflows", "lens-overflows", "pose-overflows", "board-too-large",
+            "camera-upside-down",
+        ],
+    )
+    def test_unbuildable_scene_prints_only_its_error(
+        self, capsys, tmp_path, spoil, message
+    ):
+        config_path = tmp_path / "config.json"
+        doc = config_to_dict(SceneConfig(), seed=0)
+        spoil(doc)
+        config_path.write_text(json.dumps(doc))
+        code, out, err = _run(capsys, "synth", config_path, "--out", tmp_path / "s")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {config_path}: {message}\n"
         assert not (tmp_path / "s").exists()
 
 

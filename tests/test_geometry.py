@@ -462,6 +462,15 @@ class TestRotationHelpers:
             assert np.linalg.det(snapped) == pytest.approx(1.0, abs=1e-12)
             assert np.max(np.abs(snapped - r)) < 1e-5
 
+    def test_nearest_rotation_of_a_reflection_flips_its_weakest_axis(self, rng):
+        # R diag(3, 2, -1) has singular vectors R diag(1, 1, -1) and I, so
+        # the closest matrix of determinant +1 flips the third axis back: R.
+        for _ in range(20):
+            r = rotation_from_axis_angle(rng.normal(0.0, 1.0, 3))
+            snapped = nearest_rotation(r @ np.diag([3.0, 2.0, -1.0]))
+            assert np.linalg.det(snapped) == pytest.approx(1.0, abs=1e-12)
+            assert np.max(np.abs(snapped - r)) < 1e-12
+
 
 # ---------------------------------------------------------------------------
 # Value-type hygiene
@@ -469,17 +478,26 @@ class TestRotationHelpers:
 
 
 def test_scalar_fields_coerce_to_builtin_float():
-    p = WorldPoint(np.float64(1.0), np.float64(2.0), np.float64(3.0))
-    assert type(p.x) is float and type(p.y) is float and type(p.z) is float
     px = PixelPoint(np.float64(4.5), np.float64(6.5))
     assert type(px.u) is float and type(px.v) is float
 
 
-def test_world_point_rejects_non_finite():
-    with pytest.raises(ValueError):
-        WorldPoint(float("nan"), 0.0, 0.0)
+def test_pixel_point_rejects_non_finite():
     with pytest.raises(ValueError):
         PixelPoint(float("inf"), 0.0)
+
+
+def test_slot_records_hash_print_and_refuse_deletion():
+    k = CameraIntrinsics(800.0, 810.0, 320.0, 240.0, distortion=Distortion(k1=-0.12))
+    assert hash(k) == hash(CameraIntrinsics(800, 810, 320, 240, 0, Distortion(-0.12)))
+    assert repr(k) == (
+        "CameraIntrinsics(alpha_x=800.0, alpha_y=810.0, u0=320.0, v0=240.0, "
+        "gamma=0.0, distortion=Distortion(k1=-0.12, k2=0.0, k3=0.0, p1=0.0, p2=0.0))"
+    )
+    with pytest.raises(AttributeError, match="^cannot delete field 'u0'$"):
+        del k.u0
+    assert k.distortion.__eq__((-0.12, 0.0, 0.0, 0.0, 0.0)) is NotImplemented
+    assert k != (800.0, 810.0, 320.0, 240.0, 0.0, k.distortion)
 
 
 def test_intrinsic_vector_follows_the_named_layout():

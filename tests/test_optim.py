@@ -209,6 +209,26 @@ class TestLevenbergMarquardt:
         with pytest.raises(ValueError, match="normal equations unsolvable at lambda="):
             levenberg_marquardt(problem, np.array([5.0, 0.0]))
 
+    def test_non_finite_trial_is_rejected_like_a_costlier_one(self):
+        # r = x - 5 is infinite from x = 2 on, so the undamped step to 5 is
+        # refused until the damping shortens it below the wall.
+        problem = LeastSquaresProblem(
+            residual=lambda x: np.array([x[0] - 5.0 if x[0] < 2.0 else math.inf]),
+            jacobian=lambda x: np.array([[1.0]]),
+        )
+        result = levenberg_marquardt(problem, np.zeros(1))
+        assert result.iterations >= 1
+        assert 0.0 < result.x[0] < 2.0
+        assert result.cost == 0.5 * (result.x[0] - 5.0) ** 2 < 12.5
+
+    def test_residual_changing_length_raises(self):
+        problem = LeastSquaresProblem(
+            residual=lambda x: x - 5.0 if x[0] < 2.0 else np.append(x - 5.0, 0.0),
+            jacobian=lambda x: np.array([[1.0]]),
+        )
+        with pytest.raises(ValueError, match="^residual returned 2 values, expected 1$"):
+            levenberg_marquardt(problem, np.zeros(1))
+
     def test_wrong_jacobian_shape_raises(self):
         problem = LeastSquaresProblem(
             residual=lambda x: x,

@@ -18,14 +18,20 @@ from groundcam.geometry import Distortion, PixelPoint, ground_map
 from groundcam.extrinsics import FieldGeometry, field_landmarks
 from groundcam.pipeline import FrameConvention, bearing, localize_batch
 from groundcam.projection import WorldPoint, project
+from groundcam.regression import BoundingBox
 from groundcam.scene import (
     _SCHEMA,
     DEFAULT_LANDMARKS,
+    MAX_BOARD_POINTS,
+    MAX_GRID_POINTS,
     SceneConfig,
+    _noisy_box,
     config_from_dict,
     config_to_dict,
     generate_scene,
 )
+
+from conftest import REPO_ROOT
 
 # ---------------------------------------------------------------------------
 # Helpers
@@ -330,7 +336,7 @@ class TestConfigDict:
 # ---------------------------------------------------------------------------
 
 
-# The message SceneConfig raises for each finite bad value below.
+# The message config_from_dict raises for each finite bad value below.
 _BAD_VALUE_MESSAGES = {
     "noise_px": "noise_px must be >= 0, got -0.1",
     "grid_columns": "grid must have at least one column and row",
@@ -372,8 +378,9 @@ class TestConfigValidation:
             message = f"{name} must be finite, got {value}"
         else:
             message = _BAD_VALUE_MESSAGES[name]
+        doc = config_to_dict(_small_config(**overrides), seed=0)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            _small_config(**overrides)
+            config_from_dict(doc)
 
     def test_repeated_landmark_rejected_naming_the_key(self):
         doc = config_to_dict(_small_config(), seed=0)
@@ -382,6 +389,24 @@ class TestConfigValidation:
             ValueError, match="landmarks: 'goal_bottom_center' is repeated"
         ):
             config_from_dict(doc)
+
+    def test_counts_at_the_limits_are_accepted(self):
+        # Read only: generating the largest accepted scene takes about 20 s.
+        doc = config_to_dict(_small_config(), seed=0)
+        doc["grid"].update(columns=10, rows=MAX_GRID_POINTS // 10)
+        doc["pattern"].update(views=MAX_BOARD_POINTS // 100, cols=10, rows=10)
+        config = config_from_dict(doc)
+        assert config.grid_columns * config.grid_rows == MAX_GRID_POINTS
+        assert config.num_views * config.pattern_cols * config.pattern_rows == MAX_BOARD_POINTS
+
+    def test_readme_states_the_limits(self):
+        readme = (REPO_ROOT / "README.md").read_text()
+        match = re.search(
+            r"at most ([\d ]+) grid points .* and ([\d ]+) board points", readme
+        )
+        assert match is not None
+        assert int(match.group(1).replace(" ", "")) == MAX_GRID_POINTS
+        assert int(match.group(2).replace(" ", "")) == MAX_BOARD_POINTS
 
     def test_landmark_names_must_exist_for_the_geometry(self):
         geometry = FieldGeometry(
@@ -395,3 +420,18 @@ class TestConfigValidation:
         )
         config = _small_config(geometry=geometry)
         assert set(config.landmark_names) <= set(field_landmarks(geometry))
+
+
+class _CollapsingJitter:
+    """Stands in for the generator: every draw moves each box edge past
+    its opposite edge."""
+
+    def normal(self, loc, scale, size):
+        return np.array([scale, scale, -scale, -scale])
+
+
+def test_noise_that_collapses_every_box_draw_is_rejected():
+    box = BoundingBox(10.0, 20.0, 30.0, 60.0)
+    assert _noisy_box(box, 0.0, _CollapsingJitter()) is box
+    with pytest.raises(ValueError, match="^noise level collapses detection boxes$"):
+        _noisy_box(box, 100.0, _CollapsingJitter())
