@@ -10,9 +10,7 @@ failures.
 from __future__ import annotations
 
 import argparse
-import marshal
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -101,101 +99,9 @@ def _cmd_fit_regressor(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cpus() -> int:
-    """The CPUs this process may run on; 1 where it cannot fork or cannot
-    tell (os.sched_getaffinity is Linux's)."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-def _child(r: int, w: int, work, part: list[str], first: int) -> None:
-    """In a forked child: send marshal.dumps of work(part, first) through w,
-    or for an error main reports as invalid input its message, or for any
-    other its traceback. Leaves through os._exit, with 0, 2 or 1 as main
-    would, once the whole payload is written, and with 1 otherwise."""
-    code = 1
-    try:
-        # With the parent's read end the only one left, a write fails instead
-        # of blocking should the parent be gone.
-        os.close(r)
-        try:
-            payload, status = marshal.dumps(work(part, first)), 0
-        except INVALID_INPUT as exc:
-            payload, status = marshal.dumps(str(exc)), 2
-        except Exception:
-            import traceback
-
-            payload, status = marshal.dumps(traceback.format_exc()), 1
-        with open(w, "wb") as f:
-            f.write(payload)
-        code = status
-    finally:
-        os._exit(code)
-
-
-def _fork(work, part: list[str], first: int) -> tuple[int, int]:
-    """Start _child on part; return its pid and the read end of its pipe."""
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(r)
-        os.close(w)
-        raise
-    if pid == 0:
-        _child(r, w, work, part, first)
-    os.close(w)
-    return pid, r
-
-
-def _split(work, lines: list[str]) -> list:
-    """work(part, number of its first line) over contiguous parts of lines,
-    one per CPU this process may use, in line order.
-
-    Part 0 runs here and every other part in a forked child, so the result
-    does not depend on the count as long as work's does not depend on where
-    lines are cut. A child's failure is raised here in line order: as a
-    ValueError with the message of an error main reports as invalid input,
-    as a RuntimeError with the child's traceback otherwise. Every child is
-    reaped before this returns or raises.
-    """
-    count = max(1, min(_cpus(), len(lines)))
-    bounds = [len(lines) * i // count for i in range(count + 1)]
-    # Nothing may sit in these buffers when a child copies them.
-    sys.stdout.flush()
-    sys.stderr.flush()
-    children: list[tuple[int, int]] = []
-    statuses = []
-    try:
-        for i in range(1, count):
-            children.append(_fork(work, lines[bounds[i]:bounds[i + 1]], bounds[i] + 1))
-        results = [work(lines[:bounds[1]], 1)]
-        payloads = []
-        for _, r in children:
-            with open(r, "rb", closefd=False) as f:
-                payloads.append(f.read())
-    finally:
-        # Closing the read ends first frees a child blocked on a full pipe.
-        for _, r in children:
-            os.close(r)
-        for pid, _ in children:
-            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-    for i, payload, code in zip(range(1, count), payloads, statuses):
-        if code == 0:
-            results.append(marshal.loads(payload))
-        elif code == 2:
-            raise ValueError(marshal.loads(payload))
-        else:
-            detail = marshal.loads(payload) if payload else ""
-            raise RuntimeError(
-                f"the worker on lines {bounds[i] + 1}-{bounds[i + 1]} exited with "
-                f"{code}\n{detail}".rstrip()
-            )
-    return results
-
-
 def _cmd_localize(args: argparse.Namespace) -> int:
+    from .parallel import split
+
     min_score = _finite("--min-score", args.min_score)
     k, pose = files.load_calibration(args.calibration)
     if pose is None:
@@ -213,7 +119,7 @@ def _cmd_localize(args: argparse.Namespace) -> int:
         ok = sum(isinstance(r, LocalizedObject) for r in results)
         return ingest.diagnostics, text, ok, len(results)
 
-    diagnostics, texts, oks, counts = zip(*_split(work, lines))
+    diagnostics, texts, oks, counts = zip(*split(work, lines))
     for part in diagnostics:
         for diagnostic in part:
             _note(f"{args.detections}: {diagnostic}")
@@ -237,17 +143,35 @@ def _parse_buckets(text: str) -> list[float]:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     from .evaluation import (
+        PAIRS_HEADER,
         EvalPair,
         build_report,
         compare_sources,
         first_nonfinite,
-        load_pairs_csv,
+        parse_pairs,
+        read_table,
         render_report_text,
         save_report,
         save_scatter_csv,
+        scatter_rows,
     )
+    from .parallel import split
 
-    pairs = load_pairs_csv(args.pairs)
+    lines, start = read_table(args.pairs, PAIRS_HEADER)
+
+    def work(part: list[str], first: int) -> tuple[list[tuple], tuple[str, str]]:
+        pairs = parse_pairs(args.pairs, part, first)
+        ours = [p for p in pairs if p.source == "ours"] if args.out else []
+        # marshal, which brings a child's part back, takes plain tuples only.
+        return list(map(tuple, pairs)), scatter_rows(ours)
+
+    # A quoted field may span a line end, so a table holding a quote is not cut.
+    if any('"' in line for line in lines):
+        parts = [work(lines, start)]
+    else:
+        parts = split(work, lines, start)
+    rows, scatter = zip(*parts)
+    pairs = [EvalPair._make(row) for part in rows for row in part]
     if not pairs:
         raise ValueError(f"{args.pairs} contains no pairs")
     boundaries = _parse_buckets(args.buckets)
@@ -273,7 +197,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "report.json").write_text(text)
         save_report(out_dir / "report.csv", report)
-        save_scatter_csv(out_dir / "scatter.csv", main)
+        save_scatter_csv(out_dir / "scatter.csv", scatter)
         _note(f"wrote report.json, report.csv, scatter.csv under {out_dir}")
     sys.stdout.write(text)
     return 0

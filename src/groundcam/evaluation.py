@@ -235,33 +235,48 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _csv_rows(path: Path, header: list[str], parse) -> list:
-    """parse(fields) for each non-blank data row of a CSV file whose first
-    line is header; names may carry surrounding spaces. A header mismatch, a
-    row of the wrong width, a line csv cannot parse (an oversized field, say)
-    or a ValueError from parse raises ValueError naming the file and the
-    line; a file that is not UTF-8 text raises one naming the file."""
+def read_table(path: Path, header: list[str]) -> tuple[list[str], int]:
+    """The lines of a CSV file after its header row, each with its line end,
+    and the number of the first of them; the header's names may carry
+    surrounding spaces. A file that is not UTF-8 text raises ValueError
+    naming it, and a header mismatch or a header csv cannot parse one naming
+    it and the line."""
     import csv
 
     with files._malformed(str(path)), open(path, newline="", encoding="utf-8") as f:
         text = f.read()
-    reader = csv.reader(io.StringIO(text, newline=""))
-    width = len(header)
+    # Lines end where csv.reader ends them: at "\r\n", "\r" or "\n".
+    lines = io.StringIO(text, newline="").readlines()
+    reader = csv.reader(lines)
+    try:
+        names = next(reader, None)
+    except csv.Error as exc:
+        raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
+    if names is None or [name.strip() for name in names] != header:
+        raise ValueError(f"{path} line 1: expected header {','.join(header)}, got {names}")
+    return lines[reader.line_num:], reader.line_num + 1
+
+
+def _csv_rows(path: Path, lines: list[str], first: int, width: int, parse) -> list:
+    """parse(fields) for each non-blank row of lines, CSV lines of the file
+    at path whose first is line number first. A row of the wrong width, a
+    line csv cannot parse (an oversized field, say) or a ValueError from
+    parse raises ValueError naming the file and the line."""
+    import csv
+
+    reader = csv.reader(lines)
     rows = []
     # A plain try, not _malformed: entering that context manager on every
     # row made the pairs table load about 70 % slower at 20k rows.
     try:
-        names = next(reader, None)
-        if names is not None and [name.strip() for name in names] == header:
-            for fields in reader:
-                if len(fields) == width:
-                    rows.append(parse(fields))
-                elif fields:
-                    raise ValueError(f"expected {width} fields")
-            return rows
+        for fields in reader:
+            if len(fields) == width:
+                rows.append(parse(fields))
+            elif fields:
+                raise ValueError(f"expected {width} fields")
     except (csv.Error, ValueError) as exc:
-        raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
-    raise ValueError(f"{path} line 1: expected header {','.join(header)}, got {names}")
+        raise ValueError(f"{path} line {first - 1 + reader.line_num}: {exc}") from None
+    return rows
 
 
 PAIRS_HEADER = ["gt_x", "gt_y", "gt_theta", "est_x", "est_y", "est_theta", "source"]
@@ -271,18 +286,24 @@ def save_pairs_csv(path: Path, pairs: list[EvalPair]) -> None:
     _write_csv(path, PAIRS_HEADER, pairs)
 
 
+def _pair(fields: list[str]) -> EvalPair:
+    source = fields[6].strip()
+    if source not in ("ours", "reference"):
+        raise ValueError(f"source must be ours or reference, got {source!r}")
+    return EvalPair(*map(float, fields[:6]), source)
+
+
+def parse_pairs(path: Path, lines: list[str], first: int) -> list[EvalPair]:
+    """The pairs of lines, data lines of the pairs table at path whose first
+    is line number first, read by column position; a malformed row, or one
+    whose source is neither ours nor reference, raises ValueError naming the
+    file and the line."""
+    return _csv_rows(path, lines, first, len(PAIRS_HEADER), _pair)
+
+
 def load_pairs_csv(path: Path) -> list[EvalPair]:
-    """Read the pairs table by column position; a malformed row, or one whose
-    source is neither ours nor reference, raises ValueError naming the file
-    and the line."""
-
-    def pair(fields: list[str]) -> EvalPair:
-        source = fields[6].strip()
-        if source not in ("ours", "reference"):
-            raise ValueError(f"source must be ours or reference, got {source!r}")
-        return EvalPair(*map(float, fields[:6]), source)
-
-    return _csv_rows(path, PAIRS_HEADER, pair)
+    """The pairs table at path, as parse_pairs reads its data lines."""
+    return parse_pairs(path, *read_table(path, PAIRS_HEADER))
 
 
 TRUTH_HEADER = ["frame", "gt_x", "gt_y", "gt_theta"]
@@ -300,7 +321,8 @@ def load_truth_csv(path: Path) -> dict[str, tuple[float, float, float]]:
         frame_id, x, y, theta = fields
         return frame_id, (float(x), float(y), float(theta))
 
-    return dict(_csv_rows(path, TRUTH_HEADER, row))
+    lines, first = read_table(path, TRUTH_HEADER)
+    return dict(_csv_rows(path, lines, first, len(TRUTH_HEADER), row))
 
 
 def save_report(path: Path, report: dict) -> None:
@@ -318,15 +340,27 @@ def save_report(path: Path, report: dict) -> None:
     _write_csv(path, ["metric", "value"], rows)
 
 
-def save_scatter_csv(path: Path, pairs: list[EvalPair]) -> None:
-    """Plot-ready gt/estimate positions: columns x, y, series.
+def scatter_rows(pairs: list[EvalPair]) -> tuple[str, str]:
+    """The scatter.csv rows of pairs: the ground-truth rows, then the
+    estimate rows, as two texts.
 
     The rows are the bytes csv.writer writes for them: numbers by repr, CRLF
     line ends, and series names that need no quoting.
     """
-    rows = [f"{p.gt_x!r},{p.gt_y!r},ground_truth\r\n" for p in pairs]
-    rows += [f"{p.est_x!r},{p.est_y!r},{p.source}\r\n" for p in pairs]
-    Path(path).write_text("x,y,series\r\n" + "".join(rows), newline="")
+    return (
+        "".join([f"{p.gt_x!r},{p.gt_y!r},ground_truth\r\n" for p in pairs]),
+        "".join([f"{p.est_x!r},{p.est_y!r},{p.source}\r\n" for p in pairs]),
+    )
+
+
+def save_scatter_csv(path: Path, parts: list[tuple[str, str]]) -> None:
+    """Plot-ready gt/estimate positions: columns x, y, series. parts are the
+    scatter_rows of consecutive runs of the pairs, in order; every
+    ground-truth row comes before every estimate row."""
+    truths, estimates = zip(*parts)
+    Path(path).write_text(
+        "x,y,series\r\n" + "".join(truths) + "".join(estimates), newline=""
+    )
 
 
 def render_report_text(report: dict) -> str:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from groundcam import cli, evaluation, extrinsics, files
+from groundcam import cli, evaluation, extrinsics, files, parallel
 from groundcam.cli import main
 from groundcam.geometry import CameraPose, Distortion, PixelPoint
 from groundcam.extrinsics import PnpCorrespondence, field_landmarks
@@ -164,6 +164,11 @@ class TestCalibrateIntrinsics:
 # ---------------------------------------------------------------------------
 # calibrate-extrinsics
 # ---------------------------------------------------------------------------
+
+
+def _oblique_affine(s: float):
+    """An affine camera's marks, s pixels per millimeter."""
+    return lambda p: (s * p.x + 0.2 * s * p.y + 320.0, s * p.z - 0.1 * s * p.y + 240.0)
 
 
 class TestCalibrateExtrinsics:
@@ -320,8 +325,13 @@ class TestCalibrateExtrinsics:
             (lambda p: (320.0, 240.0), "projection-matrix system is rank deficient"),
             # A side elevation: an affine camera, infinitely far away.
             (lambda p: (0.1 * p.y, 0.1 * p.z), "projection matrix has a vanishing rotation row"),
+            # Oblique affine views at pixel scales s from 0.005 to 0.05 px/mm.
+            *(
+                (_oblique_affine(s), "projection matrix has a vanishing rotation row")
+                for s in (0.005, 0.01, 0.02, 0.05)
+            ),
         ],
-        ids=["one-pixel", "affine"],
+        ids=["one-pixel", "affine", *(f"affine-{s}" for s in (0.005, 0.01, 0.02, 0.05))],
     )
     def test_marks_no_camera_produces_name_both_files(
         self, capsys, cli_scene, tmp_path, mark, message
@@ -728,8 +738,19 @@ def forks(monkeypatch):
     return calls
 
 
-def _use_cpus(monkeypatch, count: int) -> None:
+def _use_cpus(monkeypatch, count: int) -> list[tuple[int, set[int]]]:
+    """Make CPUs 0 to count - 1 the ones this process may use; return the
+    os.sched_setaffinity calls it makes, which are recorded, never made."""
+    pins: list[tuple[int, set[int]]] = []
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: pins.append((pid, set(cpus))))
+    return pins
+
+
+def _pinned_calls(cpus: int) -> list[tuple[int, set[int]]]:
+    """This process's pinning calls for a split on cpus parts: pinned to
+    the first CPU for part 0, then given back every CPU."""
+    return [] if cpus == 1 else [(0, {0}), (0, set(range(cpus)))]
 
 
 def _no_child_left():
@@ -747,12 +768,13 @@ def test_localize_writes_the_same_bytes_for_any_cpu_count(
     argv = [path, cli_scene.paths["calibration"], cli_scene.paths["model"]]
     runs = {}
     for cpus in (1, 2, 3, 7):
-        _use_cpus(monkeypatch, cpus)
+        pins = _use_cpus(monkeypatch, cpus)
         forks.clear()
         code, out, err = _run(capsys, "localize", *argv, "--frame", frame, "--out", out_path)
         runs[cpus] = (code, out, err, out_path.read_bytes())
         out_path.unlink()
         assert len(forks) == cpus - 1
+        assert pins == _pinned_calls(cpus)
     _no_child_left()
     for cpus, run in runs.items():
         assert run == runs[1], cpus
@@ -808,6 +830,146 @@ def test_a_failing_worker_fails_the_run(
         _use_cpus(monkeypatch, 1)
         assert _run(capsys, "localize", *argv) == (exit_code, "", err)
         assert "Traceback" not in err
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs at least 2 allowed CPUs",
+)
+def test_each_part_runs_pinned_to_its_own_cpu():
+    before = os.sched_getaffinity(0)
+    lines = [f"{i}\n" for i in range(12)]
+
+    def mask(part, first):
+        return sorted(os.sched_getaffinity(0))
+
+    masks = parallel.split(mask, lines)
+    assert len(masks) == min(len(before), len(lines))
+    assert all(len(m) == 1 for m in masks)
+    assert len({m[0] for m in masks}) == len(masks)
+    assert os.sched_getaffinity(0) == before
+
+    # The caller gets its own mask back when its part or a child's fails.
+    def failing_at(where):
+        def work(part, first):
+            if where(first):
+                raise ValueError(f"part from line {first} failed")
+            return mask(part, first)
+
+        return work
+
+    with pytest.raises(ValueError, match="part from line 1 failed"):
+        parallel.split(failing_at(lambda first: first == 1), lines)
+    assert os.sched_getaffinity(0) == before
+    _no_child_left()
+    with pytest.raises(ValueError, match="part from line [2-9]"):
+        parallel.split(failing_at(lambda first: first > 1), lines)
+    assert os.sched_getaffinity(0) == before
+    _no_child_left()
+
+
+# ---------------------------------------------------------------------------
+# evaluate split across the CPUs the process may use
+# ---------------------------------------------------------------------------
+
+
+def _pairs_table(rows: int = 14) -> list[str]:
+    """The lines of a pairs table with CRLF line ends: rows ours pairs and
+    as many reference pairs over the same ground truths, alternating, and a
+    blank line after the first four rows."""
+    lines = [",".join(evaluation.PAIRS_HEADER)]
+    for i in range(rows):
+        gt = (250.0 * (i % 5) - 500.0, 400.0 + 310.0 * i, 0.1 * i - 0.7)
+        ours = (gt[0] + 0.3 * i, gt[1] - 1.0 / (i + 3), gt[2] + 0.05)
+        reference = (gt[0] - 2.5, gt[1] + 7.0 * i, gt[2] - 0.2)
+        lines.append(",".join(map(repr, (*gt, *ours))) + ",ours")
+        lines.append(",".join(map(repr, (*gt, *reference))) + ",reference")
+    lines.insert(5, "")
+    return [line + "\r\n" for line in lines]
+
+
+def _evaluate_runs(capsys, monkeypatch, forks, path, out_dir, cpu_counts):
+    """Exit code, stdout, stderr and the --out files of evaluate on path for
+    each CPU count, checking its forks and pinning calls and that no child
+    is left behind."""
+    runs = {}
+    for cpus in cpu_counts:
+        pins = _use_cpus(monkeypatch, cpus)
+        forks.clear()
+        code, out, err = _run(capsys, "evaluate", path, "--out", out_dir)
+        written = {}
+        for name in ("report.json", "report.csv", "scatter.csv"):
+            if (out_dir / name).exists():
+                written[name] = (out_dir / name).read_bytes()
+                (out_dir / name).unlink()
+        runs[cpus] = (code, out, err, written)
+        assert (len(forks), pins) == (cpus - 1, _pinned_calls(cpus)), cpus
+        _no_child_left()
+    return runs
+
+
+def test_evaluate_writes_the_same_bytes_for_any_cpu_count(
+    capsys, monkeypatch, forks, tmp_path
+):
+    path = tmp_path / "pairs.csv"
+    path.write_bytes("".join(_pairs_table()).encode())
+    out_dir = tmp_path / "report"
+    runs = _evaluate_runs(capsys, monkeypatch, forks, path, out_dir, (1, 2, 3, 7))
+    for cpus, run in runs.items():
+        assert run == runs[1], cpus
+    code, out, err, written = runs[1]
+    assert code == 0
+    assert json.loads(out)["count"] == 14
+    assert set(json.loads(out)["comparison"]) == {"ours", "reference"}
+    assert written["report.json"] == out.encode()
+    scatter = written["scatter.csv"].decode().split("\r\n")
+    assert scatter[0] == "x,y,series"
+    assert [row.rsplit(",", 1)[-1] for row in scatter[1:-1]] == (
+        ["ground_truth"] * 14 + ["ours"] * 14
+    )
+
+
+@pytest.mark.parametrize("cpus", [2, 3, 7])
+def test_malformed_row_in_the_last_part_names_its_line(
+    capsys, monkeypatch, forks, tmp_path, cpus
+):
+    lines = _pairs_table()
+    lines[-1] = "0,500,0,x,508.86,0,ours\r\n"
+    path = tmp_path / "pairs.csv"
+    path.write_bytes("".join(lines).encode())
+    out_dir = tmp_path / "report"
+    runs = _evaluate_runs(capsys, monkeypatch, forks, path, out_dir, (1, cpus))
+    assert runs[cpus] == runs[1]
+    assert runs[1] == (
+        2,
+        "",
+        f"error: {path} line {len(lines)}: could not convert string to float: 'x'\n",
+        {},
+    )
+
+
+def test_table_with_a_quoted_field_is_not_cut(capsys, monkeypatch, forks, tmp_path):
+    # The second row's quoted source spans a line end, so the table has one
+    # line more than rows, and the malformed row's number counts it.
+    lines = _pairs_table()
+    lines[2] = lines[2].replace(",reference\r\n", ',"reference\r\n')
+    lines.insert(3, '"\r\n')
+    path = tmp_path / "pairs.csv"
+    path.write_bytes("".join(lines).encode())
+    out_dir = tmp_path / "report"
+    runs = _evaluate_runs(capsys, monkeypatch, forks, path, out_dir, (1,))
+    pins = _use_cpus(monkeypatch, 2)
+    forks.clear()
+    assert _run(capsys, "evaluate", path, "--out", out_dir)[:3] == runs[1][:3]
+    assert (forks, pins) == ([], [])
+    assert runs[1][0] == 0
+    assert json.loads(runs[1][1])["count"] == 14
+    lines[-1] = "0,500,0,1,2,3\r\n"
+    path.write_bytes("".join(lines).encode())
+    assert _run(capsys, "evaluate", path) == (
+        2, "", f"error: {path} line {len(lines)}: expected 7 fields\n"
+    )
+    assert forks == []
 
 
 # ---------------------------------------------------------------------------

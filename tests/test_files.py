@@ -418,7 +418,7 @@ class TestReportFiles:
     def test_scatter_layout(self, tmp_path):
         pairs, _ = _four_pair_report()
         path = tmp_path / "scatter.csv"
-        evaluation.save_scatter_csv(path, pairs)
+        evaluation.save_scatter_csv(path, [evaluation.scatter_rows(pairs)])
         lines = path.read_text().splitlines()
         assert lines[0] == "x,y,series"
         assert len(lines) == 1 + 2 * len(pairs)
@@ -433,7 +433,7 @@ class TestReportFiles:
             EvalPair(0.1, 1 / 3, 0.0, -1234.5678, 7.0, 0.0),
         ]
         path = tmp_path / "scatter.csv"
-        evaluation.save_scatter_csv(path, pairs)
+        evaluation.save_scatter_csv(path, [evaluation.scatter_rows(pairs)])
         expected = io.StringIO()
         writer = csv.writer(expected)
         writer.writerow(["x", "y", "series"])
@@ -443,6 +443,11 @@ class TestReportFiles:
             writer.writerow([p.est_x, p.est_y, p.source])
         assert path.read_bytes() == expected.getvalue().encode()
         assert b"-0.0,1e-300,ground_truth\r\n" in path.read_bytes()
+        # The rows of consecutive runs of the pairs join to the same file.
+        for cut in range(len(pairs) + 1):
+            runs = [evaluation.scatter_rows(pairs[:cut]), evaluation.scatter_rows(pairs[cut:])]
+            evaluation.save_scatter_csv(path, runs)
+            assert path.read_bytes() == expected.getvalue().encode(), cut
 
     def test_text_rendering(self):
         _, report = _four_pair_report()

@@ -83,10 +83,12 @@ def test_setup_probe_loads_no_numpy(scene):
         f"files.load_model({str(scene.paths['model'])!r})"
     )
     assert loaded & NUMPY_MODULES == set()
+    assert "groundcam.parallel" not in loaded
 
 
-# localize splits its log with os.fork and marshal; a process pool or pickle
-# would add their import time to every run.
+# localize and evaluate split their input with os.fork and marshal
+# (groundcam.parallel); a process pool or pickle would add their import time
+# to every run.
 POOL_MODULES = {"multiprocessing", "concurrent.futures", "pickle"}
 
 
@@ -101,6 +103,7 @@ def test_localize_loads_no_numpy(scene, tmp_path, frame):
         str(tmp_path / "localizations.jsonl"),
     ]
     loaded = _loaded_after(f"assert groundcam.cli.main({argv!r}) == 0")
+    assert "groundcam.parallel" in loaded
     assert loaded & NUMPY_MODULES == set()
     assert loaded & POOL_MODULES == set()
     assert (tmp_path / "localizations.jsonl").read_text().count('"status": "ok"') == 6
@@ -111,8 +114,9 @@ def test_evaluate_loads_no_numpy(tmp_path):
     pairs = REPO_ROOT / "fixtures" / "reference_eval_pairs.csv"
     argv = ["evaluate", str(pairs), "--out", str(tmp_path / "out")]
     loaded = _loaded_after(f"assert groundcam.cli.main({argv!r}) == 0")
-    assert "groundcam.evaluation" in loaded
+    assert {"groundcam.evaluation", "groundcam.parallel"} <= loaded
     assert loaded & NUMPY_MODULES == set()
+    assert loaded & POOL_MODULES == set()
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert set(report["comparison"]) == {"ours", "reference"}
 
@@ -164,9 +168,10 @@ def test_numpy_free_runs_load_no_dataclass_machinery(scene, tmp_path, run):
     assert ("csv" in loaded) == (run == "evaluate")
 
 
-# The set-up probe and localize compile these groundcam modules alone, so
-# neither the numpy camera model (groundcam.projection) nor the codecs that
-# only the calibration and evaluation commands run are read from source.
+# The set-up probe compiles these groundcam modules alone, so neither the
+# numpy camera model (groundcam.projection) nor the codecs that only the
+# calibration and evaluation commands run are read from source; localize adds
+# the split (groundcam.parallel), and evaluate the split and the scoring.
 PER_DETECTION_MODULES = {
     "groundcam",
     "groundcam.cli",
@@ -181,8 +186,9 @@ PER_DETECTION_MODULES = {
 def test_numpy_free_runs_load_only_the_per_detection_modules(scene, tmp_path, run):
     loaded = _loaded_after(_numpy_free_run(scene, tmp_path, run))
     ours = {name for name in loaded if name.partition(".")[0] == "groundcam"}
+    split = set() if run == "setup" else {"groundcam.parallel"}
     scoring = {"groundcam.evaluation"} if run == "evaluate" else set()
-    assert ours == PER_DETECTION_MODULES | scoring
+    assert ours == PER_DETECTION_MODULES | split | scoring
 
 
 def test_calibrate_intrinsics_loads_neither_landmark_nor_table_codecs(scene):
