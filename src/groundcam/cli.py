@@ -23,9 +23,6 @@ from .regression import fit
 DEFAULT_BUCKETS = "1000,2000,3000"
 DEFAULT_MIN_SCORE = 0.5
 
-# The errors main reports as invalid input, with exit code 2.
-INVALID_INPUT = (ValueError, OSError)
-
 
 def _note(text: str) -> None:
     sys.stderr.write(text if text.endswith("\n") else text + "\n")
@@ -160,10 +157,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     lines, start = read_table(args.pairs, PAIRS_HEADER)
 
     def work(part: list[str], first: int) -> tuple[list[tuple], tuple[str, str]]:
-        pairs = parse_pairs(args.pairs, part, first)
-        ours = [p for p in pairs if p.source == "ours"] if args.out else []
-        # marshal, which brings a child's part back, takes plain tuples only.
-        return list(map(tuple, pairs)), scatter_rows(ours)
+        parsed = parse_pairs(args.pairs, part, first)
+        ours = [r for r in parsed if r[6] == "ours"] if args.out else []
+        return parsed, scatter_rows(ours)
 
     # A quoted field may span a line end, so a table holding a quote is not cut.
     if any('"' in line for line in lines):
@@ -309,7 +305,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except INVALID_INPUT as exc:
+    except files.INVALID_INPUT as exc:
         _note(f"error: {exc}")
         return 2
     except Exception:

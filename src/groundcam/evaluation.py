@@ -28,7 +28,9 @@ from typing import NamedTuple
 from . import files
 
 
-class _EvalPair(NamedTuple):
+class EvalPair(NamedTuple):
+    """One ground-truth position/heading with the estimate of one source."""
+
     gt_x: float
     gt_y: float
     gt_theta: float
@@ -36,31 +38,6 @@ class _EvalPair(NamedTuple):
     est_y: float
     est_theta: float
     source: str = "ours"
-
-
-class EvalPair(_EvalPair):
-    """One ground-truth position/heading with the estimate of one source.
-
-    The six numbers are checked to be finite on construction; _make and
-    _replace skip the check.
-    """
-
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        gt_x: float,
-        gt_y: float,
-        gt_theta: float,
-        est_x: float,
-        est_y: float,
-        est_theta: float,
-        source: str = "ours",
-    ) -> EvalPair:
-        values = (gt_x, gt_y, gt_theta, est_x, est_y, est_theta)
-        if not all(map(math.isfinite, values)):
-            raise ValueError("pair entries must be finite")
-        return tuple.__new__(cls, (*values, source))
 
     @property
     def gt_distance(self) -> float:
@@ -286,24 +263,29 @@ def save_pairs_csv(path: Path, pairs: list[EvalPair]) -> None:
     _write_csv(path, PAIRS_HEADER, pairs)
 
 
-def _pair(fields: list[str]) -> EvalPair:
+def _pair(fields: list[str]) -> tuple:
     source = fields[6].strip()
     if source not in ("ours", "reference"):
         raise ValueError(f"source must be ours or reference, got {source!r}")
-    return EvalPair(*map(float, fields[:6]), source)
+    values = tuple(map(float, fields[:6]))
+    if not all(map(math.isfinite, values)):
+        raise ValueError("pair entries must be finite")
+    return (*values, source)
 
 
-def parse_pairs(path: Path, lines: list[str], first: int) -> list[EvalPair]:
-    """The pairs of lines, data lines of the pairs table at path whose first
-    is line number first, read by column position; a malformed row, or one
-    whose source is neither ours nor reference, raises ValueError naming the
-    file and the line."""
+def parse_pairs(path: Path, lines: list[str], first: int) -> list[tuple]:
+    """The rows of lines, data lines of the pairs table at path whose first
+    is line number first, read by column position, each as a plain tuple of
+    EvalPair's fields, which marshal carries from a forked part; a malformed
+    row, one with an entry that is not finite, or one whose source is
+    neither ours nor reference raises ValueError naming the file and the
+    line."""
     return _csv_rows(path, lines, first, len(PAIRS_HEADER), _pair)
 
 
 def load_pairs_csv(path: Path) -> list[EvalPair]:
     """The pairs table at path, as parse_pairs reads its data lines."""
-    return parse_pairs(path, *read_table(path, PAIRS_HEADER))
+    return list(map(EvalPair._make, parse_pairs(path, *read_table(path, PAIRS_HEADER))))
 
 
 TRUTH_HEADER = ["frame", "gt_x", "gt_y", "gt_theta"]
@@ -340,16 +322,16 @@ def save_report(path: Path, report: dict) -> None:
     _write_csv(path, ["metric", "value"], rows)
 
 
-def scatter_rows(pairs: list[EvalPair]) -> tuple[str, str]:
-    """The scatter.csv rows of pairs: the ground-truth rows, then the
-    estimate rows, as two texts.
+def scatter_rows(rows: list[tuple]) -> tuple[str, str]:
+    """The scatter.csv rows of rows, EvalPairs or parse_pairs rows, read by
+    position: the ground-truth rows, then the estimate rows, as two texts.
 
     The rows are the bytes csv.writer writes for them: numbers by repr, CRLF
     line ends, and series names that need no quoting.
     """
     return (
-        "".join([f"{p.gt_x!r},{p.gt_y!r},ground_truth\r\n" for p in pairs]),
-        "".join([f"{p.est_x!r},{p.est_y!r},{p.source}\r\n" for p in pairs]),
+        "".join([f"{r[0]!r},{r[1]!r},ground_truth\r\n" for r in rows]),
+        "".join([f"{r[3]!r},{r[4]!r},{r[6]}\r\n" for r in rows]),
     )
 
 

@@ -5,9 +5,10 @@ at field center, z up, +x toward the goal the camera defends during
 calibration, left/right named as seen from the field center looking at that
 goal. Landmark pixels are undistorted internally; the pose is initialized
 from a planar homography when every world z coincides (the common
-all-on-carpet case) or from a 3x4 DLT for six or more points in general
-position, then refined by `refine_calibration` with every intrinsic held. The
-landmarks document's codec lives here too, beside the catalog it names.
+all-on-carpet case) or from a normalized 3x4 DLT for six or more points in
+general position, then refined by `refine_calibration` with every intrinsic
+held. The landmarks document's codec lives here too, beside the catalog it
+names.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ import numpy as np
 from . import files
 from .geometry import CameraIntrinsics, CameraPose, Distortion, NonConvergence, PixelPoint
 from .intrinsics import (
-    dlt_rows,
     extrinsics_from_homography,
     homography_from_points,
+    normalized_dlt,
     refine_calibration,
 )
 from .pipeline import json_number, json_numbers, json_string
@@ -33,10 +34,11 @@ from .projection import WorldPoint, nearest_rotation, project_points, undistort
 COPLANAR_Z_TOL_MM = 1e-9
 RESIDUAL_FLAG_FLOOR_PX = 1e-6
 # The rows of K^-1 P have equal norms for a perspective camera, and the third
-# vanishes for an affine one. On six off-plane marks the third row's norm over
-# the smaller of the other two read at most 1e-3 for exact affine images at
-# 1e-4 to 10 px per mm, and at least 0.44 for perspective images with 20 px
-# noise or taken from 100 times as far away.
+# vanishes for an affine one. From the normalized DLT on six off-plane marks
+# and synth's camera, the third row's norm over the smaller of the other two
+# read at most 1e-5 for exact affine images at 1e-5 to 10 px per mm, and at
+# least 0.77 for perspective images with 20 px noise (200 draws) or taken
+# from 100 times as far away.
 AFFINE_ROW_RATIO = 1e-2
 
 
@@ -195,11 +197,7 @@ def load_landmarks(path: Path) -> list[PnpCorrespondence]:
 def _pose_from_dlt(
     world: np.ndarray, pixels: np.ndarray, k: CameraIntrinsics
 ) -> CameraPose:
-    wh = np.column_stack([world, np.ones(world.shape[0])])
-    _, s, vt = np.linalg.svd(dlt_rows(wh, pixels))
-    if s[10] < 1e-10 * s[0]:
-        raise ValueError("projection-matrix system is rank deficient")
-    p = vt[-1].reshape(3, 4)
+    p = normalized_dlt(world, pixels, "projection-matrix system is rank deficient")
     m = np.linalg.inv(k.matrix) @ p
     centroid = np.append(world.mean(axis=0), 1.0)
     if (m @ centroid)[2] < 0:

@@ -33,6 +33,9 @@ from .regression import (
     RegressionSample,
 )
 
+# The errors the command line reports as invalid input, with exit code 2.
+INVALID_INPUT = (ValueError, OSError)
+
 
 def dumps(doc: dict) -> str:
     """The text of a JSON document: sorted keys, two-space indent, final newline."""

@@ -106,18 +106,15 @@ class CalibrationSolution:
 
 
 def _normalization(points: np.ndarray) -> np.ndarray:
-    """Similarity moving the centroid to the origin and mean distance to sqrt(2)."""
+    """Similarity on points (n, d), as a (d + 1) x (d + 1) matrix, moving
+    their centroid to the origin and their mean distance to sqrt(d)."""
+    d = points.shape[1]
     centroid = points.mean(axis=0)
-    distances = np.linalg.norm(points - centroid, axis=1)
-    mean = distances.mean()
-    scale = math.sqrt(2.0) / mean if mean > 0 else 1.0
-    return np.array(
-        [
-            [scale, 0.0, -scale * centroid[0]],
-            [0.0, scale, -scale * centroid[1]],
-            [0.0, 0.0, 1.0],
-        ]
-    )
+    mean = np.linalg.norm(points - centroid, axis=1).mean()
+    scale = math.sqrt(d) / mean if mean > 0 else 1.0
+    t = np.diag([*[scale] * d, 1.0])
+    t[:d, d] = -scale * centroid
+    return t
 
 
 def dlt_rows(src_h: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -131,6 +128,25 @@ def dlt_rows(src_h: np.ndarray, dst: np.ndarray) -> np.ndarray:
     rows[1::2, m : 2 * m] = src_h
     rows[1::2, 2 * m :] = -dst[:, 1:2] * src_h
     return rows
+
+
+def normalized_dlt(src: np.ndarray, dst: np.ndarray, deficient: str) -> np.ndarray:
+    """The 3 x (d + 1) matrix P with dst ~ P [src, 1] for points src (n, d)
+    and pixels dst (n, 2), by DLT on Hartley-normalized coordinates. When
+    the system keeps more than a one-dimensional null space, raises
+    ValueError with deficient formatted with its two smallest singular
+    values and its largest, one value per unknown (zeros past its rows)."""
+    n, d = src.shape
+    t_src = _normalization(src)
+    t_dst = _normalization(dst)
+    sh = np.column_stack([src, np.ones(n)]) @ t_src.T
+    dh = np.column_stack([dst, np.ones(n)]) @ t_dst.T
+    rows = dlt_rows(sh, dh)
+    _, s, vt = np.linalg.svd(rows)
+    s = s.tolist() + [0.0] * (rows.shape[1] - s.size)
+    if s[-2] < 1e-10 * s[0]:
+        raise ValueError(deficient.format(s[-2], s[-1], s[0]))
+    return np.linalg.inv(t_dst) @ vt[-1].reshape(3, d + 1) @ t_src
 
 
 def homography_from_points(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -147,19 +163,12 @@ def homography_from_points(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     n = src.shape[0]
     if n < 4:
         raise ValueError(f"need at least 4 correspondences, got {n}")
-    t_src = _normalization(src)
-    t_dst = _normalization(dst)
-    sh = np.column_stack([src, np.ones(n)]) @ t_src.T
-    dh = np.column_stack([dst, np.ones(n)]) @ t_dst.T
-
-    _, s, vt = np.linalg.svd(dlt_rows(sh, dh))
-    if s[7] < 1e-10 * s[0]:
-        raise ValueError(
-            "points do not determine a unique homography "
-            f"(singular values {s[7]:.3g} and {s[8]:.3g} of {s[0]:.3g})"
-        )
-    h_norm = vt[-1].reshape(3, 3)
-    h = np.linalg.inv(t_dst) @ h_norm @ t_src
+    h = normalized_dlt(
+        src,
+        dst,
+        "points do not determine a unique homography "
+        "(singular values {:.3g} and {:.3g} of {:.3g})",
+    )
     if abs(h[2, 2]) < 1e-12:
         raise ValueError("homography maps the origin to infinity")
     return h / h[2, 2]

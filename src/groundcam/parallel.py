@@ -11,7 +11,7 @@ import marshal
 import os
 import sys
 
-from .cli import INVALID_INPUT
+from .files import INVALID_INPUT
 
 
 def _cpus() -> list[int]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,7 +22,7 @@ from groundcam import cli, evaluation, extrinsics, files, parallel
 from groundcam.cli import main
 from groundcam.geometry import CameraPose, Distortion, PixelPoint
 from groundcam.extrinsics import PnpCorrespondence, field_landmarks
-from groundcam.projection import project
+from groundcam.projection import WorldPoint, project
 from groundcam.regression import BOTTOM_CENTER_WEIGHTS, BoundingBox
 from groundcam.reference import (
     REFERENCE_CAMERA_CENTER_MM,
@@ -101,6 +102,27 @@ class TestCalibrateIntrinsics:
             f"loaded 6 views from {path}\n"
             f"error: {path}: view000: points do not determine a unique homography "
             "(singular values 0 and -0 of 6.35)\n"
+        )
+
+    def test_four_collinear_points_name_the_file_and_the_view(
+        self, capsys, cli_scene, tmp_path
+    ):
+        # Four points, the fewest a view may hold, give an 8 x 9 system.
+        doc = json.loads(cli_scene.paths["views"].read_text())
+        points = doc["views"][0]["points"]
+        doc["views"][0]["points"] = [
+            p for p in points if p["pattern"][1] == points[0]["pattern"][1]
+        ][:4]
+        path = tmp_path / "views.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = _run(capsys, "calibrate-intrinsics", path)
+        assert code == 2
+        assert out == ""
+        assert re.fullmatch(
+            f"loaded 6 views from {re.escape(str(path))}\n"
+            f"error: {re.escape(str(path))}: view000: points do not determine a "
+            r"unique homography \(singular values \S+ and 0 of \S+\)\n",
+            err,
         )
 
     # Views whose pixels are pattern points mapped through these homographies,
@@ -325,13 +347,13 @@ class TestCalibrateExtrinsics:
             (lambda p: (320.0, 240.0), "projection-matrix system is rank deficient"),
             # A side elevation: an affine camera, infinitely far away.
             (lambda p: (0.1 * p.y, 0.1 * p.z), "projection matrix has a vanishing rotation row"),
-            # Oblique affine views at pixel scales s from 0.005 to 0.05 px/mm.
+            # Oblique affine views at pixel scales s from 1e-5 to 0.05 px/mm.
             *(
                 (_oblique_affine(s), "projection matrix has a vanishing rotation row")
-                for s in (0.005, 0.01, 0.02, 0.05)
+                for s in (1e-05, 0.005, 0.01, 0.02, 0.05)
             ),
         ],
-        ids=["one-pixel", "affine", *(f"affine-{s}" for s in (0.005, 0.01, 0.02, 0.05))],
+        ids=["one-pixel", "affine", *(f"affine-{s}" for s in (1e-05, 0.005, 0.01, 0.02, 0.05))],
     )
     def test_marks_no_camera_produces_name_both_files(
         self, capsys, cli_scene, tmp_path, mark, message
@@ -351,6 +373,27 @@ class TestCalibrateExtrinsics:
         assert out == ""
         assert err == (
             f"6 correspondences from {path}\nerror: {path}, {calibration}: {message}\n"
+        )
+
+    def test_four_marks_three_on_a_line_name_both_files(self, capsys, cli_scene, tmp_path):
+        # Four marks on the ground give an 8 x 9 homography system.
+        config = cli_scene.config
+        world = [(0.0, 0.0), (500.0, 0.0), (1000.0, 0.0), (0.0, 700.0)]
+        extra = [
+            PnpCorrespondence(project(p, config.intrinsics, config.pose), p)
+            for p in (WorldPoint(x, y, 0.0) for x, y in world)
+        ]
+        path = tmp_path / "landmarks.json"
+        files.write_json(path, extrinsics.landmarks_to_dict(config.geometry, {}, extra))
+        calibration = cli_scene.paths["calibration"]
+        code, out, err = _run(capsys, "calibrate-extrinsics", path, calibration)
+        assert code == 2
+        assert out == ""
+        assert re.fullmatch(
+            f"4 correspondences from {re.escape(str(path))}\n"
+            f"error: {re.escape(str(path))}, {re.escape(str(calibration))}: points do "
+            r"not determine a unique homography \(singular values \S+ and 0 of \S+\)\n",
+            err,
         )
 
     def test_too_few_landmarks(self, capsys, cli_scene, tmp_path):
@@ -946,6 +989,21 @@ def test_malformed_row_in_the_last_part_names_its_line(
         f"error: {path} line {len(lines)}: could not convert string to float: 'x'\n",
         {},
     )
+
+
+def test_non_finite_pair_entry_names_its_line(capsys, monkeypatch, forks, tmp_path):
+    # The pairs reader checks each entry; the row sits in the second part of two.
+    for cell in ("nan", "inf", "-inf"):
+        lines = _pairs_table()
+        lines[-2] = f"0,500,0,1,{cell},3,ours\r\n"
+        path = tmp_path / "pairs.csv"
+        path.write_bytes("".join(lines).encode())
+        out_dir = tmp_path / "report"
+        runs = _evaluate_runs(capsys, monkeypatch, forks, path, out_dir, (1, 2))
+        assert runs[2] == runs[1]
+        assert runs[1] == (
+            2, "", f"error: {path} line {len(lines) - 1}: pair entries must be finite\n", {}
+        )
 
 
 def test_table_with_a_quoted_field_is_not_cut(capsys, monkeypatch, forks, tmp_path):

@@ -1,6 +1,6 @@
 """The record types that run code when they are built are exactly the
-documented ones. PixelPoint, BoundingBox, CameraPose, ClassModel and
-EvalPair check (and coerce or flatten) their fields in a __new__ on a
+documented ones. PixelPoint, BoundingBox, CameraPose and ClassModel check
+(and coerce or flatten) their fields in a __new__ on a
 NamedTuple; Distortion and CameraIntrinsics in an __init__ on
 geometry._Frozen; PlanarView in a __post_init__. Every other record is
 built as given, and a check on input from outside the program sits in the
@@ -21,7 +21,6 @@ CHECKED_ON_CONSTRUCTION = {
     "BoundingBox",
     "CameraPose",
     "ClassModel",
-    "EvalPair",
     "Distortion",
     "CameraIntrinsics",
     "PlanarView",

@@ -337,10 +337,5 @@ class TestCompareSources:
 # ---------------------------------------------------------------------------
 
 
-def test_pair_rejects_non_finite():
-    with pytest.raises(ValueError):
-        EvalPair(0.0, 0.0, 0.0, math.nan, 0.0, 0.0)
-
-
 def test_pair_distance_is_the_ground_truth_norm():
     assert EvalPair(3.0, 4.0, 0.0, 0.0, 0.0, 0.0).gt_distance == 5.0

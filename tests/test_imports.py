@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -32,15 +33,19 @@ def scene(tmp_path_factory):
     return generate_scene(config, seed=13, out_dir=tmp_path_factory.mktemp("scene"))
 
 
-def _loaded_after(statements: str) -> set[str]:
+def _env() -> dict[str, str]:
+    """This environment with the repository's src first on PYTHONPATH."""
     src = str(REPO_ROOT / "src")
     path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": src if not path else f"{src}{os.pathsep}{path}"}
+    return {**os.environ, "PYTHONPATH": src if not path else f"{src}{os.pathsep}{path}"}
+
+
+def _loaded_after(statements: str) -> set[str]:
     result = subprocess.run(
         [sys.executable, "-c", _PROBE, statements],
         capture_output=True,
         text=True,
-        env=env,
+        env=_env(),
         check=True,
     )
     return set(json.loads(result.stdout.splitlines()[-1]))
@@ -198,3 +203,59 @@ def test_calibrate_intrinsics_loads_neither_landmark_nor_table_codecs(scene):
     )
     assert "groundcam.projection" in loaded
     assert loaded & {"groundcam.extrinsics", "groundcam.evaluation"} == set()
+
+
+PACKAGE = REPO_ROOT / "src" / "groundcam"
+
+
+def _package_imports() -> dict[str, set[str]]:
+    """The groundcam modules each groundcam module imports, read from its
+    source: every import statement counts, inside functions too."""
+    modules = {"groundcam"} | {f"groundcam.{path.stem}" for path in PACKAGE.glob("*.py")}
+    graph = {}
+    for path in PACKAGE.glob("*.py"):
+        name = "groundcam" if path.stem == "__init__" else f"groundcam.{path.stem}"
+        imported = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                base = "groundcam" if node.level else ""
+                base = ".".join(part for part in (base, node.module) if part)
+                imported.add(base)
+                imported.update(f"{base}.{alias.name}" for alias in node.names)
+        graph[name] = imported & modules - {name}
+    return graph
+
+
+def test_no_groundcam_module_imports_itself_through_others():
+    graph = _package_imports()
+    done: set[str] = set()
+
+    def visit(name: str, path: list[str]) -> None:
+        for target in sorted(graph[name]):
+            cycle = path[path.index(target):] + [target] if target in path else []
+            assert not cycle, f"import cycle: {' -> '.join(cycle)}"
+            if target not in done:
+                visit(target, path + [target])
+        done.add(name)
+
+    for name in sorted(graph):
+        visit(name, [name])
+    # Run as python -m groundcam.cli, the command line is __main__, so a
+    # module importing groundcam.cli would compile it a second time.
+    assert [name for name, targets in graph.items() if "groundcam.cli" in targets] == []
+
+
+def test_running_the_command_line_as_a_module_compiles_it_once():
+    pairs = REPO_ROOT / "fixtures" / "reference_eval_pairs.csv"
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "groundcam.cli", "evaluate", str(pairs)],
+        capture_output=True,
+        text=True,
+        env=_env(),
+        check=True,
+    )
+    imported = [line.rpartition("|")[2].strip() for line in result.stderr.splitlines()]
+    assert "groundcam.parallel" in imported
+    assert "groundcam.cli" not in imported
