@@ -14,7 +14,6 @@ names.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -29,7 +28,13 @@ from .intrinsics import (
     refine_calibration,
 )
 from .pipeline import json_number, json_numbers, json_string
-from .projection import WorldPoint, nearest_rotation, project_points, undistort
+from .projection import (
+    WorldPoint,
+    camera_center,
+    nearest_rotation,
+    project_points,
+    undistort,
+)
 
 COPLANAR_Z_TOL_MM = 1e-9
 RESIDUAL_FLAG_FLOOR_PX = 1e-6
@@ -67,8 +72,7 @@ class FieldGeometry(NamedTuple):
         )
 
 
-@dataclass(frozen=True, slots=True)
-class PnpCorrespondence:
+class PnpCorrespondence(NamedTuple):
     """A marked pixel paired with its known world point."""
 
     pixel: PixelPoint
@@ -76,8 +80,7 @@ class PnpCorrespondence:
     name: str = ""
 
 
-@dataclass(frozen=True, eq=False)
-class ReprojectionReport:
+class ReprojectionReport(NamedTuple):
     """Per-point residual norms of a solved pose, with suspected mismarks flagged.
 
     norms is (n,) in pixels. A point is flagged when its norm exceeds three
@@ -224,7 +227,8 @@ def solve_pnp(
     below four correspondences, for a mark the lens model cannot be inverted
     at (naming it, or "point <i>" for an unnamed one), for collinear world
     points, and when the layout fits neither the planar nor the
-    general-position initializer.
+    general-position initializer, and when the solved camera center is not
+    above the ground (z > 0), as for a mirror image of coplanar marks.
     There is no outlier rejection; suspect marks are flagged in the returned
     report instead.
     """
@@ -258,6 +262,9 @@ def solve_pnp(
         )
 
     pose = refine_calibration([world], [ideal], k_ideal, [pose0], free=()).poses[0]
+    height = camera_center(pose).z
+    if not height > 0:
+        raise ValueError(f"camera center at z = {height:.3f} mm, not above the ground")
     return pose, reprojection_report(pose, k, correspondences)
 
 

@@ -12,8 +12,8 @@ held. The views document's codec lives here too, beside PlanarView.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,8 +32,7 @@ from .projection import (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class PlanarView:
+class PlanarView(NamedTuple):
     """One photographed planar target: pixels (n, 2) against pattern xy (n, 2).
 
     Pattern coordinates are millimeters on the target plane (z = 0 implied).
@@ -42,25 +41,6 @@ class PlanarView:
     view_id: str
     pixels: np.ndarray
     pattern: np.ndarray
-
-    def __post_init__(self) -> None:
-        px = np.array(self.pixels, dtype=float)
-        pt = np.array(self.pattern, dtype=float)
-        if px.ndim != 2 or px.shape[1] != 2 or px.shape != pt.shape:
-            raise ValueError("pixels and pattern must both be (n, 2) arrays")
-        if px.shape[0] < 4:
-            raise ValueError("a planar view needs at least 4 correspondences")
-        if not (np.all(np.isfinite(px)) and np.all(np.isfinite(pt))):
-            raise ValueError("correspondences must be finite")
-        if len(set(map(tuple, pt.tolist()))) != pt.shape[0]:
-            raise ValueError("pattern points must be distinct")
-        px.setflags(write=False)
-        pt.setflags(write=False)
-        object.__setattr__(self, "pixels", px)
-        object.__setattr__(self, "pattern", pt)
-
-    def __len__(self) -> int:
-        return self.pixels.shape[0]
 
 
 def views_to_dict(views: list[PlanarView], square_size_mm: float) -> dict:
@@ -80,24 +60,32 @@ def views_to_dict(views: list[PlanarView], square_size_mm: float) -> dict:
 
 
 def views_from_dict(obj: dict) -> list[PlanarView]:
-    """Inverse of views_to_dict. square_size_mm is not read: the pattern
-    coordinates already carry the scale."""
-    return [
-        PlanarView(
-            view_id=json_string(entry["id"], "id"),
-            pixels=[json_numbers(p["pixel"], 2, "pixel") for p in entry["points"]],
-            pattern=[json_numbers(p["pattern"], 2, "pattern") for p in entry["points"]],
-        )
-        for entry in obj["views"]
-    ]
+    """Inverse of views_to_dict, with read-only arrays. square_size_mm is not
+    read: the pattern coordinates already carry the scale. A view of fewer
+    than 4 points, with a point that is not finite, or with a repeated
+    pattern point raises ValueError naming its id."""
+    views = []
+    for entry in obj["views"]:
+        view_id = json_string(entry["id"], "id")
+        pixels = np.array([json_numbers(p["pixel"], 2, "pixel") for p in entry["points"]])
+        pattern = np.array([json_numbers(p["pattern"], 2, "pattern") for p in entry["points"]])
+        if len(pixels) < 4:
+            raise ValueError(f"{view_id}: a planar view needs at least 4 correspondences")
+        if not (np.all(np.isfinite(pixels)) and np.all(np.isfinite(pattern))):
+            raise ValueError(f"{view_id}: correspondences must be finite")
+        if len(set(map(tuple, pattern.tolist()))) != len(pattern):
+            raise ValueError(f"{view_id}: pattern points must be distinct")
+        pixels.setflags(write=False)
+        pattern.setflags(write=False)
+        views.append(PlanarView(view_id, pixels, pattern))
+    return views
 
 
 def load_planar_views(path: Path) -> list[PlanarView]:
     return files._load_json(path, views_from_dict)
 
 
-@dataclass(frozen=True, eq=False)
-class CalibrationSolution:
+class CalibrationSolution(NamedTuple):
     """Intrinsics plus one target-to-camera pose per view and the pixel RMSE."""
 
     intrinsics: CameraIntrinsics
@@ -142,7 +130,7 @@ def normalized_dlt(src: np.ndarray, dst: np.ndarray, deficient: str) -> np.ndarr
     sh = np.column_stack([src, np.ones(n)]) @ t_src.T
     dh = np.column_stack([dst, np.ones(n)]) @ t_dst.T
     rows = dlt_rows(sh, dh)
-    _, s, vt = np.linalg.svd(rows)
+    _, s, vt = np.linalg.svd(rows, full_matrices=rows.shape[0] < rows.shape[1])
     s = s.tolist() + [0.0] * (rows.shape[1] - s.size)
     if s[-2] < 1e-10 * s[0]:
         raise ValueError(deficient.format(s[-2], s[-1], s[0]))
@@ -396,7 +384,7 @@ def calibrate_intrinsics(
             raise ValueError(f"{v.view_id}: {exc}") from None
     k0 = zhang_closed_form(homographies, assume_zero_skew=fix_skew)
     poses = [extrinsics_from_homography(k0, h) for h in homographies]
-    world = [np.column_stack([v.pattern, np.zeros(len(v))]) for v in views]
+    world = [np.column_stack([v.pattern, np.zeros(len(v.pixels))]) for v in views]
     pinned = (("gamma",) if fix_skew else ()) + (("k3",) if fix_k3 else ())
     free = tuple(
         i for i, name in enumerate(INTRINSIC_PARAMETERS) if name not in pinned

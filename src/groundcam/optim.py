@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -36,8 +36,7 @@ class LeastSquaresProblem:
     jacobian: Callable[[np.ndarray], np.ndarray] | None = None
 
 
-@dataclass(frozen=True, eq=False)
-class LmResult:
+class LmResult(NamedTuple):
     x: np.ndarray
     cost: float
     iterations: int

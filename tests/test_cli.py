@@ -125,6 +125,29 @@ class TestCalibrateIntrinsics:
             err,
         )
 
+    @pytest.mark.parametrize(
+        "spoil, message",
+        [
+            (lambda points: points[:3], "a planar view needs at least 4 correspondences"),
+            (
+                lambda points: [*points[:4], {**points[4], "pattern": points[0]["pattern"]}],
+                "pattern points must be distinct",
+            ),
+        ],
+        ids=["three-points", "repeated-pattern-point"],
+    )
+    def test_bad_view_names_the_file_and_the_view(
+        self, capsys, cli_scene, tmp_path, spoil, message
+    ):
+        doc = json.loads(cli_scene.paths["views"].read_text())
+        doc["views"][3]["points"] = spoil(doc["views"][3]["points"])
+        path = tmp_path / "views.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = _run(capsys, "calibrate-intrinsics", path)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {path}: view003: {message}\n"
+
     # Views whose pixels are pattern points mapped through these homographies,
     # which no physical camera produces.
     @pytest.mark.parametrize(
@@ -373,6 +396,46 @@ class TestCalibrateExtrinsics:
         assert out == ""
         assert err == (
             f"6 correspondences from {path}\nerror: {path}, {calibration}: {message}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "layout, count, height",
+        [("ground-grid", 12, "-171.429"), ("goal-and-penalty", 6, "-370.284")],
+        ids=["ground-grid", "goal-and-penalty"],
+    )
+    def test_mirrored_marks_put_the_camera_below_the_ground(
+        self, capsys, cli_scene, tmp_path, layout, count, height
+    ):
+        # Marks mirrored u -> width - u: on the ground the true camera
+        # mirrored through it fits them exactly; the goal and penalty
+        # corners, off the plane, are fitted best by a camera below it too.
+        config = cli_scene.config
+        width = config.image_width_px
+        named, extra = {}, []
+        if layout == "ground-grid":
+            for x in (-400.0, -150.0, 150.0, 400.0):
+                for y in (-200.0, 0.0, 300.0, 700.0):
+                    world = WorldPoint(x, y, 0.0)
+                    pixel = project(world, config.intrinsics, config.pose)
+                    if 0 <= pixel.u < width and 0 <= pixel.v < config.image_height_px:
+                        mirrored = PixelPoint(width - pixel.u, pixel.v)
+                        extra.append(PnpCorrespondence(mirrored, world))
+        else:
+            catalog = field_landmarks(config.geometry)
+            for part in ("goal_bottom", "goal_top", "penalty_front"):
+                for side in ("left", "right"):
+                    name = f"{part}_{side}_corner"
+                    pixel = project(catalog[name], config.intrinsics, config.pose)
+                    named[name] = PixelPoint(width - pixel.u, pixel.v)
+        path = tmp_path / "landmarks.json"
+        files.write_json(path, extrinsics.landmarks_to_dict(config.geometry, named, extra))
+        calibration = cli_scene.paths["calibration"]
+        code, out, err = _run(capsys, "calibrate-extrinsics", path, calibration)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"{count} correspondences from {path}\nerror: {path}, {calibration}: "
+            f"camera center at z = {height} mm, not above the ground\n"
         )
 
     def test_four_marks_three_on_a_line_name_both_files(self, capsys, cli_scene, tmp_path):

@@ -22,6 +22,7 @@ from groundcam.intrinsics import (
     extrinsics_from_homography,
     homography_from_points,
     refine_calibration,
+    views_from_dict,
     zhang_closed_form,
 )
 from groundcam.optim import levenberg_marquardt, numeric_jacobian
@@ -47,7 +48,7 @@ ALL_FREE = tuple(range(10))
 
 def _arrays(views: list[PlanarView]) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Per-view world points at z = 0 and pixels, as the refinement takes them."""
-    world = [np.column_stack([v.pattern, np.zeros(len(v))]) for v in views]
+    world = [np.column_stack([v.pattern, np.zeros(len(v.pixels))]) for v in views]
     return world, [v.pixels for v in views]
 
 
@@ -133,7 +134,7 @@ class TestHomography:
         view, _ = _synthetic_views(TRUE_K, 1, rng)
         h = estimate_homography(view[0])
         hom = np.column_stack(
-            [view[0].pattern, np.ones(len(view[0]))]
+            [view[0].pattern, np.ones(len(view[0].pixels))]
         ) @ h.T
         mapped = hom[:, :2] / hom[:, 2:]
         assert np.max(np.abs(mapped - view[0].pixels)) < 1e-8
@@ -304,7 +305,7 @@ class TestCalibratePipeline:
         initial = np.concatenate(
             [
                 project_points(
-                    np.column_stack([v.pattern, np.zeros(len(v))]),
+                    np.column_stack([v.pattern, np.zeros(len(v.pixels))]),
                     k0,
                     pose,
                     clamp_depth=True,
@@ -459,43 +460,55 @@ class TestReprojectionRmse:
 
 
 # ---------------------------------------------------------------------------
-# PlanarView validation
+# The views reader's checks
 # ---------------------------------------------------------------------------
 
 
-class TestPlanarView:
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            PlanarView("v", np.zeros((5, 2)), np.zeros((5, 3)))
+def _views_doc(pixels, pattern) -> dict:
+    points = [{"pixel": list(u), "pattern": list(x)} for u, x in zip(pixels, pattern)]
+    return {"views": [{"id": "view003", "points": points}]}
+
+
+class TestViewsFromDict:
+    def test_empty_points_rejected(self):
+        # json_numbers reads every point as a pair, so the only view that
+        # is not (n, 2) is one without points.
+        with pytest.raises(ValueError, match="^view003: a planar view needs at least 4"):
+            views_from_dict(_views_doc([], []))
 
     def test_too_few_points_rejected(self):
-        with pytest.raises(ValueError):
-            PlanarView("v", np.zeros((3, 2)), _pattern(3, 1, 10.0)[:3])
+        pattern = _pattern(3, 1, 10.0).tolist()
+        with pytest.raises(ValueError, match="^view003: a planar view needs at least 4"):
+            views_from_dict(_views_doc(pattern, pattern))
 
-    def test_non_finite_rejected(self):
-        pattern = _pattern(2, 2, 10.0)
-        pixels = pattern.copy()
-        pixels[0, 0] = math.nan
-        with pytest.raises(ValueError):
-            PlanarView("v", pixels, pattern)
+    @pytest.mark.parametrize("array", ["pixels", "pattern"])
+    def test_non_finite_rejected(self, array):
+        pattern = _pattern(2, 2, 10.0).tolist()
+        pixels = _pattern(2, 2, 10.0).tolist()
+        (pixels if array == "pixels" else pattern)[0][0] = math.inf
+        with pytest.raises(ValueError, match="^view003: correspondences must be finite$"):
+            views_from_dict(_views_doc(pixels, pattern))
 
     def test_duplicate_pattern_points_rejected(self):
-        pattern = _pattern(2, 2, 10.0).copy()
+        pattern = _pattern(2, 2, 10.0).tolist()
         pattern[3] = pattern[0]
-        with pytest.raises(ValueError):
-            PlanarView("v", pattern, pattern)
+        with pytest.raises(ValueError, match="^view003: pattern points must be distinct$"):
+            views_from_dict(_views_doc(pattern, pattern))
 
     @pytest.mark.parametrize("repeat", [(10.0, 10.0), (-0.0, 10.0)])
     def test_repeated_pattern_point_rejected(self, repeat):
         # -0.0 and 0.0 are the same board coordinate.
         pattern = [(0.0, 0.0), (10.0, 0.0), (0.0, 10.0), (10.0, 10.0), repeat]
         pixels = [(float(i), float(i * i)) for i in range(5)]
-        with pytest.raises(ValueError, match="pattern points must be distinct"):
-            PlanarView("v", pixels, pattern)
+        with pytest.raises(ValueError, match="^view003: pattern points must be distinct$"):
+            views_from_dict(_views_doc(pixels, pattern))
 
-    def test_len_and_read_only(self):
-        pattern = _pattern(3, 2, 10.0)
-        view = PlanarView("v", pattern, pattern)
-        assert len(view) == 6
-        with pytest.raises(ValueError):
-            view.pixels[0, 0] = 1.0
+    def test_read_only_floats(self):
+        pattern = [(int(x), int(y)) for x, y in _pattern(3, 2, 10.0).tolist()]
+        (view,) = views_from_dict(_views_doc(pattern, pattern))
+        assert view.view_id == "view003"
+        for array in (view.pixels, view.pattern):
+            assert array.shape == (6, 2)
+            assert array.dtype == np.float64
+            with pytest.raises(ValueError):
+                array[0, 0] = 1.0

@@ -86,7 +86,7 @@ class TestDefaultScene:
         config = default_scene.config
         assert len(default_scene.views) == config.num_views
         for view in default_scene.views:
-            assert len(view) == config.pattern_cols * config.pattern_rows
+            assert len(view.pixels) == config.pattern_cols * config.pattern_rows
             assert view.pixels[:, 0].min() >= 8.0
             assert view.pixels[:, 0].max() <= config.image_width_px - 8.0
             assert view.pixels[:, 1].min() >= 8.0
