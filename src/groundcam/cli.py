@@ -177,7 +177,10 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     if "ours" not in by_source:
         raise ValueError(f"{args.pairs} has no rows with source ours to score")
     main = by_source["ours"]
-    report = build_report(main, boundaries)
+    try:
+        report = build_report(main, boundaries)
+    except ValueError as exc:  # main is not empty, so only the bands are refused
+        raise ValueError(f"--buckets: {exc}") from None
     if "reference" in by_source:
         try:
             report["comparison"] = compare_sources(main, by_source["reference"])
@@ -214,7 +217,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
             raise ValueError(f"{args.config}: {exc}") from None
         raise
     _note(
-        f"scene: {len(scene.views)} views, {len(scene.landmark_pixels)} landmarks, "
+        f"scene: {len(scene.views)} views, {len(scene.marks)} marks, "
         f"{len(scene.detections)} detections"
     )
     doc = {

@@ -2,7 +2,7 @@
 
 A scene bundles everything the command-line pipeline consumes, all derived
 from one known ground-truth calibration: chessboard views for intrinsic
-calibration, landmark correspondences for pose solving, regression samples,
+calibration, ground marks for pose solving, regression samples,
 detection boxes, and the true positions to score against. With zero noise
 the whole chain closes to numerical precision, which is the toolkit's main
 correctness oracle.
@@ -25,18 +25,15 @@ import numpy as np
 
 from . import files
 from .evaluation import save_truth_csv
-from .extrinsics import (
-    FieldGeometry,
-    field_geometry_from_dict,
-    field_geometry_to_dict,
-    field_landmarks,
-    landmarks_to_dict,
-)
+from .extrinsics import FieldGeometry, PnpCorrespondence, landmarks_to_dict
 from .geometry import (
     CameraIntrinsics,
     CameraPose,
+    NonConvergence,
     PixelPoint,
     PointBehindCamera,
+    PointNotOnGround,
+    RayParallelToPlane,
     ground_map,
 )
 from .intrinsics import PlanarView, views_to_dict
@@ -77,17 +74,13 @@ from .reference import (
 MAX_GRID_POINTS = 100_000
 MAX_BOARD_POINTS = 100_000
 
-DEFAULT_LANDMARKS = (
-    "goal_bottom_left_corner",
-    "goal_bottom_right_corner",
-    "goal_bottom_center",
-    "penalty_front_left_corner",
-    "penalty_front_right_corner",
-)
+# The pixels synth marks on the ground, as fractions of the image width and
+# height: every column on every row, 16 in all.
+MARK_COLUMNS = (0.05, 0.35, 0.65, 0.95)
+MARK_ROWS = (0.25, 0.5, 0.75, 0.95)
 
-
-# Small desk-scale field whose five default landmarks all sit inside the
-# reference camera's forward half space.
+# The small desk-scale field landmarks.json names, since its reader requires
+# one; synth marks no named landmark, so no mark depends on it.
 DEFAULT_GEOMETRY = FieldGeometry(
     field_length=2000.0,
     field_width=1500.0,
@@ -119,8 +112,6 @@ class SceneConfig(NamedTuple):
     pattern_cols: int = 9
     pattern_rows: int = 6
     square_size_mm: float = 25.0
-    geometry: FieldGeometry = DEFAULT_GEOMETRY
-    landmark_names: tuple[str, ...] = DEFAULT_LANDMARKS
     frame: FrameConvention = FrameConvention.CAMERA
 
     @property
@@ -156,13 +147,6 @@ def _string(value) -> str:
     return json_string(value, "value")
 
 
-def _strings(value) -> tuple[str, ...]:
-    """A JSON array of strings; anything else raises ValueError."""
-    if type(value) is not list:
-        raise ValueError(f"value must be an array of strings, got {value!r}")
-    return tuple(map(_string, value))
-
-
 # The configuration document: (section, key, SceneConfig field, converter
 # from JSON). Section None is the top level. The calibration, which fills
 # two fields, and the ignored seed are handled apart.
@@ -181,8 +165,6 @@ _SCHEMA = (
     ("pattern", "cols", "pattern_cols", _integer),
     ("pattern", "rows", "pattern_rows", _integer),
     ("pattern", "square_size_mm", "square_size_mm", _number),
-    (None, "field_geometry", "geometry", field_geometry_from_dict),
-    (None, "landmarks", "landmark_names", _strings),
     (None, "frame", "frame", FrameConvention),
 )
 _SECTIONS = {
@@ -193,8 +175,6 @@ _SECTIONS = {
 
 
 def _to_json(value):
-    if isinstance(value, FieldGeometry):
-        return field_geometry_to_dict(value)
     if isinstance(value, FrameConvention):
         return value.value
     return list(value) if isinstance(value, tuple) else value
@@ -258,12 +238,6 @@ def config_from_dict(obj: dict) -> SceneConfig:
         raise ValueError("square size must be positive")
     if config.image_width_px < 2 or config.image_height_px < 2:
         raise ValueError("image dimensions out of range")
-    catalog = field_landmarks(config.geometry)
-    for index, name in enumerate(config.landmark_names):
-        if name not in catalog:
-            raise ValueError(f"unknown landmark name {name!r}")
-        if name in config.landmark_names[:index]:
-            raise ValueError(f"landmarks: {name!r} is repeated")
     count = config.grid_columns * config.grid_rows
     if count > MAX_GRID_POINTS:
         raise ValueError(
@@ -301,7 +275,7 @@ class SyntheticScene(NamedTuple):
     config: SceneConfig
     paths: dict[str, Path]
     views: tuple[PlanarView, ...]
-    landmark_pixels: dict[str, PixelPoint]
+    marks: tuple[PnpCorrespondence, ...]
     samples: tuple[RegressionSample, ...]
     detections: tuple[Detection, ...]
     truth: tuple[tuple[str, float, float, float], ...]
@@ -368,25 +342,40 @@ def _sample_views(
     return views
 
 
-def _landmark_pixels(
+def _marks(
     config: SceneConfig, rng: np.random.Generator
-) -> dict[str, PixelPoint]:
-    catalog = field_landmarks(config.geometry)
-    out: dict[str, PixelPoint] = {}
-    for name in config.landmark_names:
-        try:
-            px = project(catalog[name], config.intrinsics, config.pose)
-        except PointBehindCamera as exc:
-            raise ValueError(
-                f"landmark {name!r} is not visible from the configured pose: {exc}"
-            ) from exc
-        if config.noise_px > 0:
-            px = PixelPoint(
-                px.u + rng.normal(0.0, config.noise_px),
-                px.v + rng.normal(0.0, config.noise_px),
-            )
-        out[name] = px
-    return out
+) -> list[PnpCorrespondence]:
+    """The ground point seen at each MARK_COLUMNS x MARK_ROWS pixel, marked
+    at its exact projection plus noise; a pixel that sees no ground, or
+    where the lens cannot be inverted, is skipped."""
+    camera = ground_map(config.intrinsics, config.pose)
+    marks, rows = [], []
+    for row in MARK_ROWS:
+        for column in MARK_COLUMNS:
+            try:
+                x, y = camera.locate(
+                    column * config.image_width_px, row * config.image_height_px
+                )
+            except (PointNotOnGround, RayParallelToPlane, NonConvergence):
+                continue
+            world = WorldPoint(x, y, 0.0)
+            px = project(world, config.intrinsics, config.pose)
+            if config.noise_px > 0:
+                px = PixelPoint(
+                    px.u + rng.normal(0.0, config.noise_px),
+                    px.v + rng.normal(0.0, config.noise_px),
+                )
+            marks.append(PnpCorrespondence(px, world))
+            rows.append(row)
+    # A pixel row sees one ground line, so two marks on each of two rows are
+    # the fewest that hold four with no three on a line.
+    if sum(rows.count(row) >= 2 for row in set(rows)) < 2:
+        raise ValueError(
+            f"the camera sees the ground at {len(marks)} of "
+            f"{len(MARK_COLUMNS) * len(MARK_ROWS)} mark pixels; a pose needs "
+            "2 on each of 2 rows"
+        )
+    return marks
 
 
 def _object_box(
@@ -451,7 +440,6 @@ def generate_scene(
     out_dir = Path(out_dir)
 
     views = _sample_views(config, rng)
-    landmark_pixels = _landmark_pixels(config, rng)
 
     samples: list[RegressionSample] = []
     detections: list[Detection] = []
@@ -499,6 +487,8 @@ def generate_scene(
             ) from exc
         truth.append((frame_id, x, y, theta))
 
+    # Drawn after the grid's noise, so the grid's files do not depend on it.
+    marks = _marks(config, rng)
     regressor = bottom_center_regressor((config.object_label,))
 
     paths = {
@@ -515,7 +505,7 @@ def generate_scene(
         "config": config_to_dict(config, seed),
         "calibration": files.calibration_to_dict(config.intrinsics, config.pose),
         "views": views_to_dict(views, config.square_size_mm),
-        "landmarks": landmarks_to_dict(config.geometry, landmark_pixels),
+        "landmarks": landmarks_to_dict(DEFAULT_GEOMETRY, {}, marks),
         "model": files.model_to_dict(regressor),
     }
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -531,7 +521,7 @@ def generate_scene(
         config=config,
         paths=paths,
         views=tuple(views),
-        landmark_pixels=landmark_pixels,
+        marks=tuple(marks),
         samples=tuple(samples),
         detections=tuple(detections),
         truth=tuple(truth),

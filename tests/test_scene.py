@@ -1,8 +1,8 @@
 """Synthetic scene generator: determinism, closure, config round trips.
 
 A zero-noise scene must close the loop exactly: annotated ground pixels sit
-on box bottom-centers, landmark pixels equal straight projections, and the
-pipeline reproduces the written ground truth.
+on box bottom-centers, ground marks sit at their straight projections, and
+the pipeline reproduces the written ground truth.
 """
 
 from __future__ import annotations
@@ -15,13 +15,13 @@ import numpy as np
 import pytest
 
 from groundcam.geometry import Distortion, PixelPoint, ground_map
-from groundcam.extrinsics import FieldGeometry, field_landmarks
 from groundcam.pipeline import FrameConvention, bearing, localize_batch
 from groundcam.projection import WorldPoint, project
 from groundcam.regression import BoundingBox
 from groundcam.scene import (
     _SCHEMA,
-    DEFAULT_LANDMARKS,
+    MARK_COLUMNS,
+    MARK_ROWS,
     MAX_BOARD_POINTS,
     MAX_GRID_POINTS,
     SceneConfig,
@@ -92,14 +92,36 @@ class TestDefaultScene:
             assert view.pixels[:, 1].min() >= 8.0
             assert view.pixels[:, 1].max() <= config.image_height_px - 8.0
 
-    def test_landmark_pixels_are_exact_projections(self, default_scene):
+    @pytest.mark.parametrize("lens", [False, True], ids=["pinhole", "lens"])
+    def test_marks_are_exact_projections_inside_the_image(self, default_scene, tmp_path, lens):
         config = default_scene.config
-        catalog = field_landmarks(config.geometry)
-        assert set(default_scene.landmark_pixels) == set(DEFAULT_LANDMARKS)
-        for name, px in default_scene.landmark_pixels.items():
-            expected = project(catalog[name], config.intrinsics, config.pose)
-            assert px.u == expected.u
-            assert px.v == expected.v
+        if lens:
+            config = config._replace(
+                intrinsics=config.intrinsics.with_distortion(Distortion(k1=-0.12, k2=0.03))
+            )
+            scene = generate_scene(config, seed=7, out_dir=tmp_path)
+        else:
+            scene = default_scene
+        lattice = [
+            (column * config.image_width_px, row * config.image_height_px)
+            for row in MARK_ROWS
+            for column in MARK_COLUMNS
+        ]
+        assert len(scene.marks) == len(lattice) == 16
+        for mark, (u, v) in zip(scene.marks, lattice):
+            assert mark.name == ""
+            assert mark.world.z == 0.0
+            expected = project(mark.world, config.intrinsics, config.pose)
+            assert abs(mark.pixel.u - expected.u) <= 1e-9
+            assert abs(mark.pixel.v - expected.v) <= 1e-9
+            assert abs(mark.pixel.u - u) < 1e-4 and abs(mark.pixel.v - v) < 1e-4
+            assert 0 <= mark.pixel.u < config.image_width_px
+            assert 0 <= mark.pixel.v < config.image_height_px
+        doc = json.loads(scene.paths["landmarks"].read_text())
+        assert doc["points"] == []
+        assert doc["extra"] == [
+            {"pixel": list(m.pixel), "world": list(m.world)} for m in scene.marks
+        ]
 
     def test_annotations_sit_on_box_bottom_centers(self, default_scene):
         for sample in default_scene.samples:
@@ -207,8 +229,6 @@ class TestConfigDict:
             object_radius_mm=90.0,
             object_height_mm=150.0,
             square_size_mm=30.0,
-            geometry=FieldGeometry.division_b(),
-            landmark_names=("goal_bottom_center", "far_goal_bottom_center"),
             frame=FrameConvention.FIELD,
         )
         defaults = SceneConfig()
@@ -234,8 +254,6 @@ class TestConfigDict:
         assert back.num_views == config.num_views
         assert back.pattern_cols == config.pattern_cols
         assert back.square_size_mm == config.square_size_mm
-        assert back.landmark_names == config.landmark_names
-        assert back.geometry == config.geometry
         assert back.intrinsics.alpha_x == config.intrinsics.alpha_x
         assert np.array_equal(back.pose.rotation, config.pose.rotation)
         assert np.array_equal(back.pose.translation, config.pose.translation)
@@ -266,8 +284,6 @@ class TestConfigDict:
             ("grid", "columns", "three"),
             ("object", "radius_mm", [1]),
             ("object", "class", 5),
-            (None, "landmarks", {"goal_bottom_center": 1}),
-            (None, "landmarks", ["goal_bottom_center", 5]),
         ],
     )
     def test_bad_value_names_its_key(self, section, key, value):
@@ -346,7 +362,7 @@ _BAD_VALUE_MESSAGES = {
     "pattern_cols": "pattern configuration out of range",
     "square_size_mm": "square size must be positive",
     "image_width_px": "image dimensions out of range",
-    "landmark_names": "unknown landmark name 'center_circle'",
+    "image_height_px": "image dimensions out of range",
 }
 
 
@@ -362,7 +378,7 @@ class TestConfigValidation:
             {"pattern_cols": 1},
             {"square_size_mm": 0.0},
             {"image_width_px": 1},
-            {"landmark_names": ("center_circle",)},
+            {"image_height_px": 1},
             {"grid_spacing_mm": math.nan},
             {"grid_spacing_mm": math.inf},
             {"grid_origin_mm": (math.nan, 0.0)},
@@ -382,14 +398,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             config_from_dict(doc)
 
-    def test_repeated_landmark_rejected_naming_the_key(self):
-        doc = config_to_dict(_small_config(), seed=0)
-        doc["landmarks"] = ["goal_bottom_center", "goal_bottom_center"]
-        with pytest.raises(
-            ValueError, match="landmarks: 'goal_bottom_center' is repeated"
-        ):
-            config_from_dict(doc)
-
     def test_counts_at_the_limits_are_accepted(self):
         # Read only: generating the largest accepted scene takes about 20 s.
         doc = config_to_dict(_small_config(), seed=0)
@@ -407,19 +415,6 @@ class TestConfigValidation:
         assert match is not None
         assert int(match.group(1).replace(" ", "")) == MAX_GRID_POINTS
         assert int(match.group(2).replace(" ", "")) == MAX_BOARD_POINTS
-
-    def test_landmark_names_must_exist_for_the_geometry(self):
-        geometry = FieldGeometry(
-            field_length=2000.0,
-            field_width=1500.0,
-            goal_width=800.0,
-            goal_depth=180.0,
-            goal_height=155.0,
-            penalty_depth=500.0,
-            penalty_width=1000.0,
-        )
-        config = _small_config(geometry=geometry)
-        assert set(config.landmark_names) <= set(field_landmarks(geometry))
 
 
 class _CollapsingJitter:
