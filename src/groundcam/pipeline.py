@@ -122,6 +122,12 @@ def json_string(value, what: str) -> str:
     return value
 
 
+# The (k, pose, ground map) of the last localize_batch call. The tuple is
+# replaced whole, so no reader pairs one call's key with another's map, and
+# it holds k and pose, so their ids cannot be reused while they are the key.
+_last_map: tuple = (None, None, None)
+
+
 def localize_batch(
     detections: list[Detection],
     models: dict[str, ClassModel],
@@ -131,15 +137,21 @@ def localize_batch(
 ) -> list[LocalizedObject | UnlocalizableDetection]:
     """Place each detection on the carpet, or explain why it cannot be placed.
 
-    The pose's ground map is built once; each detection then goes through
-    its class's model and GroundMap.locate on plain floats, so a result
-    does not depend on the batch it came in. Input order is preserved.
+    The pose's ground map is built once and reused by later calls given
+    the same k and pose objects (any other object rebuilds it); each
+    detection then goes through its class's model and GroundMap.locate on
+    plain floats, so a result does not depend on the batch it came in.
+    Input order is preserved.
     Never raises for the expected failure modes (unknown class, a ground
     pixel that overflows, horizon or above-horizon pixels, undistortion
     failure, origin bearing); those come back as UnlocalizableDetection with
     a reason slug.
     """
-    ground = ground_map(k, pose)
+    global _last_map
+    last_k, last_pose, ground = _last_map
+    if k is not last_k or pose is not last_pose:
+        ground = ground_map(k, pose)
+        _last_map = (k, pose, ground)
     to_camera = convention is FrameConvention.CAMERA
     results: list[LocalizedObject | UnlocalizableDetection] = []
     for d in detections:

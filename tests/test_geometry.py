@@ -16,6 +16,8 @@ import pytest
 
 from groundcam.geometry import (
     UNDISTORT_MAX_ITERATIONS,
+    UNDISTORT_RESIDUAL_TOL,
+    UNDISTORT_STEP_TOL,
     CameraIntrinsics,
     CameraPose,
     Distortion,
@@ -340,9 +342,15 @@ class TestDistortion:
 
     def test_readme_states_the_iteration_cap(self):
         readme = (REPO_ROOT / "README.md").read_text()
-        match = re.search(r"raises after\s+(\d+)\s+steps", readme)
+        match = re.search(
+            r"at most\s+(\d+) steps, stopping once a step is below\s+(\S+)\."
+            r"[^.]*misses\s+the observed point by more than\s+(\S+);",
+            readme,
+        )
         assert match is not None
         assert int(match.group(1)) == UNDISTORT_MAX_ITERATIONS
+        assert float(match.group(2)) == UNDISTORT_STEP_TOL
+        assert float(match.group(3)) == UNDISTORT_RESIDUAL_TOL
 
 
 # ---------------------------------------------------------------------------

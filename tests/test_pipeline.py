@@ -12,12 +12,20 @@ import json
 import math
 import pickle
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from groundcam import files
-from groundcam.geometry import CameraIntrinsics, Distortion, PixelPoint, ground_map
+from groundcam import files, pipeline
+from groundcam.geometry import (
+    CameraIntrinsics,
+    CameraPose,
+    Distortion,
+    PixelPoint,
+    ground_map,
+)
 from groundcam.pipeline import (
     _REASON_SLUGS,
     Detection,
@@ -619,6 +627,74 @@ def test_output_does_not_depend_on_batch_size(lens_scene, convention):
         "unlocalizable:unknown-class",
         "unlocalizable:undistort-nonconvergence",
     }
+
+
+@pytest.mark.parametrize("convention", list(FrameConvention))
+def test_ground_map_is_built_once_per_camera(lens_scene, monkeypatch, convention):
+    detections, regressor, k, scene_pose = lens_scene
+    builds = []
+
+    def counting_ground_map(k, pose):
+        builds.append(pose)
+        return ground_map(k, pose)
+
+    monkeypatch.setattr(pipeline, "ground_map", counting_ground_map)
+    # Equal-valued copies: objects no earlier call has been given.
+    pose, twin = (CameraPose(scene_pose.r, scene_pose.t) for _ in range(2))
+    frames = [detections[i % 30 : i % 30 + 4] for i in range(100)]
+    for frame in frames:
+        localize_batch(frame, regressor, k, pose, convention)
+    assert len(builds) == 1 and builds[0] is pose
+
+    other = pose_from_euler(
+        EulerAngles(106.94, 0.0, 3.0), WorldPoint(-5.0, -500.0, 170.0)
+    )
+    poses = [other, pose, other, twin, twin, pose, other, other]
+    rows = {id(p): [] for p in poses}
+    builds.clear()
+    for p, frame in zip(poses, frames):
+        chunk = localize_batch(frame, regressor, k, p, convention)
+        rows[id(p)] += [files.localization_line(r) for r in chunk]
+    switches = [other, pose, other, twin, pose, other]
+    assert len(builds) == len(switches)
+    assert all(built is p for built, p in zip(builds, switches))
+
+    for p in (other, pose, twin):
+        batch = [d for q, frame in zip(poses, frames) if q is p for d in frame]
+        fresh = localize_batch(batch, regressor, k, CameraPose(p.r, p.t), convention)
+        assert rows[id(p)] == [files.localization_line(r) for r in fresh]
+
+
+def test_threads_switching_cameras_never_use_another_cameras_map(lens_scene):
+    detections, regressor, k, pose = lens_scene
+    other = pose_from_euler(
+        EulerAngles(106.94, 0.0, 3.0), WorldPoint(-5.0, -500.0, 170.0)
+    )
+    frame = detections[:4]
+    expected = {id(p): localize_batch(frame, regressor, k, p) for p in (pose, other)}
+    wrong = []
+
+    def work(first, second):
+        for _ in range(200):
+            for p in (first, second):
+                if localize_batch(frame, regressor, k, p) != expected[id(p)]:
+                    wrong.append(p)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=work, args=(pose, other) if i % 2 else (other, pose))
+            for i in range(4)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 def _oracle_positions(detections, regressor, k, pose, convention):
