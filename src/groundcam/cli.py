@@ -135,6 +135,10 @@ def _parse_buckets(text: str) -> list[float]:
         except ValueError:
             raise ValueError(f"--buckets must be numbers, got {part!r}") from None
         boundaries.append(_finite("--buckets", value))
+    if boundaries[0] <= 0 or any(b <= a for a, b in zip(boundaries, boundaries[1:])):
+        raise ValueError(
+            f"--buckets: boundaries must be positive and strictly increasing: {boundaries}"
+        )
     return boundaries
 
 
@@ -154,6 +158,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     )
     from .parallel import split
 
+    boundaries = _parse_buckets(args.buckets)
     lines, start = read_table(args.pairs, PAIRS_HEADER)
 
     def work(part: list[str], first: int) -> tuple[list[tuple], tuple[str, str]]:
@@ -170,17 +175,13 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     pairs = [EvalPair._make(row) for part in rows for row in part]
     if not pairs:
         raise ValueError(f"{args.pairs} contains no pairs")
-    boundaries = _parse_buckets(args.buckets)
     by_source: dict[str, list[EvalPair]] = {}
     for p in pairs:
         by_source.setdefault(p.source, []).append(p)
     if "ours" not in by_source:
         raise ValueError(f"{args.pairs} has no rows with source ours to score")
     main = by_source["ours"]
-    try:
-        report = build_report(main, boundaries)
-    except ValueError as exc:  # main is not empty, so only the bands are refused
-        raise ValueError(f"--buckets: {exc}") from None
+    report = build_report(main, boundaries)
     if "reference" in by_source:
         try:
             report["comparison"] = compare_sources(main, by_source["reference"])

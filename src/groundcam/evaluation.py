@@ -49,10 +49,8 @@ ERROR_BLOCKS = ("x_mm", "y_mm", "theta_deg")
 
 
 def rmse(pairs: list[EvalPair]) -> float:
-    """Root mean square xy position error in millimeters; inf when an error
-    is too large to square."""
-    if not pairs:
-        raise ValueError("rmse over zero pairs")
+    """Root mean square xy position error in millimeters of a non-empty
+    list; inf when an error is too large to square."""
     try:
         total = sum(
             (p.est_x - p.gt_x) ** 2 + (p.est_y - p.gt_y) ** 2 for p in pairs
@@ -96,10 +94,9 @@ def _mean_std(values: list[float]) -> dict:
 
 
 def error_stats(pairs: list[EvalPair]) -> dict:
-    """Signed est-minus-truth mean and population std: the x_mm, y_mm and
-    theta_deg blocks of a report; angle errors wrapped to (-180, 180]."""
-    if not pairs:
-        raise ValueError("error stats over zero pairs")
+    """Signed est-minus-truth mean and population std of a non-empty list:
+    the x_mm, y_mm and theta_deg blocks of a report; angle errors wrapped to
+    (-180, 180]."""
     ex = [p.est_x - p.gt_x for p in pairs]
     ey = [p.est_y - p.gt_y for p in pairs]
     et = [_wrap_deg(p.est_theta - p.gt_theta) for p in pairs]
@@ -114,33 +111,27 @@ def _summary(pairs: list[EvalPair]) -> dict:
 def bucket_by_distance(
     pairs: list[EvalPair], boundaries: list[float]
 ) -> list[list[EvalPair]]:
-    """Split pairs into half-open distance bands [0,b1), [b1,b2), ..., [bk,inf).
+    """Split pairs into half-open distance bands [0,b1), [b1,b2), ..., [bk,inf)
+    for positive, strictly increasing boundaries.
 
     Distance is the ground-truth xy norm. A pair exactly on a boundary lands
     in the upper band. Every pair lands in exactly one band, so the bands
     recombine to the input set.
     """
-    bounds = [float(b) for b in boundaries]
-    if any(b <= 0 for b in bounds) or any(
-        b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])
-    ):
-        raise ValueError(f"boundaries must be positive and strictly increasing: {bounds}")
-    buckets: list[list[EvalPair]] = [[] for _ in range(len(bounds) + 1)]
+    buckets: list[list[EvalPair]] = [[] for _ in range(len(boundaries) + 1)]
     for p in pairs:
-        buckets[bisect_right(bounds, p.gt_distance)].append(p)
+        buckets[bisect_right(boundaries, p.gt_distance)].append(p)
     return buckets
 
 
 def build_report(pairs: list[EvalPair], boundaries: list[float]) -> dict:
-    """The report document: overall RMSE and error statistics plus the RMSE
-    of each distance band (None for an empty band)."""
-    if not pairs:
-        raise ValueError("report over zero pairs")
+    """The report document of a non-empty list of pairs, banded at boundaries
+    as bucket_by_distance takes them: overall RMSE and error statistics plus
+    the RMSE of each distance band (None for an empty band)."""
     split = bucket_by_distance(pairs, boundaries)
-    bounds = [float(b) for b in boundaries]
     return {
         **_summary(pairs),
-        "bucket_boundaries_mm": bounds,
+        "bucket_boundaries_mm": boundaries,
         "buckets": [
             {
                 "lo_mm": lo,
@@ -148,7 +139,7 @@ def build_report(pairs: list[EvalPair], boundaries: list[float]) -> dict:
                 "count": len(members),
                 "rmse_mm": rmse(members) if members else None,
             }
-            for lo, hi, members in zip([0.0] + bounds, bounds + [None], split)
+            for lo, hi, members in zip([0.0] + boundaries, boundaries + [None], split)
         ],
     }
 
@@ -175,13 +166,11 @@ def first_nonfinite(doc, name: str = "") -> str | None:
 def compare_sources(
     ours: list[EvalPair], reference: list[EvalPair]
 ) -> dict:
-    """Side-by-side statistics of two sources over the same ground truths.
+    """Side-by-side statistics of two non-empty sources over the same ground
+    truths.
 
-    Raises ValueError when either source is empty or the ground-truth
-    multisets differ beyond 1e-9.
+    Raises ValueError when the ground-truth multisets differ beyond 1e-9.
     """
-    if not ours or not reference:
-        raise ValueError("comparison needs pairs from both sources")
     if len(ours) != len(reference):
         raise ValueError(
             f"sources cover {len(ours)} vs {len(reference)} ground truths"

@@ -138,19 +138,13 @@ def normalized_dlt(src: np.ndarray, dst: np.ndarray, deficient: str) -> np.ndarr
 
 
 def homography_from_points(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """DLT homography mapping src (n, 2) to dst (n, 2), normalized, H33 = 1.
+    """DLT homography mapping src (n, 2) to dst (n, 2), float arrays of one
+    length, normalized, H33 = 1.
 
-    Raises ValueError for fewer than 4 points or a layout whose
-    constraint system keeps more than a one-dimensional null space (all points
-    collinear, coincident, or otherwise rank deficient).
+    Raises ValueError for a layout whose constraint system keeps more than a
+    one-dimensional null space (fewer than 4 points, all collinear,
+    coincident, or otherwise rank deficient).
     """
-    src = np.asarray(src, dtype=float).reshape(-1, 2)
-    dst = np.asarray(dst, dtype=float).reshape(-1, 2)
-    if src.shape[0] != dst.shape[0]:
-        raise ValueError("correspondence counts differ")
-    n = src.shape[0]
-    if n < 4:
-        raise ValueError(f"need at least 4 correspondences, got {n}")
     h = normalized_dlt(
         src,
         dst,
@@ -187,9 +181,10 @@ def zhang_closed_form(
 
     Each homography contributes the two absolute-conic constraints
     v12.b = 0 and (v11 - v22).b = 0. Needs three views in general
-    orientation, or two when skew is pinned to zero. Raises ValueError
-    with fewer views, or when the constraints do not describe a physical
-    camera (for example all views frontoparallel or pure translations).
+    orientation, or two when skew is pinned to zero; each homography is a
+    3 x 3 array. Raises ValueError with fewer views, or when the constraints
+    do not describe a physical camera (for example all views frontoparallel
+    or pure translations).
     """
     needed = 2 if assume_zero_skew else 3
     if len(homographies) < needed:
@@ -198,9 +193,6 @@ def zhang_closed_form(
         )
     rows = []
     for h in homographies:
-        h = np.asarray(h, dtype=float)
-        if h.shape != (3, 3):
-            raise ValueError(f"homography must be 3x3, got {h.shape}")
         rows.append(_vij(h, 0, 1))
         rows.append(_vij(h, 0, 0) - _vij(h, 1, 1))
     if assume_zero_skew:
@@ -235,14 +227,13 @@ def zhang_closed_form(
 def extrinsics_from_homography(
     k: CameraIntrinsics, h: np.ndarray, plane_z: float = 0.0
 ) -> CameraPose:
-    """Pose of the plane z = plane_z from its homography.
+    """Pose of the plane z = plane_z from its homography, a 3 x 3 array.
 
     r1, r2 come from the scaled Kinv columns, r3 = r1 x r2, projected to the
     nearest rotation; the sign is chosen so the plane sits in front of the
     camera. The homography absorbs the plane offset, H ~ K [r1 r2 (t + z0 r3)],
     so the translation is corrected by -plane_z * r3.
     """
-    h = np.asarray(h, dtype=float)
     kinv = np.linalg.inv(k.matrix)
     a1 = kinv @ h[:, 0]
     a2 = kinv @ h[:, 1]
@@ -286,15 +277,13 @@ def calibration_problem(
 ) -> tuple[LeastSquaresProblem, np.ndarray]:
     """Reprojection of per-view world points (n_i, 3) against pixels (n_i, 2)
     as a least-squares problem, and its start vector at intrinsics k and one
-    world-to-camera pose per view.
+    world-to-camera pose per view; the three lists hold one entry per view.
 
     Parameters: the intrinsic_vector entries whose indices are in free, in
     free's order, then per view an axis-angle rotation and translation. The
     other intrinsics stay at k's values. Every view is projected in one
     stacked evaluation, and the Jacobian is the closed form of project_views.
     """
-    if not len(world) == len(pixels) == len(poses):
-        raise ValueError("one pixel array and one initial pose per view are required")
     stacked, valid = _stack_views(world)
     observed = np.vstack(pixels)
     n_points = observed.shape[0]

@@ -168,17 +168,12 @@ def levenberg_marquardt(
 
 
 def linear_least_squares(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve min ||A x - b|| by QR; A must be (m, n) with m >= n.
+    """Solve min ||A x - b|| by QR for a float (m, n) matrix A with m >= n
+    and a float vector b of m values.
 
     Raises ValueError when the smallest |R_ii| falls below 1e-12 times the
     largest.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float).reshape(-1)
-    if a.ndim != 2 or a.shape[0] < a.shape[1]:
-        raise ValueError(f"need a tall (m >= n) matrix, got shape {a.shape}")
-    if a.shape[0] != b.shape[0]:
-        raise ValueError("matrix and right-hand side row counts differ")
     q, r = np.linalg.qr(a)
     diag = np.abs(np.diag(r))
     if diag.min() < 1e-12 * diag.max():

@@ -254,7 +254,7 @@ def config_from_dict(obj: dict) -> SceneConfig:
     half = (config.grid_columns - 1) / 2.0 * config.grid_spacing_mm
     far = y0 + (config.grid_rows - 1) * config.grid_spacing_mm
     if not all(map(math.isfinite, (x0 - half, x0 + half, far))):
-        raise ValueError("world coordinates must be finite")
+        raise ValueError("grid coordinates must be finite")
     return config
 
 
@@ -381,7 +381,8 @@ def _marks(
 def _object_box(
     config: SceneConfig, contact: WorldPoint
 ) -> tuple[PixelPoint, BoundingBox]:
-    """True ground pixel and the box whose bottom center lands exactly on it."""
+    """True ground pixel and the box whose bottom center lands exactly on it;
+    a ground pixel outside the image raises ValueError naming both."""
     k, pose = config.intrinsics, config.pose
     try:
         ground = project(contact, k, pose)
@@ -399,6 +400,12 @@ def _object_box(
     if top.v >= ground.v:
         raise ValueError(
             f"object at ({contact.x}, {contact.y}) projects upside down"
+        )
+    width, height = config.image_width_px, config.image_height_px
+    if not (0 <= ground.u <= width and 0 <= ground.v <= height):
+        raise ValueError(
+            f"grid point ({contact.x}, {contact.y}) touches the ground at pixel "
+            f"({ground.u:.1f}, {ground.v:.1f}), outside the {width} x {height} image"
         )
     bbox = BoundingBox(
         xmin=ground.u - half_width,

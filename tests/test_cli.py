@@ -558,6 +558,22 @@ class TestFitRegressor:
         assert code == 2
         assert "error:" in err
 
+    def test_class_below_five_samples_names_the_file_and_the_class(
+        self, capsys, cli_scene, tmp_path
+    ):
+        # Five features need five samples; the fit is refused before the
+        # least-squares solve sees a wide system.
+        path = tmp_path / "samples.jsonl"
+        lines = cli_scene.paths["samples"].read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:4]))
+        code, out, err = _run(capsys, "fit-regressor", path)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"loaded 4 samples from {path}\n"
+            f"error: {path}: class 'ball' has 4 samples, needs 5\n"
+        )
+
     def test_degenerate_class_names_the_file_and_the_class(self, capsys, tmp_path):
         # Six copies of one box: the xmin and ymin columns are all zero.
         sample = {"class": "ball", "bbox": [0.0, 0.0, 10.0, 10.0], "ground_pixel": [5.0, 10.0]}
@@ -1236,6 +1252,21 @@ class TestEvaluate:
         assert "Traceback" not in err
         assert f"{path} line 2" in err
 
+    @pytest.mark.parametrize("table", ["missing", "headerless"])
+    def test_bad_buckets_are_named_before_the_table_is_read(
+        self, capsys, tmp_path, table
+    ):
+        path = tmp_path / "pairs.csv"
+        if table == "headerless":
+            path.write_text("1,2,3,4,5,6,ours\n")
+        code, out, err = _run(capsys, "evaluate", path, "--buckets", "2000,1000")
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: --buckets: boundaries must be positive and strictly "
+            "increasing: [2000.0, 1000.0]\n"
+        )
+
     def test_empty_table_rejected(self, capsys, tmp_path):
         path = tmp_path / "pairs.csv"
         path.write_text(",".join(evaluation.PAIRS_HEADER) + "\n")
@@ -1315,6 +1346,11 @@ def _calibration_looking(omega: float, kappa: float) -> dict:
     angles (omega, 0, kappa) in degrees."""
     pose = pose_from_euler(EulerAngles(omega, 0.0, kappa), WorldPoint(0.0, -500.0, 170.0))
     return files.calibration_to_dict(reference_intrinsics(), pose)
+
+
+# One grid row of three points, 2.5 m in front of the camera of
+# _calibration_looking: in view at each pitch its cases turn it to.
+_FAR_ROW = {"grid": {"rows": 1, "origin_mm": [0, 2000]}}
 
 
 class TestSynth:
@@ -1416,17 +1452,25 @@ class TestSynth:
         "doc, message",
         [
             (
-                # Pitched 14 degrees up: only the lattice's bottom row sees ground.
-                {"calibration": _calibration_looking(76.0, 0.0)},
+                # Pitched 14 degrees up: only the lattice's bottom row sees
+                # ground. The grid's one row, 2.5 m out, is in view.
+                {"calibration": _calibration_looking(76.0, 0.0), **_FAR_ROW},
                 "the camera sees the ground at 4 of 16 mark pixels; a pose needs 2 "
                 "on each of 2 rows",
             ),
             (
                 # Rolled too: three marks on one row and one on the next, which
                 # no homography can be fitted to.
-                {"calibration": _calibration_looking(75.0, -14.0)},
+                {"calibration": _calibration_looking(75.0, -14.0), **_FAR_ROW},
                 "the camera sees the ground at 4 of 16 mark pixels; a pose needs 2 "
                 "on each of 2 rows",
+            ),
+            (
+                # Pitched 10 degrees up: the grid's two nearest rows touch the
+                # ground below the image.
+                {"calibration": _calibration_looking(80.0, 0.0)},
+                "grid point (-250.0, 0.0) touches the ground at pixel (-24.2, 592.7), "
+                "outside the 640 x 480 image",
             ),
             (
                 {"grid": {"origin_mm": [0, -2000]}},
@@ -1439,8 +1483,8 @@ class TestSynth:
             ({"grid": 3}, "grid must be a JSON object"),
         ],
         ids=[
-            "ground-on-one-row", "ground-three-and-one", "grid-point-behind-camera",
-            "grid-point-on-origin", "grid-not-an-object",
+            "ground-on-one-row", "ground-three-and-one", "ground-pixel-below-image",
+            "grid-point-behind-camera", "grid-point-on-origin", "grid-not-an-object",
         ],
     )
     def test_unrealizable_scene_is_rejected_naming_what(
@@ -1501,7 +1545,7 @@ class TestSynth:
             ("pattern", {"views": 1852}, "pattern.views x pattern.cols x "
              "pattern.rows must be at most 100000, got 100008"),
             ("grid", {"origin_mm": [0.0, 1.7e308], "spacing_mm": 1e307},
-             "world coordinates must be finite"),
+             "grid coordinates must be finite"),
         ],
         ids=[
             "grid-columns", "grid-rows", "grid-just-over", "pattern-views",
@@ -1806,6 +1850,9 @@ def test_deeply_nested_json_exits_2_naming_the_file(
         ("evaluate", "--buckets", "1000,,2000"),
         ("evaluate", "--buckets", "2000,1000"),
         ("evaluate", "--buckets", "-5"),
+        ("evaluate", "--buckets", "-100"),
+        ("evaluate", "--buckets", "500,500"),
+        ("evaluate", "--buckets", "800,300"),
         ("localize", "--min-score", "nan"),
         ("localize", "--min-score", "inf"),
         ("localize", "--min-score", "-inf"),
@@ -1958,9 +2005,17 @@ def test_fuzzed_input_exits_0_or_2(capsys, cli_scene, tmp_path, document):
                 assert "error: " in err, case
 
 
-# Field mutations of the pairs table, used in turn: the first four replace
-# one field's text, the last two add a field after it or drop it.
-_CSV_FUZZ_KINDS = ("", "x", "nan", "1e400", "extra field", "dropped field")
+# Mutations of the pairs table, used in turn: the first six replace one
+# field's text, the next two add a field after it or drop it, and the last
+# three relabel every row of one source as the other or drop every data row.
+_CSV_FUZZ_KINDS = (
+    "", "x", "nan", "1e400", "1e308", "-1e308", "extra field", "dropped field",
+    "ours as reference", "reference as ours", "no data rows",
+)
+_CSV_RELABEL = {
+    "ours as reference": ("ours", "reference"),
+    "reference as ours": ("reference", "ours"),
+}
 
 
 def test_fuzzed_pairs_csv_exits_0_or_2(capsys, tmp_path):
@@ -1980,6 +2035,13 @@ def test_fuzzed_pairs_csv_exits_0_or_2(capsys, tmp_path):
             row.insert(field + 1, "0")
         elif kind == "dropped field":
             del row[field]
+        elif kind == "no data rows":
+            del mutated[1:]
+        elif kind in _CSV_RELABEL:
+            old, new = _CSV_RELABEL[kind]
+            for r in mutated[1:]:
+                if r[-1] == old:
+                    r[-1] = new
         else:
             row[field] = kind
         bad.write_text("".join(",".join(r) + "\n" for r in mutated))
@@ -1987,6 +2049,7 @@ def test_fuzzed_pairs_csv_exits_0_or_2(capsys, tmp_path):
         case = f"line {line + 1} field {field}: {kind!r}"
         assert code in (0, 2), case
         assert "Traceback" not in err, case
+        assert not re.search(r"\bNaN\b|Infinity", out), case
         if code == 2:
             assert out == "", case
             assert "error: " in err, case

@@ -591,6 +591,7 @@ def lens_scene(tmp_path_factory):
         grid_columns=5,
         grid_rows=12,
         grid_spacing_mm=200.0,
+        grid_origin_mm=(0.0, 400.0),
         num_views=0,
     )
     scene = generate_scene(config, seed=3, out_dir=tmp_path_factory.mktemp("lens"))
