@@ -9,10 +9,10 @@ line is internally inconsistent with its own rows, so this module always
 reports statistics recomputed from the rows; the row-level RMSE is the
 trustworthy headline number.
 
-Means and spreads are computed on plain floats with numpy's pairwise
-summation order, so they equal numpy.mean and numpy.std bit for bit without
-loading numpy. The codecs of the pairs, truth, report and scatter tables
-live here too.
+Every sum in a report is one math.fsum, correctly rounded from exact
+partial sums, so a report whose numbers are finite depends only on the set
+of pairs, not on their order. The codecs of the pairs, truth, report and
+scatter tables live here too.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ from __future__ import annotations
 import io
 import math
 from bisect import bisect_right
-from functools import reduce
-from operator import add
 from pathlib import Path
 from typing import NamedTuple
 
@@ -50,10 +48,10 @@ ERROR_BLOCKS = ("x_mm", "y_mm", "theta_deg")
 
 def rmse(pairs: list[EvalPair]) -> float:
     """Root mean square xy position error in millimeters of a non-empty
-    list; inf when an error is too large to square."""
+    list; inf when an error is too large to square or the squares to sum."""
     try:
-        total = sum(
-            (p.est_x - p.gt_x) ** 2 + (p.est_y - p.gt_y) ** 2 for p in pairs
+        total = math.fsum(
+            [(p.est_x - p.gt_x) ** 2 + (p.est_y - p.gt_y) ** 2 for p in pairs]
         )
     except OverflowError:
         return math.inf
@@ -67,30 +65,16 @@ def _wrap_deg(a: float) -> float:
     return wrapped - 180.0
 
 
-def _pairwise_sum(values: list[float], lo: int, hi: int) -> float:
-    """Sum of values[lo:hi] in the order numpy's float add-reduction uses:
-    a plain loop below 8 terms, eight interleaved accumulators up to 128,
-    and above that two halves split at a multiple of 8."""
-    n = hi - lo
-    if n < 8:
-        return reduce(add, values[lo:hi], 0.0)
-    if n <= 128:
-        tail = hi - n % 8
-        r = [reduce(add, values[lo + j + 8 : tail : 8], values[lo + j]) for j in range(8)]
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        return reduce(add, values[tail:hi], total)
-    half = n // 2
-    half -= half % 8
-    return _pairwise_sum(values, lo, lo + half) + _pairwise_sum(values, lo + half, hi)
-
-
 def _mean_std(values: list[float]) -> dict:
-    """numpy.mean and numpy.std (ddof 0) of a non-empty list, bit for bit;
-    numpy's reduction starts from 0.0, which turns a -0.0 sum into 0.0."""
+    """Mean and population std of a non-empty list, both inf where a sum
+    overflows or holds inf and -inf, on which math.fsum raises."""
     n = len(values)
-    mean = (0.0 + _pairwise_sum(values, 0, n)) / n
-    squares = [(v - mean) * (v - mean) for v in values]
-    return {"mean": mean, "std": math.sqrt((0.0 + _pairwise_sum(squares, 0, n)) / n)}
+    try:
+        mean = math.fsum(values) / n
+        std = math.sqrt(math.fsum([(v - mean) * (v - mean) for v in values]) / n)
+    except (OverflowError, ValueError):
+        return {"mean": math.inf, "std": math.inf}
+    return {"mean": mean, "std": std}
 
 
 def error_stats(pairs: list[EvalPair]) -> dict:

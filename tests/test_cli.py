@@ -1160,6 +1160,37 @@ def test_table_with_a_quoted_field_is_not_cut(capsys, monkeypatch, forks, tmp_pa
     assert forks == []
 
 
+def test_evaluate_report_does_not_depend_on_row_order(
+    capsys, monkeypatch, forks, tmp_path
+):
+    # 150 ground truths, each with an ours and a reference row. scatter.csv
+    # lists the rows in table order, so only the report is compared.
+    rng = np.random.default_rng(11)
+    gt = np.column_stack(
+        [rng.uniform(-2000.0, 2000.0, (150, 2)), rng.uniform(-179.0, 179.0, 150)]
+    )
+    rows = [
+        ",".join(map(repr, (*g, *e))) + f",{source}\r\n"
+        for source, sigma in (("ours", 15.0), ("reference", 25.0))
+        for g, e in zip(gt.tolist(), (gt + rng.normal(0.0, sigma, gt.shape)).tolist())
+    ]
+    header = ",".join(evaluation.PAIRS_HEADER) + "\r\n"
+    shuffled = [rows[i] for i in rng.permutation(len(rows))]
+    path = tmp_path / "pairs.csv"
+    out_dir = tmp_path / "report"
+    runs = []
+    for order in (rows, shuffled):
+        path.write_text(header + "".join(order), newline="")
+        runs += _evaluate_runs(capsys, monkeypatch, forks, path, out_dir, (1, 2)).values()
+    reports = [
+        (code, out, err, {name: written[name] for name in ("report.json", "report.csv")})
+        for code, out, err, written in runs
+    ]
+    assert reports[0][0] == 0
+    assert json.loads(reports[0][1])["count"] == 150
+    assert reports == [reports[0]] * 4
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 # ---------------------------------------------------------------------------
@@ -1232,6 +1263,13 @@ class TestEvaluate:
         code, _, err = _run(capsys, "evaluate", path)
         assert code == 2
         assert "error:" in err
+
+    def test_header_beyond_the_field_limit_names_file_and_line(self, capsys, tmp_path):
+        path = tmp_path / "pairs.csv"
+        path.write_text("gt_x," + "x" * 200_000 + "\n0,500,0,1,2,3,ours\n")
+        code, out, err = _run(capsys, "evaluate", path)
+        assert (code, out) == (2, "")
+        assert err == f"error: {path} line 1: field larger than field limit (131072)\n"
 
     @pytest.mark.parametrize(
         "row",

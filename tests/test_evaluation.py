@@ -89,7 +89,7 @@ class TestRmse:
         pairs = _rng_pairs(rng, 20)
         shuffled = list(pairs)
         rng.shuffle(shuffled)
-        assert rmse(shuffled) == pytest.approx(rmse(pairs), abs=1e-12)
+        assert rmse(shuffled) == rmse(pairs)
 
     def test_doubling_errors_doubles_the_result(self):
         base = [
@@ -151,14 +151,28 @@ class TestErrorStats:
             block: {"mean": 0.0, "std": 0.0} for block in ("x_mm", "y_mm", "theta_deg")
         }
 
+    def test_permutation_invariance(self, rng):
+        pairs = _rng_pairs(rng, 300)
+        shuffled = list(pairs)
+        rng.shuffle(shuffled)
+        assert error_stats(shuffled) == error_stats(pairs)
 
-# Sizes on either side of numpy's summation thresholds: the 8-term loop, the
-# 128-term unrolled block and the splits above it.
+
+def _exact_sum(values: list[float]) -> float:
+    """The sum of values correctly rounded: each float is a whole number of
+    2**-1074, and int / int rounds correctly."""
+    unit = 1 << 1074
+    return sum(num * (unit // den) for num, den in map(float.as_integer_ratio, values)) / unit
+
+
+# Sizes on either side of numpy's summation thresholds (the 8-term loop, the
+# 128-term unrolled block and the splits above it), where a sum that depends
+# on its order would show it.
 ORACLE_SIZES = [*range(1, 10), 127, 128, 129, 255, 256, 257, 1023, 1024, 1025, 20000]
 
 
 @pytest.mark.parametrize("size", ORACLE_SIZES)
-def test_error_stats_equal_numpy_bit_for_bit(size):
+def test_error_stats_are_correctly_rounded_sums(size):
     rng = np.random.default_rng(size)
     for scale in (1e-3, 1.0, 1e2, 1e4):
         gt = rng.uniform(-2000.0, 2000.0, (3, size))
@@ -171,8 +185,17 @@ def test_error_stats_equal_numpy_bit_for_bit(size):
         errors[2] = np.where(wrapped <= 0.0, wrapped + 360.0, wrapped) - 180.0
         stats = error_stats(pairs)
         for block, e in zip(("x_mm", "y_mm", "theta_deg"), errors):
-            expected = {"mean": float(e.mean()), "std": float(e.std())}
+            values = e.tolist()
+            mean = _exact_sum(values) / size
+            squares = [(v - mean) * (v - mean) for v in values]
+            expected = {"mean": mean, "std": math.sqrt(_exact_sum(squares) / size)}
             assert stats[block] == expected, (scale, block)
+            # numpy sums in another order; each of its sums is within
+            # log2(size) roundings of the exact one, far inside 1e-12 of the
+            # largest error.
+            tolerance = 1e-12 * float(np.abs(e).max())
+            assert mean == pytest.approx(float(e.mean()), abs=tolerance)
+            assert expected["std"] == pytest.approx(float(e.std()), abs=tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +256,13 @@ class TestBuildReport:
         assert math.sqrt(total_sq / report["count"]) == pytest.approx(
             report["rmse_mm"], abs=1e-9
         )
+
+    def test_permutation_invariance(self, rng):
+        pairs = _rng_pairs(rng, 300)
+        shuffled = list(pairs)
+        rng.shuffle(shuffled)
+        boundaries = [1000.0, 2000.0]
+        assert build_report(shuffled, boundaries) == build_report(pairs, boundaries)
 
     def test_dict_form_is_json_ready(self):
         report = build_report(_pairs(OURS_ROWS), [700.0])

@@ -114,6 +114,11 @@ def test_localize_loads_no_numpy(scene, tmp_path, frame):
     assert (tmp_path / "localizations.jsonl").read_text().count('"status": "ok"') == 6
 
 
+# The report's sums are math.fsum; statistics.fmean or a Fraction or
+# Decimal sum would add its module's import time to every evaluate run.
+EXACT_SUM_MODULES = {"statistics", "fractions", "decimal"}
+
+
 def test_evaluate_loads_no_numpy(tmp_path):
     # The fixture table holds ours and reference rows, so the comparison runs.
     pairs = REPO_ROOT / "fixtures" / "reference_eval_pairs.csv"
@@ -121,6 +126,7 @@ def test_evaluate_loads_no_numpy(tmp_path):
     loaded = _loaded_after(f"assert groundcam.cli.main({argv!r}) == 0")
     assert {"groundcam.evaluation", "groundcam.parallel"} <= loaded
     assert loaded & NUMPY_MODULES == set()
+    assert loaded & EXACT_SUM_MODULES == set()
     assert loaded & POOL_MODULES == set()
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert set(report["comparison"]) == {"ours", "reference"}
