@@ -14,11 +14,10 @@ import math
 import sys
 from pathlib import Path
 
-# Only what localize and fit-regressor run is imported here; every other
-# command imports its own modules, so a process loads what its command uses.
+# Only what localize runs is imported here; every other command imports its
+# own modules, so a process loads what its command uses.
 from . import files
 from .pipeline import FrameConvention, LocalizedObject, ingest_detections, localize_batch
-from .regression import fit
 
 DEFAULT_BUCKETS = "1000,2000,3000"
 DEFAULT_MIN_SCORE = 0.5
@@ -84,6 +83,8 @@ def _cmd_calibrate_extrinsics(args: argparse.Namespace) -> int:
 
 
 def _cmd_fit_regressor(args: argparse.Namespace) -> int:
+    from .fitting import fit
+
     samples = files.load_samples(args.samples)
     _note(f"loaded {len(samples)} samples from {args.samples}")
     try:

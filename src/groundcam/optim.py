@@ -1,4 +1,4 @@
-"""Shared nonlinear and linear least-squares machinery.
+"""Nonlinear least-squares machinery.
 
 The Levenberg-Marquardt solver damps with the Marquardt diagonal,
 (J.T J + lambda diag(J.T J)) delta = -J.T r, accepts a step only on a strict
@@ -165,19 +165,3 @@ def levenberg_marquardt(
             break
 
     return LmResult(x=x, cost=cost, iterations=accepted, reason=reason)
-
-
-def linear_least_squares(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve min ||A x - b|| by QR for a float (m, n) matrix A with m >= n
-    and a float vector b of m values.
-
-    Raises ValueError when the smallest |R_ii| falls below 1e-12 times the
-    largest.
-    """
-    q, r = np.linalg.qr(a)
-    diag = np.abs(np.diag(r))
-    if diag.min() < 1e-12 * diag.max():
-        raise ValueError(
-            f"column dependence detected (|R_ii| ratio {diag.min():.3g}/{diag.max():.3g})"
-        )
-    return np.linalg.solve(r, q.T @ b)

@@ -2,8 +2,10 @@
 
 Each object class gets an independent 2x5 weight matrix W mapping the box
 feature vector (xmin, ymin, xmax, ymax, 1) to the pixel where the object
-touches the carpet. The u and v rows are fitted by separate ordinary least
-squares; there is no regularization.
+touches the carpet. This module holds the records and the prediction that
+every command loads; the fit, ordinary least squares on the u and v rows
+with no regularization, is groundcam.fitting, which only fit-regressor
+imports.
 """
 
 from __future__ import annotations
@@ -14,8 +16,6 @@ from typing import NamedTuple
 from .geometry import PixelPoint, float_entries
 
 KNOWN_CLASSES = ("ball", "robot", "goal")
-
-MIN_SAMPLES_PER_CLASS = 5
 
 BOTTOM_CENTER_WEIGHTS = ((0.5, 0.0, 0.5, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0, 0.0))
 
@@ -91,51 +91,6 @@ class ClassModel(_ClassModel):
             a0 * x0 + a1 * y0 + a2 * x1 + a3 * y1 + a4,
             b0 * x0 + b1 * y0 + b2 * x1 + b3 * y1 + b4,
         )
-
-
-def fit(samples: list[RegressionSample]) -> dict[str, ClassModel]:
-    """Fit one independent 2x5 model per class present in the samples.
-
-    Every class needs at least 5 samples. Adding samples of one class never
-    changes another class's weights. Raises ValueError naming the class when
-    its boxes do not span the feature space (every box identical, say) or
-    its weights come out non-finite.
-    """
-    import numpy as np
-
-    from .optim import linear_least_squares
-
-    by_class: dict[str, list[RegressionSample]] = {}
-    for sample in samples:
-        by_class.setdefault(sample.label, []).append(sample)
-    if not by_class:
-        raise ValueError("no training samples given")
-
-    classes: dict[str, ClassModel] = {}
-    for label in sorted(by_class):
-        group = by_class[label]
-        if len(group) < MIN_SAMPLES_PER_CLASS:
-            raise ValueError(
-                f"class {label!r} has {len(group)} samples, needs "
-                f"{MIN_SAMPLES_PER_CLASS}"
-            )
-        design = np.array([[*s.bbox, 1.0] for s in group])
-        targets_u = np.array([s.ground_pixel.u for s in group])
-        targets_v = np.array([s.ground_pixel.v for s in group])
-        # ClassModel rejects a non-finite weight or RMSE, so numpy's overflow
-        # warnings on the way are only noise on stderr.
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                wu = linear_least_squares(design, targets_u)
-                wv = linear_least_squares(design, targets_v)
-                weights = np.vstack([wu, wv])
-                predicted = design @ weights.T
-                observed = np.column_stack([targets_u, targets_v])
-                rmse = math.sqrt(float(np.mean((predicted - observed) ** 2)))
-            classes[label] = ClassModel(weights=weights, rmse_px=rmse)
-        except ValueError as exc:
-            raise ValueError(f"class {label!r}: {exc}") from None
-    return classes
 
 
 def bottom_center_regressor(

@@ -1,9 +1,11 @@
 """Shared fixtures: reference calibration, synthetic scenes, repo paths, the
-json.loads ingest oracle and the hypothesis profile."""
+json.loads ingest oracle, the exact least-squares oracle and the hypothesis
+profile."""
 
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +60,34 @@ def json_loads_ingest(lines, min_score: float = 0.5):
         elif score >= min_score:
             kept.append(Detection(frame, label, score, bbox))
     return tuple(kept), tuple(diagnostics)
+
+
+def exact_least_squares(rows, targets) -> list[tuple[float, ...]]:
+    """The float nearest each entry of the exact solution of min ||A x - b||
+    for the matrix A with the given rows, one tuple per target column b:
+    Gauss-Jordan elimination of the normal equations on Fractions, the
+    oracle for groundcam.fitting's fraction-free integer elimination. A must
+    have full column rank."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    n = len(a[0])
+    solutions = []
+    for target in targets:
+        b = [Fraction(x) for x in target]
+        m = [
+            [sum(r[i] * r[j] for r in a) for j in range(n)]
+            + [sum(r[i] * t for r, t in zip(a, b))]
+            for i in range(n)
+        ]
+        for k in range(n):
+            p = next(i for i in range(k, n) if m[i][k] != 0)
+            m[k], m[p] = m[p], m[k]
+            m[k] = [x / m[k][k] for x in m[k]]
+            for i in range(n):
+                if i != k:
+                    m[i] = [x - m[i][k] * y for x, y in zip(m[i], m[k])]
+        # Fraction.__float__ divides two ints, which rounds correctly.
+        solutions.append(tuple(float(row[n]) for row in m))
+    return solutions
 
 
 @pytest.fixture

@@ -18,6 +18,7 @@ from groundcam import evaluation
 from groundcam.cli import main
 from groundcam.evaluation import EvalPair
 from groundcam.extrinsics import PnpCorrespondence, solve_pnp
+from groundcam.fitting import fit
 from groundcam.geometry import CameraPose, PixelPoint
 from groundcam.intrinsics import PlanarView, calibrate_intrinsics
 from groundcam.optim import (
@@ -48,7 +49,6 @@ from groundcam.regression import (
     BoundingBox,
     RegressionSample,
     bottom_center_regressor,
-    fit,
 )
 
 from conftest import FIXTURES_DIR, REPO_ROOT

@@ -575,7 +575,8 @@ class TestFitRegressor:
         )
 
     def test_degenerate_class_names_the_file_and_the_class(self, capsys, tmp_path):
-        # Six copies of one box: the xmin and ymin columns are all zero.
+        # Six copies of one box: the xmin and ymin columns are all zero, so
+        # their |R_ii| are 0, and the xmax column's is sqrt(6 * 10**2).
         sample = {"class": "ball", "bbox": [0.0, 0.0, 10.0, 10.0], "ground_pixel": [5.0, 10.0]}
         path = tmp_path / "samples.jsonl"
         path.write_text((json.dumps(sample) + "\n") * 6)
@@ -584,7 +585,7 @@ class TestFitRegressor:
         assert out == ""
         assert err == (
             f"loaded 6 samples from {path}\n"
-            f"error: {path}: class 'ball': column dependence detected (|R_ii| ratio 0/20)\n"
+            f"error: {path}: class 'ball': column dependence detected (|R_ii| ratio 0/24.5)\n"
         )
 
     def test_unknown_class_names_the_file_and_the_line(self, capsys, cli_scene, tmp_path):

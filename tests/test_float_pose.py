@@ -3,9 +3,10 @@
 CameraPose and ClassModel hold plain floats and check them in pure Python.
 Each check must accept and reject what the numpy check did, with the same
 message; the ground map built from the floats must carry R^T bit for bit and
-a camera center within 1e-9 mm of numpy's -R.T @ t; and the documents that
-keep numpy's bits (camera_center_mm, synth's truth.csv and calibration.json,
-fit-regressor's model.json) must equal what numpy computes, byte for byte.
+a camera center within 1e-9 mm of numpy's -R.T @ t; the documents that
+keep numpy's bits (camera_center_mm, synth's truth.csv and calibration.json)
+must equal what numpy computes, byte for byte; and fit-regressor's weights
+must be the exact least-squares solution rounded once.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import pytest
 
 from groundcam import evaluation, files
 from groundcam.geometry import CameraPose, ground_map
-from groundcam.optim import linear_least_squares
 from groundcam.pipeline import FrameConvention, bearing
 from groundcam.projection import (
     EulerAngles,
@@ -29,8 +29,11 @@ from groundcam.projection import (
     rotation_from_axis_angle,
 )
 from groundcam.reference import reference_intrinsics, reference_pose
-from groundcam.regression import ClassModel, fit
+from groundcam.fitting import fit
+from groundcam.regression import ClassModel
 from groundcam.scene import SceneConfig, generate_scene
+
+from conftest import exact_least_squares
 
 
 def _numpy_pose_error(rotation, translation) -> str | None:
@@ -214,18 +217,21 @@ def test_synth_truth_and_calibration_keep_numpy_bits(tmp_path, seed, frame):
     assert scene.paths["calibration"].read_text() == calibration
 
 
-def test_fitted_model_document_keeps_numpy_bits(tmp_path):
+def test_fitted_weights_are_the_exact_solution_rounded_once(tmp_path):
     config = SceneConfig(num_views=3, noise_px=0.5)
     scene = generate_scene(config, 5, tmp_path / "scene")
     samples = files.load_samples(scene.paths["samples"])
-    design = np.array([[*s.bbox, 1.0] for s in samples])
-    # Contiguous targets, as fit builds them: a strided column can change
-    # the solver's last bits.
-    u, v = (np.array([s.ground_pixel[axis] for s in samples]) for axis in (0, 1))
-    weights = np.vstack([linear_least_squares(design, u), linear_least_squares(design, v)])
-    rmse = math.sqrt(float(np.mean((design @ weights.T - np.column_stack([u, v])) ** 2)))
-    want = {"classes": {"ball": {"weights": weights.tolist(), "rmse_px": rmse}}}
-    assert files.dumps(files.model_to_dict(fit(samples))) == files.dumps(want)
+    rows = [(*s.bbox, 1.0) for s in samples]
+    targets = list(zip(*(s.ground_pixel for s in samples)))
+    model = fit(samples)["ball"]
+    assert model.weights == tuple(exact_least_squares(rows, targets))
+    # numpy's QR solve agrees far below the noise, but not bit for bit.
+    design = np.array(rows)
+    observed = np.array(targets).T
+    weights = np.linalg.lstsq(design, observed, rcond=None)[0].T
+    assert np.allclose(model.weights, weights, rtol=1e-9, atol=0)
+    rmse = math.sqrt(float(np.mean((design @ np.array(model.weights).T - observed) ** 2)))
+    assert model.rmse_px == pytest.approx(rmse, rel=1e-14)
 
 
 @pytest.mark.parametrize(

@@ -132,19 +132,27 @@ def test_evaluate_loads_no_numpy(tmp_path):
     assert set(report["comparison"]) == {"ours", "reference"}
 
 
-@pytest.mark.parametrize(
-    "command", ["fit-regressor", "calibrate-intrinsics", "calibrate-extrinsics"]
-)
+@pytest.mark.parametrize("command", ["calibrate-intrinsics", "calibrate-extrinsics"])
 def test_numpy_commands_run_in_a_fresh_process(scene, tmp_path, command):
     paths = {name: str(path) for name, path in scene.paths.items()}
     args = {
-        "fit-regressor": [paths["samples"]],
         "calibrate-intrinsics": [paths["views"]],
         "calibrate-extrinsics": [paths["landmarks"], paths["calibration"]],
     }[command]
     argv = [command, *args, "--out", str(tmp_path / "out")]
     loaded = _loaded_after(f"assert groundcam.cli.main({argv!r}) == 0")
     assert "numpy" in loaded
+
+
+# fit-regressor solves its 5-column least squares exactly on plain ints
+# (groundcam.fitting), so it pays neither for numpy, nor for the solver
+# module and its dataclass, nor for Fraction or Decimal.
+def test_fit_regressor_loads_no_numpy(scene, tmp_path):
+    argv = ["fit-regressor", str(scene.paths["samples"]), "--out", str(tmp_path / "out")]
+    loaded = _loaded_after(f"assert groundcam.cli.main({argv!r}) == 0")
+    assert "groundcam.fitting" in loaded
+    assert loaded & (NUMPY_MODULES | {"dataclasses", "inspect"}) == set()
+    assert loaded & EXACT_SUM_MODULES == set()
 
 
 # Only the calibration and scene modules, which load numpy and with it

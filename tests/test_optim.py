@@ -1,4 +1,4 @@
-"""Damped least squares: finite differences, descent behavior, QR solve.
+"""Damped least squares: finite differences and descent behavior.
 
 Jacobian checks compare against hand-derived matrices. The solver is
 exercised on problems with known minimizers (a linear system cross-checked
@@ -18,7 +18,6 @@ from groundcam.optim import (
     LeastSquaresProblem,
     TerminationReason,
     levenberg_marquardt,
-    linear_least_squares,
     numeric_jacobian,
 )
 
@@ -102,7 +101,7 @@ class TestLevenbergMarquardt:
         a = rng.normal(0.0, 1.0, (6, 3))
         b = rng.normal(0.0, 1.0, 6)
         result = levenberg_marquardt(_linear_problem(a, b), np.zeros(3))
-        expected = linear_least_squares(a, b)
+        expected = np.linalg.lstsq(a, b, rcond=None)[0]
         assert np.allclose(result.x, expected, atol=1e-8)
         assert result.iterations <= 5
 
@@ -162,7 +161,7 @@ class TestLevenbergMarquardt:
         )
         result = levenberg_marquardt(problem, np.zeros(2))
         assert calls
-        assert np.allclose(result.x, linear_least_squares(a, b), atol=1e-8)
+        assert np.allclose(result.x, np.linalg.lstsq(a, b, rcond=None)[0], atol=1e-8)
 
     def test_small_residual_decrease_stops_on_cost(self):
         problem = LeastSquaresProblem(residual=lambda x: x - 1.0)
@@ -236,52 +235,6 @@ class TestLevenbergMarquardt:
         )
         with pytest.raises(ValueError):
             levenberg_marquardt(problem, np.ones(2))
-
-
-# ---------------------------------------------------------------------------
-# linear_least_squares
-# ---------------------------------------------------------------------------
-
-
-class TestLinearLeastSquares:
-    def test_identity_system(self, rng):
-        b = rng.normal(0.0, 1.0, 4)
-        assert np.allclose(linear_least_squares(np.eye(4), b), b, atol=1e-14)
-
-    def test_consistent_overdetermined_system(self, rng):
-        a = rng.normal(0.0, 1.0, (8, 3))
-        x_true = rng.uniform(-2, 2, 3)
-        x = linear_least_squares(a, a @ x_true)
-        assert np.allclose(x, x_true, atol=1e-10)
-
-    def test_matches_lstsq_on_inconsistent_system(self, rng):
-        a = rng.normal(0.0, 1.0, (10, 4))
-        b = rng.normal(0.0, 1.0, 10)
-        x = linear_least_squares(a, b)
-        expected = np.linalg.lstsq(a, b, rcond=None)[0]
-        assert np.allclose(x, expected, atol=1e-8)
-
-    def test_residual_orthogonal_to_columns(self, rng):
-        a = rng.normal(0.0, 1.0, (9, 3))
-        b = rng.normal(0.0, 1.0, 9)
-        x = linear_least_squares(a, b)
-        assert np.max(np.abs(a.T @ (a @ x - b))) < 1e-9
-
-    def test_duplicate_columns_raise(self, rng):
-        col = rng.normal(0.0, 1.0, 5)
-        a = np.column_stack([col, col])
-        with pytest.raises(
-            ValueError, match=re.escape("column dependence detected (|R_ii| ratio")
-        ):
-            linear_least_squares(a, rng.normal(0.0, 1.0, 5))
-
-    def test_wide_matrix_rejected(self):
-        with pytest.raises(ValueError):
-            linear_least_squares(np.ones((2, 3)), np.ones(2))
-
-    def test_mismatched_rhs_rejected(self):
-        with pytest.raises(ValueError):
-            linear_least_squares(np.eye(3), np.ones(4))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Property tests: the lens inverse, the ground map and the rotation
 parameterizations undo their forward maps, bearings stay in (-180, 180],
-and ingest parses any line as json.loads does.
+ingest parses any line as json.loads does, and the regressor fit is the
+exact least-squares solution rounded once, whatever the sample order.
 
 Skipped when hypothesis is not installed.
 """
@@ -14,10 +15,13 @@ pytest.importorskip("hypothesis")
 import math  # noqa: E402
 
 import numpy as np  # noqa: E402
-from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import Phase, assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from groundcam import files  # noqa: E402
+from groundcam.fitting import _sqrt_g, fit  # noqa: E402
 from groundcam.geometry import (  # noqa: E402
+    PixelPoint,
     Distortion,
     distort_normalized,
     ground_map,
@@ -39,8 +43,9 @@ from groundcam.reference import (  # noqa: E402
     reference_intrinsics,
     reference_pose,
 )
+from groundcam.regression import BoundingBox, RegressionSample  # noqa: E402
 
-from conftest import json_loads_ingest  # noqa: E402
+from conftest import exact_least_squares, json_loads_ingest  # noqa: E402
 
 REF_K = reference_intrinsics()
 # Normalized extent of the reference image: |x| <= 0.51, |y| <= 0.38.
@@ -178,3 +183,51 @@ def test_ingest_equals_a_json_loads_reference(line):
     lines = [VALID_LINE, line, VALID_LINE]
     result = ingest_detections(lines)
     assert (result.detections, result.diagnostics) == json_loads_ingest(lines)
+
+
+# A box in the image, at least a pixel wide and high, and a ground pixel
+# anywhere near the image.
+regression_samples = st.builds(
+    lambda x, y, w, h, u, v: RegressionSample(
+        "ball", BoundingBox(x, y, x + w, y + h), PixelPoint(u, v)
+    ),
+    st.floats(0, 600),
+    st.floats(0, 440),
+    st.floats(1, 200),
+    st.floats(1, 200),
+    st.floats(-100, 740),
+    st.floats(-100, 580),
+)
+
+
+# A failing example is reported as drawn, unshrunk: shrinking lists of
+# samples through the Fraction oracle ran for minutes on a broken solver and
+# grew the process by about 5 MB a second.
+@settings(max_examples=100, deadline=None, phases=[Phase.explicit, Phase.generate])
+@given(samples=st.lists(regression_samples, min_size=5, max_size=12), order=st.randoms())
+def test_fit_is_the_exact_solution_rounded_once_in_any_order(samples, order):
+    try:
+        model = fit(samples)
+    except ValueError as exc:
+        assert "column dependence detected" in str(exc)
+        assume(False)
+    rows = [(*s.bbox, 1.0) for s in samples]
+    targets = list(zip(*(s.ground_pixel for s in samples)))
+    assert model["ball"].weights == tuple(exact_least_squares(rows, targets))
+    shuffled = list(samples)
+    order.shuffle(shuffled)
+    document = files.dumps(files.model_to_dict(model))
+    assert files.dumps(files.model_to_dict(fit(shuffled))) == document
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.floats(min_value=0.0, allow_infinity=False))
+def test_rank_message_prints_a_root_as_float_formatting_does(x):
+    # x squared as an exact fraction has the root x itself. The rank
+    # message prints it without converting to float, so x * 10**400, past
+    # the float range, prints with x's digits.
+    num, den = x.as_integer_ratio()
+    assert _sqrt_g((num * num, den * den)) == "%.3g" % x
+    mantissa, exponent = ("%.2e" % x).split("e")
+    far = f"{mantissa.rstrip('0').rstrip('.')}e{int(exponent) + 400:+d}" if x else "0"
+    assert _sqrt_g((num * num * 10**800, den * den)) == far

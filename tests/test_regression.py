@@ -2,17 +2,20 @@
 
 The model is affine in the box coordinates, so a fit to data generated by
 any affine rule must recover that rule exactly; noisy fits must settle at
-the injected noise level.
+the injected noise level. The solver behind the fit returns the exact
+least-squares solution rounded once, which a Fraction oracle checks.
 """
 
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
 
 from groundcam import files
+from groundcam.fitting import fit, least_squares
 from groundcam.geometry import PixelPoint
 from groundcam.regression import (
     BOTTOM_CENTER_WEIGHTS,
@@ -21,8 +24,9 @@ from groundcam.regression import (
     ClassModel,
     RegressionSample,
     bottom_center_regressor,
-    fit,
 )
+
+from conftest import exact_least_squares
 
 # ---------------------------------------------------------------------------
 # Helpers
@@ -136,6 +140,124 @@ class TestFit:
         ]
         with pytest.raises(ValueError, match="column dependence detected"):
             fit(samples)
+
+
+    def test_an_r_ii_beyond_float_range_is_printed(self):
+        # Fifty boxes reaching x = 1e308: the xmax column's |R_ii| is about
+        # 2.9e308, past the largest float, and the constant column is
+        # 1e-308 times it, so its |R_ii| is 0.
+        samples = [
+            RegressionSample(
+                "ball",
+                BoundingBox(float(i), float(i * i % 7), 1e308, 10.0 + i % 4 + i),
+                PixelPoint(1.0, 2.0),
+            )
+            for i in range(50)
+        ]
+        with pytest.raises(ValueError) as error:
+            fit(samples)
+        message = re.escape("class 'ball': column dependence detected (|R_ii| ratio 0/")
+        match = re.fullmatch(message + r"(\d\.\d\d)e\+308\)", str(error.value))
+        assert match, str(error.value)
+        # numpy's QR on the design scaled into float range.
+        design = np.array([[*s.bbox, 1.0] for s in samples]) / 2.0**24
+        r_max = np.abs(np.diag(np.linalg.qr(design, mode="r"))).max()
+        assert float(match[1]) == pytest.approx(r_max / 1e308 * 2.0**24, abs=0.006)
+
+    def test_a_weight_beyond_float_range_names_the_class(self, rng):
+        # xmin spreads over 1e-10 px and u over 1e308 px: the exact weight
+        # on xmin is about 1e318.
+        samples = []
+        for _ in range(8):
+            xmin, ymin = rng.uniform(0, 1e-10), rng.uniform(0, 10)
+            xmax, ymax = rng.uniform(20, 30, 2)
+            u = rng.uniform(-1, 1) * 1e308
+            box = BoundingBox(xmin, ymin, xmax, ymax)
+            samples.append(RegressionSample("robot", box, PixelPoint(u, 2.0)))
+        with pytest.raises(ValueError) as error:
+            fit(samples)
+        assert str(error.value) == "class 'robot': a weight lies beyond the float range"
+
+    def test_weights_agree_with_lstsq(self, rng):
+        samples = _samples_from_weights(
+            BOTTOM_CENTER_WEIGHTS, "robot", 300, rng, noise_px=0.5
+        )
+        design = np.array([[*s.bbox, 1.0] for s in samples])
+        targets = np.array([s.ground_pixel for s in samples])
+        want = np.linalg.lstsq(design, targets, rcond=None)[0].T
+        got = np.array(fit(samples)["robot"].weights)
+        assert np.max(np.abs(got - want) / np.abs(want).max(axis=1, keepdims=True)) < 1e-9
+
+
+def _ill_conditioned_samples(rng) -> list[RegressionSample]:
+    """Boxes far from the origin whose sizes barely change: the design's
+    condition number is about 1e8, so its Gram matrix's is about 1e16."""
+    samples = []
+    for _ in range(40):
+        x, y = rng.uniform(1e4, 1e4 + 10.0, 2)
+        box = BoundingBox(x, y, x + 20.0 + rng.uniform(0, 0.1), y + 30.0 + rng.uniform(0, 0.1))
+        u, v = rng.uniform(0, 640), rng.uniform(0, 480)
+        samples.append(RegressionSample("goal", box, PixelPoint(u, v)))
+    return samples
+
+
+def test_fit_is_the_exact_solution_rounded_once_on_an_ill_conditioned_design(rng):
+    samples = _ill_conditioned_samples(rng)
+    rows = [(*s.bbox, 1.0) for s in samples]
+    targets = list(zip(*(s.ground_pixel for s in samples)))
+    want = tuple(exact_least_squares(rows, targets))
+    assert fit(samples)["goal"].weights == want
+    # The oracle catches a solver that forms and solves the normal
+    # equations in floats: its weights are wrong far above the last digit.
+    design = np.array(rows)
+    normal = np.linalg.solve(design.T @ design, design.T @ np.array(targets).T).T
+    assert np.max(np.abs(normal - np.array(want))) > 1e-8 * np.max(np.abs(want))
+
+
+# ---------------------------------------------------------------------------
+# The exact solver
+# ---------------------------------------------------------------------------
+
+
+class TestLeastSquares:
+    def test_identity_system(self, rng):
+        b = rng.normal(0.0, 1.0, 4)
+        assert least_squares(np.eye(4).tolist(), [b.tolist()]) == [tuple(b)]
+
+    def test_consistent_overdetermined_system(self, rng):
+        # Small ints and dyadic weights: b = a @ x_true holds exactly in
+        # floats, so the rounded solution is x_true itself.
+        a = rng.integers(-50, 50, (8, 3)).astype(float)
+        x_true = rng.integers(-64, 64, 3) / 8.0
+        x = least_squares(a.T.tolist(), [(a @ x_true).tolist()])
+        assert x == [tuple(x_true)]
+
+    def test_matches_lstsq_on_inconsistent_system(self, rng):
+        a = rng.normal(0.0, 1.0, (10, 4))
+        b = rng.normal(0.0, 1.0, 10)
+        [x] = least_squares(a.T.tolist(), [b.tolist()])
+        assert np.allclose(x, np.linalg.lstsq(a, b, rcond=None)[0], rtol=1e-12, atol=0)
+        assert x == exact_least_squares(a.tolist(), [b.tolist()])[0]
+
+    def test_residual_orthogonal_to_columns(self, rng):
+        a = rng.normal(0.0, 1.0, (9, 3))
+        b = rng.normal(0.0, 1.0, 9)
+        [x] = least_squares(a.T.tolist(), [b.tolist()])
+        assert np.max(np.abs(a.T @ (a @ np.array(x) - b))) < 1e-9
+
+    def test_duplicate_columns_raise(self, rng):
+        col = rng.normal(0.0, 1.0, 5).tolist()
+        with pytest.raises(
+            ValueError, match=re.escape("column dependence detected (|R_ii| ratio 0/")
+        ):
+            least_squares([col, col], [rng.normal(0.0, 1.0, 5).tolist()])
+        # With every column zero the largest |R_ii| is 0 too.
+        with pytest.raises(ValueError, match=re.escape("(|R_ii| ratio 0/0)")):
+            least_squares([[0.0] * 5], [col])
+
+    def test_wide_matrix_rejected(self):
+        with pytest.raises(ValueError, match="column dependence detected"):
+            least_squares([[1.0, 2.0], [3.0, 5.0], [7.0, 11.0]], [[1.0, 1.0]])
 
 
 # ---------------------------------------------------------------------------
