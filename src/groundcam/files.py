@@ -103,9 +103,7 @@ def calibration_to_dict(
 ) -> dict:
     obj: dict = {"intrinsics": intrinsics_to_dict(k)}
     if pose is not None:
-        # Only the commands that write a pose load numpy's camera model.
-        from .projection import euler_from_pose
-
+        from .euler import euler_from_pose
         angles, center = euler_from_pose(pose)
         obj["pose"] = {
             "rotation": [v for row in pose.r for v in row],

@@ -8,13 +8,9 @@ Coordinate conventions used throughout the package:
 * ``CameraPose`` holds the world-to-camera rotation R and translation t, so a
   world point p has camera coordinates R @ p + t and the camera center in
   world coordinates is -R.T @ t.
-* The pixel-to-ground path (CameraPose, GroundMap, undistort_normalized)
-  runs on plain floats; numpy is imported only inside the properties that
-  return arrays. The numpy camera model that projects world points to
-  pixels is groundcam.projection's.
-
-Every type is immutable after construction and every function is pure, so the
-whole module is safe to share across threads.
+* Everything here runs on plain floats; numpy is imported only inside the
+  properties that return arrays. Every type is immutable after construction
+  and every function is pure, so the module is safe to share across threads.
 """
 
 from __future__ import annotations
@@ -198,6 +194,14 @@ class PixelPoint(_PixelPoint):
         return tuple.__new__(cls, (u, v))
 
 
+class WorldPoint(NamedTuple):
+    """Point in the field frame, millimeters, unchecked (landmarks_from_dict checks a file's)."""
+
+    x: float
+    y: float
+    z: float = 0.0
+
+
 class _CameraPose(NamedTuple):
     r: tuple[tuple[float, float, float], ...]  # the rows of R
     t: tuple[float, float, float]
@@ -241,6 +245,12 @@ class CameraPose(_CameraPose):
     @property
     def translation(self) -> np.ndarray:
         return _readonly(self.t, (3,))
+
+
+def camera_center(pose: CameraPose) -> WorldPoint:
+    """The camera center in world coordinates, -R^T t, summed on plain floats."""
+    tx, ty, tz = pose.t
+    return WorldPoint(*(-(a * tx + b * ty + c * tz) for a, b, c in zip(*pose.r)))
 
 
 def distort_normalized(x: float, y: float, d: Distortion) -> tuple[float, float]:
@@ -310,7 +320,7 @@ class GroundMap(NamedTuple):
 
     k: CameraIntrinsics
     rt: tuple[float, ...]  # R^T row-major: the world ray of (x, y) is R^T (x, y, 1)
-    center: tuple[float, float, float]  # -R^T t
+    center: WorldPoint  # camera_center
     cos_yaw: float
     sin_yaw: float
 
@@ -367,16 +377,8 @@ class GroundMap(NamedTuple):
 
 
 def ground_map(k: CameraIntrinsics, pose: CameraPose) -> GroundMap:
-    """The ground map of camera k at pose onto the ground plane z = 0.
-
-    The yaw is atan2(R[2, 0], R[2, 1]), the heading of the optical axis on
-    the ground. The center -R^T t is summed on plain floats, so it can
-    differ from projection.camera_center(pose) in the last bit: numpy's matrix product
-    uses fused multiply-adds, which no Python summation order reproduces.
-    Positions located from either center agree within 1e-9 mm.
-    """
+    """The ground map of camera k at pose onto z = 0; its yaw is atan2(R[2, 0],
+    R[2, 1]), the heading of the optical axis on the ground."""
     c0, c1, c2 = zip(*pose.r)  # the rows of R^T
-    tx, ty, tz = pose.t
-    center = tuple(-(a * tx + b * ty + c * tz) for a, b, c in (c0, c1, c2))
     yaw = math.atan2(pose.r[2][0], pose.r[2][1])
-    return GroundMap(k, c0 + c1 + c2, center, math.cos(yaw), math.sin(yaw))
+    return GroundMap(k, c0 + c1 + c2, camera_center(pose), math.cos(yaw), math.sin(yaw))

@@ -1,27 +1,19 @@
-"""Nonlinear least-squares machinery.
+"""Nonlinear least-squares machinery on numpy arrays.
 
-The Levenberg-Marquardt solver damps with the Marquardt diagonal,
-(J.T J + lambda diag(J.T J)) delta = -J.T r, accepts a step only on a strict
-cost decrease (lambda x0.1 on accept, x10 on reject), and reports which
-tolerance ended the run. Jacobians default to central differences; a problem
-may supply its own analytic jacobian callable instead.
+levenberg_marquardt runs groundcam.lm's rule, solving each damped step with
+numpy. Jacobians default to central differences; a problem may supply its
+own analytic jacobian callable instead.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-
-class TerminationReason(str, enum.Enum):
-    GRADIENT = "gradient"
-    STEP = "step"
-    COST = "cost"
-    MAX_ITERATIONS = "max_iterations"
+from .lm import TerminationReason, minimize
 
 
 @dataclass(frozen=True)
@@ -41,15 +33,6 @@ class LmResult(NamedTuple):
     cost: float
     iterations: int
     reason: TerminationReason
-
-
-INITIAL_LAMBDA = 1e-3
-LAMBDA_UP = 10.0
-LAMBDA_DOWN = 0.1
-LAMBDA_GIVE_UP = 1e10
-GRADIENT_TOL = 1e-10
-STEP_TOL = 1e-12
-COST_TOL = 1e-12
 
 
 def _evaluate(
@@ -107,61 +90,40 @@ def levenberg_marquardt(
         raise ValueError("problem dimensions must be positive")
     if m < n:
         raise ValueError(f"need at least as many residuals ({m}) as parameters ({n})")
-    if not np.all(np.isfinite(r)):
-        raise ValueError("residual at x0 is non-finite")
-    cost = 0.5 * float(r @ r)
-    lam = INITIAL_LAMBDA
-    accepted = 0
-    reason = TerminationReason.MAX_ITERATIONS
-
     jacobian = problem.jacobian or (lambda xx: numeric_jacobian(problem, xx))
-    for _ in range(max_iterations):
+
+    def cost_of(r: np.ndarray) -> float | None:
+        return 0.5 * float(r @ r) if np.all(np.isfinite(r)) else None
+
+    def linearize(point):
+        x, r = point
         jac = np.asarray(jacobian(x), dtype=float)
         if jac.shape != (m, n):
             raise ValueError(f"jacobian shape {jac.shape} does not match problem")
         if not np.all(np.isfinite(jac)):
-            raise ValueError("jacobian is non-finite")
+            return None
         gradient = jac.T @ r
-        if np.max(np.abs(gradient)) <= GRADIENT_TOL:
-            reason = TerminationReason.GRADIENT
-            break
         jtj = jac.T @ jac
         diag = np.diag(np.diag(jtj))
 
-        stop = None
-        while True:
+        def solve(lam: float):
             try:
                 delta = np.linalg.solve(jtj + lam * diag, -gradient)
-                if not np.all(np.isfinite(delta)):
-                    raise np.linalg.LinAlgError("non-finite step")
             except np.linalg.LinAlgError:
-                lam *= LAMBDA_UP
-                if lam >= LAMBDA_GIVE_UP:
-                    raise ValueError(
-                        f"normal equations unsolvable at lambda={lam:.3g}"
-                    ) from None
-                continue
-            if float(np.linalg.norm(delta)) < STEP_TOL:
-                stop = TerminationReason.STEP
-                break
-            trial = x + delta
-            r_trial = _evaluate(problem, trial, m)
-            if np.all(np.isfinite(r_trial)):
-                cost_trial = 0.5 * float(r_trial @ r_trial)
-            else:
-                cost_trial = math.inf
-            if cost_trial < cost:
-                decrease = cost - cost_trial
-                x, r, cost = trial, r_trial, cost_trial
-                lam *= LAMBDA_DOWN
-                accepted += 1
-                if decrease < COST_TOL:
-                    stop = TerminationReason.COST
-                break
-            lam *= LAMBDA_UP
+                return None
+            if not np.all(np.isfinite(delta)):
+                return None
+            return delta, float(np.linalg.norm(delta))
 
-        if stop is not None:
-            reason = stop
-            break
+        return float(np.max(np.abs(gradient))), solve
 
+    def trial(point, delta: np.ndarray):
+        moved = point[0] + delta
+        r = _evaluate(problem, moved, m)
+        cost = cost_of(r)
+        return (moved, r), math.inf if cost is None else cost
+
+    (x, _), cost, accepted, reason = minimize(
+        (x, r), cost_of(r), linearize, trial, max_iterations
+    )
     return LmResult(x=x, cost=cost, iterations=accepted, reason=reason)

@@ -1,58 +1,35 @@
 """The numpy camera model: rotations, Euler angles and world-to-pixel projection.
 
-Calibration and the synthetic scene generator project world points through
-a camera and parametrize its rotation; localization only maps pixels to the
-ground (geometry), so its process never loads this module or numpy.
+Intrinsic calibration and the synthetic scene generator project world points
+through a camera and parametrize its rotation. Localization and landmark PnP
+run on plain floats (geometry, extrinsics), so their processes never load
+this module or numpy.
 
-Euler angles (omega, phi, kappa) are degrees at the API boundary and compose
-as R = Rz(kappa) @ Ry(phi) @ Rx(omega). Every type is immutable after
-construction and every function is pure.
+pose_from_euler takes euler's angles (omega, phi, kappa), degrees composing
+as R = Rz(kappa) @ Ry(phi) @ Rx(omega). Every function is pure.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
+from .euler import EulerAngles
 from .geometry import (
     CameraIntrinsics,
     CameraPose,
     Distortion,
     PixelPoint,
     PointBehindCamera,
-    _readonly,
+    WorldPoint,
     distort_normalized,
-    undistort_normalized,
 )
 
 MIN_PROJECTION_DEPTH_MM = 1e-9
 # Rotation angle (radians) below which the pose Jacobian takes its
 # small-angle limit.
 SMALL_ANGLE_RAD = 1e-8
-
-
-class WorldPoint(NamedTuple):
-    """Point in the field frame, millimeters, unchecked: every builder passes
-    checked floats, and landmarks_from_dict checks a landmarks file's points."""
-
-    x: float
-    y: float
-    z: float = 0.0
-
-    @property
-    def array(self) -> np.ndarray:
-        return _readonly(self, (3,))
-
-
-class EulerAngles(NamedTuple):
-    """Rotation as (omega, phi, kappa) degrees; euler_from_pose returns each
-    in (-180, 180]."""
-
-    omega: float
-    phi: float
-    kappa: float
 
 
 def _axis_rotation(axis: int, a: float) -> np.ndarray:
@@ -159,7 +136,7 @@ def project(p: WorldPoint, k: CameraIntrinsics, pose: CameraPose) -> PixelPoint:
 
     Raises PointBehindCamera when the camera-frame depth is <= 1e-9 mm.
     """
-    return PixelPoint(*project_points(p.array[None], k, pose)[0])
+    return PixelPoint(*project_points([p], k, pose)[0])
 
 
 def project_points(
@@ -271,23 +248,6 @@ def project_views(
     return pixels, d_intrinsics, d_pose
 
 
-def undistort(px: PixelPoint, k: CameraIntrinsics) -> PixelPoint:
-    """Invert the lens model for one observed pixel (undistort_normalized).
-
-    With an all-zero lens model the input is returned unchanged.
-    """
-    if k.distortion.is_zero:
-        return px
-    x, y = k.normalized_from_pixel(px.u, px.v)
-    x, y = undistort_normalized(x, y, k.distortion, (px.u, px.v))
-    return PixelPoint(*k.pixel_from_normalized(x, y))
-
-
-def camera_center(pose: CameraPose) -> WorldPoint:
-    """Camera center in world coordinates, -R.T @ t, as numpy computes it."""
-    return WorldPoint(*(-pose.rotation.T @ pose.translation).tolist())
-
-
 def pose_from_euler(e: EulerAngles, center: WorldPoint) -> CameraPose:
     """Build the world-to-camera pose from Euler angles and the camera center."""
     r = (
@@ -295,31 +255,5 @@ def pose_from_euler(e: EulerAngles, center: WorldPoint) -> CameraPose:
         @ _axis_rotation(1, math.radians(e.phi))
         @ _axis_rotation(0, math.radians(e.omega))
     )
-    t = -r @ center.array
+    t = -r @ np.array(center)
     return CameraPose(r, t)
-
-
-def euler_from_pose(pose: CameraPose) -> tuple[EulerAngles, WorldPoint]:
-    """Recover (omega, phi, kappa) degrees and the camera center from a pose.
-
-    Raises ValueError when |cos phi| < 1e-9; omega and kappa are then not
-    separable.
-    """
-    (r00, _, _), (r10, _, _), (r20, r21, r22) = pose.r
-    sin_phi = -r20
-    cos_phi = math.sqrt(max(0.0, 1.0 - sin_phi * sin_phi))
-    if cos_phi < 1e-9:
-        raise ValueError("phi is within 1e-9 of +-90 degrees")
-    phi = math.asin(max(-1.0, min(1.0, sin_phi)))
-    omega = math.atan2(r21, r22)
-    kappa = math.atan2(r10, r00)
-
-    def to_range(deg: float) -> float:
-        return 180.0 if deg <= -180.0 else deg
-
-    angles = EulerAngles(
-        to_range(math.degrees(omega)),
-        to_range(math.degrees(phi)),
-        to_range(math.degrees(kappa)),
-    )
-    return angles, camera_center(pose)

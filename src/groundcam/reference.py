@@ -7,8 +7,9 @@ fixture: no raw image survives to validate them against, so tests exercise
 them as round trips.
 """
 
-from .geometry import CameraIntrinsics, CameraPose
-from .projection import EulerAngles, WorldPoint, pose_from_euler
+from .euler import EulerAngles
+from .geometry import CameraIntrinsics, CameraPose, WorldPoint
+from .projection import pose_from_euler
 
 REFERENCE_ALPHA_X = 642.41
 REFERENCE_ALPHA_Y = 642.54

@@ -34,6 +34,7 @@ from .geometry import (
     PointBehindCamera,
     PointNotOnGround,
     RayParallelToPlane,
+    WorldPoint,
     ground_map,
 )
 from .intrinsics import PlanarView, views_to_dict
@@ -45,13 +46,7 @@ from .pipeline import (
     json_numbers,
     json_string,
 )
-from .projection import (
-    WorldPoint,
-    camera_center,
-    project,
-    project_points,
-    rotation_from_axis_angle,
-)
+from .projection import project, project_points, rotation_from_axis_angle
 from .regression import (
     KNOWN_CLASSES,
     BoundingBox,
@@ -395,7 +390,7 @@ def _object_box(
         ) from exc
     # Depth is affine in height, so the center lies in front as both ends do.
     center = WorldPoint(contact.x, contact.y, config.object_height_mm / 2.0)
-    center_cam = pose.rotation @ center.array + pose.translation
+    center_cam = pose.rotation @ np.array(center) + pose.translation
     half_width = k.alpha_x * config.object_radius_mm / center_cam[2]
     if top.v >= ground.v:
         raise ValueError(
@@ -452,9 +447,7 @@ def generate_scene(
     detections: list[Detection] = []
     truth: list[tuple[str, float, float, float]] = []
     frame_width = max(3, len(str(max(len(config.grid_points) - 1, 1))))
-    # truth.csv keeps numpy's camera center bits, which ground_map's may miss.
-    center = tuple(camera_center(config.pose))
-    ground_plane = ground_map(config.intrinsics, config.pose)._replace(center=center)
+    ground_plane = ground_map(config.intrinsics, config.pose)
     for index, contact in enumerate(config.grid_points):
         ground, bbox = _object_box(config, contact)
         frame_id = f"p{index:0{frame_width}d}"

@@ -19,7 +19,8 @@ from groundcam.cli import main
 from groundcam.evaluation import EvalPair
 from groundcam.extrinsics import PnpCorrespondence, solve_pnp
 from groundcam.fitting import fit
-from groundcam.geometry import CameraPose, PixelPoint
+from groundcam.euler import EulerAngles, euler_from_pose
+from groundcam.geometry import CameraPose, PixelPoint, WorldPoint, camera_center
 from groundcam.intrinsics import PlanarView, calibrate_intrinsics
 from groundcam.optim import (
     LeastSquaresProblem,
@@ -29,10 +30,6 @@ from groundcam.optim import (
 )
 from groundcam.pipeline import bearing
 from groundcam.projection import (
-    EulerAngles,
-    WorldPoint,
-    camera_center,
-    euler_from_pose,
     pose_from_euler,
     project,
     project_points,
@@ -131,7 +128,7 @@ def test_criterion_3_reference_calibration_round_trip():
     ]
     solved, _ = solve_pnp(correspondences, k)
     center_err = float(
-        np.max(np.abs(camera_center(solved).array - camera_center(pose).array))
+        np.max(np.abs(np.array(camera_center(solved)) - np.array(camera_center(pose))))
     )
     elapsed = time.perf_counter() - start
     ok = round_trip_err < 1e-6 and center_err < 1e-4 and elapsed < 1.0

@@ -21,9 +21,10 @@ import pytest
 
 from groundcam import cli, evaluation, extrinsics, files, parallel
 from groundcam.cli import main
-from groundcam.geometry import CameraPose, Distortion, PixelPoint
+from groundcam.euler import EulerAngles
+from groundcam.geometry import CameraPose, Distortion, PixelPoint, WorldPoint
 from groundcam.extrinsics import PnpCorrespondence, field_landmarks
-from groundcam.projection import EulerAngles, WorldPoint, pose_from_euler, project
+from groundcam.projection import pose_from_euler, project
 from groundcam.regression import BOTTOM_CENTER_WEIGHTS, BoundingBox
 from groundcam.reference import (
     REFERENCE_CAMERA_CENTER_MM,
@@ -1964,10 +1965,10 @@ def test_overflow_on_the_way_to_an_error_prints_no_warning(
 
 # Replacement values: wrong types, small integers, and numbers at the ends of
 # float range and past the int64 range.
-_FUZZ_VALUES = (
-    None, "x", True, -1, 0, [], {}, [1], "1234",
+_EXTREME_NUMBERS = (
     1e308, -1e308, 5e-324, 2**63, -(2**63), 1e300, 1e-300, 1e154, -1e154, 3e38,
 )
+_FUZZ_VALUES = (None, "x", True, -1, 0, [], {}, [1], "1234", *_EXTREME_NUMBERS)
 _FUZZ_MUTATIONS = 24
 
 # The commands each scene input feeds; the command's other inputs stay good.
@@ -2042,6 +2043,37 @@ def test_fuzzed_input_exits_0_or_2(capsys, cli_scene, tmp_path, document):
             if code == 2:
                 assert out == "", case
                 assert "error: " in err, case
+
+
+# Every number of calibrate-extrinsics' two inputs, one at a time, at each
+# extreme value: where numpy went through inf and NaN, the float solve must
+# end in a result or a named error, never in an arithmetic exception.
+@pytest.mark.parametrize("document", ["landmarks", "calibration"])
+def test_each_number_at_each_extreme_exits_0_or_2(capsys, cli_scene, tmp_path, document):
+    doc = json.loads(cli_scene.paths[document].read_text())
+    bad = tmp_path / cli_scene.paths[document].name
+    argv = [bad if name == document else cli_scene.paths[name]
+            for name in _INPUTS["calibrate-extrinsics"]]
+    runs = 0
+    for path in _locations(doc):
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        original = target[path[-1]] if path else None
+        if type(original) not in (int, float):
+            continue
+        for value in _EXTREME_NUMBERS:
+            target[path[-1]] = value
+            bad.write_text(json.dumps(doc))
+            code, out, err = _run(capsys, "calibrate-extrinsics", *argv)
+            case = f"{document} {path} = {value!r}: {err.strip()[-200:]}"
+            assert code in (0, 2), case
+            assert "Traceback" not in err, case
+            assert "division by zero" not in err and "math domain error" not in err, case
+            assert not re.search(r"\bNaN\b|Infinity", out), case
+            runs += 1
+        target[path[-1]] = original
+    assert runs >= 10 * len(_EXTREME_NUMBERS)
 
 
 # Mutations of the pairs table, used in turn: the first six replace one

@@ -17,9 +17,8 @@ import pytest
 from groundcam import evaluation, extrinsics, files, intrinsics
 from groundcam.evaluation import EvalPair, build_report, error_stats, rmse
 from groundcam.extrinsics import FieldGeometry, PnpCorrespondence, field_landmarks
-from groundcam.geometry import CameraIntrinsics, Distortion, PixelPoint
+from groundcam.geometry import CameraIntrinsics, Distortion, PixelPoint, WorldPoint
 from groundcam.pipeline import LocalizedObject, UnlocalizableDetection
-from groundcam.projection import WorldPoint
 from groundcam.regression import (
     BoundingBox,
     RegressionSample,

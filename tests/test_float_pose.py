@@ -4,9 +4,10 @@ CameraPose and ClassModel hold plain floats and check them in pure Python.
 Each check must accept and reject what the numpy check did, with the same
 message; the ground map built from the floats must carry R^T bit for bit and
 a camera center within 1e-9 mm of numpy's -R.T @ t; the documents that
-keep numpy's bits (camera_center_mm, synth's truth.csv and calibration.json)
-must equal what numpy computes, byte for byte; and fit-regressor's weights
-must be the exact least-squares solution rounded once.
+report the center (camera_center_mm, synth's truth.csv) must carry
+geometry.camera_center bit for bit and otherwise equal what numpy computes,
+byte for byte; and fit-regressor's weights must be the exact least-squares
+solution rounded once.
 """
 
 from __future__ import annotations
@@ -19,15 +20,10 @@ import numpy as np
 import pytest
 
 from groundcam import evaluation, files
-from groundcam.geometry import CameraPose, ground_map
+from groundcam.euler import EulerAngles
+from groundcam.geometry import CameraPose, WorldPoint, camera_center, ground_map
 from groundcam.pipeline import FrameConvention, bearing
-from groundcam.projection import (
-    EulerAngles,
-    WorldPoint,
-    camera_center,
-    pose_from_euler,
-    rotation_from_axis_angle,
-)
+from groundcam.projection import pose_from_euler, rotation_from_axis_angle
 from groundcam.reference import reference_intrinsics, reference_pose
 from groundcam.fitting import fit
 from groundcam.regression import ClassModel
@@ -159,12 +155,20 @@ class TestGroundMapFromFloats:
 
 
 # ---------------------------------------------------------------------------
-# Documents that keep numpy's bits
+# Documents that carry the float camera center
 # ---------------------------------------------------------------------------
 
 
+def _float_center(pose) -> list[float]:
+    """geometry.camera_center, checked within 1e-9 mm of numpy's -R.T @ t."""
+    center = list(camera_center(pose))
+    assert np.max(np.abs(np.array(center) + pose.rotation.T @ pose.translation)) <= 1e-9
+    return center
+
+
 def _numpy_calibration_doc(k, pose) -> dict:
-    """calibration_to_dict as computed from the pose arrays with numpy."""
+    """calibration_to_dict as computed from the pose arrays with numpy, but
+    for the camera center, geometry.camera_center's."""
     r, t = pose.rotation, pose.translation
     omega = math.degrees(math.atan2(r[2, 1], r[2, 2]))
     phi = math.degrees(math.asin(max(-1.0, min(1.0, -r[2, 0]))))
@@ -173,11 +177,11 @@ def _numpy_calibration_doc(k, pose) -> dict:
         "intrinsics": files.intrinsics_to_dict(k),
         "pose": {"rotation": r.ravel().tolist(), "translation": t.tolist()},
         "euler_deg": [180.0 if a <= -180.0 else a for a in (omega, phi, kappa)],
-        "camera_center_mm": (-r.T @ t).tolist(),
+        "camera_center_mm": _float_center(pose),
     }
 
 
-def test_calibration_document_keeps_numpy_center_bits(rng):
+def test_calibration_document_carries_the_float_center(rng):
     k = reference_intrinsics()
     poses = [reference_pose()]
     for _ in range(200):
@@ -185,23 +189,21 @@ def test_calibration_document_keeps_numpy_center_bits(rng):
         poses.append(pose_from_euler(angles, WorldPoint(*rng.uniform(-3000, 3000, 3))))
     for pose in poses:
         doc = files.calibration_to_dict(k, pose)
-        assert doc["camera_center_mm"] == (-pose.rotation.T @ pose.translation).tolist()
+        assert doc["camera_center_mm"] == _float_center(pose)
         assert files.dumps(doc) == files.dumps(_numpy_calibration_doc(k, pose))
-        c = camera_center(pose)
-        assert [c.x, c.y, c.z] == doc["camera_center_mm"]
 
 
 @pytest.mark.parametrize("frame", list(FrameConvention))
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_synth_truth_and_calibration_keep_numpy_bits(tmp_path, seed, frame):
+def test_synth_truth_and_calibration_carry_the_float_center(tmp_path, seed, frame):
     # The default grid has a point on the field-frame origin, which has no
     # bearing, so the field-frame scene starts its grid one row out.
     origin = (0.0, 250.0) if frame is FrameConvention.FIELD else (0.0, 0.0)
     config = SceneConfig(num_views=3, frame=frame, grid_origin_mm=origin)
     scene = generate_scene(config, seed, tmp_path / "scene")
     pose = config.pose
-    r, t = pose.rotation, pose.translation
-    center = -r.T @ t
+    r = pose.rotation
+    center = _float_center(pose)
     yaw = math.atan2(r[2, 0], r[2, 1])
     c, s = math.cos(yaw), math.sin(yaw)
     rows = []

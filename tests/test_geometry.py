@@ -26,17 +26,16 @@ from groundcam.geometry import (
     PointBehindCamera,
     PointNotOnGround,
     RayParallelToPlane,
+    WorldPoint,
+    camera_center,
     distort_normalized,
     ground_map,
     undistort_normalized,
 )
+from groundcam.euler import EulerAngles, euler_from_pose
 from groundcam.projection import (
     INTRINSIC_PARAMETERS,
-    EulerAngles,
-    WorldPoint,
     axis_angle_from_rotation,
-    camera_center,
-    euler_from_pose,
     intrinsic_vector,
     intrinsics_from_vector,
     nearest_rotation,
@@ -45,7 +44,6 @@ from groundcam.projection import (
     project_points,
     project_views,
     rotation_from_axis_angle,
-    undistort,
 )
 from groundcam.reference import (
     REFERENCE_CAMERA_CENTER_MM,
@@ -90,6 +88,12 @@ def _distort(px: PixelPoint, k: CameraIntrinsics) -> PixelPoint:
     return PixelPoint(*k.pixel_from_normalized(*distort_normalized(x, y, k.distortion)))
 
 
+def _undistort(px: PixelPoint, k: CameraIntrinsics) -> PixelPoint:
+    """Observed pixel with the lens model undone: undistort_normalized."""
+    x, y = k.normalized_from_pixel(px.u, px.v)
+    return PixelPoint(*k.pixel_from_normalized(*undistort_normalized(x, y, k.distortion)))
+
+
 def _back_project(px: PixelPoint, k: CameraIntrinsics, pose: CameraPose):
     """Ground (x, y) on z = 0 of an observed pixel: GroundMap.locate."""
     return ground_map(k, pose).locate(px.u, px.v)
@@ -113,7 +117,7 @@ class TestProject:
     def test_reference_camera_axis_point_hits_principal_point(self, ref_k, ref_pose):
         forward = ref_pose.rotation[2]
         c = camera_center(ref_pose)
-        p = WorldPoint(*(c.array + 500.0 * forward))
+        p = WorldPoint(*(np.array(c) + 500.0 * forward))
         px = project(p, ref_k, ref_pose)
         assert px.u == pytest.approx(ref_k.u0, abs=1e-9)
         assert px.v == pytest.approx(ref_k.v0, abs=1e-9)
@@ -220,7 +224,7 @@ class TestBackProject:
         while count < 100:
             pose = _random_pose(rng)
             p = WorldPoint(rng.uniform(-500, 500), rng.uniform(-500, 500), 0.0)
-            depth = (pose.rotation @ p.array + pose.translation)[2]
+            depth = (pose.rotation @ np.array(p) + pose.translation)[2]
             if depth < 50.0:
                 continue
             px = project(p, SIMPLE_K, pose)
@@ -231,7 +235,7 @@ class TestBackProject:
 
     def test_intersection_ignores_ray_normalization(self, ref_k, ref_pose):
         px = PixelPoint(250.0, 400.0)
-        origin = camera_center(ref_pose).array
+        origin = np.array(camera_center(ref_pose))
         k_inv = np.linalg.inv(ref_k.matrix)
         direction = ref_pose.rotation.T @ k_inv @ [px.u, px.v, 1.0]
         expected = _back_project(px, ref_k, ref_pose)
@@ -284,7 +288,7 @@ class TestBackProject:
 class TestDistortion:
     def test_zero_distortion_is_identity(self):
         px = PixelPoint(123.4, 567.8)
-        assert undistort(px, SIMPLE_K) == px
+        assert _undistort(px, SIMPLE_K) == px
         assert _distort(px, SIMPLE_K) == px
 
     def test_distort_hand_value(self):
@@ -315,14 +319,14 @@ class TestDistortion:
             if math.hypot(x, y) >= 1.0:
                 continue
             distorted = _distort(px, k)
-            restored = undistort(distorted, k)
+            restored = _undistort(distorted, k)
             assert abs(restored.u - px.u) < 1e-6
             assert abs(restored.v - px.v) < 1e-6
 
     def test_undistort_then_distort(self):
         k = SIMPLE_K.with_distortion(Distortion(k1=-0.15, k2=0.02))
         observed = PixelPoint(100.0, 380.0)
-        ideal = undistort(observed, k)
+        ideal = _undistort(observed, k)
         again = _distort(ideal, k)
         assert abs(again.u - observed.u) < 1e-6
         assert abs(again.v - observed.v) < 1e-6
@@ -331,7 +335,7 @@ class TestDistortion:
         # k1=10 at normalized radius 1 drives the iteration into a cycle.
         k = CameraIntrinsics(1.0, 1.0, 0.0, 0.0, distortion=Distortion(k1=10.0))
         with pytest.raises(NonConvergence):
-            undistort(PixelPoint(1.0, 0.0), k)
+            _undistort(PixelPoint(1.0, 0.0), k)
 
     def test_overflowing_iterate_raises_non_convergence(self):
         # r2 overflows to inf and the radial factor to nan, so every iterate
@@ -411,7 +415,7 @@ class TestEulerPose:
             t = rng.uniform(-500, 500, 3)
             pose = CameraPose(r, t)
             c = camera_center(pose)
-            assert np.max(np.abs(r @ c.array + t)) < 1e-9
+            assert np.max(np.abs(r @ np.array(c) + t)) < 1e-9
 
     def test_pose_rejects_non_rotations(self):
         with pytest.raises(ValueError):

@@ -132,16 +132,36 @@ def test_evaluate_loads_no_numpy(tmp_path):
     assert set(report["comparison"]) == {"ours", "reference"}
 
 
-@pytest.mark.parametrize("command", ["calibrate-intrinsics", "calibrate-extrinsics"])
+@pytest.mark.parametrize("command", ["calibrate-intrinsics"])
 def test_numpy_commands_run_in_a_fresh_process(scene, tmp_path, command):
-    paths = {name: str(path) for name, path in scene.paths.items()}
-    args = {
-        "calibrate-intrinsics": [paths["views"]],
-        "calibrate-extrinsics": [paths["landmarks"], paths["calibration"]],
-    }[command]
-    argv = [command, *args, "--out", str(tmp_path / "out")]
+    argv = [command, str(scene.paths["views"]), "--out", str(tmp_path / "out")]
     loaded = _loaded_after(f"assert groundcam.cli.main({argv!r}) == 0")
     assert "numpy" in loaded
+
+
+# calibrate-extrinsics solves its 6-parameter resection on plain floats
+# (groundcam.extrinsics), so it pays neither for numpy, nor for the numpy
+# camera model, the intrinsic solver or the least-squares module, nor for
+# the dataclass machinery they define their types with.
+def test_calibrate_extrinsics_loads_no_numpy(scene, tmp_path):
+    argv = [
+        "calibrate-extrinsics",
+        str(scene.paths["landmarks"]),
+        str(scene.paths["calibration"]),
+        "--out",
+        str(tmp_path / "out"),
+    ]
+    loaded = _loaded_after(f"assert groundcam.cli.main({argv!r}) == 0")
+    assert {"groundcam.extrinsics", "groundcam.euler"} <= loaded
+    unwanted = {
+        "numpy",
+        "numpy.ma",
+        "groundcam.optim",
+        "groundcam.projection",
+        "groundcam.intrinsics",
+        "dataclasses",
+    }
+    assert loaded & unwanted == set()
 
 
 # fit-regressor solves its 5-column least squares exactly on plain ints

@@ -24,6 +24,8 @@ from groundcam.geometry import (
     CameraPose,
     Distortion,
     PixelPoint,
+    WorldPoint,
+    camera_center,
     ground_map,
 )
 from groundcam.pipeline import (
@@ -38,13 +40,8 @@ from groundcam.pipeline import (
     ingest_detections,
     localize_batch,
 )
-from groundcam.projection import (
-    EulerAngles,
-    WorldPoint,
-    camera_center,
-    pose_from_euler,
-    project,
-)
+from groundcam.euler import EulerAngles
+from groundcam.projection import pose_from_euler, project
 from groundcam.reference import reference_intrinsics
 from groundcam.regression import (
     BOTTOM_CENTER_WEIGHTS,

@@ -23,16 +23,15 @@ from groundcam.fitting import _sqrt_g, fit  # noqa: E402
 from groundcam.geometry import (  # noqa: E402
     PixelPoint,
     Distortion,
+    WorldPoint,
     distort_normalized,
     ground_map,
     undistort_normalized,
 )
 from groundcam.pipeline import bearing, ingest_detections  # noqa: E402
+from groundcam.euler import EulerAngles, euler_from_pose  # noqa: E402
 from groundcam.projection import (  # noqa: E402
-    EulerAngles,
-    WorldPoint,
     axis_angle_from_rotation,
-    euler_from_pose,
     pose_from_euler,
     project,
     rotation_from_axis_angle,
@@ -111,7 +110,7 @@ def test_euler_from_pose_inverts_pose_from_euler(omega, phi, kappa, center):
     for got, want in ((angles.omega, omega), (angles.phi, phi), (angles.kappa, kappa)):
         assert -180.0 < got <= 180.0
         assert abs(_wrapped(got - want)) <= 1e-9
-    assert np.max(np.abs(c.array - center)) <= 1e-9
+    assert np.max(np.abs(np.array(c) - center)) <= 1e-9
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)

@@ -14,9 +14,9 @@ import re
 import numpy as np
 import pytest
 
-from groundcam.geometry import Distortion, PixelPoint, ground_map
+from groundcam.geometry import Distortion, PixelPoint, WorldPoint, ground_map
 from groundcam.pipeline import FrameConvention, bearing, localize_batch
-from groundcam.projection import WorldPoint, project
+from groundcam.projection import project
 from groundcam.regression import BoundingBox
 from groundcam.scene import (
     _SCHEMA,
