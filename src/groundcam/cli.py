@@ -146,10 +146,11 @@ def _parse_buckets(text: str) -> list[float]:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     from .evaluation import (
         PAIRS_HEADER,
-        EvalPair,
-        build_report,
-        compare_sources,
+        banded_report,
+        compare_terms,
+        error_terms,
         first_nonfinite,
+        join_terms,
         parse_pairs,
         read_table,
         render_report_text,
@@ -162,30 +163,27 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     boundaries = _parse_buckets(args.buckets)
     lines, start = read_table(args.pairs, PAIRS_HEADER)
 
-    def work(part: list[str], first: int) -> tuple[list[tuple], tuple[str, str]]:
-        parsed = parse_pairs(args.pairs, part, first)
-        ours = [r for r in parsed if r[6] == "ours"] if args.out else []
-        return parsed, scatter_rows(ours)
+    def work(part: list[str], first: int) -> tuple[dict[str, tuple], tuple[str, str]]:
+        rows = parse_pairs(args.pairs, part, first)
+        ours = [r for r in rows if r[6] == "ours"] if args.out else []
+        return error_terms(rows, boundaries), scatter_rows(ours)
 
     # A quoted field may span a line end, so a table holding a quote is not cut.
-    if any('"' in line for line in lines):
+    if '"' in "".join(lines):
         parts = [work(lines, start)]
     else:
         parts = split(work, lines, start)
-    rows, scatter = zip(*parts)
-    pairs = [EvalPair._make(row) for part in rows for row in part]
-    if not pairs:
+    terms, scatter = zip(*parts)
+    # Each part mapped its rows to error terms; what is left is their sums.
+    terms = join_terms(terms)
+    if not terms:
         raise ValueError(f"{args.pairs} contains no pairs")
-    by_source: dict[str, list[EvalPair]] = {}
-    for p in pairs:
-        by_source.setdefault(p.source, []).append(p)
-    if "ours" not in by_source:
+    if "ours" not in terms:
         raise ValueError(f"{args.pairs} has no rows with source ours to score")
-    main = by_source["ours"]
-    report = build_report(main, boundaries)
-    if "reference" in by_source:
+    report = banded_report(terms["ours"], boundaries)
+    if "reference" in terms:
         try:
-            report["comparison"] = compare_sources(main, by_source["reference"])
+            report["comparison"] = compare_terms(terms["ours"], terms["reference"])
         except ValueError as exc:
             raise ValueError(f"{args.pairs}: {exc}") from None
     overflow = first_nonfinite(report)

@@ -11,7 +11,10 @@ trustworthy headline number.
 
 Every sum in a report is one math.fsum, correctly rounded from exact
 partial sums, so a report whose numbers are finite depends only on the set
-of pairs, not on their order. The codecs of the pairs, truth, report and
+of pairs, not on their order. A report is therefore a map and a reduce:
+error_terms computes each row's terms wherever its rows were parsed, and
+banded_report and compare_terms sum the joined terms, with the same bits
+however the rows were cut. The codecs of the pairs, truth, report and
 scatter tables live here too.
 """
 
@@ -20,6 +23,7 @@ from __future__ import annotations
 import io
 import math
 from bisect import bisect_right
+from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
@@ -37,25 +41,12 @@ class EvalPair(NamedTuple):
     est_theta: float
     source: str = "ours"
 
-    @property
-    def gt_distance(self) -> float:
-        return math.hypot(self.gt_x, self.gt_y)
 
+# The sources a pairs table may name: the scored one, then the compared one.
+SOURCES = ("ours", "reference")
 
-# The keys of error_stats' blocks, each named <axis>_<unit>.
+# The keys of a report's error blocks, each named <axis>_<unit>.
 ERROR_BLOCKS = ("x_mm", "y_mm", "theta_deg")
-
-
-def rmse(pairs: list[EvalPair]) -> float:
-    """Root mean square xy position error in millimeters of a non-empty
-    list; inf when an error is too large to square or the squares to sum."""
-    try:
-        total = math.fsum(
-            [(p.est_x - p.gt_x) ** 2 + (p.est_y - p.gt_y) ** 2 for p in pairs]
-        )
-    except OverflowError:
-        return math.inf
-    return math.sqrt(total / len(pairs))
 
 
 def _wrap_deg(a: float) -> float:
@@ -63,6 +54,71 @@ def _wrap_deg(a: float) -> float:
     if wrapped <= 0.0:
         wrapped += 360.0
     return wrapped - 180.0
+
+
+def _square(x: float, y: float) -> float:
+    """x ** 2 + y ** 2, or inf where a square overflows, on which ** raises."""
+    try:
+        return x ** 2 + y ** 2
+    except OverflowError:
+        return math.inf
+
+
+def _columns(rows: list[tuple], boundaries: list[float]) -> tuple:
+    """The error terms of rows, EvalPairs or parse_pairs rows read by
+    position, as error_terms gives them for one source."""
+    gt_x = [r[0] for r in rows]
+    gt_y = [r[1] for r in rows]
+    x = [r[3] - r[0] for r in rows]
+    y = [r[4] - r[1] for r in rows]
+    theta = [_wrap_deg(r[5] - r[2]) for r in rows]
+    bands: list[list[float]] = [[] for _ in range(len(boundaries) + 1)]
+    adds = [band.append for band in bands]
+    for gx, gy, ex, ey in zip(gt_x, gt_y, x, y):
+        adds[bisect_right(boundaries, math.hypot(gx, gy))](_square(ex, ey))
+    return bands, x, y, theta, gt_x, gt_y, [r[2] for r in rows]
+
+
+def error_terms(rows: list[tuple], boundaries: list[float]) -> dict[str, tuple]:
+    """The map of a report: for each source the rows hold, the per-row terms
+    its sums take, as plain lists marshal carries from a forked part.
+
+    rows are parse_pairs rows or EvalPairs, read by position. A source's
+    terms are its rows' squared xy errors grouped by distance band, then
+    its x, y and theta errors (est minus truth, theta wrapped to
+    (-180, 180]) and its ground-truth x, y and theta, each a column in row
+    order. The bands are half-open, [0,b1), [b1,b2), ..., [bk,inf), for
+    positive, strictly increasing boundaries, by the ground truth's
+    distance from the camera, its xy norm; a row exactly on a boundary
+    lands in the upper band. A square too large for a float is inf.
+    """
+    runs = {source: [r for r in rows if r[6] == source] for source in SOURCES}
+    return {source: _columns(run, boundaries) for source, run in runs.items() if run}
+
+
+def join_terms(parts: list[dict[str, tuple]]) -> dict[str, tuple]:
+    """The error_terms of consecutive runs of rows joined into those of all
+    of them, column by column in order."""
+    joined: dict[str, tuple] = {}
+    for source in SOURCES:
+        runs = [part[source] for part in parts if source in part]
+        if runs:
+            bands, *columns = zip(*runs)
+            joined[source] = (
+                [list(chain.from_iterable(band)) for band in zip(*bands)],
+                *(list(chain.from_iterable(column)) for column in columns),
+            )
+    return joined
+
+
+def _root_mean(squares, count: int) -> float:
+    """The root mean of count squares, an iterable of non-negative floats;
+    inf when their sum overflows."""
+    try:
+        total = math.fsum(squares)
+    except OverflowError:
+        return math.inf
+    return math.sqrt(total / count)
 
 
 def _mean_std(values: list[float]) -> dict:
@@ -77,55 +133,63 @@ def _mean_std(values: list[float]) -> dict:
     return {"mean": mean, "std": std}
 
 
-def error_stats(pairs: list[EvalPair]) -> dict:
-    """Signed est-minus-truth mean and population std of a non-empty list:
-    the x_mm, y_mm and theta_deg blocks of a report; angle errors wrapped to
-    (-180, 180]."""
-    ex = [p.est_x - p.gt_x for p in pairs]
-    ey = [p.est_y - p.gt_y for p in pairs]
-    et = [_wrap_deg(p.est_theta - p.gt_theta) for p in pairs]
-    return {block: _mean_std(e) for block, e in zip(ERROR_BLOCKS, (ex, ey, et))}
-
-
-def _summary(pairs: list[EvalPair]) -> dict:
-    """The headline block shared by a report and each compared source."""
-    return {"rmse_mm": rmse(pairs), "count": len(pairs), **error_stats(pairs)}
-
-
-def bucket_by_distance(
-    pairs: list[EvalPair], boundaries: list[float]
-) -> list[list[EvalPair]]:
-    """Split pairs into half-open distance bands [0,b1), [b1,b2), ..., [bk,inf)
-    for positive, strictly increasing boundaries.
-
-    Distance is the ground-truth xy norm. A pair exactly on a boundary lands
-    in the upper band. Every pair lands in exactly one band, so the bands
-    recombine to the input set.
-    """
-    buckets: list[list[EvalPair]] = [[] for _ in range(len(boundaries) + 1)]
-    for p in pairs:
-        buckets[bisect_right(boundaries, p.gt_distance)].append(p)
-    return buckets
-
-
-def build_report(pairs: list[EvalPair], boundaries: list[float]) -> dict:
-    """The report document of a non-empty list of pairs, banded at boundaries
-    as bucket_by_distance takes them: overall RMSE and error statistics plus
-    the RMSE of each distance band (None for an empty band)."""
-    split = bucket_by_distance(pairs, boundaries)
+def _summary(terms: tuple) -> dict:
+    """The headline block of a report and of each compared source: xy RMSE,
+    row count, and the signed mean and population std of each error."""
+    bands, *errors = terms[:4]
     return {
-        **_summary(pairs),
+        "rmse_mm": _root_mean(chain.from_iterable(bands), len(errors[0])),
+        "count": len(errors[0]),
+        **{block: _mean_std(e) for block, e in zip(ERROR_BLOCKS, errors)},
+    }
+
+
+def banded_report(terms: tuple, boundaries: list[float]) -> dict:
+    """The reduce of a report: the report document of one non-empty
+    source's error_terms, banded at the boundaries they were mapped with:
+    overall RMSE and error statistics plus the RMSE of each distance band
+    (None for an empty band)."""
+    return {
+        **_summary(terms),
         "bucket_boundaries_mm": boundaries,
         "buckets": [
             {
                 "lo_mm": lo,
                 "hi_mm": hi,
-                "count": len(members),
-                "rmse_mm": rmse(members) if members else None,
+                "count": len(squares),
+                "rmse_mm": _root_mean(squares, len(squares)) if squares else None,
             }
-            for lo, hi, members in zip([0.0] + boundaries, boundaries + [None], split)
+            for lo, hi, squares in zip([0.0] + boundaries, boundaries + [None], terms[0])
         ],
     }
+
+
+def compare_terms(ours: tuple, reference: tuple) -> dict:
+    """The reduce of a comparison: side-by-side statistics of two non-empty
+    sources' error_terms over the same ground truths.
+
+    Raises ValueError when the ground-truth multisets differ beyond 1e-9.
+    """
+    if len(ours[1]) != len(reference[1]):
+        raise ValueError(
+            f"sources cover {len(ours[1])} vs {len(reference[1])} ground truths"
+        )
+    # The last three columns are the ground truths' x, y and theta.
+    for a, b in zip(sorted(zip(*ours[4:])), sorted(zip(*reference[4:]))):
+        if max(abs(a[0] - b[0]), abs(a[1] - b[1]), abs(a[2] - b[2])) > 1e-9:
+            raise ValueError(f"ground truths differ: {a} vs {b}")
+    return {"ours": _summary(ours), "reference": _summary(reference)}
+
+
+def build_report(pairs: list[EvalPair], boundaries: list[float]) -> dict:
+    """The report document of a non-empty list of pairs of any sources:
+    banded_report over their error terms."""
+    return banded_report(_columns(pairs, boundaries), boundaries)
+
+
+def compare_sources(ours: list[EvalPair], reference: list[EvalPair]) -> dict:
+    """compare_terms over the error terms of two non-empty lists of pairs."""
+    return compare_terms(_columns(ours, []), _columns(reference, []))
 
 
 def first_nonfinite(doc, name: str = "") -> str | None:
@@ -145,34 +209,6 @@ def first_nonfinite(doc, name: str = "") -> str | None:
         if found is not None:
             return found
     return None
-
-
-def compare_sources(
-    ours: list[EvalPair], reference: list[EvalPair]
-) -> dict:
-    """Side-by-side statistics of two non-empty sources over the same ground
-    truths.
-
-    Raises ValueError when the ground-truth multisets differ beyond 1e-9.
-    """
-    if len(ours) != len(reference):
-        raise ValueError(
-            f"sources cover {len(ours)} vs {len(reference)} ground truths"
-        )
-
-    def key(p: EvalPair) -> tuple[float, float, float]:
-        return (p.gt_x, p.gt_y, p.gt_theta)
-
-    for a, b in zip(sorted(ours, key=key), sorted(reference, key=key)):
-        if max(
-            abs(a.gt_x - b.gt_x), abs(a.gt_y - b.gt_y), abs(a.gt_theta - b.gt_theta)
-        ) > 1e-9:
-            raise ValueError(
-                f"ground truths differ: ({a.gt_x}, {a.gt_y}, {a.gt_theta}) vs "
-                f"({b.gt_x}, {b.gt_y}, {b.gt_theta})"
-            )
-
-    return {"ours": _summary(ours), "reference": _summary(reference)}
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -238,7 +274,7 @@ def save_pairs_csv(path: Path, pairs: list[EvalPair]) -> None:
 
 def _pair(fields: list[str]) -> tuple:
     source = fields[6].strip()
-    if source not in ("ours", "reference"):
+    if source not in SOURCES:
         raise ValueError(f"source must be ours or reference, got {source!r}")
     values = tuple(map(float, fields[:6]))
     if not all(map(math.isfinite, values)):

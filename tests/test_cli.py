@@ -1193,6 +1193,27 @@ def test_evaluate_report_does_not_depend_on_row_order(
     assert reports == [reports[0]] * 4
 
 
+@pytest.mark.parametrize(
+    "est_y",
+    [["1e308"], ["1e200"], ["1.2e154", "-1.2e154"]],
+    ids=["square-overflows", "square-overflows-1e200", "sum-overflows"],
+)
+def test_errors_too_large_to_score_in_a_forked_part(
+    capsys, monkeypatch, forks, tmp_path, est_y
+):
+    # Ten ordinary ours rows first, so the overflowing ones sit in the last
+    # part, whose squares a forked child computes.
+    lines = [line for line in _pairs_table(10) if not line.endswith(",reference\r\n")]
+    lines += [f"0,500,0,0,{value},0,ours\r\n" for value in est_y]
+    path = tmp_path / "pairs.csv"
+    path.write_bytes("".join(lines).encode())
+    out_dir = tmp_path / "report"
+    runs = _evaluate_runs(capsys, monkeypatch, forks, path, out_dir, (1, 2, 3))
+    for cpus, run in runs.items():
+        assert run == (2, "", f"error: {path}: rmse_mm overflows float range\n", {}), cpus
+    assert not out_dir.exists()
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 # ---------------------------------------------------------------------------
@@ -1343,7 +1364,7 @@ class TestEvaluate:
         def fail(ours, reference):
             raise TypeError("comparison failed")
 
-        monkeypatch.setattr(evaluation, "compare_sources", fail)
+        monkeypatch.setattr(evaluation, "compare_terms", fail)
         code, out, err = _run(capsys, "evaluate", FIXTURES_DIR / "reference_eval_pairs.csv")
         assert code == 1
         assert out == ""

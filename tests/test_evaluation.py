@@ -2,8 +2,9 @@
 
 The headline numbers are pinned by a frozen four-point table whose RMSE
 and error means were computed by hand from the raw coordinates; the
-properties (permutation and translation behavior, band recombination) are
-checked with seeded sweeps.
+properties (permutation and translation behavior, band recombination, a
+report mapped in chunks reducing to the report of the whole) are checked
+with seeded sweeps.
 """
 
 from __future__ import annotations
@@ -15,13 +16,15 @@ import numpy as np
 import pytest
 
 from groundcam.evaluation import (
+    ERROR_BLOCKS,
     EvalPair,
-    bucket_by_distance,
+    banded_report,
     build_report,
     compare_sources,
-    error_stats,
+    compare_terms,
+    error_terms,
     first_nonfinite,
-    rmse,
+    join_terms,
 )
 
 # ---------------------------------------------------------------------------
@@ -47,6 +50,22 @@ FROZEN_RMSE_MM = 14.365631729931017
 
 def _pairs(rows, source="ours"):
     return [EvalPair(*row, source=source) for row in rows]
+
+
+def _rmse(pairs):
+    """The overall RMSE of a report of pairs."""
+    return build_report(pairs, [])["rmse_mm"]
+
+
+def _error_stats(pairs):
+    """The error blocks of a report of pairs."""
+    report = build_report(pairs, [])
+    return {block: report[block] for block in ERROR_BLOCKS}
+
+
+def _bands(pairs, boundaries):
+    """The squared xy errors of ours pairs, grouped by distance band."""
+    return error_terms(pairs, boundaries)["ours"][0]
 
 
 def _rng_pairs(rng, count):
@@ -75,21 +94,21 @@ def _rng_pairs(rng, count):
 class TestRmse:
     def test_perfect_estimates(self):
         pairs = [EvalPair(1.0, 2.0, 3.0, 1.0, 2.0, 3.0)]
-        assert rmse(pairs) == 0.0
+        assert _rmse(pairs) == 0.0
 
     def test_single_offset_is_its_norm(self):
         pairs = [EvalPair(0.0, 0.0, 0.0, 3.0, 4.0, 0.0)]
-        assert rmse(pairs) == pytest.approx(5.0, abs=1e-12)
+        assert _rmse(pairs) == pytest.approx(5.0, abs=1e-12)
 
     def test_frozen_table(self):
-        assert rmse(_pairs(OURS_ROWS)) == pytest.approx(FROZEN_RMSE_MM, abs=1e-9)
-        assert rmse(_pairs(OURS_ROWS)) == pytest.approx(14.37, abs=0.05)
+        assert _rmse(_pairs(OURS_ROWS)) == pytest.approx(FROZEN_RMSE_MM, abs=1e-9)
+        assert _rmse(_pairs(OURS_ROWS)) == pytest.approx(14.37, abs=0.05)
 
     def test_permutation_invariance(self, rng):
         pairs = _rng_pairs(rng, 20)
         shuffled = list(pairs)
         rng.shuffle(shuffled)
-        assert rmse(shuffled) == rmse(pairs)
+        assert _rmse(shuffled) == _rmse(pairs)
 
     def test_doubling_errors_doubles_the_result(self):
         base = [
@@ -100,14 +119,14 @@ class TestRmse:
             EvalPair(10.0, 20.0, 0.0, 16.0, 28.0, 0.0),
             EvalPair(-5.0, 8.0, 0.0, -5.0, 32.0, 0.0),
         ]
-        assert rmse(doubled) == pytest.approx(2.0 * rmse(base), abs=1e-12)
+        assert _rmse(doubled) == pytest.approx(2.0 * _rmse(base), abs=1e-12)
 
     def test_uniform_shift_gives_its_norm(self, rng):
         pairs = [
             EvalPair(gx, gy, 0.0, gx + 6.0, gy - 8.0, 0.0)
             for gx, gy in rng.uniform(-500, 500, (10, 2))
         ]
-        assert rmse(pairs) == pytest.approx(10.0, abs=1e-12)
+        assert _rmse(pairs) == pytest.approx(10.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -117,20 +136,20 @@ class TestRmse:
 
 class TestErrorStats:
     def test_frozen_means(self):
-        stats = error_stats(_pairs(OURS_ROWS))
+        stats = _error_stats(_pairs(OURS_ROWS))
         assert stats["x_mm"]["mean"] == pytest.approx(-3.29, abs=1e-9)
         assert stats["y_mm"]["mean"] == pytest.approx(11.6525, abs=1e-9)
         assert stats["theta_deg"]["mean"] == pytest.approx(-0.175, abs=1e-9)
 
     def test_population_std_matches_numpy(self):
-        stats = error_stats(_pairs(OURS_ROWS))
+        stats = _error_stats(_pairs(OURS_ROWS))
         ex = np.array([r[3] - r[0] for r in OURS_ROWS])
         assert stats["x_mm"]["std"] == pytest.approx(float(ex.std()), abs=1e-12)
 
     def test_reconstructed_reference_stats(self):
         # Two rows sit one std below the mean and two above, so the sample
         # reproduces the published mean and population std exactly.
-        stats = error_stats(_pairs(REFERENCE_ROWS, source="reference"))
+        stats = _error_stats(_pairs(REFERENCE_ROWS, source="reference"))
         assert stats["x_mm"]["mean"] == pytest.approx(15.31, abs=1e-9)
         assert stats["x_mm"]["std"] == pytest.approx(11.04, abs=1e-9)
         assert stats["y_mm"]["mean"] == pytest.approx(-11.03, abs=1e-9)
@@ -140,14 +159,14 @@ class TestErrorStats:
 
     def test_heading_errors_wrap(self):
         pairs = [EvalPair(0.0, 0.0, 179.0, 0.0, 0.0, -179.0)]
-        stats = error_stats(pairs)
+        stats = _error_stats(pairs)
         assert stats["theta_deg"]["mean"] == pytest.approx(2.0, abs=1e-12)
         pairs = [EvalPair(0.0, 0.0, -179.0, 0.0, 0.0, 179.0)]
-        assert error_stats(pairs)["theta_deg"]["mean"] == pytest.approx(-2.0, abs=1e-12)
+        assert _error_stats(pairs)["theta_deg"]["mean"] == pytest.approx(-2.0, abs=1e-12)
 
     def test_perfect_estimates_have_zero_stats(self):
         pairs = [EvalPair(5.0, 6.0, 7.0, 5.0, 6.0, 7.0)] * 3
-        assert error_stats(pairs) == {
+        assert _error_stats(pairs) == {
             block: {"mean": 0.0, "std": 0.0} for block in ("x_mm", "y_mm", "theta_deg")
         }
 
@@ -155,7 +174,7 @@ class TestErrorStats:
         pairs = _rng_pairs(rng, 300)
         shuffled = list(pairs)
         rng.shuffle(shuffled)
-        assert error_stats(shuffled) == error_stats(pairs)
+        assert _error_stats(shuffled) == _error_stats(pairs)
 
 
 def _exact_sum(values: list[float]) -> float:
@@ -183,7 +202,7 @@ def test_error_stats_are_correctly_rounded_sums(size):
         errors = est - gt
         wrapped = np.fmod(errors[2] + 180.0, 360.0)
         errors[2] = np.where(wrapped <= 0.0, wrapped + 360.0, wrapped) - 180.0
-        stats = error_stats(pairs)
+        stats = _error_stats(pairs)
         for block, e in zip(("x_mm", "y_mm", "theta_deg"), errors):
             values = e.tolist()
             mean = _exact_sum(values) / size
@@ -203,32 +222,34 @@ def test_error_stats_are_correctly_rounded_sums(size):
 # ---------------------------------------------------------------------------
 
 
-def _pair_at_distance(distance: float) -> EvalPair:
-    return EvalPair(distance, 0.0, 0.0, distance, 0.0, 0.0)
+def _pair_at_distance(distance: float, error: float = 0.0) -> EvalPair:
+    return EvalPair(distance, 0.0, 0.0, distance + error, 0.0, 0.0)
 
 
 class TestBucketByDistance:
     def test_one_pair_per_band(self):
-        pairs = [_pair_at_distance(d) for d in (800.0, 1500.0, 2500.0)]
-        buckets = bucket_by_distance(pairs, [1000.0, 2000.0])
+        # Each pair's x error is its own, so its square tells the pairs apart.
+        pairs = [_pair_at_distance(d, e) for d, e in ((800.0, 1.0), (1500.0, 2.0), (2500.0, 3.0))]
+        buckets = _bands(pairs, [1000.0, 2000.0])
         assert [len(b) for b in buckets] == [1, 1, 1]
-        assert buckets[0][0].gt_x == 800.0
-        assert buckets[2][0].gt_x == 2500.0
+        assert buckets[0] == [1.0]
+        assert buckets[2] == [9.0]
 
     def test_boundary_pair_lands_in_upper_band(self):
-        buckets = bucket_by_distance([_pair_at_distance(1000.0)], [1000.0])
+        buckets = _bands([_pair_at_distance(1000.0)], [1000.0])
         assert [len(b) for b in buckets] == [0, 1]
 
     def test_bands_recombine_to_the_input(self, rng):
         pairs = _rng_pairs(rng, 40)
-        buckets = bucket_by_distance(pairs, [500.0, 1200.0, 2000.0])
+        buckets = _bands(pairs, [500.0, 1200.0, 2000.0])
         assert sum(len(b) for b in buckets) == len(pairs)
-        recombined = [p for b in buckets for p in b]
-        assert sorted(id(p) for p in recombined) == sorted(id(p) for p in pairs)
+        recombined = [s for b in buckets for s in b]
+        squares = [(p.est_x - p.gt_x) ** 2 + (p.est_y - p.gt_y) ** 2 for p in pairs]
+        assert sorted(recombined) == sorted(squares)
 
     def test_no_boundaries_gives_one_band(self, rng):
         pairs = _rng_pairs(rng, 5)
-        buckets = bucket_by_distance(pairs, [])
+        buckets = _bands(pairs, [])
         assert len(buckets) == 1
         assert len(buckets[0]) == 5
 
@@ -333,9 +354,61 @@ class TestCompareSources:
 
 
 # ---------------------------------------------------------------------------
-# EvalPair
+# The report as a map over chunks of rows and a reduce
 # ---------------------------------------------------------------------------
 
 
 def test_pair_distance_is_the_ground_truth_norm():
-    assert EvalPair(3.0, 4.0, 0.0, 0.0, 0.0, 0.0).gt_distance == 5.0
+    # hypot(3, 4) is exactly 5: on the boundary 5 the pair is in the upper
+    # band, below the next float above 5 in the lower one.
+    pair = EvalPair(3.0, 4.0, 0.0, 0.0, 0.0, 0.0)
+    assert _bands([pair], [5.0]) == [[], [25.0]]
+    assert _bands([pair], [math.nextafter(5.0, math.inf)]) == [[25.0], []]
+
+
+def _mixed_table(rng, count):
+    """count ground truths, each with an ours and a reference row, the rows
+    shuffled: some truths sit exactly on the bands of BOUNDARIES and some
+    heading errors wrap past +-180 degrees."""
+    on_boundary = [(1000.0, 0.0), (600.0, 800.0), (0.0, -2000.0), (-1800.0, 2400.0)]
+    rows = []
+    for i in range(count):
+        if i < len(on_boundary):
+            gx, gy = on_boundary[i]
+        else:
+            gx, gy = rng.uniform(-3500.0, 3500.0, 2).tolist()
+        gth = float(rng.choice([179.5, -179.5])) if i % 3 == 0 else rng.uniform(-180.0, 180.0)
+        for source, sigma in (("ours", 15.0), ("reference", 25.0)):
+            ex, ey = rng.normal(0.0, sigma, 2).tolist()
+            et = float(rng.normal(0.0, 2.0))
+            # A truth at +-179.5 with an estimate 1.5 degrees beyond +-180,
+            # given on the other side, wraps.
+            wrap = math.copysign(1.5, gth) - math.copysign(360.0, gth)
+            est_theta = gth + (wrap if i % 3 == 0 else et)
+            rows.append(EvalPair(gx, gy, gth, gx + ex, gy + ey, est_theta, source))
+    return [rows[i] for i in rng.permutation(len(rows))]
+
+
+BOUNDARIES = [1000.0, 2000.0, 3000.0]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_a_report_mapped_in_chunks_is_the_report_of_the_whole(seed):
+    rng = np.random.default_rng(seed)
+    rows = _mixed_table(rng, int(rng.integers(4, 120)))
+    ours = [r for r in rows if r.source == "ours"]
+    reference = [r for r in rows if r.source == "reference"]
+    whole = build_report(ours, BOUNDARIES)
+    whole["comparison"] = compare_sources(ours, reference)
+    assert any(abs(p.est_theta - p.gt_theta) > 180.0 for p in rows)
+    for _ in range(6):
+        chunks = int(rng.integers(1, 5))
+        cuts = sorted(rng.integers(0, len(rows) + 1, chunks - 1).tolist())
+        bounds = [0, *cuts, len(rows)]
+        parts = [error_terms(rows[a:b], BOUNDARIES) for a, b in zip(bounds, bounds[1:])]
+        terms = join_terms(parts)
+        report = banded_report(terms["ours"], BOUNDARIES)
+        report["comparison"] = compare_terms(terms["ours"], terms["reference"])
+        assert report == whole, bounds
+        # == takes -0.0 for 0.0; repr tells every bit.
+        assert repr(report) == repr(whole), bounds

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from groundcam import evaluation, extrinsics, files, intrinsics
-from groundcam.evaluation import EvalPair, build_report, error_stats, rmse
+from groundcam.evaluation import EvalPair, build_report, compare_sources
 from groundcam.extrinsics import FieldGeometry, PnpCorrespondence, field_landmarks
 from groundcam.geometry import CameraIntrinsics, Distortion, PixelPoint, WorldPoint
 from groundcam.pipeline import LocalizedObject, UnlocalizableDetection
@@ -477,8 +477,9 @@ class TestFixtures:
         ours = [p for p in pairs if p.source == "ours"]
         reference = [p for p in pairs if p.source == "reference"]
         assert len(ours) == 4 and len(reference) == 4
-        assert rmse(ours) == pytest.approx(14.37, abs=0.05)
-        stats = error_stats(reference)
+        doc = compare_sources(ours, reference)
+        assert doc["ours"]["rmse_mm"] == pytest.approx(14.37, abs=0.05)
+        stats = doc["reference"]
         assert stats["x_mm"]["mean"] == pytest.approx(15.31, abs=1e-9)
         assert stats["x_mm"]["std"] == pytest.approx(11.04, abs=1e-9)
         assert stats["y_mm"]["mean"] == pytest.approx(-11.03, abs=1e-9)
