@@ -342,7 +342,7 @@ def refine_calibration(
     return CalibrationSolution(
         intrinsics=intrinsics_from_vector(full),
         poses=tuple(
-            CameraPose(rotation_from_axis_angle(r), t) for r, t in zip(rvecs, tvecs)
+            CameraPose(r, t) for r, t in zip(rotation_from_axis_angle(rvecs), tvecs)
         ),
         rmse_px=math.sqrt(result.cost / sum(len(p) for p in pixels)),
     )

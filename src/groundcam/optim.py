@@ -78,8 +78,11 @@ def levenberg_marquardt(
 ) -> LmResult:
     """Minimize 0.5 * ||r(x)||^2 from x0; final cost never exceeds the initial.
 
-    Stops after max_iterations outer iterations at most; raises ValueError
-    when it is below 1, or when r(x0) has fewer values (m) than x0 (n).
+    Stops on groundcam.lm's tolerances, among them a kept step that lowers
+    the cost by less than COST_TOL + COST_RTOL * cost, within the cost's own
+    rounding, and after max_iterations outer iterations at most; raises
+    ValueError when it is below 1, or when r(x0) has fewer values (m) than
+    x0 (n).
     """
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")

@@ -51,17 +51,27 @@ def nearest_rotation(m: np.ndarray) -> np.ndarray:
     return r
 
 
-def rotation_from_axis_angle(rvec: np.ndarray) -> np.ndarray:
-    """Rodrigues map from a 3-vector whose norm is the angle in radians."""
-    rvec = np.asarray(rvec, dtype=float).reshape(3)
-    angle = np.linalg.norm(rvec)
-    if angle < 1e-12:
-        return np.eye(3)
-    k = rvec / angle
-    kx = np.array(
-        [[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]]
+def _skew(v: np.ndarray) -> np.ndarray:
+    """[v]x for vectors (..., 3): the matrices (..., 3, 3) with [v]x p = v x p."""
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    zero = np.zeros_like(x)
+    return np.stack([zero, -z, y, z, zero, -x, -y, x, zero], axis=-1).reshape(
+        v.shape[:-1] + (3, 3)
     )
-    return np.eye(3) + math.sin(angle) * kx + (1.0 - math.cos(angle)) * (kx @ kx)
+
+
+def rotation_from_axis_angle(rvec: np.ndarray) -> np.ndarray:
+    """Rodrigues map from vectors (..., 3), each one's norm its angle in
+    radians, to rotations (..., 3, 3); a row under 1e-12 rad maps to I.
+
+    Each row gets the same bits whether it comes alone or in a stack.
+    """
+    rvec = np.asarray(rvec, dtype=float)
+    angle = np.sqrt(np.vecdot(rvec, rvec))[..., None, None]
+    small = angle < 1e-12
+    kx = _skew(rvec / np.where(small, 1.0, angle)[..., 0])
+    r = np.eye(3) + np.sin(angle) * kx + (1.0 - np.cos(angle)) * (kx @ kx)
+    return np.where(small, np.eye(3), r)
 
 
 def axis_angle_from_rotation(r: np.ndarray) -> np.ndarray:
@@ -161,23 +171,18 @@ def project_points(
 
 
 def _right_jacobian(rvec: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """(r r^T + (R^T - I)[r]x) / |r|^2, so that d(R P)/d rvec = -R [P]x times it.
+    """(r r^T + (R^T - I)[r]x) / |r|^2 for vectors (..., 3) and their
+    rotations (..., 3, 3), so that d(R P)/d rvec = -R [P]x times it.
 
     Gallego & Yezzi (2015). Below SMALL_ANGLE_RAD the rounding error of
     R^T - I, divided by |r|, would exceed the O(|r|) error of the bracket's
-    limit, the identity, so the limit is used instead.
+    limit, the identity, so a row that short takes the limit instead.
     """
-    angle2 = float(rvec @ rvec)
-    if angle2 < SMALL_ANGLE_RAD**2:
-        return np.eye(3)
-    skew = np.array(
-        [
-            [0.0, -rvec[2], rvec[1]],
-            [rvec[2], 0.0, -rvec[0]],
-            [-rvec[1], rvec[0], 0.0],
-        ]
-    )
-    return (np.outer(rvec, rvec) + (r.T - np.eye(3)) @ skew) / angle2
+    angle2 = np.vecdot(rvec, rvec)[..., None, None]
+    small = angle2 < SMALL_ANGLE_RAD**2
+    outer = rvec[..., :, None] * rvec[..., None, :]
+    bracket = outer + (np.swapaxes(r, -1, -2) - np.eye(3)) @ _skew(rvec)
+    return np.where(small, np.eye(3), bracket / np.where(small, 1.0, angle2))
 
 
 def project_views(
@@ -197,7 +202,7 @@ def project_views(
     (n_views, n_pts, 2, 10) and to each view's (rvec, t) (n_views, n_pts, 2, 6);
     otherwise both are None.
     """
-    rotations = np.array([rotation_from_axis_angle(r) for r in rvecs])
+    rotations = rotation_from_axis_angle(rvecs)
     pc = world @ rotations.transpose(0, 2, 1) + tvecs[:, None, :]
     pixels, (x, y, xd, yd, z, clamped) = camera_to_pixels(pc, intrinsics)
     if not with_jacobian:
@@ -240,7 +245,7 @@ def project_views(
         d_pixel_dxy[..., 0] * x[..., None] + d_pixel_dxy[..., 1] * y[..., None]
     ) * depth_scale[..., None]
     # A row a times d(R P)/d rvec = -R [P]x J is (P x (a R)) J.
-    right = np.array([_right_jacobian(rv, r) for rv, r in zip(rvecs, rotations)])
+    right = _right_jacobian(rvecs, rotations)
     a_r = d_pc @ rotations[:, None]
     d_pose = np.empty(x.shape + (2, 6))
     d_pose[..., :3] = np.cross(world[:, :, None, :], a_r) @ right[:, None]

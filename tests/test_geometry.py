@@ -35,6 +35,8 @@ from groundcam.geometry import (
 from groundcam.euler import EulerAngles, euler_from_pose
 from groundcam.projection import (
     INTRINSIC_PARAMETERS,
+    SMALL_ANGLE_RAD,
+    _right_jacobian,
     axis_angle_from_rotation,
     intrinsic_vector,
     intrinsics_from_vector,
@@ -430,6 +432,27 @@ class TestEulerPose:
             pose.rotation[0, 0] = 2.0
 
 
+def _skew(v) -> np.ndarray:
+    return np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
+
+
+def _one_rotation(rvec: np.ndarray) -> np.ndarray:
+    """The Rodrigues map of one vector, one operation at a time."""
+    angle = np.linalg.norm(rvec)
+    if angle < 1e-12:
+        return np.eye(3)
+    kx = _skew(rvec / angle)
+    return np.eye(3) + math.sin(angle) * kx + (1.0 - math.cos(angle)) * (kx @ kx)
+
+
+def _one_right_jacobian(rvec: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The right Jacobian of one vector, one operation at a time."""
+    angle2 = float(rvec @ rvec)
+    if angle2 < SMALL_ANGLE_RAD**2:
+        return np.eye(3)
+    return (np.outer(rvec, rvec) + (r.T - np.eye(3)) @ _skew(rvec)) / angle2
+
+
 class TestRotationHelpers:
     def test_rodrigues_quarter_turn_about_z(self):
         r = rotation_from_axis_angle(np.array([0.0, 0.0, math.pi / 2.0]))
@@ -464,6 +487,28 @@ class TestRotationHelpers:
 
     def test_axis_angle_identity(self):
         assert np.array_equal(axis_angle_from_rotation(np.eye(3)), np.zeros(3))
+
+    def test_a_stack_rotates_each_row_with_the_same_bits(self, rng):
+        # Angles from 1e-15 to about 4 rad, then zeros, rows under the
+        # 1e-12 rad identity limit, and rows at half and at the right
+        # Jacobian's SMALL_ANGLE_RAD.
+        scale = 10.0 ** rng.uniform(-15, 0.4, (500, 1))
+        rvecs = rng.normal(0.0, 1.0, (500, 3)) * scale
+        rvecs[:4] = [[0, 0, 0], [-0.0, 0, -0.0], [3e-13, -2e-13, 0], [0, 0, 9e-13]]
+        rvecs[4] = [0.3 * SMALL_ANGLE_RAD, 0.4 * SMALL_ANGLE_RAD, 0.0]
+        rvecs[5] = [0.0, -0.6 * SMALL_ANGLE_RAD, 0.8 * SMALL_ANGLE_RAD]
+        rotations = rotation_from_axis_angle(rvecs)
+        rows = np.array([_one_rotation(v) for v in rvecs])
+        assert np.array_equal(rotations, rows)
+        assert np.array_equal([rotation_from_axis_angle(v) for v in rvecs], rows)
+        assert np.array_equal(rotations[:4], np.broadcast_to(np.eye(3), (4, 3, 3)))
+        right = _right_jacobian(rvecs, rotations)
+        one_by_one = [_one_right_jacobian(v, r) for v, r in zip(rvecs, rows)]
+        assert np.array_equal(right, one_by_one)
+        assert np.array_equal(right[:5], np.broadcast_to(np.eye(3), (5, 3, 3)))
+        assert not np.array_equal(right[5], np.eye(3))
+        stack_of_stacks = rotation_from_axis_angle(rvecs.reshape(50, 10, 3))
+        assert np.array_equal(stack_of_stacks, rows.reshape(50, 10, 3, 3))
 
     def test_nearest_rotation_projects_back(self, rng):
         for _ in range(50):

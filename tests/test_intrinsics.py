@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from groundcam import lm
 from groundcam.geometry import CameraIntrinsics, CameraPose, Distortion
 from groundcam.intrinsics import (
     PlanarView,
@@ -435,6 +436,48 @@ class TestCalibrationJacobian:
         assert ours.cost == pytest.approx(theirs.cost, rel=1e-8)
         # alpha_x, alpha_y, u0, v0 (skew fixed)
         assert ours.x[:4] == pytest.approx(theirs.x[:4], rel=1e-6)
+
+
+# The model calibrate_intrinsics fits: no skew, no k3.
+FITTED_LENS_K = CameraIntrinsics(
+    642.41,
+    642.54,
+    322.80,
+    239.76,
+    distortion=Distortion(k1=-0.12, k2=0.03, p1=2e-4, p2=-1e-4),
+)
+
+# Largest change the relative cost stop makes against running on to the
+# float floor (COST_RTOL = 0), about 2.5 times the worst seen over the 20
+# seeds: relative focal lengths, principal point px, lens coefficients,
+# translations mm, rotation rad, relative RMSE. COST_RTOL = 1e-10 exceeds
+# every one of them.
+EARLY_STOP_BOUNDS = {
+    6: (3e-7, 6e-4, 7e-5, 7e-4, 1e-6, 2e-12),
+    20: (7e-8, 2e-4, 2e-5, 2.5e-4, 4e-7, 2e-13),
+}
+
+
+@pytest.mark.parametrize("n_views", sorted(EARLY_STOP_BOUNDS))
+def test_the_early_stop_stays_near_the_float_floor(monkeypatch, n_views):
+    focal, center, lens, translation, rotation, rmse = EARLY_STOP_BOUNDS[n_views]
+    for seed in range(20):
+        views, _ = _synthetic_views(
+            FITTED_LENS_K, n_views, np.random.default_rng(seed), noise_px=0.5
+        )
+        early = calibrate_intrinsics(views)
+        with monkeypatch.context() as m:
+            m.setattr(lm, "COST_RTOL", 0.0)
+            floor = calibrate_intrinsics(views)
+        a = np.array(intrinsic_vector(early.intrinsics))
+        b = np.array(intrinsic_vector(floor.intrinsics))
+        assert np.max(np.abs(a[:2] / b[:2] - 1.0)) < focal
+        assert np.max(np.abs(a[3:5] - b[3:5])) < center
+        assert np.max(np.abs(a[5:] - b[5:])) < lens
+        for p, q in zip(early.poses, floor.poses):
+            assert np.max(np.abs(p.translation - q.translation)) < translation
+            assert _rotation_gap_rad(p, q) < rotation
+        assert abs(early.rmse_px / floor.rmse_px - 1.0) < rmse
 
 
 class TestReprojectionRmse:

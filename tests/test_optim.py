@@ -14,6 +14,8 @@ import re
 import numpy as np
 import pytest
 
+from conftest import REPO_ROOT
+from groundcam import lm
 from groundcam.optim import (
     LeastSquaresProblem,
     TerminationReason,
@@ -169,6 +171,31 @@ class TestLevenbergMarquardt:
         assert result.reason is TerminationReason.COST
         assert result.iterations == 1
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_no_reject_streak_at_the_float_floor(self, seed):
+        # A large cost at the minimum: 0.5 |r|^2 is about 9e5, whose last
+        # bit alone, 1.2e-10, is a hundred times the absolute COST_TOL.
+        # Near the floor every trial step's cost differs from the kept one
+        # by rounding only; the relative term ends the run on the first
+        # such decrease instead of damping on through rejected trials.
+        rng = np.random.default_rng(seed)
+        a = rng.normal(0.0, 1.0, (2000, 8))
+        b = rng.normal(0.0, 30.0, 2000)
+        calls = []
+
+        def residual(x: np.ndarray) -> np.ndarray:
+            calls.append(x)
+            ax = a @ x
+            return ax + 0.01 * np.sin(ax) - b
+
+        problem = LeastSquaresProblem(
+            residual=residual,
+            jacobian=lambda x: (1.0 + 0.01 * np.cos(a @ x))[:, None] * a,
+        )
+        result = levenberg_marquardt(problem, np.zeros(8))
+        assert result.reason is TerminationReason.COST
+        assert len(calls) <= result.iterations + 2
+
     def test_short_proposed_step_stops_before_moving(self):
         # The first proposed step is about 1e-13, below the 1e-12 step
         # tolerance, while the gradient (about 0.1) is far above its own.
@@ -260,3 +287,16 @@ def test_termination_reason_values():
     assert TerminationReason.STEP.value == "step"
     assert TerminationReason.COST.value == "cost"
     assert TerminationReason.MAX_ITERATIONS.value == "max_iterations"
+
+
+def test_readme_states_the_stopping_rule():
+    readme = " ".join((REPO_ROOT / "README.md").read_text().split())
+    match = re.search(
+        r"largest \|J\^T r\| entry is at most (\S+), a proposed step is shorter"
+        r" than (\S+), or a kept step lowers the cost by less than (\S+) \+ (\S+)"
+        r" × cost\.",
+        readme,
+    )
+    assert match is not None
+    stated = [float(v) for v in match.groups()]
+    assert stated == [lm.GRADIENT_TOL, lm.STEP_TOL, lm.COST_TOL, lm.COST_RTOL]
