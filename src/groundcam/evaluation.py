@@ -25,22 +25,8 @@ import math
 from bisect import bisect_right
 from itertools import chain
 from pathlib import Path
-from typing import NamedTuple
 
 from . import files
-
-
-class EvalPair(NamedTuple):
-    """One ground-truth position/heading with the estimate of one source."""
-
-    gt_x: float
-    gt_y: float
-    gt_theta: float
-    est_x: float
-    est_y: float
-    est_theta: float
-    source: str = "ours"
-
 
 # The sources a pairs table may name: the scored one, then the compared one.
 SOURCES = ("ours", "reference")
@@ -65,8 +51,8 @@ def _square(x: float, y: float) -> float:
 
 
 def _columns(rows: list[tuple], boundaries: list[float]) -> tuple:
-    """The error terms of rows, EvalPairs or parse_pairs rows read by
-    position, as error_terms gives them for one source."""
+    """The error terms of rows, parse_pairs rows read by position, as
+    error_terms gives them for one source."""
     gt_x = [r[0] for r in rows]
     gt_y = [r[1] for r in rows]
     x = [r[3] - r[0] for r in rows]
@@ -83,7 +69,7 @@ def error_terms(rows: list[tuple], boundaries: list[float]) -> dict[str, tuple]:
     """The map of a report: for each source the rows hold, the per-row terms
     its sums take, as plain lists marshal carries from a forked part.
 
-    rows are parse_pairs rows or EvalPairs, read by position. A source's
+    rows are parse_pairs rows, read by position. A source's
     terms are its rows' squared xy errors grouped by distance band, then
     its x, y and theta errors (est minus truth, theta wrapped to
     (-180, 180]) and its ground-truth x, y and theta, each a column in row
@@ -181,17 +167,6 @@ def compare_terms(ours: tuple, reference: tuple) -> dict:
     return {"ours": _summary(ours), "reference": _summary(reference)}
 
 
-def build_report(pairs: list[EvalPair], boundaries: list[float]) -> dict:
-    """The report document of a non-empty list of pairs of any sources:
-    banded_report over their error terms."""
-    return banded_report(_columns(pairs, boundaries), boundaries)
-
-
-def compare_sources(ours: list[EvalPair], reference: list[EvalPair]) -> dict:
-    """compare_terms over the error terms of two non-empty lists of pairs."""
-    return compare_terms(_columns(ours, []), _columns(reference, []))
-
-
 def first_nonfinite(doc, name: str = "") -> str | None:
     """The key path, such as "rmse_mm" or "buckets[1].rmse_mm", of the first
     number in doc, a report document, that is inf or nan, which JSON cannot
@@ -268,7 +243,8 @@ def _csv_rows(path: Path, lines: list[str], first: int, width: int, parse) -> li
 PAIRS_HEADER = ["gt_x", "gt_y", "gt_theta", "est_x", "est_y", "est_theta", "source"]
 
 
-def save_pairs_csv(path: Path, pairs: list[EvalPair]) -> None:
+def save_pairs_csv(path: Path, pairs: list[tuple]) -> None:
+    """The pairs table of rows in PAIRS_HEADER order."""
     _write_csv(path, PAIRS_HEADER, pairs)
 
 
@@ -284,17 +260,12 @@ def _pair(fields: list[str]) -> tuple:
 
 def parse_pairs(path: Path, lines: list[str], first: int) -> list[tuple]:
     """The rows of lines, data lines of the pairs table at path whose first
-    is line number first, read by column position, each as a plain tuple of
-    EvalPair's fields, which marshal carries from a forked part; a malformed
-    row, one with an entry that is not finite, or one whose source is
-    neither ours nor reference raises ValueError naming the file and the
+    is line number first, read by column position, each as a plain tuple in
+    PAIRS_HEADER order, which marshal carries from a forked part; a
+    malformed row, one with an entry that is not finite, or one whose source
+    is neither ours nor reference raises ValueError naming the file and the
     line."""
     return _csv_rows(path, lines, first, len(PAIRS_HEADER), _pair)
-
-
-def load_pairs_csv(path: Path) -> list[EvalPair]:
-    """The pairs table at path, as parse_pairs reads its data lines."""
-    return list(map(EvalPair._make, parse_pairs(path, *read_table(path, PAIRS_HEADER))))
 
 
 TRUTH_HEADER = ["frame", "gt_x", "gt_y", "gt_theta"]
@@ -317,7 +288,7 @@ def load_truth_csv(path: Path) -> dict[str, tuple[float, float, float]]:
 
 
 def save_report(path: Path, report: dict) -> None:
-    """The headline numbers of a build_report document as a metric,value table."""
+    """The headline numbers of a banded_report document as a metric,value table."""
     rows = [["rmse_mm", report["rmse_mm"]], ["count", report["count"]]]
     for block in ERROR_BLOCKS:
         axis, unit = block.split("_")
@@ -332,8 +303,8 @@ def save_report(path: Path, report: dict) -> None:
 
 
 def scatter_rows(rows: list[tuple]) -> tuple[str, str]:
-    """The scatter.csv rows of rows, EvalPairs or parse_pairs rows, read by
-    position: the ground-truth rows, then the estimate rows, as two texts.
+    """The scatter.csv rows of rows, parse_pairs rows read by position: the
+    ground-truth rows, then the estimate rows, as two texts.
 
     The rows are the bytes csv.writer writes for them: numbers by repr, CRLF
     line ends, and series names that need no quoting.
@@ -355,7 +326,7 @@ def save_scatter_csv(path: Path, parts: list[tuple[str, str]]) -> None:
 
 
 def render_report_text(report: dict) -> str:
-    """Fixed-decimal human summary of a build_report document, used by the
+    """Fixed-decimal human summary of a banded_report document, used by the
     evaluation command's stderr."""
     out = io.StringIO()
     out.write(f"pairs: {report['count']}\n")

@@ -22,6 +22,7 @@ from typing import NamedTuple
 
 from . import files
 from .geometry import (
+    MIN_DEPTH_MM,
     CameraIntrinsics,
     CameraPose,
     NonConvergence,
@@ -43,8 +44,6 @@ RESIDUAL_FLAG_FLOOR_PX = 1e-6
 # least 0.77 for perspective images with 20 px noise (200 draws) or taken
 # from 100 times as far away.
 AFFINE_ROW_RATIO = 1e-2
-# Depth magnitude floor of the projection, as projection.MIN_PROJECTION_DEPTH_MM.
-MIN_DEPTH_MM = 1e-9
 # A cap the Jacobi SVD's sweeps stay far below: they converge quadratically,
 # in 7 sweeps on the benchmark's 16 x 9 homography systems.
 JACOBI_MAX_SWEEPS = 60
@@ -60,19 +59,6 @@ class FieldGeometry(NamedTuple):
     goal_height: float
     penalty_depth: float
     penalty_width: float
-
-    @classmethod
-    def division_b(cls) -> FieldGeometry:
-        """Standard small-league division B dimensions."""
-        return cls(
-            field_length=9000.0,
-            field_width=6000.0,
-            goal_width=1000.0,
-            goal_depth=180.0,
-            goal_height=155.0,
-            penalty_depth=1000.0,
-            penalty_width=2000.0,
-        )
 
 
 class PnpCorrespondence(NamedTuple):
@@ -154,12 +140,13 @@ def field_geometry_from_dict(obj: dict) -> FieldGeometry:
 
 
 def landmarks_to_dict(
-    geometry: FieldGeometry,
+    geometry: FieldGeometry | None,
     named: dict[str, PixelPoint],
     extra: list[PnpCorrespondence] | None = None,
 ) -> dict:
+    """The landmarks document; field_geometry only when geometry is given."""
     return {
-        "field_geometry": field_geometry_to_dict(geometry),
+        **({} if geometry is None else {"field_geometry": field_geometry_to_dict(geometry)}),
         "points": [
             {"name": name, "pixel": [px.u, px.v]} for name, px in named.items()
         ],
@@ -175,10 +162,15 @@ def landmarks_to_dict(
 
 def landmarks_from_dict(obj: dict) -> list[PnpCorrespondence]:
     """Each named pixel with its field_landmarks world point, then the extra
-    points; an unknown or repeated name or a non-finite world point raises ValueError."""
-    catalog = field_landmarks(field_geometry_from_dict(obj["field_geometry"]))
+    points. field_geometry is read whenever it is present and required only
+    when points names a landmark; an unknown or repeated name or a
+    non-finite world point raises ValueError."""
+    points = obj.get("points", [])
+    catalog = {}
+    if points or "field_geometry" in obj:
+        catalog = field_landmarks(field_geometry_from_dict(obj["field_geometry"]))
     named = {}
-    for p in obj.get("points", []):
+    for p in points:
         name = json_string(p["name"], "name")
         if name not in catalog:
             raise ValueError(f"unknown landmark name: {name!r}")

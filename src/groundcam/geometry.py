@@ -21,6 +21,8 @@ from typing import TYPE_CHECKING, NamedTuple
 if TYPE_CHECKING:
     import numpy as np
 
+# Depth magnitude floor of both camera models, numpy and float, in mm.
+MIN_DEPTH_MM = 1e-9
 RAY_NORMAL_EPS = 1e-12
 ROTATION_TOL = 1e-9
 UNDISTORT_MAX_ITERATIONS = 20

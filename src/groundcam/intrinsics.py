@@ -5,8 +5,8 @@ calibration matrix from absolute-conic constraints, per-view extrinsics from
 each homography, then a joint Levenberg-Marquardt refinement of intrinsics,
 lens coefficients, and all view poses against total reprojection error, with
 every view projected at once and a closed-form Jacobian. The refinement holds
-any chosen intrinsics at given values; landmark PnP runs it with all of them
-held. The views document's codec lives here too, beside PlanarView.
+any chosen intrinsics at given values. The views document's codec lives here
+too, beside PlanarView.
 """
 
 from __future__ import annotations
@@ -94,63 +94,45 @@ class CalibrationSolution(NamedTuple):
 
 
 def _normalization(points: np.ndarray) -> np.ndarray:
-    """Similarity on points (n, d), as a (d + 1) x (d + 1) matrix, moving
-    their centroid to the origin and their mean distance to sqrt(d)."""
-    d = points.shape[1]
+    """Similarity on points (n, 2), as a 3 x 3 matrix, moving their centroid
+    to the origin and their mean distance to sqrt(2) (Hartley)."""
     centroid = points.mean(axis=0)
     mean = np.linalg.norm(points - centroid, axis=1).mean()
-    scale = math.sqrt(d) / mean if mean > 0 else 1.0
-    t = np.diag([*[scale] * d, 1.0])
-    t[:d, d] = -scale * centroid
+    scale = math.sqrt(2) / mean if mean > 0 else 1.0
+    t = np.diag([scale, scale, 1.0])
+    t[:2, 2] = -scale * centroid
     return t
-
-
-def dlt_rows(src_h: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """The 2n x 3m DLT system whose null vector is the row-major 3 x m matrix
-    P with dst ~ P src_h, for homogeneous sources src_h (n, m) and pixel
-    coordinates dst (n, >= 2)."""
-    n, m = src_h.shape
-    rows = np.zeros((2 * n, 3 * m))
-    rows[0::2, 0:m] = src_h
-    rows[0::2, 2 * m :] = -dst[:, 0:1] * src_h
-    rows[1::2, m : 2 * m] = src_h
-    rows[1::2, 2 * m :] = -dst[:, 1:2] * src_h
-    return rows
-
-
-def normalized_dlt(src: np.ndarray, dst: np.ndarray, deficient: str) -> np.ndarray:
-    """The 3 x (d + 1) matrix P with dst ~ P [src, 1] for points src (n, d)
-    and pixels dst (n, 2), by DLT on Hartley-normalized coordinates. When
-    the system keeps more than a one-dimensional null space, raises
-    ValueError with deficient formatted with its two smallest singular
-    values and its largest, one value per unknown (zeros past its rows)."""
-    n, d = src.shape
-    t_src = _normalization(src)
-    t_dst = _normalization(dst)
-    sh = np.column_stack([src, np.ones(n)]) @ t_src.T
-    dh = np.column_stack([dst, np.ones(n)]) @ t_dst.T
-    rows = dlt_rows(sh, dh)
-    _, s, vt = np.linalg.svd(rows, full_matrices=rows.shape[0] < rows.shape[1])
-    s = s.tolist() + [0.0] * (rows.shape[1] - s.size)
-    if s[-2] < 1e-10 * s[0]:
-        raise ValueError(deficient.format(s[-2], s[-1], s[0]))
-    return np.linalg.inv(t_dst) @ vt[-1].reshape(3, d + 1) @ t_src
 
 
 def homography_from_points(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """DLT homography mapping src (n, 2) to dst (n, 2), float arrays of one
-    length, normalized, H33 = 1.
+    length, on Hartley-normalized coordinates, normalized to H33 = 1.
 
     Raises ValueError for a layout whose constraint system keeps more than a
     one-dimensional null space (fewer than 4 points, all collinear,
-    coincident, or otherwise rank deficient).
+    coincident, or otherwise rank deficient), naming the system's two
+    smallest singular values and its largest, one value per unknown (zeros
+    past its rows).
     """
-    h = normalized_dlt(
-        src,
-        dst,
-        "points do not determine a unique homography "
-        "(singular values {:.3g} and {:.3g} of {:.3g})",
-    )
+    n = len(src)
+    t_src = _normalization(src)
+    t_dst = _normalization(dst)
+    sh = np.column_stack([src, np.ones(n)]) @ t_src.T
+    dh = np.column_stack([dst, np.ones(n)]) @ t_dst.T
+    # The 2n x 9 system whose null vector is H, row-major.
+    rows = np.zeros((2 * n, 9))
+    rows[0::2, 0:3] = sh
+    rows[0::2, 6:] = -dh[:, 0:1] * sh
+    rows[1::2, 3:6] = sh
+    rows[1::2, 6:] = -dh[:, 1:2] * sh
+    _, s, vt = np.linalg.svd(rows, full_matrices=2 * n < 9)
+    s = s.tolist() + [0.0] * (9 - s.size)
+    if s[-2] < 1e-10 * s[0]:
+        raise ValueError(
+            "points do not determine a unique homography "
+            f"(singular values {s[-2]:.3g} and {s[-1]:.3g} of {s[0]:.3g})"
+        )
+    h = np.linalg.inv(t_dst) @ vt[-1].reshape(3, 3) @ t_src
     if abs(h[2, 2]) < 1e-12:
         raise ValueError("homography maps the origin to infinity")
     return h / h[2, 2]
@@ -224,15 +206,12 @@ def zhang_closed_form(
     return CameraIntrinsics(alpha_x, alpha_y, u0, v0, gamma)
 
 
-def extrinsics_from_homography(
-    k: CameraIntrinsics, h: np.ndarray, plane_z: float = 0.0
-) -> CameraPose:
-    """Pose of the plane z = plane_z from its homography, a 3 x 3 array.
+def extrinsics_from_homography(k: CameraIntrinsics, h: np.ndarray) -> CameraPose:
+    """Pose of the plane z = 0 from its homography, a 3 x 3 array.
 
     r1, r2 come from the scaled Kinv columns, r3 = r1 x r2, projected to the
     nearest rotation; the sign is chosen so the plane sits in front of the
-    camera. The homography absorbs the plane offset, H ~ K [r1 r2 (t + z0 r3)],
-    so the translation is corrected by -plane_z * r3.
+    camera.
     """
     kinv = np.linalg.inv(k.matrix)
     a1 = kinv @ h[:, 0]
@@ -243,7 +222,7 @@ def extrinsics_from_homography(
     if t[2] < 0:
         r1, r2, t = -r1, -r2, -t
     r = nearest_rotation(np.column_stack([r1, r2, np.cross(r1, r2)]))
-    return CameraPose(r, t - plane_z * r[:, 2])
+    return CameraPose(r, t)
 
 
 def _split(

@@ -17,6 +17,7 @@ import numpy as np
 
 from .euler import EulerAngles
 from .geometry import (
+    MIN_DEPTH_MM,
     CameraIntrinsics,
     CameraPose,
     Distortion,
@@ -26,7 +27,6 @@ from .geometry import (
     distort_normalized,
 )
 
-MIN_PROJECTION_DEPTH_MM = 1e-9
 # Rotation angle (radians) below which the pose Jacobian takes its
 # small-angle limit.
 SMALL_ANGLE_RAD = 1e-8
@@ -111,8 +111,8 @@ def camera_to_pixels(
     """
     ax, ay, g, u0, v0 = intrinsics[:5]
     z = pc[..., 2]
-    clamped = np.abs(z) < MIN_PROJECTION_DEPTH_MM
-    z = np.where(clamped, np.where(z < 0, -1.0, 1.0) * MIN_PROJECTION_DEPTH_MM, z)
+    clamped = np.abs(z) < MIN_DEPTH_MM
+    z = np.where(clamped, np.where(z < 0, -1.0, 1.0) * MIN_DEPTH_MM, z)
     x = pc[..., 0] / z
     y = pc[..., 1] / z
     xd, yd = distort_normalized(x, y, Distortion(*intrinsics[5:]))
@@ -149,24 +149,16 @@ def project(p: WorldPoint, k: CameraIntrinsics, pose: CameraPose) -> PixelPoint:
     return PixelPoint(*project_points([p], k, pose)[0])
 
 
-def project_points(
-    points: np.ndarray,
-    k: CameraIntrinsics,
-    pose: CameraPose,
-    clamp_depth: bool = False,
-) -> np.ndarray:
+def project_points(points: np.ndarray, k: CameraIntrinsics, pose: CameraPose) -> np.ndarray:
     """Vectorized projection of an (n, 3) array of world points to (n, 2) pixels.
 
-    With clamp_depth the depth magnitude is floored at 1e-9 mm, sign preserved,
-    so optimizer trial poses produce large finite residuals instead of raising.
-    Without it a point at or behind the camera raises PointBehindCamera.
+    A point at or behind the camera, depth <= 1e-9 mm, raises PointBehindCamera.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     pc = pts @ pose.rotation.T + pose.translation
-    if not clamp_depth:
-        bad = np.nonzero(pc[:, 2] <= MIN_PROJECTION_DEPTH_MM)[0]
-        if bad.size:
-            raise PointBehindCamera(f"points at indices {bad.tolist()} are behind the camera")
+    bad = np.nonzero(pc[:, 2] <= MIN_DEPTH_MM)[0]
+    if bad.size:
+        raise PointBehindCamera(f"points at indices {bad.tolist()} are behind the camera")
     return camera_to_pixels(pc, intrinsic_vector(k))[0]
 
 
@@ -195,12 +187,11 @@ def project_views(
     """Project world points (n_views, n_pts, 3) through one pose per view.
 
     intrinsics is the 10-vector of intrinsic_vector; rvecs and tvecs are
-    (n_views, 3) axis-angle rotations and translations. Depth is clamped as
-    project_points(clamp_depth=True) clamps it, and the Jacobian is that of
-    the clamped map. Returns the pixels (n_views, n_pts, 2) and, with
-    with_jacobian, their derivatives with respect to the intrinsics
-    (n_views, n_pts, 2, 10) and to each view's (rvec, t) (n_views, n_pts, 2, 6);
-    otherwise both are None.
+    (n_views, 3) axis-angle rotations and translations. Depth is floored as
+    camera_to_pixels floors it, and the Jacobian is that of the floored map.
+    Returns the pixels (n_views, n_pts, 2) and, with with_jacobian, their
+    derivatives with respect to the intrinsics (n_views, n_pts, 2, 10) and
+    to each view's (rvec, t) (n_views, n_pts, 2, 6); otherwise both are None.
     """
     rotations = rotation_from_axis_angle(rvecs)
     pc = world @ rotations.transpose(0, 2, 1) + tvecs[:, None, :]

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import files
 from .evaluation import save_truth_csv
-from .extrinsics import FieldGeometry, PnpCorrespondence, landmarks_to_dict
+from .extrinsics import PnpCorrespondence, landmarks_to_dict
 from .geometry import (
     CameraIntrinsics,
     CameraPose,
@@ -73,18 +73,6 @@ MAX_BOARD_POINTS = 100_000
 # height: every column on every row, 16 in all.
 MARK_COLUMNS = (0.05, 0.35, 0.65, 0.95)
 MARK_ROWS = (0.25, 0.5, 0.75, 0.95)
-
-# The small desk-scale field landmarks.json names, since its reader requires
-# one; synth marks no named landmark, so no mark depends on it.
-DEFAULT_GEOMETRY = FieldGeometry(
-    field_length=2000.0,
-    field_width=1500.0,
-    goal_width=800.0,
-    goal_depth=180.0,
-    goal_height=155.0,
-    penalty_depth=500.0,
-    penalty_width=1000.0,
-)
 
 
 class SceneConfig(NamedTuple):
@@ -505,7 +493,7 @@ def generate_scene(
         "config": config_to_dict(config, seed),
         "calibration": files.calibration_to_dict(config.intrinsics, config.pose),
         "views": views_to_dict(views, config.square_size_mm),
-        "landmarks": landmarks_to_dict(DEFAULT_GEOMETRY, {}, marks),
+        "landmarks": landmarks_to_dict(None, {}, marks),
         "model": files.model_to_dict(regressor),
     }
     out_dir.mkdir(parents=True, exist_ok=True)

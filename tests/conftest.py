@@ -19,6 +19,18 @@ from groundcam.scene import SceneConfig, generate_scene
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURES_DIR = REPO_ROOT / "fixtures"
 
+# The standard small-league division B field, as a landmarks.json
+# field_geometry gives it.
+DIVISION_B_MM = {
+    "field_length_mm": 9000.0,
+    "field_width_mm": 6000.0,
+    "goal_width_mm": 1000.0,
+    "goal_depth_mm": 180.0,
+    "goal_height_mm": 155.0,
+    "penalty_depth_mm": 1000.0,
+    "penalty_width_mm": 2000.0,
+}
+
 try:
     from hypothesis import settings
 except ImportError:

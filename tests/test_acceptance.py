@@ -16,7 +16,6 @@ import numpy as np
 
 from groundcam import evaluation
 from groundcam.cli import main
-from groundcam.evaluation import EvalPair
 from groundcam.extrinsics import PnpCorrespondence, solve_pnp
 from groundcam.fitting import fit
 from groundcam.euler import EulerAngles, euler_from_pose
@@ -168,14 +167,16 @@ def test_criterion_4_end_to_end_closure(capsys, tmp_path):
         obj["frame"]: obj for obj in map(json.loads, out.splitlines())
     }
     truth = evaluation.load_truth_csv(scene_dir / "truth.csv")
+    # Rows in PAIRS_HEADER order.
     pairs = [
-        EvalPair(
-            gt_x=gx,
-            gt_y=gy,
-            gt_theta=gt,
-            est_x=estimates[frame]["x_mm"],
-            est_y=estimates[frame]["y_mm"],
-            est_theta=estimates[frame]["theta_deg"],
+        (
+            gx,
+            gy,
+            gt,
+            estimates[frame]["x_mm"],
+            estimates[frame]["y_mm"],
+            estimates[frame]["theta_deg"],
+            "ours",
         )
         for frame, (gx, gy, gt) in truth.items()
     ]

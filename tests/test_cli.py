@@ -23,14 +23,14 @@ from groundcam import cli, evaluation, extrinsics, files, parallel
 from groundcam.cli import main
 from groundcam.euler import EulerAngles
 from groundcam.geometry import CameraPose, Distortion, PixelPoint, WorldPoint
-from groundcam.extrinsics import PnpCorrespondence, field_landmarks
+from groundcam.extrinsics import FieldGeometry, PnpCorrespondence, field_landmarks
 from groundcam.projection import pose_from_euler, project
 from groundcam.regression import BOTTOM_CENTER_WEIGHTS, BoundingBox
 from groundcam.reference import (
     REFERENCE_CAMERA_CENTER_MM,
     reference_intrinsics,
 )
-from groundcam.scene import DEFAULT_GEOMETRY, SceneConfig, config_to_dict, generate_scene
+from groundcam.scene import SceneConfig, config_to_dict, generate_scene
 
 from conftest import FIXTURES_DIR, REPO_ROOT
 
@@ -249,8 +249,17 @@ class TestCalibrateIntrinsics:
 # ---------------------------------------------------------------------------
 
 
-# Five field landmarks; synth marks none by name, so the tests that need
-# named marks mark these at their exact projections.
+# A desk-scale field, and five of its landmarks; synth marks none by name,
+# so the tests that need named marks mark these at their exact projections.
+DESK_FIELD = FieldGeometry(
+    field_length=2000.0,
+    field_width=1500.0,
+    goal_width=800.0,
+    goal_depth=180.0,
+    goal_height=155.0,
+    penalty_depth=500.0,
+    penalty_width=1000.0,
+)
 _NAMED = (
     "goal_bottom_left_corner",
     "goal_bottom_right_corner",
@@ -261,7 +270,7 @@ _NAMED = (
 
 
 def _named_marks(config: SceneConfig) -> dict[str, PixelPoint]:
-    catalog = field_landmarks(DEFAULT_GEOMETRY)
+    catalog = field_landmarks(DESK_FIELD)
     return {name: project(catalog[name], config.intrinsics, config.pose) for name in _NAMED}
 
 
@@ -299,7 +308,7 @@ class TestCalibrateExtrinsics:
             for p in config.grid_points
         ]
         path = tmp_path / "landmarks.json"
-        files.write_json(path, extrinsics.landmarks_to_dict(DEFAULT_GEOMETRY, named, extra))
+        files.write_json(path, extrinsics.landmarks_to_dict(DESK_FIELD, named, extra))
         code, out, err = _run(
             capsys, "calibrate-extrinsics", path, cli_scene.paths["calibration"]
         )
@@ -309,7 +318,7 @@ class TestCalibrateExtrinsics:
         assert "looks mismarked" in err
 
     def test_repeated_landmark_exits_2_naming_it(self, capsys, cli_scene, tmp_path):
-        doc = extrinsics.landmarks_to_dict(DEFAULT_GEOMETRY, _named_marks(cli_scene.config))
+        doc = extrinsics.landmarks_to_dict(DESK_FIELD, _named_marks(cli_scene.config))
         first = doc["points"][0]
         u, v = first["pixel"]
         doc["points"].append({"name": first["name"], "pixel": [u + 80.0, v]})
@@ -334,11 +343,11 @@ class TestCalibrateExtrinsics:
         scene = generate_scene(
             SceneConfig(intrinsics=intrinsics), seed=0, out_dir=tmp_path / "lens"
         )
-        doc = extrinsics.landmarks_to_dict(DEFAULT_GEOMETRY, _named_marks(scene.config))
+        doc = extrinsics.landmarks_to_dict(DESK_FIELD, _named_marks(scene.config))
         mark = "goal_bottom_right_corner"
         index = _NAMED.index(mark)
         if not named:
-            catalog = field_landmarks(DEFAULT_GEOMETRY)
+            catalog = field_landmarks(DESK_FIELD)
             doc["extra"] = [
                 {"pixel": p["pixel"], "world": list(catalog[p["name"]])}
                 for p in doc["points"]
@@ -363,7 +372,7 @@ class TestCalibrateExtrinsics:
         doc["intrinsics"]["distortion"]["k1"] = -1.0
         calibration = tmp_path / "k.json"
         calibration.write_text(json.dumps(doc))
-        doc = extrinsics.landmarks_to_dict(DEFAULT_GEOMETRY, _named_marks(scene.config))
+        doc = extrinsics.landmarks_to_dict(DESK_FIELD, _named_marks(scene.config))
         for point in doc["points"]:
             if point["name"] == "goal_bottom_left_corner":
                 point["pixel"] = [100, 100]
@@ -387,7 +396,10 @@ class TestCalibrateExtrinsics:
     def test_bad_field_geometry_names_the_file(
         self, capsys, cli_scene, tmp_path, key, value, message
     ):
+        # Synth's file holds extra marks alone; a field geometry given with
+        # them is checked all the same.
         doc = json.loads(cli_scene.paths["landmarks"].read_text())
+        doc["field_geometry"] = extrinsics.field_geometry_to_dict(DESK_FIELD)
         doc["field_geometry"][key] = value
         path = tmp_path / "landmarks.json"
         path.write_text(json.dumps(doc))
@@ -397,6 +409,33 @@ class TestCalibrateExtrinsics:
         assert code == 2
         assert out == ""
         assert err == f"error: {path}: {message}\n"
+
+    def test_extra_marks_without_a_field_geometry_solve(self, capsys, cli_scene, tmp_path):
+        doc = json.loads(cli_scene.paths["landmarks"].read_text())
+        assert "field_geometry" not in doc and doc["points"] == []
+        del doc["points"]
+        path = tmp_path / "landmarks.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = _run(
+            capsys, "calibrate-extrinsics", path, cli_scene.paths["calibration"]
+        )
+        assert code == 0, err
+        expected = _run(
+            capsys, "calibrate-extrinsics", cli_scene.paths["landmarks"],
+            cli_scene.paths["calibration"],
+        )[1]
+        assert out == expected
+
+    def test_named_points_without_a_field_geometry_exit_2(self, capsys, cli_scene, tmp_path):
+        doc = extrinsics.landmarks_to_dict(None, _named_marks(cli_scene.config))
+        path = tmp_path / "landmarks.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = _run(
+            capsys, "calibrate-extrinsics", path, cli_scene.paths["calibration"]
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {path}: missing key 'field_geometry'\n"
 
     @pytest.mark.parametrize(
         "world, where", [((0.0, math.inf, 0.0), "inf"), ((0.0, 500.0, math.nan), "nan")]
@@ -434,7 +473,7 @@ class TestCalibrateExtrinsics:
     def test_marks_no_camera_produces_name_both_files(
         self, capsys, cli_scene, tmp_path, mark, message
     ):
-        catalog = field_landmarks(DEFAULT_GEOMETRY)
+        catalog = field_landmarks(DESK_FIELD)
         names = [
             f"{part}_{side}_corner"
             for part in ("goal_bottom", "goal_top", "penalty_front")
@@ -442,7 +481,7 @@ class TestCalibrateExtrinsics:
         ]
         named = {name: PixelPoint(*mark(catalog[name])) for name in names}
         path = tmp_path / "landmarks.json"
-        files.write_json(path, extrinsics.landmarks_to_dict(DEFAULT_GEOMETRY, named))
+        files.write_json(path, extrinsics.landmarks_to_dict(DESK_FIELD, named))
         calibration = cli_scene.paths["calibration"]
         code, out, err = _run(capsys, "calibrate-extrinsics", path, calibration)
         assert code == 2
@@ -474,14 +513,14 @@ class TestCalibrateExtrinsics:
                         mirrored = PixelPoint(width - pixel.u, pixel.v)
                         extra.append(PnpCorrespondence(mirrored, world))
         else:
-            catalog = field_landmarks(DEFAULT_GEOMETRY)
+            catalog = field_landmarks(DESK_FIELD)
             for part in ("goal_bottom", "goal_top", "penalty_front"):
                 for side in ("left", "right"):
                     name = f"{part}_{side}_corner"
                     pixel = project(catalog[name], config.intrinsics, config.pose)
                     named[name] = PixelPoint(width - pixel.u, pixel.v)
         path = tmp_path / "landmarks.json"
-        files.write_json(path, extrinsics.landmarks_to_dict(DEFAULT_GEOMETRY, named, extra))
+        files.write_json(path, extrinsics.landmarks_to_dict(DESK_FIELD, named, extra))
         calibration = cli_scene.paths["calibration"]
         code, out, err = _run(capsys, "calibrate-extrinsics", path, calibration)
         assert code == 2
@@ -500,7 +539,7 @@ class TestCalibrateExtrinsics:
             for p in (WorldPoint(x, y, 0.0) for x, y in world)
         ]
         path = tmp_path / "landmarks.json"
-        files.write_json(path, extrinsics.landmarks_to_dict(DEFAULT_GEOMETRY, {}, extra))
+        files.write_json(path, extrinsics.landmarks_to_dict(DESK_FIELD, {}, extra))
         calibration = cli_scene.paths["calibration"]
         code, out, err = _run(capsys, "calibrate-extrinsics", path, calibration)
         assert code == 2
@@ -515,7 +554,7 @@ class TestCalibrateExtrinsics:
     def test_too_few_landmarks(self, capsys, cli_scene, tmp_path):
         named = dict(list(_named_marks(cli_scene.config).items())[:3])
         path = tmp_path / "landmarks.json"
-        files.write_json(path, extrinsics.landmarks_to_dict(DEFAULT_GEOMETRY, named))
+        files.write_json(path, extrinsics.landmarks_to_dict(DESK_FIELD, named))
         calibration = cli_scene.paths["calibration"]
         code, out, err = _run(capsys, "calibrate-extrinsics", path, calibration)
         assert code == 2
@@ -1734,9 +1773,7 @@ def _quick_start(capsys, tmp_path, seed: int, config: SceneConfig) -> tuple[list
     assert sorted(row["frame"] for row in rows) == sorted(truth)
     assert all(row["status"] == "ok" for row in rows)
     pairs = [
-        evaluation.EvalPair(
-            *truth[row["frame"]], row["x_mm"], row["y_mm"], row["theta_deg"]
-        )
+        (*truth[row["frame"]], row["x_mm"], row["y_mm"], row["theta_deg"], "ours")
         for row in rows
     ]
     evaluation.save_pairs_csv(tmp_path / "pairs.csv", pairs)
@@ -1757,8 +1794,8 @@ def test_quick_start_closes_to_a_nanometer(capsys, tmp_path, lens, seed):
     if lens:
         config = config._replace(intrinsics=config.intrinsics.with_distortion(_LENS))
     pairs, report = _quick_start(capsys, tmp_path, seed, config)
-    for p in pairs:
-        assert math.hypot(p.est_x - p.gt_x, p.est_y - p.gt_y) < 5e-8
+    for gt_x, gt_y, _, est_x, est_y, _, _ in pairs:
+        assert math.hypot(est_x - gt_x, est_y - gt_y) < 5e-8
     assert report["count"] == 30
     assert report["rmse_mm"] < 5e-8
 
@@ -1843,7 +1880,7 @@ def test_malformed_json_document_exits_2_naming_the_file(
     if document == "landmarks":
         # Synth marks no landmark by name, so the named points are added.
         named = _named_marks(cli_scene.config)
-        doc = extrinsics.landmarks_to_dict(DEFAULT_GEOMETRY, named, list(cli_scene.marks))
+        doc = extrinsics.landmarks_to_dict(DESK_FIELD, named, list(cli_scene.marks))
     else:
         doc = json.loads(cli_scene.paths[document].read_text())
     if keys:

@@ -17,10 +17,7 @@ import pytest
 
 from groundcam.evaluation import (
     ERROR_BLOCKS,
-    EvalPair,
     banded_report,
-    build_report,
-    compare_sources,
     compare_terms,
     error_terms,
     first_nonfinite,
@@ -48,18 +45,39 @@ REFERENCE_ROWS = [
 FROZEN_RMSE_MM = 14.365631729931017
 
 
+def _row(gt_x, gt_y, gt_theta, est_x, est_y, est_theta, source="ours"):
+    """A pairs table row as parse_pairs reads it, in PAIRS_HEADER order."""
+    return (gt_x, gt_y, gt_theta, est_x, est_y, est_theta, source)
+
+
 def _pairs(rows, source="ours"):
-    return [EvalPair(*row, source=source) for row in rows]
+    return [_row(*row, source=source) for row in rows]
+
+
+def _terms(pairs, boundaries):
+    """The error terms of pairs of one source."""
+    (terms,) = error_terms(pairs, boundaries).values()
+    return terms
+
+
+def _report(pairs, boundaries):
+    """The report of pairs of one source, reduced as evaluate reduces it."""
+    return banded_report(_terms(pairs, boundaries), boundaries)
+
+
+def _compare(ours, reference):
+    """The comparison of two sources' pairs, reduced as evaluate reduces it."""
+    return compare_terms(_terms(ours, []), _terms(reference, []))
 
 
 def _rmse(pairs):
     """The overall RMSE of a report of pairs."""
-    return build_report(pairs, [])["rmse_mm"]
+    return _report(pairs, [])["rmse_mm"]
 
 
 def _error_stats(pairs):
     """The error blocks of a report of pairs."""
-    report = build_report(pairs, [])
+    report = _report(pairs, [])
     return {block: report[block] for block in ERROR_BLOCKS}
 
 
@@ -74,7 +92,7 @@ def _rng_pairs(rng, count):
         gx, gy = rng.uniform(-2000, 2000, 2)
         gth = rng.uniform(-179, 179)
         out.append(
-            EvalPair(
+            _row(
                 gt_x=gx,
                 gt_y=gy,
                 gt_theta=gth,
@@ -93,11 +111,11 @@ def _rng_pairs(rng, count):
 
 class TestRmse:
     def test_perfect_estimates(self):
-        pairs = [EvalPair(1.0, 2.0, 3.0, 1.0, 2.0, 3.0)]
+        pairs = [_row(1.0, 2.0, 3.0, 1.0, 2.0, 3.0)]
         assert _rmse(pairs) == 0.0
 
     def test_single_offset_is_its_norm(self):
-        pairs = [EvalPair(0.0, 0.0, 0.0, 3.0, 4.0, 0.0)]
+        pairs = [_row(0.0, 0.0, 0.0, 3.0, 4.0, 0.0)]
         assert _rmse(pairs) == pytest.approx(5.0, abs=1e-12)
 
     def test_frozen_table(self):
@@ -112,18 +130,18 @@ class TestRmse:
 
     def test_doubling_errors_doubles_the_result(self):
         base = [
-            EvalPair(10.0, 20.0, 0.0, 13.0, 24.0, 0.0),
-            EvalPair(-5.0, 8.0, 0.0, -5.0, 20.0, 0.0),
+            _row(10.0, 20.0, 0.0, 13.0, 24.0, 0.0),
+            _row(-5.0, 8.0, 0.0, -5.0, 20.0, 0.0),
         ]
         doubled = [
-            EvalPair(10.0, 20.0, 0.0, 16.0, 28.0, 0.0),
-            EvalPair(-5.0, 8.0, 0.0, -5.0, 32.0, 0.0),
+            _row(10.0, 20.0, 0.0, 16.0, 28.0, 0.0),
+            _row(-5.0, 8.0, 0.0, -5.0, 32.0, 0.0),
         ]
         assert _rmse(doubled) == pytest.approx(2.0 * _rmse(base), abs=1e-12)
 
     def test_uniform_shift_gives_its_norm(self, rng):
         pairs = [
-            EvalPair(gx, gy, 0.0, gx + 6.0, gy - 8.0, 0.0)
+            _row(gx, gy, 0.0, gx + 6.0, gy - 8.0, 0.0)
             for gx, gy in rng.uniform(-500, 500, (10, 2))
         ]
         assert _rmse(pairs) == pytest.approx(10.0, abs=1e-12)
@@ -158,14 +176,14 @@ class TestErrorStats:
         assert stats["theta_deg"]["std"] == pytest.approx(1.12, abs=1e-9)
 
     def test_heading_errors_wrap(self):
-        pairs = [EvalPair(0.0, 0.0, 179.0, 0.0, 0.0, -179.0)]
+        pairs = [_row(0.0, 0.0, 179.0, 0.0, 0.0, -179.0)]
         stats = _error_stats(pairs)
         assert stats["theta_deg"]["mean"] == pytest.approx(2.0, abs=1e-12)
-        pairs = [EvalPair(0.0, 0.0, -179.0, 0.0, 0.0, 179.0)]
+        pairs = [_row(0.0, 0.0, -179.0, 0.0, 0.0, 179.0)]
         assert _error_stats(pairs)["theta_deg"]["mean"] == pytest.approx(-2.0, abs=1e-12)
 
     def test_perfect_estimates_have_zero_stats(self):
-        pairs = [EvalPair(5.0, 6.0, 7.0, 5.0, 6.0, 7.0)] * 3
+        pairs = [_row(5.0, 6.0, 7.0, 5.0, 6.0, 7.0)] * 3
         assert _error_stats(pairs) == {
             block: {"mean": 0.0, "std": 0.0} for block in ("x_mm", "y_mm", "theta_deg")
         }
@@ -198,7 +216,7 @@ def test_error_stats_are_correctly_rounded_sums(size):
         gt[2] = rng.uniform(-179.0, 179.0, size)
         est = gt + scale * rng.normal(0.3, 1.0, (3, size))
         est[2] = gt[2] + min(scale, 90.0) * rng.normal(0.3, 1.0, size)
-        pairs = [EvalPair(*g, *e) for g, e in zip(gt.T.tolist(), est.T.tolist())]
+        pairs = [_row(*g, *e) for g, e in zip(gt.T.tolist(), est.T.tolist())]
         errors = est - gt
         wrapped = np.fmod(errors[2] + 180.0, 360.0)
         errors[2] = np.where(wrapped <= 0.0, wrapped + 360.0, wrapped) - 180.0
@@ -222,8 +240,8 @@ def test_error_stats_are_correctly_rounded_sums(size):
 # ---------------------------------------------------------------------------
 
 
-def _pair_at_distance(distance: float, error: float = 0.0) -> EvalPair:
-    return EvalPair(distance, 0.0, 0.0, distance + error, 0.0, 0.0)
+def _pair_at_distance(distance: float, error: float = 0.0) -> tuple:
+    return _row(distance, 0.0, 0.0, distance + error, 0.0, 0.0)
 
 
 class TestBucketByDistance:
@@ -244,7 +262,7 @@ class TestBucketByDistance:
         buckets = _bands(pairs, [500.0, 1200.0, 2000.0])
         assert sum(len(b) for b in buckets) == len(pairs)
         recombined = [s for b in buckets for s in b]
-        squares = [(p.est_x - p.gt_x) ** 2 + (p.est_y - p.gt_y) ** 2 for p in pairs]
+        squares = [(p[3] - p[0]) ** 2 + (p[4] - p[1]) ** 2 for p in pairs]
         assert sorted(recombined) == sorted(squares)
 
     def test_no_boundaries_gives_one_band(self, rng):
@@ -257,7 +275,7 @@ class TestBucketByDistance:
 class TestBuildReport:
     def test_band_edges_and_empty_band(self):
         pairs = [_pair_at_distance(d) for d in (800.0, 2500.0)]
-        report = build_report(pairs, [1000.0, 2000.0])
+        report = _report(pairs, [1000.0, 2000.0])
         assert report["count"] == 2
         assert report["bucket_boundaries_mm"] == [1000.0, 2000.0]
         assert [(b["lo_mm"], b["hi_mm"]) for b in report["buckets"]] == [
@@ -270,7 +288,7 @@ class TestBuildReport:
 
     def test_band_rmse_recombines_to_overall(self, rng):
         pairs = _rng_pairs(rng, 30)
-        report = build_report(pairs, [1000.0, 2000.0])
+        report = _report(pairs, [1000.0, 2000.0])
         total_sq = sum(
             (b["rmse_mm"] ** 2) * b["count"] for b in report["buckets"] if b["count"]
         )
@@ -283,10 +301,10 @@ class TestBuildReport:
         shuffled = list(pairs)
         rng.shuffle(shuffled)
         boundaries = [1000.0, 2000.0]
-        assert build_report(shuffled, boundaries) == build_report(pairs, boundaries)
+        assert _report(shuffled, boundaries) == _report(pairs, boundaries)
 
     def test_dict_form_is_json_ready(self):
-        report = build_report(_pairs(OURS_ROWS), [700.0])
+        report = _report(_pairs(OURS_ROWS), [700.0])
         doc = json.loads(json.dumps(report))
         assert doc == report
         assert doc["rmse_mm"] == pytest.approx(FROZEN_RMSE_MM, abs=1e-9)
@@ -300,23 +318,23 @@ class TestBuildReport:
     def test_overflow_is_found_by_its_key_path(self):
         # The far pair's error squares past float range; the first number
         # that overflows, in document order, is named.
-        pairs = [_pair_at_distance(500.0), EvalPair(0.0, 3000.0, 0.0, 0.0, 1e200, 0.0)]
-        report = build_report(pairs, [1000.0])
+        pairs = [_pair_at_distance(500.0), _row(0.0, 3000.0, 0.0, 0.0, 1e200, 0.0)]
+        report = _report(pairs, [1000.0])
         assert report["rmse_mm"] == math.inf
         assert first_nonfinite(report) == "rmse_mm"
         assert first_nonfinite(report["buckets"]) == "[1].rmse_mm"
         assert first_nonfinite({"a": [1.0, None, 2], "b": {"c": math.nan}}) == "b.c"
-        assert first_nonfinite(build_report(_pairs(OURS_ROWS), [700.0])) is None
+        assert first_nonfinite(_report(_pairs(OURS_ROWS), [700.0])) is None
 
 
 # ---------------------------------------------------------------------------
-# compare_sources
+# Comparing sources: compare_terms
 # ---------------------------------------------------------------------------
 
 
 class TestCompareSources:
     def test_frozen_table_side_by_side(self):
-        doc = compare_sources(
+        doc = _compare(
             _pairs(OURS_ROWS), _pairs(REFERENCE_ROWS, source="reference")
         )
         assert set(doc) == {"ours", "reference"}
@@ -328,15 +346,15 @@ class TestCompareSources:
         assert doc["ours"]["rmse_mm"] < doc["reference"]["rmse_mm"]
 
     def test_identical_sources_match(self):
-        doc = compare_sources(
+        doc = _compare(
             _pairs(OURS_ROWS), _pairs(OURS_ROWS, source="reference")
         )
         assert doc["ours"] == doc["reference"]
 
     def test_row_order_does_not_matter(self):
         reordered = list(reversed(REFERENCE_ROWS))
-        a = compare_sources(_pairs(OURS_ROWS), _pairs(REFERENCE_ROWS, "reference"))
-        b = compare_sources(_pairs(OURS_ROWS), _pairs(reordered, "reference"))
+        a = _compare(_pairs(OURS_ROWS), _pairs(REFERENCE_ROWS, "reference"))
+        b = _compare(_pairs(OURS_ROWS), _pairs(reordered, "reference"))
         assert a == b
 
     def test_disjoint_ground_truths_rejected(self):
@@ -344,11 +362,11 @@ class TestCompareSources:
             (r[0] + 1.0, *r[1:]) for r in REFERENCE_ROWS
         ]
         with pytest.raises(ValueError, match="ground truths differ: "):
-            compare_sources(_pairs(OURS_ROWS), _pairs(shifted, "reference"))
+            _compare(_pairs(OURS_ROWS), _pairs(shifted, "reference"))
 
     def test_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="sources cover 4 vs 3 ground truths"):
-            compare_sources(
+            _compare(
                 _pairs(OURS_ROWS), _pairs(REFERENCE_ROWS[:3], "reference")
             )
 
@@ -361,7 +379,7 @@ class TestCompareSources:
 def test_pair_distance_is_the_ground_truth_norm():
     # hypot(3, 4) is exactly 5: on the boundary 5 the pair is in the upper
     # band, below the next float above 5 in the lower one.
-    pair = EvalPair(3.0, 4.0, 0.0, 0.0, 0.0, 0.0)
+    pair = _row(3.0, 4.0, 0.0, 0.0, 0.0, 0.0)
     assert _bands([pair], [5.0]) == [[], [25.0]]
     assert _bands([pair], [math.nextafter(5.0, math.inf)]) == [[25.0], []]
 
@@ -385,7 +403,7 @@ def _mixed_table(rng, count):
             # given on the other side, wraps.
             wrap = math.copysign(1.5, gth) - math.copysign(360.0, gth)
             est_theta = gth + (wrap if i % 3 == 0 else et)
-            rows.append(EvalPair(gx, gy, gth, gx + ex, gy + ey, est_theta, source))
+            rows.append(_row(gx, gy, gth, gx + ex, gy + ey, est_theta, source))
     return [rows[i] for i in rng.permutation(len(rows))]
 
 
@@ -396,11 +414,11 @@ BOUNDARIES = [1000.0, 2000.0, 3000.0]
 def test_a_report_mapped_in_chunks_is_the_report_of_the_whole(seed):
     rng = np.random.default_rng(seed)
     rows = _mixed_table(rng, int(rng.integers(4, 120)))
-    ours = [r for r in rows if r.source == "ours"]
-    reference = [r for r in rows if r.source == "reference"]
-    whole = build_report(ours, BOUNDARIES)
-    whole["comparison"] = compare_sources(ours, reference)
-    assert any(abs(p.est_theta - p.gt_theta) > 180.0 for p in rows)
+    ours = [r for r in rows if r[6] == "ours"]
+    reference = [r for r in rows if r[6] == "reference"]
+    whole = _report(ours, BOUNDARIES)
+    whole["comparison"] = _compare(ours, reference)
+    assert any(abs(p[5] - p[2]) > 180.0 for p in rows)
     for _ in range(6):
         chunks = int(rng.integers(1, 5))
         cuts = sorted(rng.integers(0, len(rows) + 1, chunks - 1).tolist())

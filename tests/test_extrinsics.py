@@ -17,7 +17,6 @@ import pytest
 
 from groundcam import extrinsics
 from groundcam.extrinsics import (
-    FieldGeometry,
     PnpCorrespondence,
     field_landmarks,
     reprojection_report,
@@ -26,6 +25,7 @@ from groundcam.extrinsics import (
 from groundcam.euler import EulerAngles, euler_from_pose
 from groundcam.geometry import (
     CameraIntrinsics,
+    CameraPose,
     Distortion,
     PixelPoint,
     WorldPoint,
@@ -38,6 +38,7 @@ from groundcam.projection import (
     pose_from_euler,
     project,
     project_points,
+    rotation_from_axis_angle,
 )
 from groundcam.reference import (
     REFERENCE_CAMERA_CENTER_MM,
@@ -45,9 +46,13 @@ from groundcam.reference import (
 )
 from groundcam.scene import SceneConfig, generate_scene
 
+from conftest import DIVISION_B_MM
+
 # ---------------------------------------------------------------------------
 # Helpers
 # ---------------------------------------------------------------------------
+
+DIVISION_B = extrinsics.field_geometry_from_dict(DIVISION_B_MM)
 
 GROUND_POINTS = [
     (0.0, 500.0, 0.0),
@@ -96,7 +101,7 @@ def _assert_pose_close(est, truth, center_tol_mm, rot_tol_rad):
 
 class TestFieldGeometry:
     def test_division_b_dimensions(self):
-        g = FieldGeometry.division_b()
+        g = DIVISION_B
         assert g.field_length == 9000.0
         assert g.field_width == 6000.0
         assert g.goal_width == 1000.0
@@ -129,7 +134,7 @@ class TestFieldGeometry:
         ],
     )
     def test_reader_rejects_a_bad_geometry(self, changes, message):
-        doc = extrinsics.field_geometry_to_dict(FieldGeometry.division_b())
+        doc = dict(DIVISION_B_MM)
         doc.update(changes)
         with pytest.raises(ValueError) as info:
             extrinsics.field_geometry_from_dict(doc)
@@ -138,7 +143,7 @@ class TestFieldGeometry:
 
 class TestFieldLandmarks:
     def test_hand_computed_positions(self):
-        marks = field_landmarks(FieldGeometry.division_b())
+        marks = field_landmarks(DIVISION_B)
         center = marks["goal_bottom_center"]
         assert (center.x, center.y, center.z) == (4500.0, 0.0, 0.0)
         left = marks["goal_bottom_left_corner"]
@@ -151,7 +156,7 @@ class TestFieldLandmarks:
         assert (corner.x, corner.y, corner.z) == (4500.0, -3000.0, 0.0)
 
     def test_far_side_mirrors_near_side(self):
-        marks = field_landmarks(FieldGeometry.division_b())
+        marks = field_landmarks(DIVISION_B)
         near = {n: m for n, m in marks.items() if not n.startswith("far_")}
         assert len(marks) == 2 * len(near)
         for name, mark in near.items():
@@ -161,7 +166,7 @@ class TestFieldLandmarks:
             assert far.z == mark.z
 
     def test_heights_are_ground_or_goal_top(self):
-        g = FieldGeometry.division_b()
+        g = DIVISION_B
         for mark in field_landmarks(g).values():
             assert mark.z in (0.0, g.goal_height)
 
@@ -252,6 +257,27 @@ class TestSolvePnp:
             numeric[:, i] = (np.array(ends[0]) - np.array(ends[1])) / (2.0 * abs(step[i]))
         scale = np.abs(numeric).max(axis=0)
         assert np.max(np.abs(analytic - numeric).max(axis=0) / scale) < 1e-6
+
+
+def test_plane_offset_start_moves_the_translation(rng):
+    # Marks on the plane z = z0 have the homography of the z = 0 marks seen
+    # from t + z0 r3; the planar start must take the offset back out.
+    k = CameraIntrinsics(642.41, 642.54, 322.80, 239.76)
+    z0 = 155.0
+    xy = [(25.0 * i, 25.0 * j) for i in range(9) for j in range(6)]
+    centroid = [float(v) for v in np.mean(xy, axis=0)]
+    for _ in range(5):
+        tilt = rng.choice([-1.0, 1.0], 2) * rng.uniform(0.15, 0.5, 2)
+        truth = CameraPose(
+            rotation_from_axis_angle([*tilt, rng.uniform(-0.5, 0.5)]),
+            [-100.0 + rng.uniform(-40, 40), -62.5 + rng.uniform(-30, 30), rng.uniform(500, 900)],
+        )
+        pixels = project_points([(x, y, z0) for x, y in xy], k, truth).tolist()
+        h = extrinsics._normalized_dlt(xy, pixels, "rank deficient")
+        est = extrinsics._pose_from_homography(k, h, centroid, z0)
+        gap = axis_angle_from_rotation(est.rotation.T @ truth.rotation)
+        assert np.linalg.norm(gap) < 1e-8
+        assert np.max(np.abs(est.translation - truth.translation)) < 1e-6
 
 
 # Measured over the random, wide and rank-deficient systems below: singular
@@ -433,8 +459,7 @@ class TestReprojectionReport:
 
 def _correspondences(named, extra=None):
     """extrinsics.landmarks_from_dict of a division B landmarks document."""
-    geometry = FieldGeometry.division_b()
-    return extrinsics.landmarks_from_dict(extrinsics.landmarks_to_dict(geometry, named, extra))
+    return extrinsics.landmarks_from_dict(extrinsics.landmarks_to_dict(DIVISION_B, named, extra))
 
 
 class TestCorrespondencesFromLandmarks:
@@ -456,7 +481,7 @@ class TestCorrespondencesFromLandmarks:
 
     def test_repeated_name_raises(self):
         doc = extrinsics.landmarks_to_dict(
-            FieldGeometry.division_b(), {"goal_bottom_center": PixelPoint(320.0, 200.0)}
+            DIVISION_B, {"goal_bottom_center": PixelPoint(320.0, 200.0)}
         )
         doc["points"].append({"name": "goal_bottom_center", "pixel": [400.0, 200.0]})
         with pytest.raises(ValueError, match="'goal_bottom_center' is marked twice"):
@@ -473,3 +498,23 @@ class TestCorrespondencesFromLandmarks:
         )
         assert len(out) == 2
         assert out[-1].world.x == 1.0
+
+    def test_extra_marks_alone_need_no_field_geometry(self):
+        extra = [PnpCorrespondence(PixelPoint(5.0, 6.0), WorldPoint(1.0, 2.0, 0.0))]
+        doc = extrinsics.landmarks_to_dict(None, {}, extra)
+        assert "field_geometry" not in doc
+        assert extrinsics.landmarks_from_dict(doc) == extra
+
+    def test_a_named_point_requires_the_field_geometry(self):
+        doc = extrinsics.landmarks_to_dict(
+            DIVISION_B, {"goal_bottom_center": PixelPoint(320.0, 200.0)}
+        )
+        del doc["field_geometry"]
+        with pytest.raises(KeyError, match="field_geometry"):
+            extrinsics.landmarks_from_dict(doc)
+
+    def test_a_field_geometry_given_without_points_is_checked(self):
+        doc = extrinsics.landmarks_to_dict(DIVISION_B, {})
+        doc["field_geometry"]["goal_width_mm"] = 7000.0
+        with pytest.raises(ValueError, match="goal wider than the field"):
+            extrinsics.landmarks_from_dict(doc)

@@ -15,8 +15,7 @@ import numpy as np
 import pytest
 
 from groundcam import evaluation, extrinsics, files, intrinsics
-from groundcam.evaluation import EvalPair, build_report, compare_sources
-from groundcam.extrinsics import FieldGeometry, PnpCorrespondence, field_landmarks
+from groundcam.extrinsics import PnpCorrespondence, field_landmarks
 from groundcam.geometry import CameraIntrinsics, Distortion, PixelPoint, WorldPoint
 from groundcam.pipeline import LocalizedObject, UnlocalizableDetection
 from groundcam.regression import (
@@ -26,7 +25,7 @@ from groundcam.regression import (
 )
 from groundcam.reference import reference_intrinsics, reference_pose
 
-from conftest import FIXTURES_DIR
+from conftest import DIVISION_B_MM, FIXTURES_DIR
 
 # ---------------------------------------------------------------------------
 # Calibration documents
@@ -127,7 +126,7 @@ class TestPlanarViewsFile:
 
 class TestLandmarksFile:
     def test_round_trip_with_extra_points(self, tmp_path):
-        geometry = FieldGeometry.division_b()
+        geometry = extrinsics.field_geometry_from_dict(DIVISION_B_MM)
         named = {
             "goal_bottom_center": PixelPoint(322.5, 210.25),
             "far_goal_bottom_center": PixelPoint(100.0, 215.5),
@@ -147,7 +146,8 @@ class TestLandmarksFile:
         ]
 
     def test_geometry_survives_the_dict_form(self):
-        g = FieldGeometry.division_b()
+        g = extrinsics.field_geometry_from_dict(DIVISION_B_MM)
+        assert extrinsics.field_geometry_to_dict(g) == DIVISION_B_MM
         assert extrinsics.field_geometry_from_dict(extrinsics.field_geometry_to_dict(g)) == g
 
 
@@ -300,15 +300,26 @@ class TestLineFormats:
 # ---------------------------------------------------------------------------
 
 
+def _load_pairs(path):
+    """The rows of the pairs table at path, read as evaluate reads them."""
+    return evaluation.parse_pairs(path, *evaluation.read_table(path, evaluation.PAIRS_HEADER))
+
+
+def _report(pairs, boundaries):
+    """The report of pairs of one source, as evaluate reduces it."""
+    (terms,) = evaluation.error_terms(pairs, boundaries).values()
+    return evaluation.banded_report(terms, boundaries)
+
+
 class TestPairsCsv:
     def test_round_trip(self, tmp_path):
         pairs = [
-            EvalPair(0.0, 500.0, 0.0, -0.03, 508.86, 0.0),
-            EvalPair(-250.0, 750.0, -18.43, -259.17, 762.23, -18.78, "reference"),
+            (0.0, 500.0, 0.0, -0.03, 508.86, 0.0, "ours"),
+            (-250.0, 750.0, -18.43, -259.17, 762.23, -18.78, "reference"),
         ]
         path = tmp_path / "pairs.csv"
         evaluation.save_pairs_csv(path, pairs)
-        assert evaluation.load_pairs_csv(path) == pairs
+        assert _load_pairs(path) == pairs
         header = path.read_text().splitlines()[0]
         assert header.split(",") == evaluation.PAIRS_HEADER
 
@@ -316,7 +327,7 @@ class TestPairsCsv:
         path = tmp_path / "pairs.csv"
         path.write_text("x,y,theta\n1,2,3\n")
         with pytest.raises(ValueError):
-            evaluation.load_pairs_csv(path)
+            _load_pairs(path)
 
 
     @pytest.mark.parametrize(
@@ -333,14 +344,14 @@ class TestPairsCsv:
         path = tmp_path / "pairs.csv"
         path.write_text(",".join(evaluation.PAIRS_HEADER) + "\n0,500,0,1,2,3,ours\n" + row + "\n")
         with pytest.raises(ValueError, match=re.escape(f"{path} line 3")):
-            evaluation.load_pairs_csv(path)
+            _load_pairs(path)
 
     @pytest.mark.parametrize("row", ["1,2,3", "0,500,0,1,2,3,ours,0"], ids=["short", "wide"])
     def test_row_of_the_wrong_width_names_the_field_count(self, tmp_path, row):
         path = tmp_path / "pairs.csv"
         path.write_text(",".join(evaluation.PAIRS_HEADER) + "\n\n" + row + "\n")
         with pytest.raises(ValueError) as caught:
-            evaluation.load_pairs_csv(path)
+            _load_pairs(path)
         assert str(caught.value) == f"{path} line 3: expected 7 fields"
 
 
@@ -374,7 +385,7 @@ def test_padded_header_names_load_both_tables(tmp_path):
     # are read by position, so both tables load.
     pairs_path = tmp_path / "pairs.csv"
     pairs_path.write_text(", ".join(evaluation.PAIRS_HEADER) + "\n0,500,0,1,2,3,ours\n")
-    assert evaluation.load_pairs_csv(pairs_path) == [EvalPair(0.0, 500.0, 0.0, 1.0, 2.0, 3.0)]
+    assert _load_pairs(pairs_path) == [(0.0, 500.0, 0.0, 1.0, 2.0, 3.0, "ours")]
     truth_path = tmp_path / "truth.csv"
     truth_path.write_text(", ".join(evaluation.TRUTH_HEADER) + "\np000,1,2,3\n")
     assert evaluation.load_truth_csv(truth_path) == {"p000": (1.0, 2.0, 3.0)}
@@ -387,12 +398,12 @@ def test_padded_header_names_load_both_tables(tmp_path):
 
 def _four_pair_report():
     pairs = [
-        EvalPair(0.0, 500.0, 0.0, -0.03, 508.86, 0.0),
-        EvalPair(-250.0, 750.0, -18.43, -259.17, 762.23, -18.78),
-        EvalPair(0.0, 750.0, 0.0, -1.08, 772.20, -0.08),
-        EvalPair(250.0, 750.0, 18.43, 247.12, 753.32, 18.16),
+        (0.0, 500.0, 0.0, -0.03, 508.86, 0.0, "ours"),
+        (-250.0, 750.0, -18.43, -259.17, 762.23, -18.78, "ours"),
+        (0.0, 750.0, 0.0, -1.08, 772.20, -0.08, "ours"),
+        (250.0, 750.0, 18.43, 247.12, 753.32, 18.16, "ours"),
     ]
-    return pairs, build_report(pairs, [700.0])
+    return pairs, _report(pairs, [700.0])
 
 
 class TestReportFiles:
@@ -427,9 +438,9 @@ class TestReportFiles:
 
     def test_scatter_bytes_match_csv_writer(self, tmp_path):
         pairs = [
-            EvalPair(-0.0, 1e-300, 0.0, 0.0, -0.0, 0.0),
-            EvalPair(1000.0, -250.0, 18.43, 1e-300, 2.5e17, 0.0, "reference"),
-            EvalPair(0.1, 1 / 3, 0.0, -1234.5678, 7.0, 0.0),
+            (-0.0, 1e-300, 0.0, 0.0, -0.0, 0.0, "ours"),
+            (1000.0, -250.0, 18.43, 1e-300, 2.5e17, 0.0, "reference"),
+            (0.1, 1 / 3, 0.0, -1234.5678, 7.0, 0.0, "ours"),
         ]
         path = tmp_path / "scatter.csv"
         evaluation.save_scatter_csv(path, [evaluation.scatter_rows(pairs)])
@@ -437,9 +448,9 @@ class TestReportFiles:
         writer = csv.writer(expected)
         writer.writerow(["x", "y", "series"])
         for p in pairs:
-            writer.writerow([p.gt_x, p.gt_y, "ground_truth"])
+            writer.writerow([p[0], p[1], "ground_truth"])
         for p in pairs:
-            writer.writerow([p.est_x, p.est_y, p.source])
+            writer.writerow([p[3], p[4], p[6]])
         assert path.read_bytes() == expected.getvalue().encode()
         assert b"-0.0,1e-300,ground_truth\r\n" in path.read_bytes()
         # The rows of consecutive runs of the pairs join to the same file.
@@ -473,11 +484,10 @@ class TestFixtures:
         assert np.array_equal(pose.translation, expected.translation)
 
     def test_reference_pairs_reproduce_the_headline_numbers(self):
-        pairs = evaluation.load_pairs_csv(FIXTURES_DIR / "reference_eval_pairs.csv")
-        ours = [p for p in pairs if p.source == "ours"]
-        reference = [p for p in pairs if p.source == "reference"]
-        assert len(ours) == 4 and len(reference) == 4
-        doc = compare_sources(ours, reference)
+        pairs = _load_pairs(FIXTURES_DIR / "reference_eval_pairs.csv")
+        terms = evaluation.error_terms(pairs, [])
+        assert [len(terms[source][1]) for source in evaluation.SOURCES] == [4, 4]
+        doc = evaluation.compare_terms(terms["ours"], terms["reference"])
         assert doc["ours"]["rmse_mm"] == pytest.approx(14.37, abs=0.05)
         stats = doc["reference"]
         assert stats["x_mm"]["mean"] == pytest.approx(15.31, abs=1e-9)

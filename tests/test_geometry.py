@@ -181,7 +181,7 @@ class TestProjectPoints:
         )
         for row in pts:
             single = project(WorldPoint(*row), k, pose)
-            one_row = project_points(row[None], k, pose, clamp_depth=True)[0]
+            one_row = project_points(row[None], k, pose)[0]
             one_view, _, _ = project_views(
                 intrinsic_vector(k), rvec[None], t[None], row[None, None]
             )
@@ -192,7 +192,9 @@ class TestProjectPoints:
         pts = np.array([[0.0, 0.0, -100.0], [10.0, 0.0, 100.0]])
         with pytest.raises(PointBehindCamera):
             project_points(pts, SIMPLE_K, pose)
-        clamped = project_points(pts, SIMPLE_K, pose, clamp_depth=True)
+        clamped, _, _ = project_views(
+            intrinsic_vector(SIMPLE_K), np.zeros((1, 3)), np.zeros((1, 3)), pts[None]
+        )
         assert np.all(np.isfinite(clamped))
 
 

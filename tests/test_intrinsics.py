@@ -29,6 +29,7 @@ from groundcam.intrinsics import (
 from groundcam.optim import levenberg_marquardt, numeric_jacobian
 from groundcam.projection import (
     axis_angle_from_rotation,
+    camera_to_pixels,
     intrinsic_vector,
     project_points,
     rotation_from_axis_angle,
@@ -245,19 +246,6 @@ class TestExtrinsicsFromHomography:
         assert np.allclose(a.rotation, b.rotation, atol=1e-12)
         assert np.allclose(a.translation, b.translation, atol=1e-12)
 
-    def test_plane_offset_moves_the_translation(self, rng):
-        # A pattern lying on z = z0 has the homography of the z = 0 pattern
-        # seen from t + z0 r3; the offset must be taken back out.
-        z0 = 155.0
-        pattern = _pattern()
-        world = np.column_stack([pattern, np.full(len(pattern), z0)])
-        truth = _random_target_pose(rng)
-        pixels = project_points(world, TRUE_K, truth)
-        h = homography_from_points(pattern, pixels)
-        est = extrinsics_from_homography(TRUE_K, h, plane_z=z0)
-        assert _rotation_gap_rad(est, truth) < 1e-8
-        assert np.max(np.abs(est.translation - truth.translation)) < 1e-6
-
 
 # ---------------------------------------------------------------------------
 # Joint refinement and the full pipeline
@@ -308,14 +296,9 @@ class TestCalibratePipeline:
         # with the camera model rather than the solver.
         initial = np.concatenate(
             [
-                project_points(
-                    np.column_stack([v.pattern, np.zeros(len(v.pixels))]),
-                    k0,
-                    pose,
-                    clamp_depth=True,
-                )
-                - v.pixels
-                for v, pose in zip(views, poses)
+                camera_to_pixels(w @ pose.rotation.T + pose.translation, intrinsic_vector(k0))[0]
+                - p
+                for w, p, pose in zip(*_arrays(views), poses)
             ]
         )
         refined = refine_calibration(*_arrays(views), k0, poses, FREE)
